@@ -18,8 +18,10 @@ n-torsion.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .finitefield import FiniteField, FqElem, is_square
+from .modular import is_prime
 from .polynomial import QPoly
 
 __all__ = [
@@ -65,13 +67,6 @@ class WeierstrassModel:
     def __setattr__(self, name, value):
         raise AttributeError("WeierstrassModel is immutable")
 
-    @classmethod
-    def from_list(cls, ainvs) -> "WeierstrassModel":
-        vals = list(ainvs)
-        if len(vals) != 5:
-            raise ValueError("expected [a1, a2, a3, a4, a6]")
-        return cls(*vals)
-
     @property
     def a_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -116,9 +111,7 @@ class WeierstrassModel:
         """Rescale by u = 1/m, m the lcm of coefficient denominators."""
         if self.is_integral:
             return self
-        m = 1
-        for v in self.a_invariants:
-            m = m * v.denominator // _gcd(m, v.denominator)
+        m = lcm(*(v.denominator for v in self.a_invariants))
         return self.change_model(Fraction(1, m), 0, 0, 0)
 
     # -- reduction ----------------------------------------------------------
@@ -206,12 +199,6 @@ class WeierstrassModel:
             return g[k]
 
         return get_f, get_g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +311,31 @@ def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
     """a_ell = ell + 1 - #E(F_ell) for a prime ell of good reduction.
 
     The model must be integral with ell not dividing the discriminant;
-    such a model is automatically minimal at ell.
+    such a model is automatically minimal at ell.  For odd ell the count
+    runs on plain ints: completing the square in y gives
+    a_ell = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), chi the quadratic
+    character mod ell read off a table of squares built for this call.
+    For ell = 2 the four affine pairs (x, y) are checked directly.
+    `count_points` is the general F_q counter and stays the slow-path
+    oracle for this kernel in the tests.
     """
+    if not is_prime(ell) or ell > COUNT_LIMIT:
+        raise ValueError(f"ell must be a prime <= {COUNT_LIMIT}, got {ell}")
     if not model.is_integral:
         raise ValueError("pass an integral model")
     if int(model.discriminant) % ell == 0:
         raise ValueError(f"{ell} divides the discriminant; minimize and check reduction first")
-    n = count_points(model, FiniteField(ell, 1))
-    a = ell + 1 - n
+    if ell == 2:
+        a1, a2, a3, a4, a6 = (int(v) for v in model.a_invariants)
+        affine = sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+                     for x in (0, 1) for y in (0, 1))
+        a = 2 - affine
+    else:
+        chi = [-1] * ell
+        chi[0] = 0
+        for i in range(1, ell // 2 + 1):
+            chi[i * i % ell] = 1
+        c2, c1, c0 = int(model.b2) % ell, 2 * int(model.b4) % ell, int(model.b6) % ell
+        a = -sum(chi[(((4 * x + c2) * x + c1) * x + c0) % ell] for x in range(ell))
     assert a * a <= 4 * ell, "Hasse bound violated; counting bug"
     return a

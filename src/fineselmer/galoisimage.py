@@ -57,9 +57,10 @@ __all__ = [
 ]
 
 TRACE_CHECK_BOUND = 100
-# naive point counts cost O(ell) each, so the hunt bound is kept modest;
-# a genuinely surjective representation yields all three witnesses long
-# before this
+# each trace is an O(ell) quadratic-character sum on plain ints, so the
+# whole hunt below this bound costs tens of milliseconds per curve; a
+# genuinely surjective representation yields all three witnesses long
+# before it
 CERTIFICATE_BOUND = 1_000
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .elliptic import WeierstrassModel, count_points, trace_of_frobenius
+from .elliptic import WeierstrassModel, trace_of_frobenius
 from .finitefield import FiniteField, is_square
 from .modular import multiplicative_order, valuation
 from .padic import (DEFAULT_PRECISION, MAX_PRECISION, PadicNumber, padic_roots)

@@ -22,6 +22,7 @@ from fineselmer.elliptic import (
     trace_of_frobenius,
 )
 from fineselmer.finitefield import FiniteField, FqPoly, is_square
+from fineselmer.modular import primes_below
 from fineselmer.polynomial import QPoly
 
 X11A1 = (0, -1, 1, -10, -20)
@@ -315,3 +316,51 @@ def test_torsion_count_consistency_small_fields():
                     if scalar_mul(a, p, (x, y)) is None:
                         killed += 1
         assert killed == torsion
+
+
+# --- the plain-int trace kernel against the boxed F_q count ---
+
+# good at 2 and 3; a1, a3 != 0, negative entries, entries far above ell
+TRACE_ORACLE_CURVES = (
+    (1, -1, 1, -3, 4),
+    (-3, 17, -5, -401, 1198),
+    X11A2,
+    (123457, -98765, 4321, -1000003, 77777778),
+)
+
+
+def slow_trace(model, ell):
+    return ell + 1 - count_points(model, FiniteField(ell, 1))
+
+
+def good_primes(model, bound):
+    disc = int(model.discriminant)
+    return [ell for ell in primes_below(bound) if disc % ell]
+
+
+@pytest.mark.parametrize("ainvs", TRACE_ORACLE_CURVES)
+def test_trace_kernel_matches_boxed_count(ainvs):
+    model = WeierstrassModel(*ainvs)
+    ells = good_primes(model, 200)
+    assert 2 in ells and 3 in ells
+    for ell in ells:
+        assert trace_of_frobenius(model, ell) == slow_trace(model, ell), (ainvs, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-10**6, 10**6)] * 5), st.sampled_from(primes_below(60)))
+def test_trace_kernel_matches_boxed_count_random(ainvs, ell):
+    model = nonsingular(*ainvs)
+    if model is None or int(model.discriminant) % ell == 0:
+        return
+    assert trace_of_frobenius(model, ell) == slow_trace(model, ell)
+
+
+def test_trace_kernel_input_contract():
+    model = WeierstrassModel(*X11A1)
+    with pytest.raises(ValueError):
+        trace_of_frobenius(model, 11)  # bad reduction
+    with pytest.raises(ValueError):
+        trace_of_frobenius(model, 9)  # not a prime
+    with pytest.raises(ValueError):
+        trace_of_frobenius(WeierstrassModel(0, 0, 0, Fraction(1, 2), 1), 3)
