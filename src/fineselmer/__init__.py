@@ -8,11 +8,11 @@ ledger of the hypotheses under which the bound is valid.
 Layering, bottom to top:
 
     modular, polynomial, finitefield, factorization   exact arithmetic
-    padic, eisenstein                                  local fields
+    padic                                              p-adic numbers and roots
     elliptic                                           curves and torsion
     localdata                                          reduction types, S/S_0/S_p, g_v, delta_v
     galoisimage                                        mod-p image certification
-    cyclotomic                                         Bernoulli numbers, regularity, splitting laws
+    cyclotomic                                         Bernoulli numbers, regularity, tower ramification
     lambdabound                                        hypothesis ledger and bound assembly
     cli                                                command line front end
 

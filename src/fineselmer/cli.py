@@ -370,8 +370,9 @@ def _batch_line(item: tuple[int, str]) -> tuple[int, int, str]:
     try:
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise CliError(f"line {n}: not valid JSON ({e.msg})") from None
+        except ValueError as e:  # JSONDecodeError, or an int over 4300 digits
+            raise CliError(
+                f"line {n}: not valid JSON ({getattr(e, 'msg', e)})") from None
         job = job_from_dict(obj, f"line {n}")
         code, report = run_job(job)
         return n, code, render_json(report, job, compact=True)

@@ -1,4 +1,4 @@
-"""Bernoulli numbers, regularity of primes, and cyclotomic decomposition.
+"""Bernoulli numbers, regularity of primes, and ramification in the tower.
 
 Two independent Bernoulli routes live here on purpose.  The exact table
 runs the defining recurrence over Q and checks every even value against
@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .modular import is_prime, multiplicative_order, primes_below
+from .modular import is_prime, primes_below
 
 __all__ = [
     "bernoulli_table",
     "is_regular",
     "irregular_primes_below",
-    "decomposition_in_Qmup",
     "RamificationStatement",
     "kinf_ramification",
 ]
@@ -100,27 +99,11 @@ def irregular_primes_below(bound: int) -> list[int]:
     return [p for p in primes_below(bound) if p > 2 and not is_regular(p)]
 
 
-def decomposition_in_Qmup(ell: int, p: int) -> tuple[int, int, int]:
-    """(e, f, g) for the prime ell in Q(mu_p)/Q.
-
-    p itself is totally ramified; any other prime is unramified with
-    residue degree the order of ell mod p.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    if not is_prime(ell):
-        raise ValueError("ell must be prime")
-    if ell == p:
-        return (p - 1, 1, 1)
-    f = multiplicative_order(ell % p, p)
-    return (1, f, (p - 1) // f)
-
-
 @dataclass(frozen=True)
 class RamificationStatement:
     field: str
     p: int
-    status: str          # "certified" | "asserted"
+    status: str          # always "certified"
     detail: str
 
 
@@ -129,8 +112,7 @@ def kinf_ramification(p: int, field: str = "Q") -> RamificationStatement:
 
     For Q and Q(mu_p) the unique prime above p is totally ramified in
     the tower, a computation inside Q(mu_{p^infty}) that needs no input
-    data: certified.  Any other base field is passed through as an
-    assertion for the caller to discharge.
+    data: certified.  Any other base field is a ValueError.
     """
     if field == "Q":
         return RamificationStatement(
@@ -140,6 +122,4 @@ def kinf_ramification(p: int, field: str = "Q") -> RamificationStatement:
         return RamificationStatement(
             "Q(mu_p)", p, "certified",
             f"eta_{p} is totally ramified in Q(mu_{{{p}^infty}})")
-    return RamificationStatement(
-        field, p, "asserted",
-        "ramification in an unrecognized base field is taken on trust")
+    raise ValueError('field must be "Q" or "Q(mu_p)"')

@@ -183,16 +183,16 @@ def factor_fq(f: FqPoly, seed: int = DEFAULT_SEED) -> tuple[FqElem, list[tuple[F
 def is_irreducible_fq(f: FqPoly) -> bool:
     """Independent irreducibility check used by the test suite.
 
-    Degree <= 3 reduces to root-freeness (plus degree-2 content for cubics
-    handled by the same root test); higher degrees use the
-    distinct-degree signature: x^(q^d) fixes f only at d = deg f.
+    Degree <= 3 reduces to root-freeness, since a reducible cubic has a
+    linear factor; higher degrees use the distinct-degree signature:
+    x^(q^d) fixes f only at d = deg f.
     """
     if f.degree <= 0:
         return False
     if f.degree == 1:
         return True
     if f.degree <= 3:
-        return not f.roots() and (f.degree == 2 or not _has_quadratic_factor(f))
+        return not f.roots()
     q = f.field.order
     x = FqPoly.x(f.field)
     h = x
@@ -201,12 +201,6 @@ def is_irreducible_fq(f: FqPoly) -> bool:
         if f.gcd(h - x).degree > 0:
             return False
     return True
-
-
-def _has_quadratic_factor(f: FqPoly) -> bool:
-    # only reached for cubics; a cubic with no roots has a quadratic factor
-    # iff it is reducible iff it has a root, so this is always False
-    return False
 
 
 # ---------------------------------------------------------------------------

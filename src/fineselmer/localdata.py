@@ -20,10 +20,7 @@ completion at v, else 0.  Over Q_p with good reduction this reduces to
 a congruence on a_p plus, in the a_p = 1 (mod p) case, a certified
 search for Z_p-rational x-coordinates on the p-division polynomial.
 Over the ramified place of Q(mu_p) above p the congruence alone is
-decisive in both directions, because the p-torsion of the reduction
-lifts along the totally ramified extension exactly when it is already
-rational mod p; the search route is still available behind a flag and
-is used by the tests as a consistency check.
+decisive in both directions, so no search runs there.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ from .elliptic import WeierstrassModel, trace_of_frobenius
 from .finitefield import FiniteField, is_square
 from .modular import multiplicative_order, valuation
 from .padic import (DEFAULT_PRECISION, MAX_PRECISION, PadicNumber, padic_roots)
-from .eisenstein import eisenstein_roots
-from .polynomial import QPoly
 
 __all__ = [
     "ReductionData",
@@ -533,8 +528,7 @@ def _torsion_x_has_rational_y(model: WeierstrassModel, x0: PadicNumber, p: int) 
 
 
 def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
-            precision: int | None = None,
-            force_search: bool = False) -> DeltaResult:
+            precision: int | None = None) -> DeltaResult:
     """delta at the place above p: 2 if E(F_v)[p] != 0, else 0.
 
     Requires good reduction at p and p >= 3.  Over Q the reduction map
@@ -543,12 +537,9 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
     of the p-division polynomial, each checked for a rational y.  An
     incomplete search degrades soundly to (2, conservative).
 
-    Over Q(mu_p) the extension is totally ramified at p, which forces
-    E(F_eta)[p] = E~(F_p)[p] on the rational-point level: the answer is
-    the congruence a_p = 1 (mod p), exact in both directions.  With
-    force_search=True the ramified root search runs instead and its
-    completeness decides the provenance, which is how the two routes are
-    compared in the tests.
+    Over Q(mu_p) the place above p is totally ramified with e = p - 1,
+    and the congruence a_p = 1 (mod p) decides delta exactly in both
+    directions.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
@@ -566,56 +557,42 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
                            (f"a_{p} = {ap} is not 1 mod {p}; "
                             f"the reduction has no rational {p}-torsion",))
 
-    if field == "Q(mu_p)" and not force_search:
+    if field == "Q(mu_p)":
+        # E(F_v)[p] maps to E~(F_p)[p], which is 0 unless a_p = 1 (mod p),
+        # with kernel the formal group's p-torsion.  For ordinary reduction
+        # that is mu_p twisted by the unramified character Frob -> 1/u,
+        # u = a_p (mod p) the unit root, so it is rational over Q_p(mu_p)
+        # iff a_p = 1; for supersingular reduction its points need
+        # e >= p^2 - 1 > p - 1.  So delta = 2 iff a_p = 1 (mod p).
         return DeltaResult(2, "computed-exact", "ramified-congruence",
                            (f"a_{p} = {ap} = 1 (mod {p}); the {p}-torsion of "
                             "the reduction lifts through the totally ramified "
                             "extension",))
 
+    # torsion with non-integral x would live in the formal group, which is
+    # torsion free over Z_p for p >= 3, so searching Z_p covers every
+    # Q_p-rational candidate
     psi = Emin.division_polynomial(p)
-    ladder_start = precision or DEFAULT_PRECISION
-    prec = ladder_start
+    prec = precision or DEFAULT_PRECISION
     while True:
-        if field == "Q":
-            # torsion with non-integral x would live in the formal group,
-            # which is torsion free over Z_p for p >= 3, so searching Z_p
-            # covers every Q_p-rational candidate
-            found = padic_roots(psi, p, prec)
-            rational_point = False
-            undecided = False
-            for root in found.certified:
-                has_y = _torsion_x_has_rational_y(Emin, root, p)
-                if has_y:
-                    rational_point = True
-                    break
-                if has_y is None:
-                    undecided = True
-            if rational_point:
-                return DeltaResult(2, "computed-exact", "division-poly-root",
-                                   ("certified torsion x-coordinate with a "
-                                    "rational y over Q_p",))
-            if found.complete and not undecided:
-                return DeltaResult(0, "computed-exact", "division-poly-exhausted",
-                                   ("the certified root search is complete and "
-                                    "no root carries a rational y",))
-        else:
-            # over the ramified field the formal group does carry p-torsion
-            # (its x-coordinates have negative valuation), so scan both the
-            # polynomial and its reversal, whose integral roots are the
-            # inverses of the non-integral ones
-            cs = psi.int_coeffs()
-            rev = QPoly(list(reversed(cs)))
-            eres = eisenstein_roots(psi, p, absprec=(p - 1) * prec)
-            eres_rev = eisenstein_roots(rev, p, absprec=(p - 1) * prec)
-            if eres.certified or eres_rev.certified:
-                # an x-coordinate in the completion, together with
-                # a_p = 1 (mod p), pins the torsion case
-                return DeltaResult(2, "computed-exact", "ramified-root-search",
-                                   ("certified ramified root of the division "
-                                    "polynomial",))
-            if eres.complete and eres_rev.complete:
-                return DeltaResult(0, "computed-exact", "ramified-root-search",
-                                   ("complete ramified search found no root",))
+        found = padic_roots(psi, p, prec)
+        rational_point = False
+        undecided = False
+        for root in found.certified:
+            has_y = _torsion_x_has_rational_y(Emin, root, p)
+            if has_y:
+                rational_point = True
+                break
+            if has_y is None:
+                undecided = True
+        if rational_point:
+            return DeltaResult(2, "computed-exact", "division-poly-root",
+                               ("certified torsion x-coordinate with a "
+                                "rational y over Q_p",))
+        if found.complete and not undecided:
+            return DeltaResult(0, "computed-exact", "division-poly-exhausted",
+                               ("the certified root search is complete and "
+                                "no root carries a rational y",))
         if prec >= MAX_PRECISION:
             return DeltaResult(2, "conservative",
                                "search-budget-exhausted",

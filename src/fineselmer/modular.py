@@ -1,4 +1,4 @@
-"""Modular integer arithmetic: powers, orders, primality, valuations.
+"""Modular integer arithmetic: orders, primality, factoring, valuations.
 
 Python ints are the arbitrary-precision integer type throughout the
 package, so this module is thin: its value is in the contracts (explicit
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "pow_mod",
     "multiplicative_order",
     "is_prime",
     "primes_below",
@@ -20,26 +19,6 @@ __all__ = [
     "euler_phi",
     "factorize",
 ]
-
-
-def pow_mod(a: int, e: int, m: int) -> int:
-    """Return a**e mod m in [0, m), by square and multiply.
-
-    Rejects m < 2 and negative exponents; e = 0 gives 1 (also for a = 0,
-    the empty product).
-    """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    result = 1
-    base = a % m
-    while e:
-        if e & 1:
-            result = result * base % m
-        base = base * base % m
-        e >>= 1
-    return result
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -86,7 +65,7 @@ def multiplicative_order(a: int, m: int) -> int:
         raise ValueError(f"multiplicative_order needs gcd(a, m) = 1, got a={a}, m={m}")
     order = euler_phi(m)
     for q in factorize(order):
-        while order % q == 0 and pow_mod(a, order // q, m) == 1:
+        while order % q == 0 and pow(a, order // q, m) == 1:
             order //= q
     return order
 

@@ -70,10 +70,6 @@ class QPoly:
     def constant(cls, c) -> "QPoly":
         return cls((c,))
 
-    @classmethod
-    def monomial(cls, c, n: int) -> "QPoly":
-        return cls((0,) * n + (c,))
-
     # -- basic structure -------------------------------------------------
 
     @property

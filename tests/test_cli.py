@@ -253,6 +253,26 @@ def test_batch_malformed_json_line(capsys, tmp_path):
     assert err.strip() == "0 ok / 0 blocked / 1 error"
 
 
+def test_batch_oversized_integer_is_a_line_error(capsys, tmp_path):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer literal over 4300 digits; the batch must keep the other lines
+    f = tmp_path / "big.ndjson"
+    good = '{"curve": [0, -1, 1, -7820, -263580], "p": 5}'
+    f.write_text(good + "\n"
+                 + '{"curve": [0, 0, 1, -1, 1%s], "p": 5}\n' % ("0" * 4400)
+                 + good + "\n")
+    code, out, err = run_cli(capsys, "batch", str(f))
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert json.loads(lines[0]) == json.loads(lines[2])
+    assert json.loads(lines[0])["bound"]["value"] == "2"
+    bad = json.loads(lines[1])
+    assert bad["line"] == 2 and bad["error"].startswith("line 2: not valid JSON")
+    assert "Traceback" not in err
+    assert err.strip() == "2 ok / 0 blocked / 1 error"
+
+
 def test_batch_unknown_job_key_rejected(capsys, tmp_path):
     f = tmp_path / "j.ndjson"
     f.write_text('{"curve": [0, -1, 1, -7820, -263580], "p": 5, "bogus": 1}\n')

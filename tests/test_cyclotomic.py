@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from fineselmer.cyclotomic import (
     MAX_REGULARITY_PRIME,
     bernoulli_table,
-    decomposition_in_Qmup,
     irregular_primes_below,
     is_regular,
     kinf_ramification,
 )
+from fineselmer.elliptic import WeierstrassModel
+from fineselmer.localdata import reduction_over_K
 from fineselmer.modular import multiplicative_order, primes_below
 
 IRREGULAR_BELOW_200 = [37, 59, 67, 101, 103, 131, 149, 157]
@@ -112,30 +113,32 @@ def test_is_regular_input_contract():
     assert MAX_REGULARITY_PRIME == 10_000
 
 
+# the places of Q(mu_p) above ell != p come from reduction_over_K, which
+# reads e, f and g off any curve; the place above p is covered by the
+# place-set tests in test_localdata
+E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
+
+
+def decomposition(ell: int, p: int) -> tuple[int, int, int]:
+    red = reduction_over_K(E11A1, ell, p)
+    return red.e, red.f, red.g
+
+
 def test_decomposition_degree_identity():
     for p in (3, 5, 7, 11, 13):
         for ell in primes_below(100):
-            e, f, g = decomposition_in_Qmup(ell, p)
-            assert e * f * g == p - 1
             if ell == p:
-                assert (e, f, g) == (p - 1, 1, 1)
-            else:
-                assert e == 1
-                assert f == multiplicative_order(ell % p, p)
+                continue
+            e, f, g = decomposition(ell, p)
+            assert e * f * g == p - 1
+            assert e == 1
+            assert f == multiplicative_order(ell % p, p)
 
 
 def test_decomposition_worked_values():
-    assert decomposition_in_Qmup(11, 5) == (1, 1, 4)  # 11 = 1 mod 5: split
-    assert decomposition_in_Qmup(2, 5) == (1, 4, 1)   # 2 generates (Z/5)^x
-    assert decomposition_in_Qmup(7, 3) == (1, 1, 2)
-    assert decomposition_in_Qmup(5, 5) == (4, 1, 1)
-
-
-def test_decomposition_input_contract():
-    with pytest.raises(ValueError):
-        decomposition_in_Qmup(4, 5)
-    with pytest.raises(ValueError):
-        decomposition_in_Qmup(7, 2)
+    assert decomposition(11, 5) == (1, 1, 4)  # 11 = 1 mod 5: split
+    assert decomposition(2, 5) == (1, 4, 1)   # 2 generates (Z/5)^x
+    assert decomposition(7, 3) == (1, 1, 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,7 +148,7 @@ def test_splitting_count_from_orbits(p, idx):
     # counted here directly as (p-1)/ord(ell)
     ells = [ell for ell in primes_below(200) if ell != p]
     ell = ells[idx % len(ells)]
-    _, f, g = decomposition_in_Qmup(ell, p)
+    _, f, g = decomposition(ell, p)
     orbits = set()
     for r in range(1, p):
         orbit = frozenset(r * pow(ell, k, p) % p for k in range(f))
@@ -158,5 +161,5 @@ def test_tower_ramification_statements():
     assert r.status == "certified" and "5" in r.detail
     r = kinf_ramification(5, "Q(mu_p)")
     assert r.status == "certified" and "eta_5" in r.detail
-    r = kinf_ramification(5, "Q(sqrt(2))")
-    assert r.status == "asserted"
+    with pytest.raises(ValueError):
+        kinf_ramification(5, "Q(sqrt(2))")

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fineselmer.modular import (euler_phi, factorize, is_prime,
-                                multiplicative_order, pow_mod, primes_below,
-                                valuation)
+                                multiplicative_order, primes_below, valuation)
 
 
 def test_primes_below_matches_reference_sieve():
@@ -71,12 +70,6 @@ def test_multiplicative_order_divides_phi(m, a):
     for e in range(1, min(d, 50)):
         if d % e == 0 and e < d:
             assert pow(a, e, m) != 1 % m
-
-
-@given(st.integers(), st.integers(min_value=0, max_value=10 ** 6),
-       st.integers(min_value=2, max_value=10 ** 9))
-def test_pow_mod_matches_builtin(a, e, m):
-    assert pow_mod(a, e, m) == pow(a, e, m)
 
 
 def test_valuation_examples():
