@@ -40,4 +40,4 @@ print()
 # the two base fields the pipeline computes with.
 for field in ("Q", "Q(mu_p)"):
     r = kinf_ramification(p, field)
-    print(f"{field}: {r.status}: {r.detail}")
+    print(f"{field}: {r.detail}")

@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .elliptic import WeierstrassModel
@@ -370,9 +369,12 @@ def _batch_line(item: tuple[int, str]) -> tuple[int, int, str]:
     try:
         try:
             obj = json.loads(raw)
-        except ValueError as e:  # JSONDecodeError, or an int over 4300 digits
+        except json.JSONDecodeError as e:
+            raise CliError(f"line {n}: not valid JSON ({e.msg})") from None
+        except ValueError:  # json.loads raises it for an over-long integer
             raise CliError(
-                f"line {n}: not valid JSON ({getattr(e, 'msg', e)})") from None
+                f"line {n}: not valid JSON (integer literal over "
+                f"{sys.get_int_max_str_digits()} digits)") from None
         job = job_from_dict(obj, f"line {n}")
         code, report = run_job(job)
         return n, code, render_json(report, job, compact=True)
@@ -392,6 +394,10 @@ def run_batch(path: str, jobs: int) -> int:
         raise CliError(f"cannot read batch file: {e}") from None
     work = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
     if jobs > 1 and len(work) > 1:
+        # imported here: it pulls in multiprocessing, pickle and socket,
+        # which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_line, work))
     else:

@@ -103,7 +103,6 @@ def irregular_primes_below(bound: int) -> list[int]:
 class RamificationStatement:
     field: str
     p: int
-    status: str          # always "certified"
     detail: str
 
 
@@ -116,10 +115,10 @@ def kinf_ramification(p: int, field: str = "Q") -> RamificationStatement:
     """
     if field == "Q":
         return RamificationStatement(
-            "Q", p, "certified",
+            "Q", p,
             f"p = {p} is totally ramified in every layer Q(mu_{{{p}^n}})+")
     if field == "Q(mu_p)":
         return RamificationStatement(
-            "Q(mu_p)", p, "certified",
+            "Q(mu_p)", p,
             f"eta_{p} is totally ramified in Q(mu_{{{p}^infty}})")
     raise ValueError('field must be "Q" or "Q(mu_p)"')

@@ -6,12 +6,26 @@ residue trick for odd q, the trace map for q = 2^k). The random source is
 a `random.Random` seeded with DEFAULT_SEED unless a caller overrides it,
 so repeated runs produce factors in identical order.
 
-factor_int_poly is Zassenhaus: make the squarefree parts monic by the
-x -> x/lc substitution, factor modulo a good prime, lift the factors with
-linear Hensel steps past twice a Landau-Mignotte-style coefficient bound,
-and recombine subsets with symmetric representatives. The product of the
-returned factors (times content) is checked against the input before
-returning; a mismatch is a bug, not a condition the caller handles.
+factor_int_poly is Zassenhaus. It first looks for a good prime l among
+the first SQUAREFREE_TRIES odd primes not dividing the leading
+coefficient: f mod l squarefree of the same degree. Such an l proves f
+squarefree over Q, so Yun's decomposition over Q runs only when none of
+those primes is good. Then: make the squarefree parts monic by the
+x -> x/lc substitution (l stays good, and the residue factors are scaled
+the same way rather than recomputed), factor modulo l, lift the factors
+with linear Hensel steps past twice a Landau-Mignotte-style coefficient
+bound, and recombine subsets with symmetric representatives. The
+product of the returned factors (times content) is checked against the
+input before returning; a mismatch is a bug, not a condition the caller
+handles.
+
+The same reduction answers a cheaper question first. Every divisor of f
+over Q reduces mod a good l to a product of distinct irreducibles of
+f mod l, so a divisor of degree d needs d to be a subset sum of the
+degrees of those irreducibles, and only the degrees up to d matter.
+GoodReduction runs the distinct-degree split only that far; when the
+answer is no, nothing is lifted or recombined, and when it is yes,
+factor_int_poly takes the same reduction up where the split stopped.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 from .finitefield import FiniteField, FqElem, FqPoly
 from .modular import primes_below
@@ -37,6 +52,10 @@ DEFAULT_SEED = 0x5E1F
 # primes tried when reducing an integer polynomial; exhausting the range
 # without finding a good one is a hard error, not a retry
 GOOD_PRIME_BOUND = 10_000
+
+# candidate primes tried for a squarefree proof before factor_int_poly
+# falls back to Yun's decomposition over Q
+SQUAREFREE_TRIES = 8
 
 
 class NoGoodPrime(Exception):
@@ -90,25 +109,40 @@ def _poly_key(f: FqPoly) -> tuple:
     return tuple(c.coords for c in f.coeffs)
 
 
-def _distinct_degree(f: FqPoly) -> list[tuple[FqPoly, int]]:
-    """Split monic squarefree f into (product of irreducibles of degree d, d)."""
-    field = f.field
-    q = field.order
-    out = []
-    h = FqPoly.x(field)
-    v = f
-    d = 0
-    while v.degree > 2 * (d + 1) - 1 and v.degree > 0:
-        d += 1
-        h = h.pow_mod(q, v)
-        g = v.gcd(h - FqPoly.x(field))
-        if g.degree > 0:
-            out.append((g, d))
-            v = v // g
-            h = h % v if v.degree > 0 else h
-    if v.degree > 0:
-        out.append((v, v.degree))
-    return out
+class _DistinctDegree:
+    """Distinct-degree split of a monic squarefree f over F_q, run on demand.
+
+    `through(k)` returns [(product of the irreducibles of degree j, j)]
+    for every j <= k that occurs, in increasing j. It keeps its place, so
+    a later call with a larger k only takes the steps still missing. The
+    last entry may have a degree above k: once the unsplit rest has
+    degree below 2(j + 1) it is itself irreducible.
+    """
+
+    def __init__(self, f: FqPoly):
+        self.degree = f.degree
+        self._parts: list[tuple[FqPoly, int]] = []
+        self._rest = f
+        self._frob = FqPoly.x(f.field)  # x^(q^searched) mod rest
+        self._searched = 0
+
+    def through(self, k: int) -> list[tuple[FqPoly, int]]:
+        field = self._rest.field
+        x = FqPoly.x(field)
+        while self._searched < k and self._rest.degree > 0:
+            if self._rest.degree < 2 * (self._searched + 1):
+                self._parts.append((self._rest, self._rest.degree))
+                self._rest = FqPoly(field, (1,))
+                break
+            self._searched += 1
+            self._frob = self._frob.pow_mod(field.order, self._rest)
+            g = self._rest.gcd(self._frob - x)
+            if g.degree > 0:
+                self._parts.append((g, self._searched))
+                self._rest = self._rest // g
+                if self._rest.degree > 0:
+                    self._frob = self._frob % self._rest
+        return self._parts
 
 
 def _equal_degree(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
@@ -167,7 +201,7 @@ def factor_fq(f: FqPoly, seed: int = DEFAULT_SEED) -> tuple[FqElem, list[tuple[F
     rng = random.Random(seed)
     factors: list[tuple[FqPoly, int]] = []
     for squarefree, mult in _squarefree_decomposition(f):
-        for same_degree, d in _distinct_degree(squarefree):
+        for same_degree, d in _DistinctDegree(squarefree).through(squarefree.degree):
             for irreducible in _equal_degree(same_degree, d, rng):
                 factors.append((irreducible, mult))
     factors.sort(key=lambda t: (t[0].degree, _poly_key(t[0])))
@@ -215,31 +249,72 @@ def _landau_mignotte(g: QPoly) -> int:
     return (1 << n) * (math.isqrt(n + 1) + 1) * height
 
 
-def _good_prime(g: QPoly) -> int:
-    lead = abs(int(g.leading))
-    for l in primes_below(GOOD_PRIME_BOUND):
-        if l == 2 or lead % l == 0:
-            continue
-        field = FiniteField(l)
-        gl = FqPoly(field, [int(c) % l for c in g.coeffs])
-        if gl.degree == g.degree and gl.gcd(gl.derivative()).degree == 0:
-            return l
-    raise NoGoodPrime(f"no good reduction prime below {GOOD_PRIME_BOUND} for {g!r}")
+class GoodReduction:
+    """An integer polynomial f modulo a good prime l.
+
+    Good means that l does not divide the leading coefficient and that
+    f mod l is squarefree of the same degree. That proves f squarefree
+    over Q, and it makes every divisor of f in Z[x] reduce to a product
+    of distinct monic irreducibles of f mod l. The distinct-degree split
+    mod l runs only as far as a question needs it, and a later question
+    takes up where the last one stopped.
+    """
+
+    def __init__(self, l: int, residue: FqPoly):
+        self.l = l
+        self._split = _DistinctDegree(residue.monic())
+
+    def admits_divisor_of_degree(self, d: int) -> bool:
+        """Can f have a divisor of degree d over Q? False is a proof.
+
+        A rational divisor of degree d reduces to distinct irreducibles of
+        degree <= d whose degrees sum to d, so d must be a subset sum of
+        the degrees the split finds up to d.
+        """
+        reach = 1  # bit s set: some subset of the factors has degree s
+        for part, k in self._split.through(d):
+            if k <= d:
+                for _ in range(part.degree // k):
+                    reach |= reach << k
+        return bool(reach >> d & 1)
+
+    def irreducibles(self, seed: int = DEFAULT_SEED) -> list[FqPoly]:
+        """The monic irreducible factors of f mod l, sorted by (degree, coefficients)."""
+        rng = random.Random(seed)
+        out: list[FqPoly] = []
+        for same_degree, k in self._split.through(self._split.degree):
+            out += _equal_degree(same_degree, k, rng)
+        return sorted(out, key=lambda h: (h.degree, _poly_key(h)))
 
 
-def _hensel_lift_factors(g: QPoly, l: int, target: int, seed: int) -> tuple[int, list[list[int]]]:
-    """Lift the mod-l factorization of monic g to factors mod l^k > target.
+def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
+    """f modulo its first good prime, or None when there is none.
+
+    f has integer coefficients. The candidates are the odd primes below
+    GOOD_PRIME_BOUND that do not divide the leading coefficient; `tries`
+    caps how many of them are tested (all when None). The test is the
+    gcd of f mod l with its derivative.
+    """
+    coeffs = f.int_coeffs()
+    lead = abs(coeffs[-1])
+    candidates = (l for l in primes_below(GOOD_PRIME_BOUND) if l != 2 and lead % l)
+    for l in islice(candidates, tries):
+        residue = FqPoly(FiniteField(l), [c % l for c in coeffs])
+        if residue.gcd(residue.derivative()).degree == 0:
+            return GoodReduction(l, residue)
+    return None
+
+
+def _hensel_lift_factors(g: QPoly, l: int, hbars: list[FqPoly], target: int) -> tuple[int, list[list[int]]]:
+    """Lift the mod-l factorization g = prod(hbars) of monic g to factors mod l^k > target.
 
     Returns (l^k, list of monic integer coefficient vectors mod l^k).
     Linear lifting with the Bezout elements of the residue factorization,
     which stay valid at every step because corrections vanish mod l.
     """
-    field = FiniteField(l)
-    gl = FqPoly(field, [int(c) % l for c in g.coeffs])
-    _, residue_factors = factor_fq(gl, seed)
-    hbars = [f for f, _ in residue_factors]
     if len(hbars) == 1:
         return l, [[int(c) % l for c in g.coeffs]]
+    field = hbars[0].field
 
     # Bezout: t_i = (prod_{j != i} hbar_j)^(-1) mod hbar_i
     ts = []
@@ -321,28 +396,45 @@ def _symmetric(c: int, mod: int) -> int:
     return c - mod if c > mod // 2 else c
 
 
-def factor_int_poly(f: QPoly, seed: int = DEFAULT_SEED) -> tuple[Fraction, list[tuple[QPoly, int]]]:
+def factor_int_poly(f: QPoly, seed: int = DEFAULT_SEED,
+                    reduction: GoodReduction | None = None
+                    ) -> tuple[Fraction, list[tuple[QPoly, int]]]:
     """Factor nonzero f with rational coefficients into irreducibles over Q.
 
     Returns (content, [(primitive integer irreducible with positive leading
     coefficient, multiplicity)]) with f == content * prod(factor^mult),
-    asserted exactly before returning.
+    asserted exactly before returning. `reduction`, when given, is
+    good_reduction(f) for an integral f, already computed by the caller;
+    it is used as it stands, and it may already be part way split.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     content = f.content() if f.leading > 0 else -f.content()
     prim = f * (1 / content)
+    if reduction is None:
+        reduction = good_reduction(prim, SQUAREFREE_TRIES)
     factors: list[tuple[QPoly, int]] = []
-    for squarefree, mult in prim.yun_squarefree():
-        # pull out x itself to keep the constant coefficient nonzero
-        k = 0
-        while squarefree.coeff(0) == 0 and squarefree.degree > 0:
-            squarefree = squarefree // QPoly.x()
-            k += 1
-        if k:
-            factors.append((QPoly.x(), k * mult))
-        for irr in _factor_squarefree(squarefree.primitive(), seed):
-            factors.append((irr, mult))
+    if reduction is not None:
+        # a good prime proves prim squarefree, so Yun over Q is skipped;
+        # x is split off to keep the constant coefficient nonzero
+        g, residues = prim, reduction.irreducibles(seed)
+        if g.coeff(0) == 0:
+            factors.append((QPoly.x(), 1))
+            g = g // QPoly.x()
+            residues.remove(FqPoly.x(FiniteField(reduction.l)))
+        factors += [(irr, 1) for irr in _factor_squarefree(g, reduction.l, residues)]
+    else:
+        for squarefree, mult in prim.yun_squarefree():
+            # Yun's parts are squarefree, so x divides at most one, once
+            if squarefree.coeff(0) == 0:
+                factors.append((QPoly.x(), mult))
+                squarefree = squarefree // QPoly.x()
+            part = squarefree.primitive()
+            part_reduction = good_reduction(part)
+            if part_reduction is None:
+                raise NoGoodPrime(f"no good reduction prime below {GOOD_PRIME_BOUND} for {part!r}")
+            factors += [(irr, mult) for irr in _factor_squarefree(
+                part, part_reduction.l, part_reduction.irreducibles(seed))]
     factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
     # fold the primitive-part units of the factors back into the content
     check = QPoly.constant(1)
@@ -357,28 +449,33 @@ def factor_int_poly(f: QPoly, seed: int = DEFAULT_SEED) -> tuple[Fraction, list[
     return content, factors
 
 
-def _factor_squarefree(g: QPoly, seed: int) -> list[QPoly]:
-    """Irreducible factors of a primitive squarefree integer polynomial."""
+def _factor_squarefree(g: QPoly, l: int, residues: list[FqPoly]) -> list[QPoly]:
+    """Irreducible factors of a primitive squarefree integer polynomial.
+
+    l is a good prime for g and `residues` are the monic irreducible
+    factors of g mod l.
+    """
     if g.degree <= 0:
         return []
     if g.degree == 1:
         return [g.primitive()]
     lead = int(g.leading)
     if abs(lead) != 1:
-        # monicize: G(x) = lead^(n-1) * g(x/lead) is monic with integer coeffs
+        # monicize: G(x) = lead^(n-1) * g(x/lead) is monic with integer
+        # coeffs; l stays good for G, and G mod l is the product of the
+        # residues scaled the same way, lead^deg(h) * h(x/lead)
         n = g.degree
         G = QPoly([c * Fraction(lead) ** (n - 1 - i) for i, c in enumerate(g.coeffs)])
         assert G.is_integral and G.leading == 1
-        factors = []
-        for H in _factor_squarefree(G, seed):
-            factors.append(H.compose_linear(Fraction(lead), 0).primitive())
-        return factors
+        scaled = [FqPoly(h.field, [c * pow(lead, h.degree - j, l) for j, c in enumerate(h.coeffs)])
+                  for h in residues]
+        return [H.compose_linear(Fraction(lead), 0).primitive()
+                for H in _factor_squarefree(G, l, scaled)]
 
     if lead == -1:
         g = -g
-    modulus_prime = _good_prime(g)
     bound = 2 * _landau_mignotte(g) + 1
-    modulus, lifted = _hensel_lift_factors(g, modulus_prime, bound, seed)
+    modulus, lifted = _hensel_lift_factors(g, l, residues, bound)
     if len(lifted) == 1:
         return [g]
 

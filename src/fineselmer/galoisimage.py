@@ -34,6 +34,17 @@ the x-coordinates of a single line in E[p], which is what makes the
 witness a certificate rather than a heuristic.  Each witness carries
 the isogenous quotient curve computed from the kernel polynomial and a
 trail of Frobenius traces checked against the original curve.
+
+Before any factoring over Q, psi_p is reduced modulo its first good
+prime l: one not dividing the leading coefficient, with psi_p mod l
+squarefree of the same degree.  The kernel polynomial of a stable line
+is a rational divisor of psi_p of degree d = (p-1)/2, and it reduces to
+distinct irreducibles mod l of degree at most d whose degrees sum to d.
+So when d is no subset sum of the degrees a distinct-degree split mod l
+finds up to d, no stable line exists and the search ends with no
+witness; that is exactly what the full search would have found.  Most
+curves at p = 11 and 13 end there.  Otherwise the same reduction goes
+on into the full factorization.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .elliptic import WeierstrassModel, trace_of_frobenius
-from .factorization import factor_int_poly
+from .factorization import factor_int_poly, good_reduction
 from .modular import primes_below
 from .polynomial import QPoly
 
@@ -190,15 +201,21 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
     Candidates are the monic degree-(p-1)/2 products of rational
     irreducible factors of the p-division polynomial; each must pass the
     multiplication-closure test before the quotient is even attempted.
+    When the division polynomial mod its good prime has no factor degrees
+    summing to (p-1)/2, there is no candidate and nothing is factored.
     """
     if p % 2 == 0 or not 3 <= p <= 13:
         raise ValueError("p must be an odd prime within the ladder range")
     E = model.integral_model()
     psi = E.division_polynomial(p)
-    _, factors = factor_int_poly(psi)
+    d = (p - 1) // 2
+    # psi is squarefree for a nonsingular curve, so a good prime exists
+    reduction = good_reduction(psi)
+    if reduction is not None and not reduction.admits_divisor_of_degree(d):
+        return ()
+    _, factors = factor_int_poly(psi, reduction=reduction)
     assert all(mult == 1 for _, mult in factors), "p-division polynomial must be squarefree"
     irreducibles = [f for f, _ in factors]
-    d = (p - 1) // 2
     gens = _halfgroup_generators(p)
     witnesses: list[StableSubgroupWitness] = []
     idx = range(len(irreducibles))

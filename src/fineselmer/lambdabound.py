@@ -297,8 +297,10 @@ def compute_lambda_bound(
         "in the tower, by the closed-form decomposition count")
 
     # image condition and the pointwise guard; skipped when bad reduction
-    # above p already blocks every route, since classifying the image can
-    # mean factoring a division polynomial of degree (p^2 - 1)/2
+    # above p already blocks every route. Classifying the image reduces the
+    # division polynomial of degree (p^2 - 1)/2 modulo one good prime, and
+    # it factors over Q (minutes at p = 13) only when the degrees there
+    # leave room for a stable line
     if places.good_above_p:
         image: ImageClassification = classify_image(model, p, field)
         ledger["image-condition"] = HypothesisEntry(

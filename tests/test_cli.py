@@ -269,6 +269,8 @@ def test_batch_oversized_integer_is_a_line_error(capsys, tmp_path):
     assert json.loads(lines[0])["bound"]["value"] == "2"
     bad = json.loads(lines[1])
     assert bad["line"] == 2 and bad["error"].startswith("line 2: not valid JSON")
+    assert bad["error"] == "line 2: not valid JSON (integer literal over 4300 digits)"
+    assert "set_int_max_str_digits" not in bad["error"]
     assert "Traceback" not in err
     assert err.strip() == "2 ok / 0 blocked / 1 error"
 
@@ -309,3 +311,22 @@ def test_batch_compact_json_has_no_spaces(capsys):
     first = out.splitlines()[0]
     assert '": ' not in first  # batch lines use compact separators
     assert json.loads(first)["bound"]["value"] == "2"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a --jobs N batch starts a pool; every other process that imports
+    # the CLI (run, batch --jobs 1, library users) must not pay for
+    # multiprocessing, pickle and socket
+    import subprocess
+    import sys
+
+    import fineselmer
+
+    src = str(Path(fineselmer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fineselmer.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -11,9 +11,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fineselmer import factorization
 from fineselmer.factorization import (
+    DEFAULT_SEED,
+    SQUAREFREE_TRIES,
+    _factor_squarefree,
     factor_fq,
     factor_int_poly,
+    good_reduction,
     is_irreducible_fq,
 )
 from fineselmer.finitefield import FiniteField, FqPoly
@@ -230,3 +235,118 @@ def test_factor_int_poly_random_roundtrip(parts, scale):
 def test_factor_int_poly_rejects_zero():
     with pytest.raises(ValueError):
         factor_int_poly(QPoly.zero())
+
+
+# --- the good-prime squarefree proof against the Yun path it replaces ---
+
+
+def factor_by_yun(f: QPoly, seed: int = DEFAULT_SEED):
+    """factor_int_poly as it ran before a good prime could prove f
+    squarefree: Yun's decomposition over Q, then each part on its own."""
+    content = f.content() if f.leading > 0 else -f.content()
+    prim = f * (1 / content)
+    factors = []
+    for squarefree, mult in prim.yun_squarefree():
+        if squarefree.coeff(0) == 0:
+            factors.append((QPoly.x(), mult))
+            squarefree = squarefree // QPoly.x()
+        part = squarefree.primitive()
+        if part.degree > 0:
+            reduction = good_reduction(part)
+            factors += [(g, mult) for g in _factor_squarefree(
+                part, reduction.l, reduction.irreducibles(seed))]
+    factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
+    check = QPoly.one()
+    for g, mult in factors:
+        check = check * g ** mult
+    return content * prim.leading / check.leading, factors
+
+
+# x^2 - D is x^2 modulo every prime dividing D, so with D the product of
+# the odd primes up to 23 no candidate within SQUAREFREE_TRIES is good
+BAD_FIRST_PRIMES = qpoly(-3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(-12, 12).filter(lambda n: n != 0),
+)
+def test_factor_int_poly_matches_yun_path(parts, x_power, bad_first, scale):
+    # repeated factors, x | f, non-monic leading coefficients and inputs
+    # whose first odd primes are all bad
+    f = QPoly.constant(scale) * qpoly(0, 1) ** x_power
+    if bad_first:
+        f = f * BAD_FIRST_PRIMES
+    for coeffs, mult in parts:
+        f = f * qpoly(*coeffs) ** mult
+    assert factor_int_poly(f) == factor_by_yun(f)
+
+
+def test_good_prime_skips_yun(monkeypatch):
+    def no_yun(self):
+        raise AssertionError("Yun ran although a good prime proves squarefree")
+
+    monkeypatch.setattr(QPoly, "yun_squarefree", no_yun)
+    f = qpoly(0, 1) * qpoly(-2, 0, 3) * qpoly(5, 1, 0, 7)
+    content, factors = factor_int_poly(f)
+    assert content == 1 and sorted(g.degree for g, _ in factors) == [1, 2, 3]
+
+
+def test_repeated_factor_falls_back_to_yun_after_few_primes(monkeypatch):
+    reduced = []
+    field_of = factorization.FiniteField
+
+    def counting_field(l, *args):
+        reduced.append(l)
+        return field_of(l, *args)
+
+    yun_calls = []
+    yun = QPoly.yun_squarefree
+
+    def counting_yun(self):
+        yun_calls.append(self.degree)
+        return yun(self)
+
+    monkeypatch.setattr(factorization, "FiniteField", counting_field)
+    monkeypatch.setattr(QPoly, "yun_squarefree", counting_yun)
+    f = qpoly(1, 0, 1) ** 2 * qpoly(-2, 0, 0, 1)
+    content, factors = factor_int_poly(f)
+    assert yun_calls == [7]
+    assert sorted((g.degree, m) for g, m in factors) == [(2, 2), (3, 1)]
+    # the squarefree proof gave up after its tries; it never scanned the
+    # 1 228 odd primes below GOOD_PRIME_BOUND
+    assert len(reduced) <= 2 * SQUAREFREE_TRIES
+
+
+def test_good_reduction_degree_question():
+    # mod 3, x^3 - 2 is (x + 1)^3; mod 5 it shares the root 3 with x^2 + 1;
+    # mod 7 both stay irreducible (7 = 3 mod 4, and 2 is not a cube mod 7)
+    f = qpoly(1, 0, 1) * qpoly(-2, 0, 0, 1)
+    reduction = good_reduction(f)
+    assert reduction.l == 7
+    assert [h.degree for h in reduction.irreducibles()] == [2, 3]
+    assert [d for d in range(6) if reduction.admits_divisor_of_degree(d)] == [0, 2, 3, 5]
+    # the cyclotomic polynomial Phi_7 is irreducible mod 3 (3 has order 6
+    # mod 7), so no divisor of degree 1 to 5 can exist over Q
+    reduction = good_reduction(qpoly(*([1] * 7)))
+    assert reduction.l == 3
+    assert not any(reduction.admits_divisor_of_degree(d) for d in range(1, 6))
+    assert reduction.admits_divisor_of_degree(6)
+    # (x - 1)(x - 2) Phi_5 mod 3 has degrees [1, 1, 4] (3 has order 4 mod
+    # 5): degree 2 is reachable only through both linear factors
+    reduction = good_reduction(qpoly(-1, 1) * qpoly(-2, 1) * qpoly(*([1] * 5)))
+    assert reduction.l == 3
+    assert [d for d in range(7) if reduction.admits_divisor_of_degree(d)] == [0, 1, 2, 4, 5, 6]
+    # with every odd prime up to 23 bad, the capped search gives up
+    assert good_reduction(BAD_FIRST_PRIMES, SQUAREFREE_TRIES) is None
+    assert good_reduction(BAD_FIRST_PRIMES).l == 29

@@ -8,10 +8,17 @@ three Frobenius rules from scratch.
 """
 
 import random
+from itertools import combinations
 
 from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
+from fineselmer.factorization import factor_int_poly, good_reduction
 from fineselmer.galoisimage import (
+    TRACE_CHECK_BOUND,
+    StableSubgroupWitness,
+    _closed_under_multiples,
     _halfgroup_generators,
+    _matching_trace_primes,
+    _velu_quotient,
     classify_image,
     find_stable_subgroups,
     surjectivity_certificate,
@@ -207,3 +214,81 @@ def test_certificate_rules_cover_all_good_primes():
     assert cert.nonsplit_witness in good
     assert cert.split_witness in good
     assert cert.order_witness in good
+
+
+# --- the degree test against the search by full factoring it short-cuts ---
+
+CREMONA = {
+    "11a1": (0, -1, 1, -10, -20),
+    "11a2": (0, -1, 1, -7820, -263580),
+    "11a3": (0, -1, 1, 0, 0),
+    "14a1": (1, 0, 1, 4, -6),
+    "20a1": (0, 1, 0, 4, 4),
+    "26b1": (1, -1, 1, -3, 3),
+    "37a1": (0, 0, 1, -1, 0),
+    "38b1": (1, 1, 1, 0, 1),
+    "27a1": (0, 0, 1, 0, -7),
+    "32a2": (0, 0, 0, -1, 0),
+    "36a1": (0, 0, 0, 0, 1),
+    "43a1": (0, 1, 1, 0, 0),
+    "389a1": (0, 1, 1, -2, 0),
+}
+
+
+def stable_subgroups_by_full_factoring(model: WeierstrassModel, p: int):
+    """find_stable_subgroups as it ran before the degree test: factor
+    psi_p over Q, then try every factor subset of degree (p - 1)/2."""
+    E = model.integral_model()
+    _, factors = factor_int_poly(E.division_polynomial(p))
+    irreducibles = [f for f, _ in factors]
+    d = (p - 1) // 2
+    gens = _halfgroup_generators(p)
+    witnesses = []
+    for size in range(1, len(irreducibles) + 1):
+        for subset in combinations(irreducibles, size):
+            if sum(f.degree for f in subset) != d:
+                continue
+            h = QPoly.one()
+            for f in subset:
+                h = h * f.monic()
+            if not _closed_under_multiples(E, h, p, gens):
+                continue
+            quotient = _velu_quotient(E, h).integral_model()
+            traces = _matching_trace_primes(E, quotient, p, TRACE_CHECK_BOUND)
+            witnesses.append(StableSubgroupWitness(
+                p, h, h.primitive(), quotient, gens, traces))
+    witnesses.sort(key=lambda w: tuple(w.kernel_monic.coeffs))
+    return tuple(witnesses)
+
+
+def witness_key(w):
+    return (w.p, w.kernel_monic, w.kernel_primitive, w.quotient.a_invariants,
+            w.closure_generators, w.trace_primes)
+
+
+def has_subset_of_degree(degrees, d):
+    return any(sum(c) == d for size in range(1, len(degrees) + 1)
+               for c in combinations(degrees, size))
+
+
+def test_degree_test_agrees_with_full_factoring():
+    excluded = kept = 0
+    for label, a in CREMONA.items():
+        E = WeierstrassModel(*a).integral_model()
+        disc = int(E.discriminant)
+        for p in (3, 5, 7):
+            if disc % p == 0:
+                continue
+            psi = E.division_polynomial(p)
+            d = (p - 1) // 2
+            _, factors = factor_int_poly(psi)
+            admits = good_reduction(psi).admits_divisor_of_degree(d)
+            if has_subset_of_degree([f.degree for f, _ in factors], d):
+                assert admits, (label, p)
+            excluded += not admits
+            kept += admits
+            fast = find_stable_subgroups(E, p)
+            slow = stable_subgroups_by_full_factoring(E, p)
+            assert [witness_key(w) for w in fast] == [witness_key(w) for w in slow], (label, p)
+    # both sides of the test are exercised
+    assert excluded >= 10 and kept >= 10

@@ -19,6 +19,8 @@ E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 E11A2 = WeierstrassModel(0, -1, 1, -7820, -263580)
 E49A1 = WeierstrassModel(1, -1, 0, -2, -1)
 E121B1 = WeierstrassModel(0, -1, 1, -7, 10)
+E37A1 = WeierstrassModel(0, 0, 1, -1, 0)
+E389A1 = WeierstrassModel(0, 1, 1, -2, 0)
 
 
 def ledger_map(report):
@@ -179,3 +181,38 @@ def test_routes_are_both_reported():
     # both routes see the same local sums; they differ in the global part
     assert with_dims.bound == 4
     assert with_dims.strength == "conditional"
+
+
+# psi_11 and psi_13 have degree 60 and 84. For these curves psi_p mod 3
+# has no divisor of degree (p - 1)/2, so no stable line exists and the
+# image is settled without factoring over Q. 37a1 at p = 13 stays out:
+# mod 3 its psi_13 splits as [2, 2, 2, 6, ...], which reaches degree 6,
+# so that run still factors psi_13 over Q, for minutes.
+@pytest.mark.parametrize("model, p, field, bound", [
+    pytest.param(E37A1, 11, "Q", 2, id="37a1-11-Q"),
+    pytest.param(E37A1, 11, "Q(mu_p)", 0, id="37a1-11-Qmu11"),
+    pytest.param(E11A1, 13, "Q", 2, id="11a1-13-Q"),
+    pytest.param(E389A1, 13, "Q", 2, id="389a1-13-Q"),
+])
+def test_large_p_end_to_end(model, p, field, bound):
+    r = compute_lambda_bound(model, p, field)
+    assert r.bound == bound
+    assert r.strength == "conditional" and r.route == "local-only"
+    image = next(e for e in r.ledger if e.id == "image-condition")
+    assert image.status == "certified"
+    assert image.detail.startswith("SurjectiveCertified")
+
+
+def test_37a1_at_11_never_factors_over_Q(monkeypatch):
+    from fineselmer import galoisimage, lambdabound
+
+    calls = []
+    for module in (galoisimage, lambdabound):
+        def counted(*args, _inner=module.factor_int_poly, **kwargs):
+            calls.append(args[0].degree)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, "factor_int_poly", counted)
+    r = compute_lambda_bound(E37A1, 11, "Q")
+    assert r.bound == 2
+    assert calls == []
