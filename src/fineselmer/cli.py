@@ -5,10 +5,11 @@ Run mode is implicit when the first argument is a flag:
     fineselmer --curve 0,-1,1,-7820,-263580 --p 5 --field Q
 
 Batch mode takes a file of newline-delimited job objects and emits one
-compact JSON report per line, in input order, with a summary count on
-stderr.  Exit codes: 0 = bound emitted, 2 = blocked (a required
-hypothesis is refuted), 3 = input error.  In batch mode the worst
-per-job code is returned, but a bad job never stops the others.
+compact JSON report per line, in input order, each as soon as it and
+every line before it are done, with a summary count on stderr.  Exit
+codes: 0 = bound emitted, 2 = blocked (a required hypothesis is refuted),
+3 = input error.  In batch mode the worst per-job code is returned, but a
+bad job, a failing job or a dead worker never costs another line.
 
 The JSON report is byte-stable for a fixed input and package version:
 keys appear in a fixed order, every integer is an exact decimal string,
@@ -363,6 +364,11 @@ def _emit(report: LambdaBoundReport, job: JobSpec, fmt: str,
         print(render_text(report, job), file=dest)
 
 
+def _line_error(n: int, msg: str) -> tuple[int, int, str]:
+    return n, 3, json.dumps({"error": f"line {n}: {msg}", "line": n},
+                            separators=(",", ":"))
+
+
 def _batch_line(item: tuple[int, str]) -> tuple[int, int, str]:
     """Worker: (line number, raw text) -> (line number, code, output)."""
     n, raw = item
@@ -375,15 +381,37 @@ def _batch_line(item: tuple[int, str]) -> tuple[int, int, str]:
             raise CliError(
                 f"line {n}: not valid JSON (integer literal over "
                 f"{sys.get_int_max_str_digits()} digits)") from None
+        except RecursionError:
+            raise CliError(
+                f"line {n}: not valid JSON (nested too deeply)") from None
         job = job_from_dict(obj, f"line {n}")
         code, report = run_job(job)
         return n, code, render_json(report, job, compact=True)
     except CliError as e:
-        msg = str(e)
-        if not msg.startswith(f"line {n}:"):
-            msg = f"line {n}: {msg}"
-        return n, 3, json.dumps({"error": msg, "line": n},
-                                separators=(",", ":"))
+        return _line_error(n, str(e).removeprefix(f"line {n}: "))
+    except Exception as e:  # a defect in one job must not cost the others
+        return _line_error(n, f"internal error ({type(e).__name__}: {e})")
+
+
+def _write_line(result: tuple[int, int, str], counts: dict[int, int]) -> None:
+    _, code, output = result
+    # flushed per line, so a reader sees each result as soon as it and
+    # every line before it are done
+    print(output, flush=True)
+    counts[code] += 1
+
+
+def _stdout_to_devnull() -> None:
+    # whatever stdout still holds, or is written to it later, is flushed
+    # at interpreter exit; sent to devnull, that flush cannot raise a
+    # second BrokenPipeError
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # not a file, nothing flushes to a pipe
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def run_batch(path: str, jobs: int) -> int:
@@ -393,24 +421,41 @@ def run_batch(path: str, jobs: int) -> int:
     except OSError as e:
         raise CliError(f"cannot read batch file: {e}") from None
     work = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
-    if jobs > 1 and len(work) > 1:
-        # imported here: it pulls in multiprocessing, pickle and socket,
-        # which no other path needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_batch_line, work))
-    else:
-        results = [_batch_line(item) for item in work]
     counts = {0: 0, 2: 0, 3: 0}
-    worst = 0
-    for _, code, output in results:   # already in input order
-        print(output)
-        counts[code] += 1
-        worst = max(worst, code)
+    try:
+        if jobs > 1 and len(work) > 1:
+            # imported here: it pulls in multiprocessing, pickle and socket,
+            # which no other path needs
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = [pool.submit(_batch_line, item) for item in work]
+                try:
+                    for (n, _), future in zip(work, futures):   # input order
+                        try:
+                            result = future.result()
+                        except BrokenProcessPool:
+                            result = _line_error(
+                                n, "worker process died before this job "
+                                   "finished")
+                        _write_line(result, counts)
+                except BrokenPipeError:
+                    # leaving the with block would otherwise wait for every
+                    # queued job
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        else:
+            for item in work:
+                _write_line(_batch_line(item), counts)
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        print("error: stdout closed before every result was written",
+              file=sys.stderr)
+        return 3
     print(f"{counts[0]} ok / {counts[2]} blocked / {counts[3]} error",
           file=sys.stderr)
-    return worst
+    return max((code for code, k in counts.items() if k), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,24 @@ provenance vocabulary) run on freshly parsed output so a failure names the
 violated rule rather than a byte offset.
 """
 
+import contextlib
+import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fineselmer.cli import main
+import fineselmer
+from fineselmer import cli
+from fineselmer.cli import CliError, main
 
 GOLDEN = Path(__file__).parent / "golden"
 CURVE = "0,-1,1,-7820,-263580"
@@ -28,6 +39,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(fineselmer.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 def walk_numbers(node):
@@ -317,16 +335,252 @@ def test_cli_import_leaves_the_process_pool_out():
     # only a --jobs N batch starts a pool; every other process that imports
     # the CLI (run, batch --jobs 1, library users) must not pay for
     # multiprocessing, pickle and socket
-    import subprocess
-    import sys
-
-    import fineselmer
-
-    src = str(Path(fineselmer.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, fineselmer.cli; print('concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
+        env=src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# --- batch streaming and failure containment ---
+
+
+GOLDEN_JOBS = (GOLDEN / "jobs.ndjson").read_text().splitlines()
+GOLDEN_REPORTS = (GOLDEN / "reports.ndjson").read_text().splitlines()
+GOOD_JOB = '{"curve": [0, -1, 1, -7820, -263580], "p": 5}'
+
+
+def worker_died(n: int) -> str:
+    return json.dumps({
+        "error": f"line {n}: worker process died before this job finished",
+        "line": n}, separators=(",", ":"))
+
+
+class StdoutRecorder:
+    """A stdout that logs each write and each flush into a shared list."""
+
+    def __init__(self, events: list):
+        self.events = events
+
+    def write(self, text: str) -> int:
+        self.events.append(("write", text))
+        return len(text)
+
+    def flush(self) -> None:
+        self.events.append(("flush",))
+
+
+def test_batch_streams_each_line_before_the_next_job(monkeypatch, tmp_path):
+    f = tmp_path / "jobs.ndjson"
+    f.write_text("\n".join(GOLDEN_JOBS + ["not json", GOLDEN_JOBS[0]]) + "\n")
+    events = []
+    real_batch_line = cli._batch_line
+
+    def logged(item):
+        events.append(("start", item[0]))
+        return real_batch_line(item)
+
+    monkeypatch.setattr(cli, "_batch_line", logged)
+    monkeypatch.setattr(sys, "stdout", StdoutRecorder(events))
+    assert main(["batch", str(f)]) == 3
+
+    written = flushed = 0   # complete lines written, and flushed
+    for event in events:
+        if event[0] == "write":
+            written += event[1].count("\n")
+        elif event[0] == "flush":
+            flushed = written
+        else:   # job k + 1 starts only after line k reached the reader
+            assert flushed == event[1] - 1, events
+    assert flushed == written == 4
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_job reaches workers only by fork")
+def test_batch_dead_worker_keeps_finished_lines(capsys, monkeypatch, tmp_path):
+    # lines 1-2 finish; line 3 kills its worker once they have; lines 4-5
+    # are still running or queued when the pool breaks
+    real_run_job = cli.run_job
+
+    def run_job(job):
+        if job.label == "die":
+            deadline = time.monotonic() + 30
+            while (len(list(tmp_path.glob("done-*"))) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            time.sleep(0.2)   # let the last result reach the parent
+            os._exit(1)
+        if job.label == "after":
+            time.sleep(30)    # ended when the broken pool stops its workers
+        result = real_run_job(job)
+        (tmp_path / f"done-{os.getpid()}-{time.monotonic_ns()}").touch()
+        return result
+
+    monkeypatch.setattr(cli, "run_job", run_job)
+    f = tmp_path / "jobs.ndjson"
+    late = ['{"curve": [0, -1, 1, -7820, -263580], "p": 5, "label": "%s"}' % s
+            for s in ("die", "after", "after")]
+    f.write_text("\n".join(GOLDEN_JOBS + late) + "\n")
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "batch", str(f), "--jobs", "2")
+    assert time.monotonic() - start < 20
+    assert code == 3
+    assert out.splitlines() == GOLDEN_REPORTS + [worker_died(n) for n in (3, 4, 5)]
+    assert err.strip() == "2 ok / 0 blocked / 3 error"
+
+
+def test_batch_internal_error_is_a_line_error(capsys, monkeypatch, tmp_path):
+    real_run_job = cli.run_job
+
+    def run_job(job):
+        if job.label == "bug":
+            raise ZeroDivisionError("integer division or modulo by zero")
+        return real_run_job(job)
+
+    monkeypatch.setattr(cli, "run_job", run_job)
+    f = tmp_path / "jobs.ndjson"
+    f.write_text(GOLDEN_JOBS[0] + "\n"
+                 + '{"curve": [0, -1, 1, -7820, -263580], "p": 5, "label": "bug"}\n'
+                 + GOLDEN_JOBS[1] + "\n")
+    code, out, err = run_cli(capsys, "batch", str(f))
+    assert code == 3
+    lines = out.splitlines()
+    assert [lines[0], lines[2]] == GOLDEN_REPORTS
+    assert json.loads(lines[1]) == {
+        "error": "line 2: internal error (ZeroDivisionError: integer "
+                 "division or modulo by zero)",
+        "line": 2}
+    assert err.strip() == "2 ok / 0 blocked / 1 error"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_deep_nesting_is_a_line_error(capsys, tmp_path, jobs):
+    # json.loads raises RecursionError here, neither JSONDecodeError nor
+    # ValueError
+    f = tmp_path / "deep.ndjson"
+    f.write_text(GOOD_JOB + "\n" + "[" * 100_000 + "\n" + GOOD_JOB + "\n")
+    code, out, err = run_cli(capsys, "batch", str(f), "--jobs", jobs)
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[0] == lines[2]
+    assert json.loads(lines[0])["bound"]["value"] == "2"
+    assert json.loads(lines[1]) == {
+        "error": "line 2: not valid JSON (nested too deeply)", "line": 2}
+    assert "Traceback" not in err
+    assert err.strip() == "2 ok / 0 blocked / 1 error"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_closed_stdout_exits_three(tmp_path, jobs):
+    # far more output than a pipe holds, so the batch is still writing
+    # when the reader goes away
+    f = tmp_path / "jobs.ndjson"
+    f.write_text("\n".join([GOOD_JOB] * 3 + ["not json"] * 4000) + "\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fineselmer.cli", "batch", str(f), "--jobs", jobs],
+        env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 3
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == [
+        "error: stdout closed before every result was written"]
+
+
+class ClosedStdout:
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+
+def test_batch_closed_stdout_cancels_queued_jobs(capsys, monkeypatch, tmp_path):
+    def run_job(job):
+        (tmp_path / f"ran-{os.getpid()}-{time.monotonic_ns()}").touch()
+        time.sleep(0.05)
+        raise CliError("not run")
+
+    monkeypatch.setattr(cli, "run_job", run_job)
+    f = tmp_path / "jobs.ndjson"
+    f.write_text("\n".join([GOOD_JOB] * 40) + "\n")
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["batch", str(f), "--jobs", "2"]) == 3
+    # the two running jobs and the few already handed to the pool finish;
+    # the rest are cancelled
+    assert len(list(tmp_path.glob("ran-*"))) < 10
+    assert capsys.readouterr().err == (
+        "error: stdout closed before every result was written\n")
+
+
+# --- fuzzing the batch front end ---
+
+
+CHEAP_CURVES = [[0, -1, 1, -10, -20], [0, -1, 1, 0, 0], [0, 0, 1, -1, 0],
+                [1, -1, 1, -1, 0]]   # 11a1, 11a3, 37a1, 14a4: ~2 ms at p = 3
+WORDS = st.text(alphabet="abcxyz -_", max_size=6)   # never an integer
+NOT_JSON = st.text(max_size=12).filter(lambda t: "\n" not in t and "\r" not in t)
+BAD_CURVE = st.one_of(
+    st.integers(), WORDS, st.none(), st.booleans(),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.lists(WORDS, min_size=5, max_size=5),
+    st.just([0, 0, 0, 0, 0]))                           # singular
+BAD_P = st.one_of(WORDS, st.none(), st.booleans(), st.floats(),
+                  st.integers(-5, 2), st.sampled_from([4, 9, 17, 10**30]))
+VALID = st.builds(lambda c, field: {"curve": c, "p": 3, "field": field},
+                  st.sampled_from(CHEAP_CURVES), st.sampled_from(["Q", "Q(mu_p)"]))
+
+
+def _spoil(job: dict, data) -> dict:
+    key, value = data
+    return {**job, key: value}
+
+
+BAD_JOB = st.one_of(
+    st.builds(_spoil, VALID, st.tuples(st.just("curve"), BAD_CURVE)),
+    st.builds(_spoil, VALID, st.tuples(st.just("p"), BAD_P)),
+    st.builds(_spoil, VALID, st.tuples(
+        st.sampled_from(["field", "extension", "assume", "label", "dim_y",
+                         "precision", "g_table"]),
+        st.one_of(WORDS, st.integers(-3, 3), st.lists(st.integers(), max_size=2),
+                  st.dictionaries(WORDS, st.integers(), max_size=2)))),
+    st.builds(_spoil, VALID, st.tuples(WORDS.filter(lambda k: k not in cli._JOB_KEYS),
+                                       st.integers())),
+    st.lists(st.integers(), max_size=3), st.integers(), WORDS)
+BATCH_LINE = st.one_of(
+    NOT_JSON,
+    st.sampled_from([10, 100_000]).map(lambda k: "[" * k),
+    BAD_JOB.map(json.dumps),
+    VALID.map(json.dumps),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(BATCH_LINE, min_size=1, max_size=6))
+def test_batch_fuzz_one_line_out_per_line_in(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "fuzz.ndjson"
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["batch", str(f)])
+    assert code in {0, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    numbered = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+    got = out.getvalue().splitlines()
+    assert len(got) == len(numbered)
+    for (n, line), result in zip(numbered, got):
+        doc = json.loads(result)
+        if "error" in doc:
+            assert doc["line"] == n and doc["error"].startswith(f"line {n}: ")
+            assert "internal error" not in doc["error"]
+        else:   # only a valid job gets a report, and it is that job's
+            job = json.loads(line)
+            assert doc["curve"]["a_invariants"] == [str(a) for a in job["curve"]]
+            assert doc["field"] == job["field"]
