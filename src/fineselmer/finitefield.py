@@ -24,7 +24,8 @@ _FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
 
 
 # ---------------------------------------------------------------------------
-# bare int-vector polynomial helpers mod l (used to bootstrap the field)
+# bare int-vector polynomial helpers mod l: they bootstrap the field, and
+# factorization runs its equal-degree split and Hensel step on them
 # ---------------------------------------------------------------------------
 
 
@@ -55,6 +56,24 @@ def _vec_rem(a: list[int], mod: list[int], l: int) -> list[int]:
                 a[i - dm + j] = (a[i - dm + j] - q * mc) % l
     del a[dm:]
     return _vec_trim(a)
+
+
+def _vec_quo(a: list[int], mod: list[int], l: int) -> list[int]:
+    """Exact quotient a / mod over F_l; a remainder is a bug in the caller."""
+    a = list(a)
+    dm = len(mod) - 1
+    inv_lead = pow(mod[-1], -1, l)
+    quo = [0] * (len(a) - dm)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            q = quo[i - dm] = c * inv_lead % l
+            for j, mc in enumerate(mod):
+                a[i - dm + j] = (a[i - dm + j] - q * mc) % l
+    if any(a[:dm]):
+        raise ArithmeticError("inexact polynomial division mod l")
+    return quo
+
 
 def _vec_powmod(a: list[int], e: int, mod: list[int], l: int) -> list[int]:
     result = [1]

@@ -117,6 +117,26 @@ def test_both_format_splits_streams(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_run_closed_stdout_exits_three(fmt):
+    # the reading end is closed before the child starts, so its first
+    # write to stdout fails whatever the size of the report
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fineselmer.cli", "run", "--curve", CURVE,
+             "--p", "5", "--field", "Q(mu_p)", "--format", fmt],
+            env=src_env(), stdout=w, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(w)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == [
+        "error: stdout closed before the report was written"]
+
+
 def test_blocked_run_exits_two(capsys):
     code, out, _ = run_cli(capsys, "run", "--curve", CURVE, "--p", "11")
     assert code == 2

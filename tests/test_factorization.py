@@ -6,6 +6,7 @@ Irreducibility of every emitted factor is cross-checked with the independent
 distinct-degree test.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,59 @@ def test_factor_fq_constant_and_zero():
     assert unit == F.element(4) and factors == []
     with pytest.raises(ValueError):
         factor_fq(FqPoly(F, []))
+
+
+# --- the int-list equal-degree split against the FqPoly split it replaces ---
+
+
+def coefficient_key(h: FqPoly) -> list[int]:
+    return [c.coords[0] for c in h.coeffs]
+
+
+def next_irreducible(F: FiniteField, d: int, code: int) -> FqPoly:
+    """The first monic irreducible of degree d over F_l whose code
+    sum(c_i l^i) over its lower coefficients is at least `code`, cyclically."""
+    l = F.char
+    while True:
+        h = FqPoly(F, [code // l**i % l for i in range(d)] + [1])
+        if is_irreducible_fq(h):
+            return h
+        code = (code + 1) % l**d
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 101]),
+    st.integers(1, 4),
+    st.lists(st.integers(0, 101**4), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+)
+def test_int_list_split_matches_boxed_split(l, d, codes, seed):
+    F = FiniteField(l)
+    irreducibles = {next_irreducible(F, d, code % l**d) for code in codes}
+    f = FqPoly(F, (1,))
+    for h in irreducibles:
+        f = f * h
+    expected = sorted(irreducibles, key=coefficient_key)
+    assert factorization._equal_degree(f, d, random.Random(seed)) == expected
+    assert factorization._equal_degree_boxed(f, d, random.Random(seed)) == expected
+
+
+def test_good_reduction_of_psi7_on_27a1_matches_factor_fq():
+    from fineselmer.elliptic import WeierstrassModel
+
+    psi = WeierstrassModel(0, 0, 1, 0, -7).integral_model().division_polynomial(7)
+    reduction = good_reduction(psi)
+    assert reduction.l == 5
+    irreducibles = reduction.irreducibles()
+    assert [h.degree for h in irreducibles] == [3, 3, 6, 6, 6]
+    residue = FqPoly(FiniteField(5), [c % 5 for c in psi.int_coeffs()])
+    _, factors = factor_fq(residue)
+    assert [(h, 1) for h in irreducibles] == factors
+    rng = random.Random(DEFAULT_SEED)
+    boxed = [h for part, k in factorization._DistinctDegree(residue.monic()).through(residue.degree)
+             for h in factorization._equal_degree_boxed(part, k, rng)]
+    assert irreducibles == sorted(boxed, key=lambda h: (h.degree, coefficient_key(h)))
 
 
 def test_is_irreducible_fq_matches_root_scan():

@@ -10,6 +10,7 @@ three Frobenius rules from scratch.
 import random
 from itertools import combinations
 
+from fineselmer import factorization
 from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
 from fineselmer.factorization import factor_int_poly, good_reduction
 from fineselmer.galoisimage import (
@@ -292,3 +293,23 @@ def test_degree_test_agrees_with_full_factoring():
             assert [witness_key(w) for w in fast] == [witness_key(w) for w in slow], (label, p)
     # both sides of the test are exercised
     assert excluded >= 10 and kept >= 10
+
+
+def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):
+    # psi_p is split mod an odd prime l, so every equal-degree split runs
+    # on int lists; the FqPoly split is left to F_{l^f} and characteristic 2
+    def boxed(*args):
+        raise AssertionError("the FqPoly equal-degree split ran over F_l")
+
+    splits = []
+    split_ints = factorization._equal_degree_ints
+
+    def counting_split(f, d, l, rng):
+        splits.append(l)
+        return split_ints(f, d, l, rng)
+
+    monkeypatch.setattr(factorization, "_equal_degree_boxed", boxed)
+    monkeypatch.setattr(factorization, "_equal_degree_ints", counting_split)
+    assert find_stable_subgroups(WeierstrassModel(*CREMONA["27a1"]), 7) == ()
+    assert len(find_stable_subgroups(E11A1, 5)) == 2
+    assert splits
