@@ -85,10 +85,10 @@ def is_regular(p: int) -> bool:
     in p).  Small primes with an empty index range (3, 5, 7) are
     regular by convention and by the empty check alike.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
     if p > MAX_REGULARITY_PRIME:
         raise ValueError(f"regularity test capped at {MAX_REGULARITY_PRIME}")
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
     if p in (3, 5, 7):
         return True
     residues = _bernoulli_mod_p(p)

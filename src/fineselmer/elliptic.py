@@ -319,7 +319,7 @@ def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
     `count_points` is the general F_q counter and stays the slow-path
     oracle for this kernel in the tests.
     """
-    if not is_prime(ell) or ell > COUNT_LIMIT:
+    if ell > COUNT_LIMIT or not is_prime(ell):
         raise ValueError(f"ell must be a prime <= {COUNT_LIMIT}, got {ell}")
     if not model.is_integral:
         raise ValueError("pass an integral model")

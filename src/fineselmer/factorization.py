@@ -13,11 +13,17 @@ factor_int_poly is Zassenhaus. It first looks for a good prime l among
 the first SQUAREFREE_TRIES odd primes not dividing the leading
 coefficient: f mod l squarefree of the same degree. Such an l proves f
 squarefree over Q, so Yun's decomposition over Q runs only when none of
-those primes is good. Then: make the squarefree parts monic by the
-x -> x/lc substitution (l stays good, and the residue factors are scaled
-the same way rather than recomputed), factor modulo l, lift the factors
-with linear Hensel steps past twice a Landau-Mignotte-style coefficient
-bound, and recombine subsets with symmetric representatives. The
+those primes is good. Then it factors modulo l, lifts the monic factors
+of lc^(-1) f (lc the leading coefficient) with linear Hensel steps past
+2 |lc| times a Landau-Mignotte-style coefficient bound, and recombines
+with the leading coefficient in place (von zur Gathen & Gerhard, Modern
+Computer Algebra, Alg. 15.19): for a subset S of the lifted factors h_i
+that belongs to a divisor F, lc * prod(h_S) read with symmetric
+representatives is (lc / lc(F)) * F. Before that product is formed, the
+constant-term test (Abbott, Shoup & Zimmermann, ISSAC 2000) asks that
+lc * prod h_i(0) divide lc * f(0); it is exact, and it rejects almost
+every false subset with one product of integers. Each survivor is
+trial-divided exactly in Z[x], all on integer coefficient lists. The
 product of the returned factors (times content) is checked against the
 input before returning; a mismatch is a bug, not a condition the caller
 handles.
@@ -36,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 
 from .finitefield import (FiniteField, FqElem, FqPoly, _vec_gcd, _vec_mulmod,
                           _vec_powmod, _vec_quo, _vec_trim)
@@ -295,7 +301,12 @@ def is_irreducible_fq(f: FqPoly) -> bool:
 
 
 def _landau_mignotte(g: QPoly) -> int:
-    """Coefficient bound for any monic divisor of monic g in Z[x]; deliberately generous."""
+    """Coefficient bound for any divisor of g in Z[x], monic or not; deliberately generous.
+
+    Mignotte's bound ||F||_1 <= 2^deg(F) |lc(F) / lc(g)| ||g||_2 holds for
+    every divisor F, and lc(F) divides lc(g), so it is at most
+    2^n sqrt(n + 1) height(g).
+    """
     n = g.degree
     height = max(abs(int(c)) for c in g.coeffs)
     return (1 << n) * (math.isqrt(n + 1) + 1) * height
@@ -357,15 +368,16 @@ def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
     return None
 
 
-def _hensel_lift_factors(g: QPoly, l: int, hbars: list[FqPoly], target: int) -> tuple[int, list[list[int]]]:
-    """Lift the mod-l factorization g = prod(hbars) of monic g to factors mod l^k > target.
+def _hensel_lift_factors(f: list[int], l: int, hbars: list[FqPoly], target: int) -> tuple[int, list[list[int]]]:
+    """Lift the mod-l factorization f = lc * prod(hbars) to factors mod l^k > target.
 
-    Returns (l^k, list of monic integer coefficient vectors mod l^k).
-    Linear lifting with the Bezout elements of the residue factorization,
-    which stay valid at every step because corrections vanish mod l.
+    f is an integer coefficient list whose leading coefficient lc is
+    prime to l. Returns (l^k, list of monic integer coefficient vectors
+    mod l^k) whose product is lc^(-1) * f mod l^k; the inverse of lc is
+    taken afresh modulo each new power. Linear lifting with the Bezout
+    elements of the residue factorization, which stay valid at every
+    step because corrections vanish mod l.
     """
-    if len(hbars) == 1:
-        return l, [[int(c) % l for c in g.coeffs]]
     field = hbars[0].field
 
     # Bezout: t_i = (prod_{j != i} hbar_j)^(-1) mod hbar_i
@@ -375,32 +387,26 @@ def _hensel_lift_factors(g: QPoly, l: int, hbars: list[FqPoly], target: int) -> 
         for j, hj in enumerate(hbars):
             if j != i:
                 prod_others = (prod_others * hj) % hi
-        ts.append(_fq_inverse_mod(prod_others, hi))
+        ts.append([c.lift() for c in _fq_inverse_mod(prod_others, hi).coeffs])
+    residues = [[c.lift() for c in h.coeffs] for h in hbars]
 
     modulus = l
-    lifted = [[c.lift() for c in h.coeffs] for h in hbars]
-    g_int = [int(c) for c in g.coeffs]
+    lifted = [list(h) for h in residues]
     while modulus <= target:
-        # error e = (g - prod lifted) / modulus mod l
+        # error e = (lc^(-1) f - prod lifted) / modulus mod l
+        step = modulus * l
+        inv = pow(f[-1], -1, step)
         prod = [1]
         for h in lifted:
-            prod = _int_poly_mul(prod, h, modulus * l)
-        e = [(a - b) % (modulus * l) for a, b in _zip_pad(g_int, prod)]
-        e_over = [(c // modulus) % l for c in e]
-        for i, h in enumerate(lifted):
+            prod = _int_poly_mul(prod, h, step)
+        e_over = [(a * inv - b) % step // modulus for a, b in zip(f, prod)]
+        for h, t, hbar in zip(lifted, ts, residues):
             # delta_i = e * t_i mod hbar_i (all mod l)
-            delta = _vec_mulmod(e_over, [c.lift() for c in ts[i].coeffs], [c.lift() for c in hbars[i].coeffs], l)
-            for k_idx, d in enumerate(delta):
+            for k_idx, d in enumerate(_vec_mulmod(e_over, t, hbar, l)):
                 if d:
-                    h[k_idx] = (h[k_idx] + modulus * d) % (modulus * l)
-        modulus *= l
+                    h[k_idx] = (h[k_idx] + modulus * d) % step
+        modulus = step
     return modulus, lifted
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
 
 
 def _int_poly_mul(a: list[int], b: list[int], mod: int) -> list[int]:
@@ -487,35 +493,20 @@ def factor_int_poly(f: QPoly, seed: int = DEFAULT_SEED,
 def _factor_squarefree(g: QPoly, l: int, residues: list[FqPoly]) -> list[QPoly]:
     """Irreducible factors of a primitive squarefree integer polynomial.
 
-    l is a good prime for g and `residues` are the monic irreducible
-    factors of g mod l.
+    l is a good prime for g, `residues` are the monic irreducible factors
+    of g mod l, and g(0) != 0. The residues are lifted as factors of
+    lc^(-1) g, with lc the leading coefficient of g, far enough that
+    lc * F / lc(F) is read off exactly for every divisor F of g in Z[x].
     """
     if g.degree <= 0:
         return []
-    if g.degree == 1:
+    if g.degree == 1 or len(residues) == 1:
         return [g.primitive()]
-    lead = int(g.leading)
-    if abs(lead) != 1:
-        # monicize: G(x) = lead^(n-1) * g(x/lead) is monic with integer
-        # coeffs; l stays good for G, and G mod l is the product of the
-        # residues scaled the same way, lead^deg(h) * h(x/lead)
-        n = g.degree
-        G = QPoly([c * Fraction(lead) ** (n - 1 - i) for i, c in enumerate(g.coeffs)])
-        assert G.is_integral and G.leading == 1
-        scaled = [FqPoly(h.field, [c * pow(lead, h.degree - j, l) for j, c in enumerate(h.coeffs)])
-                  for h in residues]
-        return [H.compose_linear(Fraction(lead), 0).primitive()
-                for H in _factor_squarefree(G, l, scaled)]
-
-    if lead == -1:
-        g = -g
-    bound = 2 * _landau_mignotte(g) + 1
-    modulus, lifted = _hensel_lift_factors(g, l, residues, bound)
-    if len(lifted) == 1:
-        return [g]
+    current = g.int_coeffs()
+    bound = 2 * abs(current[-1]) * _landau_mignotte(g) + 1
+    modulus, lifted = _hensel_lift_factors(current, l, residues, bound)
 
     remaining = list(range(len(lifted)))
-    current = g
     out: list[QPoly] = []
     size = 1
     while 2 * size <= len(remaining):
@@ -523,25 +514,75 @@ def _factor_squarefree(g: QPoly, l: int, residues: list[FqPoly]) -> list[QPoly]:
         if found is None:
             size += 1
             continue
-        subset, factor = found
-        out.append(factor)
-        current = current // factor
+        subset, factor, current = found
+        out.append(QPoly(factor))
         remaining = [i for i in remaining if i not in subset]
-    if current.degree > 0:
-        out.append(current.primitive())
+    out.append(QPoly(current).primitive())
     return out
 
 
-def _try_subsets(current, lifted, remaining, size, modulus):
-    from itertools import combinations
+def _passes_constant_test(current: list[int], constants: list[int], modulus: int) -> bool:
+    """May lc * prod(h_S) mod modulus be a multiple of a divisor of current?
 
+    `constants` are the constant terms h_i(0) of the lifted factors in S
+    and lc is the leading coefficient of current. For a true divisor F,
+    c = lc * prod h_i(0), read symmetrically, is (lc / lc(F)) * F(0),
+    which divides lc * current(0); c = 0 would need current(0) = 0.
+    A False is a proof that S gives no factor.
+    """
+    c = current[-1]
+    for h0 in constants:
+        c = c * h0 % modulus
+    c = _symmetric(c, modulus)
+    return c != 0 and current[-1] * current[0] % c == 0
+
+
+def _try_subsets(current, lifted, remaining, size, modulus):
+    """The first subset of `size` lifted factors that gives a factor of current.
+
+    Returns (subset, primitive factor, current / factor), all on
+    integer coefficient lists, or None. Only the subsets that pass the
+    constant-term test have their product formed and trial-divided.
+    """
+    lc = current[-1]
     for subset in combinations(remaining, size):
-        prod = [1]
+        if not _passes_constant_test(current, [lifted[i][0] for i in subset], modulus):
+            continue
+        prod = [lc]
         for i in subset:
             prod = _int_poly_mul(prod, lifted[i], modulus)
-        candidate = QPoly([_symmetric(c, modulus) for c in prod])
-        if candidate.degree < 1:
-            continue
-        if candidate.divides(current):
-            return set(subset), candidate.primitive()
+        candidate = _primitive([_symmetric(c, modulus) for c in prod])
+        quotient = _exact_quotient(current, candidate)
+        if quotient is not None:
+            return set(subset), candidate, quotient
     return None
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return [c // content for c in a]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when b divides a, else None; b is primitive with b(0) != 0.
+
+    b primitive makes divisibility in Z[x] and in Q[x] the same thing
+    (Gauss), so the first inexact integer division is a proof.
+    """
+    m = len(b) - 1
+    if a[0] % b[0]:
+        return None
+    rem = list(a)
+    quotient = [0] * (len(a) - m)
+    for k in range(len(quotient) - 1, -1, -1):
+        q, r = divmod(rem[k + m], b[-1])
+        if r:
+            return None
+        quotient[k] = q
+        if q:
+            for j in range(m):
+                rem[k + j] -= q * b[j]
+    return quotient if not any(rem[:m]) else None

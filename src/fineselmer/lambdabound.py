@@ -196,10 +196,11 @@ def compute_lambda_bound(
     g_table=None,
 ) -> LambdaBoundReport:
     """Run the whole pipeline for one curve, prime, and base field."""
+    # the cap comes first: is_prime on a huge p would not return
+    if p > 13:
+        raise ValueError("p is capped at 13 by the division-polynomial ladder")
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
-    if not 3 <= p <= 13:
-        raise ValueError("p is capped at 13 by the division-polynomial ladder")
     for token in assume:
         if token not in ASSUMPTION_TOKENS:
             raise ValueError(f"unknown assumption {token!r}; "
@@ -299,8 +300,8 @@ def compute_lambda_bound(
     # image condition and the pointwise guard; skipped when bad reduction
     # above p already blocks every route. Classifying the image reduces the
     # division polynomial of degree (p^2 - 1)/2 modulo one good prime, and
-    # it factors over Q (minutes at p = 13) only when the degrees there
-    # leave room for a stable line
+    # it factors over Q (about a second at p = 13) only when the degrees
+    # there leave room for a stable line
     if places.good_above_p:
         image: ImageClassification = classify_image(model, p, field)
         ledger["image-condition"] = HypothesisEntry(

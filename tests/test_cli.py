@@ -137,6 +137,19 @@ def test_run_closed_stdout_exits_three(fmt):
         "error: stdout closed before the report was written"]
 
 
+def test_run_huge_p_exits_three_at_once():
+    # 2^89 - 1 is prime; deciding that by trial division would not
+    # return, so the cap on p is checked first
+    proc = subprocess.run(
+        [sys.executable, "-m", "fineselmer.cli", "run", "--curve", "0,0,1,-1,0",
+         "--p", str(2**89 - 1)],
+        env=src_env(), capture_output=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        "error: p is capped at 13 by the division-polynomial ladder"]
+
+
 def test_blocked_run_exits_two(capsys):
     code, out, _ = run_cli(capsys, "run", "--curve", CURVE, "--p", "11")
     assert code == 2

@@ -113,6 +113,12 @@ def test_is_regular_input_contract():
     assert MAX_REGULARITY_PRIME == 10_000
 
 
+def test_is_regular_checks_the_cap_before_primality(deadline):
+    # is_prime(2^89 - 1) would run trial division that does not return
+    with deadline(5), pytest.raises(ValueError, match="capped"):
+        is_regular(2**89 - 1)
+
+
 # the places of Q(mu_p) above ell != p come from reduction_over_K, which
 # reads e, f and g off any curve; the place above p is covered by the
 # place-set tests in test_localdata

@@ -279,6 +279,13 @@ def test_trace_and_hasse_bound():
         assert count_points(model, FiniteField(ell, 1)) == ell + 1 - t
 
 
+def test_trace_checks_the_range_before_primality(deadline):
+    # 2^89 - 1 is prime, and is_prime would decide it by trial division,
+    # which does not return; the range check has to come first
+    with deadline(5), pytest.raises(ValueError, match="ell must be a prime <= "):
+        trace_of_frobenius(WeierstrassModel(*X11A1), 2**89 - 1)
+
+
 def test_known_traces_11a():
     # shared isogeny-class traces: a_2 = -2, a_3 = -1, a_5 = 1, a_7 = -2
     model = WeierstrassModel(*X11A2)

@@ -8,15 +8,16 @@ distinct-degree test.
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fineselmer import factorization
 from fineselmer.factorization import (
     DEFAULT_SEED,
     SQUAREFREE_TRIES,
-    _factor_squarefree,
     factor_fq,
     factor_int_poly,
     good_reduction,
@@ -291,6 +292,171 @@ def test_factor_int_poly_rejects_zero():
         factor_int_poly(QPoly.zero())
 
 
+# --- leading-coefficient recombination against the monicised path it replaces ---
+
+
+def factor_squarefree_monicised(g: QPoly, l: int, residues: list[FqPoly]) -> list[QPoly]:
+    """_factor_squarefree as it ran before leading-coefficient recombination.
+
+    A non-monic g is made monic by G(x) = lead^(n-1) g(x/lead), with the
+    residues scaled the same way; the lifted factors of G are recombined
+    by forming every subset's product and trial-dividing it over Q, and
+    each factor found is mapped back by x -> lead x.
+    """
+    if g.degree <= 0:
+        return []
+    if g.degree == 1:
+        return [g.primitive()]
+    lead = int(g.leading)
+    if abs(lead) != 1:
+        n = g.degree
+        G = QPoly([c * Fraction(lead) ** (n - 1 - i) for i, c in enumerate(g.coeffs)])
+        assert G.is_integral and G.leading == 1
+        scaled = [FqPoly(h.field, [c * pow(lead, h.degree - j, l) for j, c in enumerate(h.coeffs)])
+                  for h in residues]
+        return [H.compose_linear(Fraction(lead), 0).primitive()
+                for H in factor_squarefree_monicised(G, l, scaled)]
+    if lead == -1:
+        g = -g
+    if len(residues) == 1:
+        return [g]
+    bound = 2 * factorization._landau_mignotte(g) + 1
+    modulus, lifted = factorization._hensel_lift_factors(g.int_coeffs(), l, residues, bound)
+    remaining = list(range(len(lifted)))
+    current = g
+    out = []
+    size = 1
+    while 2 * size <= len(remaining):
+        found = try_subsets_monicised(current, lifted, remaining, size, modulus)
+        if found is None:
+            size += 1
+            continue
+        subset, factor = found
+        out.append(factor)
+        current = current // factor
+        remaining = [i for i in remaining if i not in subset]
+    if current.degree > 0:
+        out.append(current.primitive())
+    return out
+
+
+def try_subsets_monicised(current, lifted, remaining, size, modulus):
+    for subset in combinations(remaining, size):
+        prod = [1]
+        for i in subset:
+            prod = factorization._int_poly_mul(prod, lifted[i], modulus)
+        candidate = QPoly([factorization._symmetric(c, modulus) for c in prod])
+        if candidate.divides(current):
+            return set(subset), candidate.primitive()
+    return None
+
+
+def factor_monicised(f: QPoly):
+    """factor_int_poly with the monicised recombination in its place."""
+    with mock.patch.object(factorization, "_factor_squarefree", factor_squarefree_monicised):
+        return factor_int_poly(f)
+
+
+# composite and negative leading coefficients, constant terms with many
+# divisors, and (with share_constant) factors with one constant term
+LEADS = [1, -1, 2, -2, 3, 4, -6, 12, 30]
+CONSTANTS = [1, -1, 2, 6, -12, 24, 36, -60, 120]
+
+
+@st.composite
+def integer_factor_lists(draw, max_parts=3):
+    share_constant = draw(st.booleans())
+    shared = draw(st.sampled_from(CONSTANTS))
+    parts = []
+    for _ in range(draw(st.integers(1, max_parts))):
+        middle = draw(st.lists(st.integers(-9, 9), max_size=2))
+        constant = shared if share_constant else draw(st.sampled_from(CONSTANTS))
+        parts.append([constant] + middle + [draw(st.sampled_from(LEADS))])
+    return parts
+
+
+def product(parts) -> QPoly:
+    f = QPoly.one()
+    for coeffs in parts:
+        f = f * qpoly(*coeffs)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_factor_lists(max_parts=4), st.integers(-12, 12).filter(lambda n: n != 0))
+def test_factor_int_poly_matches_monicised_recombination(parts, scale):
+    f = QPoly.constant(scale) * product(parts)
+    assert factor_int_poly(f) == factor_monicised(f)
+
+
+def test_psi_factors_match_monicised_recombination():
+    # 20a1 at 3 (non-monic psi_3, one 3-isogeny), 11a1 at 5 (two rational
+    # roots) and 14a1 at 5 (irreducible psi_5)
+    from fineselmer.elliptic import WeierstrassModel
+
+    for curve, p in (((0, 1, 0, 4, 4), 3), ((0, -1, 1, -10, -20), 5), ((1, 0, 1, 4, -6), 5)):
+        psi = WeierstrassModel(*curve).integral_model().division_polynomial(p)
+        assert factor_int_poly(psi) == factor_monicised(psi)
+
+
+# --- the constant-term test that guards every product in the recombination ---
+
+
+def lifted_factors(g: QPoly):
+    """(l^k, lifted factors of lc^(-1) g) as _factor_squarefree lifts them,
+    or None when no good prime is found within SQUAREFREE_TRIES."""
+    reduction = good_reduction(g, SQUAREFREE_TRIES)
+    if reduction is None:
+        return None
+    coeffs = g.int_coeffs()
+    bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(g) + 1
+    return factorization._hensel_lift_factors(
+        coeffs, reduction.l, reduction.irreducibles(), bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_factor_lists())
+def test_constant_term_test_never_rejects_a_true_factor(parts):
+    g = product(parts).primitive()
+    lift = lifted_factors(g)
+    assume(lift is not None and len(lift[1]) > 1)
+    modulus, lifted = lift
+    current = g.int_coeffs()
+    for size in range(1, len(lifted)):
+        for subset in combinations(range(len(lifted)), size):
+            prod = [current[-1]]
+            for i in subset:
+                prod = factorization._int_poly_mul(prod, lifted[i], modulus)
+            candidate = QPoly([factorization._symmetric(c, modulus) for c in prod])
+            if candidate.divides(g):
+                assert factorization._passes_constant_test(
+                    current, [lifted[i][0] for i in subset], modulus), subset
+
+
+def test_constant_term_test_settles_psi11_without_a_product(monkeypatch):
+    # psi_11 of 43a1 is irreducible and has 12 factors mod 3: every one of
+    # the 2 509 subsets tried fails the constant-term test, so no product
+    # is formed and nothing is trial-divided
+    from fineselmer.elliptic import WeierstrassModel
+
+    passed = []
+    constant_test = factorization._passes_constant_test
+
+    def spy(current, constants, modulus):
+        passed.append(ok := constant_test(current, constants, modulus))
+        return ok
+
+    def no_trial_division(a, b):
+        raise AssertionError("a product was formed and trial-divided")
+
+    monkeypatch.setattr(factorization, "_passes_constant_test", spy)
+    monkeypatch.setattr(factorization, "_exact_quotient", no_trial_division)
+    psi = WeierstrassModel(0, 1, 1, 0, 0).integral_model().division_polynomial(11)
+    _, factors = factor_int_poly(psi)
+    assert [(g.degree, m) for g, m in factors] == [(60, 1)]
+    assert len(passed) == 2509 and not any(passed)
+
+
 # --- the good-prime squarefree proof against the Yun path it replaces ---
 
 
@@ -307,7 +473,7 @@ def factor_by_yun(f: QPoly, seed: int = DEFAULT_SEED):
         part = squarefree.primitive()
         if part.degree > 0:
             reduction = good_reduction(part)
-            factors += [(g, mult) for g in _factor_squarefree(
+            factors += [(g, mult) for g in factor_squarefree_monicised(
                 part, reduction.l, reduction.irreducibles(seed))]
     factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
     check = QPoly.one()

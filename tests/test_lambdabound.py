@@ -6,8 +6,11 @@ route selection, hypothesis bookkeeping, note emission, and the exact
 additivity bound = global part + sum of place contributions.
 """
 
+import hashlib
+
 import pytest
 
+from fineselmer import cli
 from fineselmer.elliptic import WeierstrassModel
 from fineselmer.lambdabound import (
     ASSUMPTION_TOKENS,
@@ -187,7 +190,8 @@ def test_routes_are_both_reported():
 # has no divisor of degree (p - 1)/2, so no stable line exists and the
 # image is settled without factoring over Q. 37a1 at p = 13 stays out:
 # mod 3 its psi_13 splits as [2, 2, 2, 6, ...], which reaches degree 6,
-# so that run still factors psi_13 over Q, for minutes.
+# so that run factors psi_13 over Q in full, like the runs pinned in
+# test_former_factoring_cliff below.
 @pytest.mark.parametrize("model, p, field, bound", [
     pytest.param(E37A1, 11, "Q", 2, id="37a1-11-Q"),
     pytest.param(E37A1, 11, "Q(mu_p)", 0, id="37a1-11-Qmu11"),
@@ -216,3 +220,37 @@ def test_37a1_at_11_never_factors_over_Q(monkeypatch):
     r = compute_lambda_bound(E37A1, 11, "Q")
     assert r.bound == 2
     assert calls == []
+
+
+# The degrees of psi_p mod 3 leave room for a stable line on these curves,
+# so each run factors psi_p over Q in full. That took 25 to 55 s a run on
+# a 2-core VM when the recombination made psi_p monic first; the verdicts
+# and the sha256 of each compact report were pinned from that code.
+@pytest.mark.parametrize("curve, p, bound, image, digest", [
+    pytest.param((0, 1, 1, 0, 0), 11, 2, "certified",
+                 "d074f8b2b362568d2ed4f20b348a516125df1c38bcbd0e848fcc55c8771cd120", id="43a1-11"),
+    pytest.param((0, 1, 0, 4, 4), 11, 4, "certified",
+                 "4d73d880dd1000e2ec5242a027a480e1485c3a9db0f0e60e444e1799c07179fc", id="20a1-11"),
+    pytest.param((1, 0, 1, 4, -6), 11, 4, "certified",
+                 "0a90173386c5b18cb1739f7352b9aa74694140c9a422602fe3c9d46325f90ba4", id="14a1-11"),
+    pytest.param((0, 0, 0, -1, 0), 13, 2, "inconclusive",
+                 "d1db402c3a5a260eb1aa89b5f6ffa065d78ba8b689b863845e1c4555f9fe99be", id="32a2-13"),
+])
+def test_former_factoring_cliff(monkeypatch, curve, p, bound, image, digest):
+    from fineselmer import galoisimage
+
+    degrees = []
+
+    def counted(psi, *args, _inner=galoisimage.factor_int_poly, **kwargs):
+        degrees.append(psi.degree)
+        return _inner(psi, *args, **kwargs)
+
+    monkeypatch.setattr(galoisimage, "factor_int_poly", counted)
+    r = compute_lambda_bound(WeierstrassModel(*curve), p, "Q")
+    assert degrees == [(p * p - 1) // 2]
+    assert r.bound == bound
+    assert r.strength == "conditional" and r.route == "local-only"
+    assert ledger_map(r)["image-condition"] == image
+    job = cli.job_from_dict({"curve": list(curve), "p": p, "field": "Q"}, "pinned")
+    text = cli.render_json(r, job, compact=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
