@@ -22,7 +22,11 @@ checkable situations decide it.
 * No stable subgroup plus a surjectivity certificate: the image is all
   of GL_2(F_p), nonsolvable for p >= 5 (over Q(mu_p) it still contains
   SL_2(F_p)).  The certificate is never issued for p = 3, where GL_2 is
-  solvable and the order test below degenerates.
+  solvable and the order test below degenerates, nor for a curve with
+  complex multiplication, whose image lies in the normalizer of a
+  Cartan subgroup (Serre 1972, section 4.5): its j-invariant is one of
+  the 13 in CM_J_INVARIANTS, and the hunt for Frobenius witnesses is
+  skipped there because two of its witnesses can never both appear.
 
 Everything else is reported as inconclusive, never guessed.
 
@@ -71,8 +75,15 @@ TRACE_CHECK_BOUND = 100
 # each trace is an O(ell) quadratic-character sum on plain ints, so the
 # whole hunt below this bound costs tens of milliseconds per curve; a
 # genuinely surjective representation yields all three witnesses long
-# before it
+# before it.  A curve with CM never runs the hunt: it could scan every
+# prime up to here and still fail
 CERTIFICATE_BOUND = 1_000
+
+# the j-invariants of the 13 imaginary quadratic orders of class number
+# one, which are exactly the j-invariants of the curves over Q with CM
+CM_J_INVARIANTS = frozenset(Fraction(j) for j in (
+    0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
+    16581375, -884736000, -147197952000, -262537412640768000))
 
 
 def _xgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
@@ -280,8 +291,22 @@ def surjectivity_certificate(model: WeierstrassModel, p: int,
     no certificate is ever issued there.  Keeping u = 3 matters at
     p = 5, where u ranges over F_5 and the stricter exclusion set would
     leave nothing to hunt for.
+
+    A curve with CM returns None before any point count, and that is
+    exactly what the hunt would return.  Say E has CM by an order in
+    the imaginary quadratic field K of discriminant D_K.  Then L(E, s)
+    is the L-function of a Hecke character psi of K (Deuring), and
+    primes ramified in K are bad for E.  At a good ell inert in K,
+    a_ell = 0.  At a good ell split in K, a_ell = pi + conj(pi), where
+    pi = psi(l) lies in the ring of integers of K for a prime l of K
+    above ell, and pi conj(pi) = ell.  So a_ell^2 - 4 ell =
+    (pi - conj(pi))^2 = D_K t^2 for an integer t.
+    Whenever the hunt looks at a^2 - 4 ell mod p (a != 0 mod p and the
+    difference nonzero mod p), its Legendre symbol is therefore
+    (D_K / p), the same for every ell.  So witnesses (i) and (ii) never
+    both appear, below any bound.
     """
-    if p == 3:
+    if p == 3 or model.j_invariant in CM_J_INVARIANTS:
         return None
     E = model.integral_model()
     disc = abs(int(E.discriminant))

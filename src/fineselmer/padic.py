@@ -10,10 +10,11 @@ property tests check against exact integer arithmetic.
 
 The root machinery works on integer polynomials. hensel_lift is Newton
 iteration under the general criterion v(f(r0)) > 2 v(f'(r0));
-padic_roots finds every root in Z_p by factoring mod p, lifting the
-residues the criterion accepts, and recursing on f(r0 + p x)/p^e for the
-rest, with a recursion depth budget. Exhausting the budget produces an
-explicit inconclusive marker, never a silent omission.
+padic_roots finds every root in Z_p by scanning the residues mod p,
+lifting those with a unit derivative, and recursing on f(r0 + p x)/p^e
+for the rest, with a recursion depth budget; the shifts run on integer
+coefficient lists. Exhausting the budget produces an explicit
+inconclusive marker, never a silent omission.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .factorization import SQUAREFREE_TRIES, good_reduction
 from .modular import valuation
 from .polynomial import QPoly
 
@@ -235,6 +237,19 @@ def _deriv(coeffs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
+def _compose_linear(coeffs: list[int], a: int, b: int) -> list[int]:
+    """Coefficients of f(a x + b) for the nonzero integer polynomial f."""
+    out = [coeffs[-1]]
+    for c in reversed(coeffs[:-1]):
+        nxt = [0] * (len(out) + 1)
+        for i, v in enumerate(out):
+            nxt[i] += v * b
+            nxt[i + 1] += v * a
+        nxt[0] += c
+        out = nxt
+    return out
+
+
 def hensel_lift(f: QPoly, r0: int, p: int, absprec: int = DEFAULT_PRECISION) -> PadicNumber:
     """Newton-lift the approximate root r0 of f to absolute precision absprec.
 
@@ -298,13 +313,20 @@ def padic_roots(
     Multiple roots are reported once (the search runs on the squarefree
     part; certification of v(f(root)) >= absprec still holds for the
     original f because a congruence r = root mod p^N forces
-    f(r) = f(root) = 0 mod p^N for integral f).
+    f(r) = f(root) = 0 mod p^N for integral f).  A good prime among the
+    first SQUAREFREE_TRIES candidates of factorization.good_reduction
+    proves f squarefree, and then the search runs on f's primitive part
+    as it stands; the squarefree part over Q, a rational Euclid, is
+    computed only when none of them is good.  A division polynomial is
+    squarefree, so delta_v never needs that Euclid.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has every element as root")
     if absprec < 1:
         raise ValueError("absprec must be positive")
-    work = f.squarefree_part().primitive()
+    work = f.primitive()
+    if good_reduction(work, SQUAREFREE_TRIES) is None:
+        work = f.squarefree_part().primitive()
     if work.degree == 0:
         return PadicRoots((), ())
     coeffs = work.int_coeffs()
@@ -314,11 +336,12 @@ def padic_roots(
 
     def search(cs: list[int], depth: int, base: int, scale: int) -> None:
         # roots of cs correspond to base + p^scale * x for roots x of cs
+        dcs = _deriv(cs)
         for rbar in range(p):
             fr = _eval_int(cs, rbar)
             if fr % p != 0:
                 continue
-            dfr = _eval_int(_deriv(cs), rbar)
+            dfr = _eval_int(dcs, rbar)
             target = absprec - scale
             if target <= 0:
                 # the class is flat to working precision but no root is
@@ -347,9 +370,9 @@ def padic_roots(
                     f"residue {base + rbar * p**scale} mod {p}^{scale + 1}: depth budget exhausted"
                 )
                 continue
-            shifted = QPoly(cs).compose_linear(p, rbar)
-            e = min(valuation(int(c), p) for c in shifted.coeffs if c != 0)
-            reduced = [int(c) // p**e for c in shifted.coeffs]
+            shifted = _compose_linear(cs, p, rbar)
+            e = min(valuation(c, p) for c in shifted if c != 0)
+            reduced = [c // p**e for c in shifted]
             search(reduced, depth + 1, base + rbar * p**scale, scale + 1)
 
     search(coeffs, 0, 0, 0)

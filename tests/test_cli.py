@@ -138,8 +138,8 @@ def test_run_closed_stdout_exits_three(fmt):
 
 
 def test_run_huge_p_exits_three_at_once():
-    # 2^89 - 1 is prime; deciding that by trial division would not
-    # return, so the cap on p is checked first
+    # 2^89 - 1 is prime but above the range where Miller-Rabin proves
+    # it; the cap on p is checked first, so the error names the cap
     proc = subprocess.run(
         [sys.executable, "-m", "fineselmer.cli", "run", "--curve", "0,0,1,-1,0",
          "--p", str(2**89 - 1)],
@@ -148,6 +148,33 @@ def test_run_huge_p_exits_three_at_once():
     assert proc.stdout == b""
     assert proc.stderr.decode().splitlines() == [
         "error: p is capped at 13 by the division-polynomial ladder"]
+
+
+def test_run_with_an_unfactorable_discriminant_exits_three():
+    # up to sign the discriminant is 11 times a 119-bit composite with no
+    # factor the Pollard-Brent budget finds; trial division did not return
+    proc = subprocess.run(
+        [sys.executable, "-m", "fineselmer.cli", "run", "--curve",
+         "0,0,1,-1,100000000000000003", "--p", "5"],
+        env=src_env(), capture_output=True, timeout=10)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot factor")
+
+
+def test_discriminant_with_a_prime_above_2_64_gets_a_report(capsys, deadline):
+    # up to sign the discriminant is 60623 * 71260082824314204181, the
+    # second a prime between 2^64 and 3.3 * 10^24: Pollard-Brent splits
+    # off 60623 and Miller-Rabin proves the rest prime.  The place above
+    # p = 5 comes last
+    with deadline(10):
+        code, out, _ = run_cli(capsys, "run", "--curve", "0,0,1,-1,100000000012",
+                               "--p", "5", "--format", "json")
+    assert code in (0, 2)
+    report = json.loads(out)
+    assert [pl["residue_char"] for pl in report["places"]] == [
+        "60623", "71260082824314204181", "5"]
 
 
 def test_blocked_run_exits_two(capsys):

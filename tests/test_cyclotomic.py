@@ -114,7 +114,7 @@ def test_is_regular_input_contract():
 
 
 def test_is_regular_checks_the_cap_before_primality(deadline):
-    # is_prime(2^89 - 1) would run trial division that does not return
+    # is_prime cannot prove 2^89 - 1 prime, so the cap has to come first
     with deadline(5), pytest.raises(ValueError, match="capped"):
         is_regular(2**89 - 1)
 

@@ -280,8 +280,8 @@ def test_trace_and_hasse_bound():
 
 
 def test_trace_checks_the_range_before_primality(deadline):
-    # 2^89 - 1 is prime, and is_prime would decide it by trial division,
-    # which does not return; the range check has to come first
+    # 2^89 - 1 is prime but above the range where Miller-Rabin proves
+    # it; the range check has to come first
     with deadline(5), pytest.raises(ValueError, match="ell must be a prime <= "):
         trace_of_frobenius(WeierstrassModel(*X11A1), 2**89 - 1)
 

@@ -7,15 +7,21 @@ at the recorded primes, and certificate witness primes must re-satisfy the
 three Frobenius rules from scratch.
 """
 
+import math
 import random
 from itertools import combinations
 
-from fineselmer import factorization
+from hypothesis import assume, given, settings, strategies as st
+
+from fineselmer import factorization, galoisimage
 from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
 from fineselmer.factorization import factor_int_poly, good_reduction
 from fineselmer.galoisimage import (
+    CERTIFICATE_BOUND,
+    CM_J_INVARIANTS,
     TRACE_CHECK_BOUND,
     StableSubgroupWitness,
+    SurjectivityCertificate,
     _closed_under_multiples,
     _halfgroup_generators,
     _matching_trace_primes,
@@ -313,3 +319,137 @@ def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):
     assert find_stable_subgroups(WeierstrassModel(*CREMONA["27a1"]), 7) == ()
     assert len(find_stable_subgroups(E11A1, 5)) == 2
     assert splits
+
+
+# --- curves with complex multiplication never run the hunt ---
+
+# one curve over Q per rational CM j-invariant: j -> (a-invariants, the
+# discriminant D of the CM order, the discriminant D_K of the CM field)
+CM_CURVES = {
+    0: ((0, 0, 1, 0, -7), -3, -3),
+    1728: ((0, 0, 0, -1, 0), -4, -4),
+    -3375: ((1, -1, 0, -2, -1), -7, -7),
+    8000: ((0, 1, 0, -3, 1), -8, -8),
+    -32768: ((0, -1, 1, -7, 10), -11, -11),
+    54000: ((0, 0, 0, -15, 22), -12, -3),
+    287496: ((0, 0, 0, -11, -14), -16, -4),
+    -884736: ((0, 0, 1, -38, 90), -19, -19),
+    -12288000: ((0, 0, 1, -270, -1708), -27, -3),
+    16581375: ((1, -1, 0, -37, -78), -28, -7),
+    -884736000: ((0, 0, 1, -860, 9707), -43, -43),
+    -147197952000: ((0, 0, 1, -7370, 243528), -67, -67),
+    -262537412640768000: ((0, 0, 1, -2174420, 1234136692), -163, -163),
+}
+
+
+def surjectivity_certificate_by_hunt(model: WeierstrassModel, p: int,
+                                     bound: int = CERTIFICATE_BOUND):
+    """surjectivity_certificate as it ran before the CM test: the hunt
+    for all three Frobenius witnesses, on every curve."""
+    if p == 3:
+        return None
+    E = model.integral_model()
+    disc = abs(int(E.discriminant))
+    nonsplit = split = order_w = None
+    for ell in primes_below(bound + 1):
+        if ell == p or disc % ell == 0:
+            continue
+        a = trace_of_frobenius(E, ell)
+        am = a % p
+        if am != 0:
+            d = (a * a - 4 * ell) % p
+            if d != 0:
+                euler = pow(d, (p - 1) // 2, p)
+                if euler == p - 1 and nonsplit is None:
+                    nonsplit = ell
+                elif euler == 1 and split is None:
+                    split = ell
+        if order_w is None:
+            u = a * a * pow(ell, p - 2, p) % p
+            if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0:
+                order_w = ell
+        if nonsplit and split and order_w:
+            return SurjectivityCertificate(p, nonsplit, split, order_w, bound)
+    return None
+
+
+def square_multiple(n: int, d: int) -> bool:
+    """Is n = d * t^2 for an integer t?"""
+    t2, r = divmod(n, d)
+    return r == 0 and t2 >= 0 and math.isqrt(t2) ** 2 == t2
+
+
+def test_cm_table_covers_the_class_number_one_orders():
+    assert set(CM_CURVES) == CM_J_INVARIANTS
+    for j, (a, order_disc, field_disc) in CM_CURVES.items():
+        assert WeierstrassModel(*a).j_invariant == j
+        conductor = math.isqrt(order_disc // field_disc)
+        assert conductor ** 2 * field_disc == order_disc
+
+
+def test_cm_frobenius_discriminants_share_one_square_class():
+    # a_ell = 0, or a_ell^2 - 4 ell = D_K t^2: so the Legendre symbol the
+    # hunt reads is (D_K / p) at every ell, and (i) and (ii) never both appear
+    checked = 0
+    for j, (a, order_disc, field_disc) in CM_CURVES.items():
+        E = WeierstrassModel(*a)
+        disc = int(E.discriminant)
+        conductor = math.isqrt(order_disc // field_disc)
+        for ell in primes_below(1000):
+            if disc % ell == 0:
+                continue
+            a_ell = trace_of_frobenius(E, ell)
+            if a_ell == 0:
+                continue
+            assert square_multiple(a_ell ** 2 - 4 * ell, field_disc), (j, ell)
+            if conductor % ell:
+                # away from the conductor, Frobenius lies in the order itself
+                assert square_multiple(a_ell ** 2 - 4 * ell, order_disc), (j, ell)
+            checked += 1
+    assert checked > 13 * 60
+    # at ell = 2, dividing the conductor of Z[sqrt(-7)], Frobenius lies
+    # only in the maximal order: a_2^2 - 8 = -7, not -28 t^2, which is
+    # why the hunt's argument uses the field discriminant
+    E = WeierstrassModel(*CM_CURVES[16581375][0])
+    assert int(E.discriminant) % 2 and trace_of_frobenius(E, 2) ** 2 - 8 == -7
+
+
+def test_cm_curves_skip_the_hunt_that_cannot_succeed(monkeypatch):
+    counted = []
+    trace = galoisimage.trace_of_frobenius
+
+    def counting_trace(model, ell):
+        counted.append(ell)
+        return trace(model, ell)
+
+    monkeypatch.setattr(galoisimage, "trace_of_frobenius", counting_trace)
+    skipped = 0
+    for j, (a, _, _) in CM_CURVES.items():
+        E = WeierstrassModel(*a)
+        for p in (5, 7, 11, 13):
+            if int(E.discriminant) % p == 0:
+                continue
+            assert surjectivity_certificate_by_hunt(E, p) is None, (j, p)
+            assert surjectivity_certificate(E, p) is None
+            assert counted == [], (j, p)
+            skipped += 1
+    assert skipped >= 40
+
+
+def test_cm_curve_classification_keeps_its_note():
+    c = classify_image(WeierstrassModel(*CM_CURVES[0][0]), 5)
+    assert (c.status, c.certificate) == ("Inconclusive", None)
+    assert c.notes == ("no stable subgroup, and the surjectivity witnesses "
+                       f"were not all found below {CERTIFICATE_BOUND}",)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(-6, 6)] * 5))
+def test_certificate_matches_the_hunt_off_cm(a):
+    try:
+        E = WeierstrassModel(*a)
+    except ValueError:
+        assume(False)
+    assume(E.j_invariant not in CM_CURVES)
+    for p in (5, 7):
+        assert surjectivity_certificate(E, p) == surjectivity_certificate_by_hunt(E, p)

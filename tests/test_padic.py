@@ -7,19 +7,27 @@ Oracles used here:
     the root finder from both sides: certified roots reduce into the scan
     set, and every scan residue with unit derivative is matched by exactly
     one certified root whenever the finder claims completeness.
+  * the search as it ran on the squarefree part over Q, with QPoly shifts,
+    must give the same certified roots and inconclusive markers.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from fineselmer.elliptic import WeierstrassModel
 from fineselmer.modular import valuation
 from fineselmer.padic import (
     DEFAULT_PRECISION,
+    DEPTH_BUDGET,
     NoLiftError,
     PadicNumber,
+    PadicRoots,
+    _deriv,
+    _eval_int,
     hensel_lift,
     padic_roots,
 )
@@ -310,3 +318,107 @@ def test_default_precision_roundtrip():
     for r in result.certified:
         assert r.absprec == DEFAULT_PRECISION
         assert pow(r.lift(), 3, 7**DEFAULT_PRECISION) == 1
+
+
+# --- the root search against its rational-Euclid form ---
+
+
+def padic_roots_by_squarefree_part(f: QPoly, p: int, absprec: int = DEFAULT_PRECISION,
+                                   depth_budget: int = DEPTH_BUDGET) -> PadicRoots:
+    """padic_roots as it ran before the good-prime proof: the search
+    always runs on the squarefree part over Q, shifting with QPoly."""
+    work = f.squarefree_part().primitive()
+    if work.degree == 0:
+        return PadicRoots((), ())
+    certified = []
+    inconclusive = []
+
+    def search(cs, depth, base, scale):
+        for rbar in range(p):
+            fr = _eval_int(cs, rbar)
+            if fr % p != 0:
+                continue
+            dfr = _eval_int(_deriv(cs), rbar)
+            target = absprec - scale
+            if target <= 0:
+                inconclusive.append(
+                    f"residue {base + rbar * p**scale} mod {p}^{scale + 1}: precision exhausted")
+                continue
+            if dfr % p != 0:
+                if fr == 0:
+                    root = PadicNumber.from_int(rbar, p, target)
+                else:
+                    root = hensel_lift(QPoly(cs), rbar, p, target)
+                certified.append(
+                    PadicNumber.from_int(base + root.lift() * p**scale, p, absprec))
+                continue
+            if depth >= depth_budget:
+                inconclusive.append(
+                    f"residue {base + rbar * p**scale} mod {p}^{scale + 1}: depth budget exhausted")
+                continue
+            shifted = QPoly(cs).compose_linear(p, rbar)
+            e = min(valuation(int(c), p) for c in shifted.coeffs if c != 0)
+            search([int(c) // p**e for c in shifted.coeffs], depth + 1,
+                   base + rbar * p**scale, scale + 1)
+
+    search(work.int_coeffs(), 0, 0, 0)
+    certified.sort(key=lambda r: r.lift())
+    return PadicRoots(tuple(certified), tuple(inconclusive))
+
+
+# the curves of the isogeny-lines benchmark workload at their p
+ISOGENY_LINES = (
+    ((0, -1, 1, -10, -20), 5), ((0, -1, 1, -7820, -263580), 5),
+    ((0, -1, 1, 0, 0), 5), ((1, 0, 1, 4, -6), 3), ((0, 1, 0, 4, 4), 3),
+    ((1, -1, 1, -3, 3), 7), ((1, 1, 1, 0, 1), 5),
+)
+
+
+@st.composite
+def root_search_inputs(draw):
+    """(f, p): psi_p of an isogeny-lines curve, or a product of
+    (x - r)^k with k <= 3, (p x - r), irreducible quadratics and pairs
+    of roots p-adically too close to separate at every precision."""
+    if draw(st.integers(0, 3)) == 0:
+        a, p = draw(st.sampled_from(ISOGENY_LINES))
+        return WeierstrassModel(*a).division_polynomial(p), p
+    p = draw(st.sampled_from((3, 5, 7)))
+    f = qpoly(draw(st.sampled_from((1, -2, 3))))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("power", "scaled", "quadratic", "close")))
+        r = draw(st.integers(-3 * p**2, 3 * p**2))
+        if kind == "power":
+            f = f * qpoly(-r, 1) ** draw(st.integers(1, 3))
+        elif kind == "scaled":
+            f = f * qpoly(-r, p)
+        elif kind == "close":
+            f = f * qpoly(-r, 1) * qpoly(-r - p ** draw(st.integers(2, 18)), 1)
+        else:
+            c = draw(st.integers(-30, 30))
+            assume(r * r - 4 * c < 0 or math.isqrt(r * r - 4 * c) ** 2 != r * r - 4 * c)
+            f = f * qpoly(c, r, 1)
+    return f, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_search_inputs())
+def test_root_search_matches_the_squarefree_part_search(case):
+    f, p = case
+    for absprec in (6, 20):
+        fast = padic_roots(f, p, absprec)
+        slow = padic_roots_by_squarefree_part(f, p, absprec)
+        assert fast.certified == slow.certified
+        assert fast.inconclusive == slow.inconclusive
+
+
+def test_squarefree_psi_skips_the_rational_euclid(monkeypatch):
+    def euclid(self):
+        raise AssertionError("the squarefree part over Q was computed")
+
+    psis = [(WeierstrassModel(*a).division_polynomial(p), p) for a, p in ISOGENY_LINES]
+    expected = [padic_roots(psi, p) for psi, p in psis]
+    monkeypatch.setattr(QPoly, "squarefree_part", euclid)
+    assert [padic_roots(psi, p) for psi, p in psis] == expected
+    # a repeated root leaves no good prime, so the Euclid is the fallback
+    with pytest.raises(AssertionError, match="squarefree part"):
+        padic_roots(qpoly(-3, 1) ** 2 * qpoly(1, 1), 5)
