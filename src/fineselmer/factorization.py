@@ -46,7 +46,7 @@ from itertools import combinations, islice
 
 from .finitefield import (FiniteField, FqElem, FqPoly, _vec_gcd, _vec_mulmod,
                           _vec_powmod, _vec_quo, _vec_trim)
-from .modular import primes_below
+from .modular import is_prime, primes_below
 from .polynomial import QPoly
 
 __all__ = [
@@ -360,7 +360,13 @@ def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
     """
     coeffs = f.int_coeffs()
     lead = abs(coeffs[-1])
-    candidates = (l for l in primes_below(GOOD_PRIME_BOUND) if l != 2 and lead % l)
+    if tries is None:
+        # the scan may run through the whole range: sieve it once
+        primes = primes_below(GOOD_PRIME_BOUND)
+    else:
+        # only the first few primes are reached: test them one at a time
+        primes = (l for l in range(3, GOOD_PRIME_BOUND, 2) if is_prime(l))
+    candidates = (l for l in primes if l != 2 and lead % l)
     for l in islice(candidates, tries):
         residue = FqPoly(FiniteField(l), [c % l for c in coeffs])
         if residue.gcd(residue.derivative()).degree == 0:

@@ -570,3 +570,27 @@ def test_good_reduction_degree_question():
     # with every odd prime up to 23 bad, the capped search gives up
     assert good_reduction(BAD_FIRST_PRIMES, SQUAREFREE_TRIES) is None
     assert good_reduction(BAD_FIRST_PRIMES).l == 29
+
+
+def test_capped_search_tries_the_same_primes_without_the_sieve(monkeypatch):
+    # 3 and 7 divide the leading coefficient; mod each of the next eight
+    # odd primes 21 x^2 - c is 21 x^2, a square; mod 37 it is squarefree
+    f = qpoly(-5 * 11 * 13 * 17 * 19 * 23 * 29 * 31, 0, 21)
+    field_of = factorization.FiniteField
+    reduced = []
+
+    def recording_field(l, *args):
+        reduced.append(l)
+        return field_of(l, *args)
+
+    monkeypatch.setattr(factorization, "FiniteField", recording_field)
+    assert good_reduction(f).l == 37
+    uncapped, reduced[:] = reduced[:], []
+
+    def no_sieve(bound):
+        raise AssertionError("a capped search sieved the whole range")
+
+    monkeypatch.setattr(factorization, "primes_below", no_sieve)
+    assert good_reduction(f, SQUAREFREE_TRIES) is None
+    assert reduced == uncapped[:SQUAREFREE_TRIES] == [5, 11, 13, 17, 19, 23, 29, 31]
+    assert good_reduction(f, SQUAREFREE_TRIES + 1).l == 37
