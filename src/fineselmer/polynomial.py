@@ -193,14 +193,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def compose_linear(self, a, b) -> "QPoly":
-        """Return f(a*x + b), exact."""
-        inner = QPoly((b, a))
-        acc = QPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + QPoly.constant(c)
-        return acc
-
     # -- normalization ---------------------------------------------------
 
     def monic(self) -> "QPoly":

@@ -621,15 +621,14 @@ BATCH_LINE = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(BATCH_LINE, min_size=1, max_size=6))
-def test_batch_fuzz_one_line_out_per_line_in(lines):
+def check_batch(lines, *flags):
+    """Run `fineselmer batch` on `lines` and check its one line per job."""
     with tempfile.TemporaryDirectory() as tmp:
         f = Path(tmp) / "fuzz.ndjson"
         f.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["batch", str(f)])
+            code = main(["batch", str(f), *flags])
     assert code in {0, 2, 3}
     assert "Traceback" not in err.getvalue()
     numbered = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
@@ -644,3 +643,91 @@ def test_batch_fuzz_one_line_out_per_line_in(lines):
             job = json.loads(line)
             assert doc["curve"]["a_invariants"] == [str(a) for a in job["curve"]]
             assert doc["field"] == job["field"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(BATCH_LINE, min_size=1, max_size=6))
+def test_batch_fuzz_one_line_out_per_line_in(lines):
+    check_batch(lines)
+
+
+# each example starts a pool of two workers, so there are few of them
+@settings(max_examples=6, deadline=None)
+@given(st.lists(BATCH_LINE, min_size=2, max_size=6))
+def test_batch_fuzz_with_two_workers(lines):
+    check_batch(lines, "--jobs", "2")
+
+
+# --- fuzzing the run front end ---
+
+
+G_TABLES = {
+    "valid": '[{"residue_char": 11, "residue_degree": 1, "g": 1}]',
+    "bad rows": '[{"residue_char": 11}, 5]',
+    "not JSON": "[{",
+}
+GOOD_OPTION = st.one_of(
+    st.tuples(st.just("--field"), st.sampled_from(["Q", "Q(mu_p)"])),
+    st.tuples(st.just("--assume"), st.sampled_from(sorted(cli.ASSUMPTION_TOKENS))),
+    st.tuples(st.sampled_from(["--dim-y", "--dim-z"]), st.integers(0, 3).map(str)),
+    st.tuples(st.just("--precision"), st.integers(1, 40).map(str)),
+    st.tuples(st.just("--format"), st.sampled_from(["json", "text", "both"])),
+    st.tuples(st.just("--label"), WORDS.filter(lambda w: not w.startswith("-"))))
+BAD_OPTION = st.one_of(
+    st.tuples(st.just("--curve"), st.one_of(
+        st.lists(st.integers(-3, 3), max_size=6).map(lambda c: ",".join(map(str, c))),
+        WORDS)),
+    st.tuples(st.just("--p"), st.one_of(
+        st.sampled_from(["4", "9", "17", "-5", "1" * 40]), WORDS)),
+    st.tuples(st.just("--field"), st.sampled_from(["R", ""])),
+    st.tuples(st.just("--assume"), WORDS),
+    st.tuples(st.sampled_from(["--dim-y", "--dim-z", "--precision"]),
+              st.one_of(st.integers(-3, 0).map(str), WORDS)),
+    st.tuples(st.just("--format"), st.just("xml")),
+    st.tuples(st.just("--extension"), st.sampled_from(["cyclotomic", "user", "x"])),
+    st.tuples(st.just("--g-table"), st.sampled_from([*G_TABLES, "missing"])),
+    st.tuples(st.just("--bogus"), WORDS),
+    st.tuples(st.sampled_from(["--curve", "--p", "--format", "--assume"]), st.none()))
+
+
+@st.composite
+def run_argv(draw):
+    """(with the run token, options as (flag, value or None) pairs).
+
+    Half the draws are valid runs of a cheap curve at p = 3 or 5; the
+    rest add one to three mostly bad options, and half of those also
+    drop a required one.
+    """
+    curve = ",".join(map(str, draw(st.sampled_from(CHEAP_CURVES))))
+    options = [("--curve", curve), ("--p", draw(st.sampled_from(["3", "5"])))]
+    options += draw(st.lists(GOOD_OPTION, max_size=3))
+    if draw(st.booleans()):
+        options += draw(st.lists(BAD_OPTION, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            del options[draw(st.integers(0, 1))]
+    return draw(st.booleans()), draw(st.permutations(options))
+
+
+@settings(max_examples=80, deadline=None)
+@given(run_argv())
+def test_run_fuzz_reports_or_exits_three(drawn):
+    with_token, options = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["run"] if with_token else []
+        for flag, value in options:
+            if flag == "--g-table":
+                path = Path(tmp) / value
+                if value in G_TABLES:
+                    path.write_text(G_TABLES[value], encoding="utf-8")
+                value = str(path)
+            argv += [flag] if value is None else [flag, value]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in {0, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    if code == 3:   # one error line and no report
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert out.getvalue()

@@ -3,7 +3,8 @@
 The oracle strategy is reconstruction: build polynomials as explicit products
 of known irreducibles, factor them, and demand the exact multiset back.
 Irreducibility of every emitted factor is cross-checked with the independent
-distinct-degree test.
+distinct-degree test. The F_q side runs the boxed oracles of oracles.py, and
+the package's int-list splits mod l are checked against them.
 """
 
 import random
@@ -18,13 +19,13 @@ from fineselmer import factorization
 from fineselmer.factorization import (
     DEFAULT_SEED,
     SQUAREFREE_TRIES,
-    factor_fq,
     factor_int_poly,
     good_reduction,
-    is_irreducible_fq,
 )
 from fineselmer.finitefield import FiniteField, FqPoly
 from fineselmer.polynomial import QPoly
+from oracles import (DistinctDegreeBoxed, admits_divisor_of_degree, compose_linear,
+                     equal_degree_boxed, factor_fq, is_irreducible_fq)
 
 
 def qpoly(*coeffs: int) -> QPoly:
@@ -108,7 +109,7 @@ def test_factor_fq_constant_and_zero():
         factor_fq(FqPoly(F, []))
 
 
-# --- the int-list equal-degree split against the FqPoly split it replaces ---
+# --- the int-list splits against the FqPoly splits they replace ---
 
 
 def coefficient_key(h: FqPoly) -> list[int]:
@@ -140,8 +141,44 @@ def test_int_list_split_matches_boxed_split(l, d, codes, seed):
     for h in irreducibles:
         f = f * h
     expected = sorted(irreducibles, key=coefficient_key)
-    assert factorization._equal_degree(f, d, random.Random(seed)) == expected
-    assert factorization._equal_degree_boxed(f, d, random.Random(seed)) == expected
+    split = factorization._equal_degree_ints(coefficient_key(f), d, l, random.Random(seed))
+    assert sorted(split) == [coefficient_key(h) for h in expected]
+    assert equal_degree_boxed(f, d, random.Random(seed)) == expected
+
+
+@st.composite
+def squarefree_monic(draw):
+    """(l, a random squarefree monic polynomial of degree 1 to 30 over F_l)."""
+    l = draw(st.sampled_from([3, 5, 7, 11, 13, 101]))
+    lower = draw(st.lists(st.integers(0, l - 1), min_size=1, max_size=30))
+    f = FqPoly(FiniteField(l), lower + [1])
+    assume(f.gcd(f.derivative()).degree == 0)
+    return l, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(squarefree_monic(), st.integers(0, 31), st.integers(0, 31), st.integers(0, 31))
+def test_int_distinct_degree_matches_boxed_split(lf, k1, k2, d):
+    l, f = lf
+    coeffs = coefficient_key(f)
+
+    def int_parts(split, k):
+        return [(list(part), j) for part, j in split.through(k)]
+
+    for k in (k1, k2):
+        boxed = [(coefficient_key(part), j) for part, j in DistinctDegreeBoxed(f).through(k)]
+        assert int_parts(factorization._DistinctDegree(coeffs, l), k) == boxed
+    # a split resumed from the smaller bound ends where a fresh one does
+    lo, hi = sorted((k1, k2))
+    resumed = factorization._DistinctDegree(coeffs, l)
+    resumed.through(lo)
+    assert int_parts(resumed, hi) == int_parts(factorization._DistinctDegree(coeffs, l), hi)
+    # the degree question, asked of a fresh reduction and after a split to k1
+    reduction = factorization.GoodReduction(l, coeffs)
+    expected = admits_divisor_of_degree(DistinctDegreeBoxed(f), d)
+    assert reduction.admits_divisor_of_degree(d) == expected
+    reduction._split.through(k1)
+    assert reduction.admits_divisor_of_degree(d) == expected
 
 
 def test_good_reduction_of_psi7_on_27a1_matches_factor_fq():
@@ -156,8 +193,8 @@ def test_good_reduction_of_psi7_on_27a1_matches_factor_fq():
     _, factors = factor_fq(residue)
     assert [(h, 1) for h in irreducibles] == factors
     rng = random.Random(DEFAULT_SEED)
-    boxed = [h for part, k in factorization._DistinctDegree(residue.monic()).through(residue.degree)
-             for h in factorization._equal_degree_boxed(part, k, rng)]
+    boxed = [h for part, k in DistinctDegreeBoxed(residue.monic()).through(residue.degree)
+             for h in equal_degree_boxed(part, k, rng)]
     assert irreducibles == sorted(boxed, key=lambda h: (h.degree, coefficient_key(h)))
 
 
@@ -314,7 +351,7 @@ def factor_squarefree_monicised(g: QPoly, l: int, residues: list[FqPoly]) -> lis
         assert G.is_integral and G.leading == 1
         scaled = [FqPoly(h.field, [c * pow(lead, h.degree - j, l) for j, c in enumerate(h.coeffs)])
                   for h in residues]
-        return [H.compose_linear(Fraction(lead), 0).primitive()
+        return [compose_linear(H, Fraction(lead), 0).primitive()
                 for H in factor_squarefree_monicised(G, l, scaled)]
     if lead == -1:
         g = -g

