@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 from .cyclotomic import (bernoulli_table, irregular_primes_below, is_regular,
                          kinf_ramification)
-from .elliptic import WeierstrassModel, count_points, trace_of_frobenius
+from .elliptic import WeierstrassModel, trace_of_frobenius
 from .galoisimage import (ImageClassification, StableSubgroupWitness,
                           SurjectivityCertificate, classify_image,
                           find_stable_subgroups, surjectivity_certificate)
@@ -37,7 +37,6 @@ from .localdata import (DeltaResult, PlaceSets, compute_place_sets, delta_v,
 __all__ = [
     "__version__",
     "WeierstrassModel",
-    "count_points",
     "trace_of_frobenius",
     "tate_reduction",
     "reduction_over_K",

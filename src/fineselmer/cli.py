@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from .elliptic import WeierstrassModel
 from .lambdabound import (ASSUMPTION_TOKENS, LambdaBoundReport, LocalTerm,
                           compute_lambda_bound)
+from .localdata import SUPPORTED_FIELDS
 
 PRECISION_ENV = "FINESELMER_PRECISION"
 
-_FIELDS = ("Q", "Q(mu_p)")
 _FORMATS = ("json", "text", "both")
 _EXTENSIONS = ("cyclotomic", "user")
 
@@ -133,8 +133,8 @@ def _env_precision() -> int | None:
 
 
 def _validate_job(job: JobSpec) -> JobSpec:
-    if job.field not in _FIELDS:
-        raise CliError(f"field must be one of {_FIELDS}, got {job.field!r}")
+    if job.field not in SUPPORTED_FIELDS:
+        raise CliError(f"field must be one of {SUPPORTED_FIELDS}, got {job.field!r}")
     if job.extension not in _EXTENSIONS:
         raise CliError(f"extension must be one of {_EXTENSIONS}, got {job.extension!r}")
     if job.extension == "user" and job.g_table is None:
@@ -476,7 +476,7 @@ def _build_run_parser() -> _Parser:
                    help="five comma-separated a-invariants")
     q.add_argument("--label", help="free-text curve label, echoed in output")
     q.add_argument("--p", required=True, help="odd prime, 3 <= p <= 13")
-    q.add_argument("--field", default="Q", choices=_FIELDS)
+    q.add_argument("--field", default="Q", choices=SUPPORTED_FIELDS)
     q.add_argument("--extension", default="cyclotomic", choices=_EXTENSIONS)
     q.add_argument("--g-table", dest="g_table", metavar="PATH",
                    help="JSON decomposition table (extension 'user' only)")

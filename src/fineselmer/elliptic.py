@@ -1,4 +1,4 @@
-"""Weierstrass models: invariants, coordinate changes, reduction, point counts.
+"""Weierstrass models: invariants, coordinate changes, reduction, traces.
 
 A model is the quintuple [a1, a2, a3, a4, a6] with rational entries and
 nonzero discriminant.  The b- and c-invariants are computed once at
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .finitefield import FiniteField, FqElem, is_square
+from .finitefield import FiniteField, FqElem
 from .modular import is_prime
 from .polynomial import QPoly
 
@@ -29,7 +29,6 @@ __all__ = [
     "point_neg",
     "point_add",
     "scalar_mul",
-    "count_points",
     "trace_of_frobenius",
     "COUNT_LIMIT",
 ]
@@ -262,51 +261,6 @@ def is_on_curve(ainvs, P: Point) -> bool:
     return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
 
 
-# ---------------------------------------------------------------------------
-# Point counting over small finite fields
-# ---------------------------------------------------------------------------
-
-
-def count_points(model: WeierstrassModel, field: FiniteField) -> int:
-    """#E(F_q) including the point at infinity, by direct character sums.
-
-    Odd q: each x contributes 1 + chi(D(x)) points, D the completed-square
-    discriminant of the y-quadratic.  q = 2^f: the y-equation is Artin-
-    Schreier and the fiber size is decided by a trace.  Guarded to
-    q <= 10^6 and to nonsingular reductions.
-    """
-    if field.order > COUNT_LIMIT:
-        raise ValueError(f"field order {field.order} exceeds counting limit {COUNT_LIMIT}")
-    a1, a2, a3, a4, a6 = model.reduction(field)
-    if field.element(int(model.discriminant)) == field.zero():
-        raise ValueError("singular reduction: count on the minimal model at a good prime")
-    q = field.order
-    total = 1  # infinity
-    if field.char != 2:
-        four = field.element(4)
-        for x in field.elements():
-            g = x**3 + a2 * x * x + a4 * x + a6
-            h = a1 * x + a3
-            d = h * h + four * g
-            if d == field.zero():
-                total += 1
-            elif is_square(d):
-                total += 2
-        return total
-    # characteristic 2
-    zero = field.zero()
-    for x in field.elements():
-        g = x**3 + a2 * x * x + a4 * x + a6
-        h = a1 * x + a3
-        if h == zero:
-            total += 1  # y -> y^2 is a bijection
-        else:
-            w = g / (h * h)
-            if w.trace() == zero:
-                total += 2
-    return total
-
-
 def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
     """a_ell = ell + 1 - #E(F_ell) for a prime ell of good reduction.
 
@@ -316,8 +270,6 @@ def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
     a_ell = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), chi the quadratic
     character mod ell read off a table of squares built for this call.
     For ell = 2 the four affine pairs (x, y) are checked directly.
-    `count_points` is the general F_q counter and stays the slow-path
-    oracle for this kernel in the tests.
     """
     if ell > COUNT_LIMIT or not is_prime(ell):
         raise ValueError(f"ell must be a prime <= {COUNT_LIMIT}, got {ell}")

@@ -1,32 +1,27 @@
-"""Finite fields F_l and F_{l^f}, their elements, and dense polynomials.
+"""The prime field F_l, its elements, and dense polynomials over it.
 
-Fields are constructed through `FiniteField(l, f)` and cached, so two
-handles to F_{l^f} share one defining polynomial. The defining polynomial
-for f >= 2 is the monic irreducible of degree f whose non-leading
-coefficient vector (c_0, ..., c_{f-1}) has the least integer code
-sum(c_i * l^i); it is found by enumeration and verified irreducible with
-Rabin's test at construction time. For f = 1 the defining polynomial is x
-and elements are plain residues.
+The pipeline needs prime fields only: reduction types and split tests
+at the bad primes, traces a_l, and psi_p modulo one good prime l.
+`FiniteField(l)` is a plain value compared by its characteristic, an
+element `FqElem` holds one int in [0, l), and `FqPoly` is a dense
+polynomial of elements. Extension fields F_{l^f} live in the tests as
+an oracle.
 
 Everything here is exact and immutable; elements hash and compare by
-value. Characteristic-2 fields are fully supported except for
-quadratic-residue questions (`is_square` rejects them, per contract; the
-trace map covers the split/nonsplit decisions char 2 actually needs).
+value.
 """
 
 from __future__ import annotations
 
 from .modular import is_prime
 
-__all__ = ["FiniteField", "FqElem", "FqPoly", "is_square"]
-
-_FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
+__all__ = ["FiniteField", "FqElem", "FqPoly"]
 
 
 # ---------------------------------------------------------------------------
-# bare int-vector polynomial helpers mod l: they bootstrap the field, and
-# factorization runs its distinct- and equal-degree splits and Hensel step
-# on them
+# bare int-vector polynomial helpers mod l: the same arithmetic as FqPoly on
+# plain coefficient lists, on which factorization runs its distinct- and
+# equal-degree splits and its Hensel step
 # ---------------------------------------------------------------------------
 
 
@@ -90,183 +85,115 @@ def _vec_powmod(a: list[int], e: int, mod: list[int], l: int) -> list[int]:
 def _vec_gcd(a: list[int], b: list[int], l: int) -> list[int]:
     a, b = _vec_trim(list(a)), _vec_trim(list(b))
     while b:
-        inv_lead = pow(b[-1], -1, l)
-        dm = len(b) - 1
-        r = list(a)
-        for i in range(len(r) - 1, dm - 1, -1):
-            c = r[i]
-            if c:
-                q = c * inv_lead % l
-                for j, mc in enumerate(b):
-                    r[i - dm + j] = (r[i - dm + j] - q * mc) % l
-        del r[dm:]
-        a, b = b, _vec_trim(r)
+        a, b = b, _vec_rem(a, b, l)
     return a
 
 
-def _poly_irreducible(mod: list[int], l: int, f: int) -> bool:
-    """Rabin test: x^(l^f) = x mod g, and gcd(x^(l^(f/q)) - x, g) = 1 for q | f."""
-    x = [0, 1]
-    frob = _vec_powmod(x, l**f, mod, l)
-    width = max(len(frob), 2)
-    diff = [((frob[i] if i < len(frob) else 0) - (x[i] if i < len(x) else 0)) % l for i in range(width)]
-    if _vec_trim(diff):
-        return False
-    fq = f
-    seen: set[int] = set()
-    q = 2
-    while q * q <= fq:
-        if fq % q == 0:
-            seen.add(q)
-            while fq % q == 0:
-                fq //= q
-        q += 1
-    if fq > 1:
-        seen.add(fq)
-    for q in seen:
-        sub = _vec_powmod(x, l ** (f // q), mod, l)
-        diff = [(sub[i] if i < len(sub) else 0) % l for i in range(max(len(sub), 2))]
-        diff[1] = (diff[1] - 1) % l
-        if len(_vec_gcd(diff, mod, l)) != 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# fields and elements
+# the field and its elements
 # ---------------------------------------------------------------------------
 
 
 class FiniteField:
-    """The field with l^f elements, l prime, f >= 1."""
+    """The prime field F_l; `degree` is accepted only as 1."""
 
-    __slots__ = ("char", "degree", "order", "modulus")
+    __slots__ = ("char",)
 
-    def __new__(cls, char: int, degree: int = 1):
-        key = (char, degree)
-        cached = _FIELD_CACHE.get(key)
-        if cached is not None:
-            return cached
+    def __init__(self, char: int, degree: int = 1):
+        if degree != 1:
+            raise ValueError(f"only prime fields are supported, got degree {degree}")
         if not is_prime(char):
             raise ValueError(f"field characteristic must be prime, got {char}")
-        if degree < 1:
-            raise ValueError(f"extension degree must be >= 1, got {degree}")
-        self = object.__new__(cls)
         object.__setattr__(self, "char", char)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "order", char**degree)
-        object.__setattr__(self, "modulus", cls._defining_polynomial(char, degree))
-        _FIELD_CACHE[key] = self
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteField is immutable")
 
-    @staticmethod
-    def _defining_polynomial(l: int, f: int) -> tuple[int, ...]:
-        if f == 1:
-            return (0, 1)  # the polynomial x
-        for code in range(l**f):
-            coeffs = []
-            c = code
-            for _ in range(f):
-                coeffs.append(c % l)
-                c //= l
-            mod = coeffs + [1]
-            if _poly_irreducible(mod, l, f):
-                return tuple(mod)
-        raise AssertionError("no irreducible polynomial found; unreachable")
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteField) and other.char == self.char
+
+    def __hash__(self) -> int:
+        return hash(self.char)
+
+    @property
+    def order(self) -> int:
+        return self.char
 
     def element(self, value) -> "FqElem":
-        """Coerce an int (any f) or coefficient sequence (f coords) into the field."""
+        """Coerce an int, or an element of this field, into the field."""
         if isinstance(value, FqElem):
-            if value.field is not self:
+            if value.field.char != self.char:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            coords = [value % self.char] + [0] * (self.degree - 1)
-            return FqElem(self, tuple(coords))
-        coords = [int(v) % self.char for v in value]
-        if len(coords) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(coords)}")
-        return FqElem(self, tuple(coords))
+            return FqElem(self, value % self.char)
+        raise TypeError(f"cannot coerce {value!r} into {self!r}")
 
     def zero(self) -> "FqElem":
-        return self.element(0)
+        return FqElem(self, 0)
 
     def one(self) -> "FqElem":
-        return self.element(1)
-
-    def gen(self) -> "FqElem":
-        """Image of x, a root of the defining polynomial (= 0 when f = 1)."""
-        if self.degree == 1:
-            return self.zero()
-        return self.element([0, 1] + [0] * (self.degree - 2))
+        return FqElem(self, 1)
 
     def elements(self):
-        """Iterate over all l^f elements (small fields only; used by oracles)."""
-        for code in range(self.order):
-            coords = []
-            c = code
-            for _ in range(self.degree):
-                coords.append(c % self.char)
-                c //= self.char
-            yield FqElem(self, tuple(coords))
+        """Iterate over all l elements, in the order 0, 1, ..., l - 1."""
+        for value in range(self.char):
+            yield FqElem(self, value)
 
     def __repr__(self) -> str:
-        return f"F_{self.char}" if self.degree == 1 else f"F_{self.char}^{self.degree}"
+        return f"F_{self.char}"
 
 
 class FqElem:
-    """An element of a FiniteField, as coordinates over F_l in the power basis."""
+    """An element of F_l, held as its residue in [0, l)."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "value")
 
-    def __init__(self, field: FiniteField, coords: tuple[int, ...]):
+    def __init__(self, field: FiniteField, value: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "value", value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FqElem is immutable")
 
-    def _coerce(self, other) -> "FqElem":
+    def _coerce(self, other):
+        """The residue of an element of the same field, or of an int."""
         if isinstance(other, FqElem):
-            if other.field is not self.field:
+            if other.field.char != self.field.char:
                 raise ValueError("mixed-field arithmetic")
-            return other
+            return other.value
         if isinstance(other, int):
-            return self.field.element(other)
-        return NotImplemented  # type: ignore[return-value]
+            return other
+        return NotImplemented
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return self.value != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = self.field.element(other)
-        return isinstance(other, FqElem) and other.field is self.field and other.coords == self.coords
+            return (other - self.value) % self.field.char == 0
+        return (isinstance(other, FqElem) and other.field.char == self.field.char
+                and other.value == self.value)
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.coords))
+        return hash((self.field.char, self.value))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        l = self.field.char
-        return FqElem(self.field, tuple((a + b) % l for a, b in zip(self.coords, o.coords)))
+        return FqElem(self.field, (self.value + o) % self.field.char)
 
     __radd__ = __add__
 
     def __neg__(self):
-        l = self.field.char
-        return FqElem(self.field, tuple(-a % l for a in self.coords))
+        return FqElem(self.field, -self.value % self.field.char)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        return FqElem(self.field, (self.value - o) % self.field.char)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -275,111 +202,39 @@ class FqElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        field = self.field
-        if field.degree == 1:
-            return FqElem(field, ((self.coords[0] * o.coords[0]) % field.char,))
-        prod = _vec_mulmod(list(self.coords), list(o.coords), list(field.modulus), field.char)
-        prod += [0] * (field.degree - len(prod))
-        return FqElem(field, tuple(prod))
+        return FqElem(self.field, self.value * o % self.field.char)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FqElem":
-        if not self:
+        if not self.value:
             raise ZeroDivisionError("inverse of zero field element")
-        field = self.field
-        if field.degree == 1:
-            return FqElem(field, (pow(self.coords[0], -1, field.char),))
-        # extended Euclid in F_l[x] against the defining polynomial
-        l = field.char
-        r0, r1 = list(field.modulus), _vec_trim(list(self.coords))
-        s0, s1 = [], [1]
-        while r1:
-            inv_lead = pow(r1[-1], -1, l)
-            dm = len(r1) - 1
-            q = [0] * (len(r0) - dm) if len(r0) > dm else []
-            rem = list(r0)
-            for i in range(len(rem) - 1, dm - 1, -1):
-                c = rem[i]
-                if c:
-                    qq = c * inv_lead % l
-                    q[i - dm] = qq
-                    for j, mc in enumerate(r1):
-                        rem[i - dm + j] = (rem[i - dm + j] - qq * mc) % l
-            del rem[dm:]
-            rem = _vec_trim(rem)
-            # s_new = s0 - q*s1
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, cq in enumerate(q):
-                if cq:
-                    for j, cs in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + cq * cs) % l
-            s_new = [( (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % l for i in range(max(len(s0), len(qs1), 1))]
-            r0, r1 = r1, rem
-            s0, s1 = s1, _vec_trim(s_new)
-        # r0 is a nonzero constant gcd; normalize
-        c_inv = pow(r0[0], -1, l)
-        inv = [x * c_inv % l for x in s0]
-        inv += [0] * (field.degree - len(inv))
-        return FqElem(field, tuple(inv[: field.degree]))
+        return FqElem(self.field, pow(self.value, -1, self.field.char))
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self * o.inverse()
+        return self * self.field.element(o).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self.inverse() * other
 
     def __pow__(self, e: int) -> "FqElem":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FqElem(self.field, pow(self.value, e, self.field.char))
 
     def lift(self) -> int:
-        """Integer representative in [0, l); prime fields only."""
-        if self.field.degree != 1:
-            raise ValueError("lift is defined for prime-field elements only")
-        return self.coords[0]
-
-    def trace(self) -> "FqElem":
-        """Absolute trace down to F_l: sum of x^(l^i), i < f."""
-        acc = self
-        power = self
-        for _ in range(self.field.degree - 1):
-            power = power ** self.field.char
-            acc = acc + power
-        return acc
+        """Integer representative in [0, l)."""
+        return self.value
 
     def __repr__(self) -> str:
-        if self.field.degree == 1:
-            return f"{self.coords[0]}(mod {self.field.char})"
-        return f"{list(self.coords)}(in {self.field!r})"
-
-
-def is_square(x: FqElem) -> bool:
-    """True iff x is a square in its field; Euler criterion, 0 counts as square.
-
-    Rejects characteristic 2, where squaring is a bijection and the
-    question the callers actually mean is answered by the trace map.
-    """
-    if x.field.char == 2:
-        raise ValueError("is_square is not defined in characteristic 2")
-    if not x:
-        return True
-    return x ** ((x.field.order - 1) // 2) == x.field.one()
+        return f"{self.value}(mod {self.field.char})"
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a finite field
+# polynomials over F_l
 # ---------------------------------------------------------------------------
 
 
@@ -422,12 +277,12 @@ class FqPoly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FqPoly)
-            and other.field is self.field
+            and other.field == self.field
             and other.coeffs == self.coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.field), self.coeffs))
+        return hash((self.field.char, self.coeffs))
 
     def __add__(self, other: "FqPoly") -> "FqPoly":
         a, b = self.coeffs, other.coeffs
@@ -520,10 +375,10 @@ class FqPoly:
         return acc
 
     def roots(self) -> list[FqElem]:
-        """All roots in the base field, by gcd with x^q - x then enumeration.
+        """All roots in F_l, ascending, by gcd with x^l - x then enumeration.
 
-        The gcd step keeps enumeration cheap even when q is large relative
-        to the degree.
+        The gcd keeps only the distinct linear factors, so the scan stops
+        once it has found as many roots as their product has degree.
         """
         if self.is_zero:
             raise ValueError("zero polynomial has every root")
@@ -532,13 +387,6 @@ class FqPoly:
         if linear_part.degree <= 0:
             return []
         found: list[FqElem] = []
-        if self.field.order <= 4096:
-            for a in self.field.elements():
-                if not linear_part(a):
-                    found.append(a)
-            return found
-        # large field: split linear_part recursively is overkill here; the
-        # package only calls roots() on small fields, but stay correct anyway
         for a in self.field.elements():
             if not linear_part(a):
                 found.append(a)
@@ -549,5 +397,5 @@ class FqPoly:
     def __repr__(self) -> str:
         if self.is_zero:
             return "FqPoly(0)"
-        body = ", ".join(str(c.coords[0] if self.field.degree == 1 else list(c.coords)) for c in self.coeffs)
+        body = ", ".join(str(c.value) for c in self.coeffs)
         return f"FqPoly[{self.field!r}]({body})"

@@ -59,6 +59,7 @@ from itertools import combinations
 
 from .elliptic import WeierstrassModel, trace_of_frobenius
 from .factorization import factor_int_poly, good_reduction
+from .localdata import SUPPORTED_FIELDS
 from .modular import primes_below
 from .polynomial import QPoly
 
@@ -362,7 +363,7 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q",
     delicate direction (refutation) survives because the witnesses to
     failure have determinant one.
     """
-    if field not in ("Q", "Q(mu_p)"):
+    if field not in SUPPORTED_FIELDS:
         raise ValueError("field must be 'Q' or 'Q(mu_p)'")
     witnesses = find_stable_subgroups(model, p)
     n = len(witnesses)

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .elliptic import WeierstrassModel, trace_of_frobenius
-from .finitefield import FiniteField, is_square
-from .modular import multiplicative_order, valuation
+from .modular import factorize, multiplicative_order, valuation
 from .padic import (DEFAULT_PRECISION, MAX_PRECISION, PadicNumber, padic_roots)
 
 __all__ = [
@@ -84,8 +83,8 @@ def _vl(x: Fraction | int, ell: int) -> int | None:
 def _split_multiplicative(model: WeierstrassModel, ell: int) -> bool:
     """Split test for a multiplicative (v(c4)=0, v(D)>0) integral model."""
     if ell != 2:
-        f = FiniteField(ell, 1)
-        return is_square(f.element(int(-model.c6)))
+        # Euler's criterion; c6^2 = c4^3 (mod ell) makes -c6 a unit
+        return pow(-int(model.c6) % ell, (ell - 1) // 2, ell) == 1
     # ell = 2: translate the singular point to the origin, then the node
     # is split iff the tangent quadratic T^2 + T + a2' has roots, i.e.
     # a2' is even.  a1' is automatically odd here since v(c4) = 0.
@@ -122,23 +121,17 @@ def _normalize_step6(model: WeierstrassModel, ell: int) -> WeierstrassModel:
     raise AssertionError("step-6 normalization failed; upstream step is buggy")
 
 
-def _fq_quadratic_double_root(a, b, c, f: FiniteField):
-    """For a X^2 + b X + c with a != 0 over F_ell: None if separable with
-    distinct roots, else the double root."""
-    zero = f.zero()
-    if f.char == 2:
-        if b != zero:
+def _double_root_mod(a: int, b: int, c: int, ell: int) -> int | None:
+    """For a X^2 + b X + c with a != 0 (mod ell): None if separable with
+    distinct roots, else the double root in [0, ell)."""
+    if ell == 2:
+        if b % 2:
             return None
-        # double root x with x^2 = c/a; squaring is bijective
-        target = c / a
-        for x in f.elements():
-            if x * x == target:
-                return x
-        raise AssertionError("no square root in characteristic 2")
-    disc = b * b - f.element(4) * a * c
-    if disc != zero:
+        # double root x with x^2 = c/a; squaring is the identity on F_2
+        return c * pow(a, -1, 2) % 2
+    if (b * b - 4 * a * c) % ell:
         return None
-    return -b / (f.element(2) * a)
+    return -b * pow(2 * a, -1, ell) % ell
 
 
 def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
@@ -163,54 +156,48 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
         if int(E.b6) % ell**3 != 0:
             return ReductionData(ell, E, "IV", "additive", vD, _vl(E.c4, ell), None)
         E = _normalize_step6(E, ell)
-        f = FiniteField(ell, 1)
         # cubic T^3 + a_{2,1} T^2 + a_{4,2} T + a_{6,3} over F_ell
-        c2 = f.element(int(E.a2) // ell)
-        c4_ = f.element(int(E.a4) // ell**2)
-        c6_ = f.element(int(E.a6) // ell**3)
+        c2 = int(E.a2) // ell
+        c4_ = int(E.a4) // ell**2
+        c6_ = int(E.a6) // ell**3
         # classify the root pattern by hunting for a repeated rational root
-        rep = None
-        for x in f.elements():
-            val = x**3 + c2 * x * x + c4_ * x + c6_
-            dval = f.element(3) * x * x + f.element(2) * c2 * x + c4_
-            if val == f.zero() and dval == f.zero():
-                rep = x
-                break
+        rep = next((x for x in range(ell)
+                    if (((x + c2) * x + c4_) * x + c6_) % ell == 0
+                    and ((3 * x + 2 * c2) * x + c4_) % ell == 0), None)
         if rep is None:
             return ReductionData(ell, E, "I0*", "additive", vD, _vl(E.c4, ell), None)
         # shift the repeated root to 0
-        E = E.change_model(1, ell * rep.lift(), 0, 0)
-        c2 = f.element(int(E.a2) // ell)
-        triple = c2 == f.zero()
+        E = E.change_model(1, ell * rep, 0, 0)
+        triple = int(E.a2) // ell % ell == 0
         if not triple:
             # I_n* chain: alternate quadratics in Y and X
             m = 1
             while True:
                 n_odd = 2 * m - 1
                 assert n_odd <= vD - 6 + 1, "I_n* chain exceeded v(D); bug"
-                a3m = f.element(int(E.a3) // ell ** (m + 1))
-                a6m = f.element(int(E.a6) // ell ** (2 * m + 2))
-                dy = _fq_quadratic_double_root(f.one(), a3m, -a6m, f)
+                a3m = int(E.a3) // ell ** (m + 1)
+                a6m = int(E.a6) // ell ** (2 * m + 2)
+                dy = _double_root_mod(1, a3m, -a6m, ell)
                 if dy is None:
                     return ReductionData(ell, E, f"I{n_odd}*", "additive", vD,
                                          _vl(E.c4, ell), None)
-                E = E.change_model(1, 0, 0, ell ** (m + 1) * dy.lift())
-                a2m = f.element(int(E.a2) // ell)
-                a4m = f.element(int(E.a4) // ell ** (m + 2))
-                a6m = f.element(int(E.a6) // ell ** (2 * m + 3))
-                dx = _fq_quadratic_double_root(a2m, a4m, a6m, f)
+                E = E.change_model(1, 0, 0, ell ** (m + 1) * dy)
+                a2m = int(E.a2) // ell
+                a4m = int(E.a4) // ell ** (m + 2)
+                a6m = int(E.a6) // ell ** (2 * m + 3)
+                dx = _double_root_mod(a2m, a4m, a6m, ell)
                 if dx is None:
                     return ReductionData(ell, E, f"I{2 * m}*", "additive", vD,
                                          _vl(E.c4, ell), None)
-                E = E.change_model(1, ell ** (m + 1) * dx.lift(), 0, 0)
+                E = E.change_model(1, ell ** (m + 1) * dx, 0, 0)
                 m += 1
         # triple root at the origin: v(a2) >= 2, v(a4) >= 3, v(a6) >= 4
-        a32 = f.element(int(E.a3) // ell**2)
-        a64 = f.element(int(E.a6) // ell**4)
-        dy = _fq_quadratic_double_root(f.one(), a32, -a64, f)
+        a32 = int(E.a3) // ell**2
+        a64 = int(E.a6) // ell**4
+        dy = _double_root_mod(1, a32, -a64, ell)
         if dy is None:
             return ReductionData(ell, E, "IV*", "additive", vD, _vl(E.c4, ell), None)
-        E = E.change_model(1, 0, 0, ell**2 * dy.lift())
+        E = E.change_model(1, 0, 0, ell**2 * dy)
         if int(E.a4) % ell**4 != 0:
             return ReductionData(ell, E, "III*", "additive", vD, _vl(E.c4, ell), None)
         if int(E.a6) % ell**6 != 0:
@@ -306,8 +293,8 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
         # which dies in the residue extension exactly when f is even
         split = f % 2 == 0
         if ell != 2:
-            big = FiniteField(ell, f)
-            assert split == is_square(big.element(int(-base.minimal_model.c6)))
+            # Euler's criterion in F_{ell^f}, on the residue of -c6 in F_ell
+            assert split == (pow(-int(base.minimal_model.c6) % ell, (ell**f - 1) // 2, ell) == 1)
         # a torus that splits is still the same Kodaira fiber
     return KPlaceReduction(ell, p, 1, f, g, base, category, split, kodaira)
 
@@ -374,7 +361,6 @@ class PlaceSets:
 def _bad_primes(model: WeierstrassModel) -> list[int]:
     E = model.integral_model()
     disc = abs(int(E.discriminant))
-    from .modular import factorize
     return sorted(factorize(disc))
 
 
@@ -409,17 +395,13 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
             desc = PlaceDescriptor("Q", ell, 1, 1, 1, 1)
             records.append(PlaceRecord(desc, red.category, red.split, red.kodaira,
                                        in_s0, mu_in, reason))
-        if int(model.integral_model().discriminant) % p == 0:
-            red_p = tate_reduction(model, p)
-            good_above_p = red_p.is_good
         above = (PlaceDescriptor("Q", p, 1, 1, 1, 1),)
         return PlaceSets("Q", p, good_above_p, tuple(records), above)
 
     # field == "Q(mu_p)"
     for ell in _bad_primes(model):
         if ell == p:
-            red_p = tate_reduction(model, p)
-            good_above_p = red_p.is_good
+            good_above_p = tate_reduction(model, p).is_good
             continue
         kred = reduction_over_K(model, ell, p)
         if kred.category == "good":
@@ -431,9 +413,6 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
             desc = PlaceDescriptor("Q(mu_p)", ell, kred.f, 1, i, kred.g)
             records.append(PlaceRecord(desc, kred.category, kred.split,
                                        kred.kodaira, in_s0, True, reason))
-    if int(model.integral_model().discriminant) % p == 0:
-        red_p = tate_reduction(model, p)
-        good_above_p = red_p.is_good
     above = (PlaceDescriptor("Q(mu_p)", p, 1, p - 1, 1, 1),)
     return PlaceSets("Q(mu_p)", p, good_above_p, tuple(records), above)
 

@@ -1,18 +1,31 @@
-"""Finite fields F_{l^f}: axioms, Frobenius, squares, polynomial roots."""
+"""Finite fields: the package's F_l, and the F_{l^f} oracle it replaced.
+
+The package keeps prime fields only. Axioms, inverses and Frobenius run
+on the package at f = 1 and on the oracle in oracles.py at f > 1; the
+oracle's squares and trace map are checked exhaustively; and the
+package's F_l elements and polynomials must agree with the oracle at
+f = 1 operation by operation.
+"""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fineselmer.finitefield import FiniteField, FqPoly, is_square
+from fineselmer.finitefield import FiniteField, FqPoly
+import oracles
 
 SMALL_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 2)]
 
 
+def field_of(l, f):
+    """The package's F_l at f = 1, the oracle's F_{l^f} above it."""
+    return FiniteField(l) if f == 1 else oracles.FiniteField(l, f)
+
+
 @pytest.mark.parametrize("l,f", SMALL_FIELDS)
 def test_enumeration_size_and_distinctness(l, f):
-    field = FiniteField(l, f)
+    field = field_of(l, f)
     elems = list(field.elements())
     assert len(elems) == l ** f == field.order
     assert len(set(elems)) == field.order
@@ -20,7 +33,7 @@ def test_enumeration_size_and_distinctness(l, f):
 
 @pytest.mark.parametrize("l,f", [(2, 2), (3, 2), (5, 1), (7, 1)])
 def test_field_axioms_exhaustive(l, f):
-    field = FiniteField(l, f)
+    field = field_of(l, f)
     elems = list(field.elements())
     for a, b in itertools.product(elems, repeat=2):
         assert a + b == b + a
@@ -33,7 +46,7 @@ def test_field_axioms_exhaustive(l, f):
 
 @pytest.mark.parametrize("l,f", SMALL_FIELDS)
 def test_inverses(l, f):
-    field = FiniteField(l, f)
+    field = field_of(l, f)
     one = field.one()
     for a in field.elements():
         if a == field.zero():
@@ -45,7 +58,7 @@ def test_inverses(l, f):
 
 @pytest.mark.parametrize("l,f", SMALL_FIELDS)
 def test_frobenius_fixes_everything_at_order(l, f):
-    field = FiniteField(l, f)
+    field = field_of(l, f)
     q = field.order
     for a in field.elements():
         assert a ** q == a
@@ -53,16 +66,27 @@ def test_frobenius_fixes_everything_at_order(l, f):
 
 @pytest.mark.parametrize("l,f", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (13, 1)])
 def test_is_square_matches_exhaustive_square_set(l, f):
-    field = FiniteField(l, f)
+    field = oracles.FiniteField(l, f)
     squares = {a * a for a in field.elements()}
     for a in field.elements():
-        assert is_square(a) == (a in squares)
+        assert oracles.is_square(a) == (a in squares)
 
 
 def test_is_square_char2_rejected():
-    field = FiniteField(2, 2)
+    field = oracles.FiniteField(2, 2)
     with pytest.raises(ValueError):
-        is_square(field.one())
+        oracles.is_square(field.one())
+
+
+def test_only_prime_fields():
+    with pytest.raises(ValueError):
+        FiniteField(5, 2)
+    with pytest.raises(ValueError):
+        FiniteField(9)
+    # a field is a value: two handles to F_5 share their elements
+    a, b = FiniteField(5, 1), FiniteField(5)
+    assert a == b and hash(a) == hash(b)
+    assert a.element(3) + b.element(4) == a.element(2)
 
 
 def test_mixed_field_arithmetic_rejected():
@@ -80,7 +104,7 @@ def test_prime_field_lift_roundtrip():
 
 def test_trace_surjects_onto_prime_field():
     # char-2 point counting relies on the Artin-Schreier trace criterion
-    field = FiniteField(2, 3)
+    field = oracles.FiniteField(2, 3)
     images = {a.trace() for a in field.elements()}
     assert images == {field.zero(), field.one()}
     zeros = sum(1 for a in field.elements() if a.trace() == field.zero())
@@ -89,20 +113,21 @@ def test_trace_surjects_onto_prime_field():
 
 @pytest.mark.parametrize("l,f", [(5, 2), (7, 1), (3, 3)])
 def test_fqpoly_roots_by_scan(l, f):
-    field = FiniteField(l, f)
+    field = field_of(l, f)
+    poly_class = FqPoly if f == 1 else oracles.FqPoly
     elems = list(field.elements())
     # (x - e0)(x - e1) has exactly those roots
     e0, e1 = elems[1], elems[-1]
-    x = FqPoly.x(field)
-    poly = (x - FqPoly(field, [e0])) * (x - FqPoly(field, [e1]))
+    x = poly_class.x(field)
+    poly = (x - poly_class(field, [e0])) * (x - poly_class(field, [e1]))
     roots = [e for e in elems if poly(e) == field.zero()]
     assert set(roots) == {e0, e1}
 
 
 def test_defining_polynomial_is_deterministic():
     # rebuilding the same field must give interoperable elements
-    a = FiniteField(5, 2).gen()
-    b = FiniteField(5, 2).gen()
+    a = oracles.FiniteField(5, 2).gen()
+    b = oracles.FiniteField(5, 2).gen()
     assert a == b and a + b == b + a
 
 
@@ -115,3 +140,47 @@ def test_prime_field_matches_int_arithmetic(l, x, y):
     assert (a + b).lift() == (x + y) % l
     assert (a * b).lift() == (x * y) % l
     assert (a - b).lift() == (x - y) % l
+
+
+def lifts(values):
+    return [v.lift() for v in values]
+
+
+def outcome(op):
+    """op()'s value as lifted coefficients, or the exception type it raised."""
+    try:
+        value = op()
+    except ZeroDivisionError as exc:
+        return type(exc)
+    if isinstance(value, tuple):
+        return tuple(lifts(v.coeffs) for v in value)
+    if hasattr(value, "coeffs"):
+        return lifts(value.coeffs)
+    if isinstance(value, list):
+        return lifts(value)
+    return value.lift()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 13, 101]),
+    st.lists(st.integers(-300, 300), max_size=7),
+    st.lists(st.integers(-300, 300), max_size=7),
+    st.integers(-6, 30),
+)
+def test_prime_field_matches_oracle_at_degree_one(l, xs, ys, e):
+    F, G = FiniteField(l), oracles.FiniteField(l, 1)
+    for x, y in zip(xs, ys):
+        a, b, c, d = F.element(x), F.element(y), G.element(x), G.element(y)
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+                   lambda u, v: u / v, lambda u, v: u + y, lambda u, v: y - u,
+                   lambda u, v: x * v, lambda u, v: x / v,
+                   lambda u, v: u ** e, lambda u, v: v.inverse(), lambda u, v: -u):
+            assert outcome(lambda: op(a, b)) == outcome(lambda: op(c, d)), (x, y, e)
+        assert (a == b) == (c == d) and (a == y) == (c == y)
+    f, g = FqPoly(F, xs), FqPoly(F, ys)
+    fo, go = oracles.FqPoly(G, xs), oracles.FqPoly(G, ys)
+    for op in (lambda u, v: u.divmod(v), lambda u, v: u.gcd(v), lambda u, v: u * v,
+               lambda u, v: u - v, lambda u, v: u.roots() if u.degree >= 0 else [],
+               lambda u, v: v.roots() if v.degree >= 0 else []):
+        assert outcome(lambda: op(f, g)) == outcome(lambda: op(fo, go)), (xs, ys)

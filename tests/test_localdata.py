@@ -15,6 +15,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fineselmer import localdata
 from fineselmer.elliptic import WeierstrassModel
 from fineselmer.localdata import (
     _tate_shortcut,
@@ -26,6 +27,7 @@ from fineselmer.localdata import (
     tate_reduction,
     tate_reduction_full,
 )
+import oracles
 
 E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 E11A2 = WeierstrassModel(0, -1, 1, -7820, -263580)
@@ -94,6 +96,19 @@ def test_full_loop_agrees_with_shortcut():
     assert checked > 150
 
 
+def test_full_loop_agrees_with_shortcut_on_I_n_star():
+    # the quadratic twist by ell of a curve with multiplicative reduction at
+    # ell has type I_n*; on these models the full loop's I_n* chain meets
+    # double roots away from 0
+    for ell, a in ((5, (0, -1, 1, 10, 6)), (7, (0, 1, 1, 7, 12)), (11, (0, -1, 1, -10, -20))):
+        E = WeierstrassModel(*a)
+        twist = WeierstrassModel(0, 0, 0, -27 * E.c4 * ell**2, -54 * E.c6 * ell**3)
+        s = _tate_shortcut(twist, ell)
+        f = tate_reduction_full(twist, ell)
+        assert s.kodaira.startswith("I") and s.kodaira.endswith("*") and s.kodaira != "I0*"
+        assert (s.kodaira, s.category, s.v_disc) == (f.kodaira, f.category, f.v_disc), (ell, a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.tuples(*(st.integers(-5, 5) for _ in range(5))),
@@ -144,6 +159,34 @@ def test_nonsplit_torus_splits_iff_residue_degree_even():
     assert k7.f == 3 and k7.split is False
 
 
+# one curve with nonsplit multiplicative reduction at each odd ell
+NONSPLIT_AT = {
+    3: (0, -1, 0, -12, -12),
+    7: (0, -1, 0, -12, -10),
+    13: (0, -1, 0, -8, -7),
+    31: (0, -1, 0, -9, -12),
+    97: (0, -1, 0, 1, 8),
+    199: (0, -1, 0, -2, 9),
+}
+
+
+def test_split_over_K_matches_oracle_square_in_residue_field():
+    # the torus splits over F_{ell^f} exactly when -c6 is a square there
+    parities = set()
+    for ell, a in NONSPLIT_AT.items():
+        base = tate_reduction(WeierstrassModel(*a), ell)
+        assert base.category == "multiplicative" and base.split is False
+        for p in (3, 5, 7, 11, 13):
+            if p == ell:
+                continue
+            k = reduction_over_K(WeierstrassModel(*a), ell, p)
+            residue_field = oracles.FiniteField(ell, k.f)
+            minus_c6 = residue_field.element(int(-base.minimal_model.c6))
+            assert k.split == oracles.is_square(minus_c6), (ell, p, k.f)
+            parities.add(k.f % 2)
+    assert parities == {0, 1}
+
+
 # --- place sets ---
 
 
@@ -184,6 +227,25 @@ def test_S0_membership_depends_on_mu_p():
 def test_bad_reduction_above_p_flagged():
     ps = compute_place_sets(E11A2, 11, "Q")
     assert not ps.good_above_p
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(mu_p)"])
+@pytest.mark.parametrize("model,p,good", [
+    (E11A2, 11, False),
+    # 5^12 divides the discriminant of this non-minimal model of 11a1
+    (E11A1.change_model(Fraction(1, 5), 0, 0, 0), 5, True),
+])
+def test_reduction_above_p_is_decided_once(monkeypatch, field, model, p, good):
+    calls = []
+    tate = localdata.tate_reduction
+
+    def counting(m, ell):
+        calls.append(ell)
+        return tate(m, ell)
+
+    monkeypatch.setattr(localdata, "tate_reduction", counting)
+    assert compute_place_sets(model, p, field).good_above_p is good
+    assert calls.count(p) == 1
 
 
 # --- g_v ---
