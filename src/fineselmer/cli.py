@@ -30,6 +30,7 @@ from .elliptic import WeierstrassModel
 from .lambdabound import (ASSUMPTION_TOKENS, LambdaBoundReport, LocalTerm,
                           compute_lambda_bound)
 from .localdata import SUPPORTED_FIELDS
+from .padic import MAX_PRECISION
 
 PRECISION_ENV = "FINESELMER_PRECISION"
 
@@ -122,14 +123,18 @@ def _load_g_table_file(path: str) -> tuple[dict, ...]:
     return _parse_g_table(rows, path)
 
 
+def _parse_precision(value, what: str) -> int:
+    # delta_v's precision ladder stops at MAX_PRECISION; a larger start
+    # costs time without reaching further
+    precision = _parse_int(value, what)
+    if not 1 <= precision <= MAX_PRECISION:
+        raise CliError(f"{what} must be between 1 and {MAX_PRECISION}, got {precision}")
+    return precision
+
+
 def _env_precision() -> int | None:
     raw = os.environ.get(PRECISION_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise CliError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+    return None if raw is None or raw == "" else _parse_precision(raw, PRECISION_ENV)
 
 
 def _validate_job(job: JobSpec) -> JobSpec:
@@ -145,8 +150,6 @@ def _validate_job(job: JobSpec) -> JobSpec:
         if token not in ASSUMPTION_TOKENS:
             raise CliError(f"unknown assumption {token!r}; known: "
                            + ", ".join(sorted(ASSUMPTION_TOKENS)))
-    if job.precision is not None and job.precision < 1:
-        raise CliError("precision must be a positive integer")
     return job
 
 
@@ -186,7 +189,7 @@ def job_from_dict(raw: dict, where: str) -> JobSpec:
         dim_y=None if dim_y is None else _parse_int(dim_y, f"{where}: dim_y"),
         dim_z=None if dim_z is None else _parse_int(dim_z, f"{where}: dim_z"),
         precision=None if precision is None
-        else _parse_int(precision, f"{where}: precision"),
+        else _parse_precision(precision, f"{where}: precision"),
         g_table=g_table,
     ))
 
@@ -486,7 +489,8 @@ def _build_run_parser() -> _Parser:
     q.add_argument("--dim-y", dest="dim_y", help="residual dimension of Y")
     q.add_argument("--dim-z", dest="dim_z", help="residual dimension of Z")
     q.add_argument("--precision",
-                   help=f"p-adic working precision (default from ${PRECISION_ENV})")
+                   help=f"p-adic working precision, 1 to {MAX_PRECISION} "
+                        f"(default from ${PRECISION_ENV})")
     q.add_argument("--format", default="json", choices=_FORMATS)
     return q
 
@@ -521,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
             dim_y=None if ns.dim_y is None else _parse_int(ns.dim_y, "dim_y"),
             dim_z=None if ns.dim_z is None else _parse_int(ns.dim_z, "dim_z"),
             precision=None if ns.precision is None
-            else _parse_int(ns.precision, "precision"),
+            else _parse_precision(ns.precision, "precision"),
             g_table=_load_g_table_file(ns.g_table) if ns.g_table else None,
         ))
         code, report = run_job(job)

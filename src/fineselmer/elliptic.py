@@ -12,7 +12,8 @@ points and reductions mod ell.  Division polynomials use the standard
 f/g bisection ladder so the y-variable is eliminated once and for all;
 odd n gives a univariate polynomial of degree (n^2-1)/2 with leading
 coefficient n whose roots are the x-coordinates of the nonzero
-n-torsion.
+n-torsion.  The model is integral, so the ladder (and the x-multiple
+maps built on it) runs on integer lists and returns QPolys at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import lcm
 
 from .finitefield import FiniteField, FqElem
 from .modular import is_prime
-from .polynomial import QPoly
+from .polynomial import QPoly, _mul, _sub
 
 __all__ = [
     "WeierstrassModel",
@@ -123,10 +124,6 @@ class WeierstrassModel:
 
     # -- division polynomials -------------------------------------------------
 
-    def two_torsion_polynomial(self) -> QPoly:
-        """4x^3 + b2 x^2 + 2 b4 x + b6, the square of the 2-division value."""
-        return QPoly([self.b6, 2 * self.b4, self.b2, 4])
-
     def division_polynomial(self, n: int) -> QPoly:
         """Univariate n-division polynomial for odd 3 <= n <= 13.
 
@@ -136,8 +133,8 @@ class WeierstrassModel:
             raise ValueError("implemented for odd n between 3 and 13")
         if not self.is_integral:
             raise ValueError("division polynomials expect an integral model")
-        get_f, _ = self._division_ladder()
-        poly = get_f(n)
+        get_f, _, _ = self._division_ladder()
+        poly = QPoly(get_f(n))
         expected_deg = (n * n - 1) // 2
         assert poly.degree == expected_deg and poly.leading == n, (
             "division polynomial shape check failed")
@@ -148,56 +145,67 @@ class WeierstrassModel:
 
         Uses psi_{k-1} psi_{k+1} / psi_k^2 = x - x([k]P); the y-carrying
         factor psi_2 appears squared throughout, so everything collapses
-        to the univariate ladder.
+        to the univariate ladder. Integral models only.
         """
         if not 2 <= k <= 13:
             raise ValueError("k out of the supported ladder range")
-        get_f, get_g = self._division_ladder()
-        F = self.two_torsion_polynomial()
+        if not self.is_integral:
+            raise ValueError("x-multiple maps expect an integral model")
+        get_f, get_g, F = self._division_ladder()
         if k % 2:
-            den = get_f(k) ** 2
-            num = QPoly.x() * den - F * get_g(k - 1) * get_g(k + 1)
+            den = _mul(get_f(k), get_f(k))
+            num = _sub([0] + den, _mul(F, _mul(get_g(k - 1), get_g(k + 1))))
         else:
-            den = F * get_g(k) ** 2
-            num = QPoly.x() * den - get_f(k - 1) * get_f(k + 1)
-        return num, den
+            den = _mul(F, _mul(get_g(k), get_g(k)))
+            num = _sub([0] + den, _mul(get_f(k - 1), get_f(k + 1)))
+        return QPoly(num), QPoly(den)
 
     def _division_ladder(self):
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        F = QPoly([b6, 2 * b4, b2, 4])
-        f: dict[int, QPoly] = {
-            1: QPoly.one(),
-            3: QPoly([b8, 3 * b6, 3 * b4, b2, 3]),
+        """(get_f, get_g, F) on int lists: psi_k for odd k, psi_k / psi_2 for
+        even k, and F = 4x^3 + b2 x^2 + 2 b4 x + b6 = psi_2^2."""
+        b2, b4, b6, b8 = (int(v) for v in (self.b2, self.b4, self.b6, self.b8))
+        F = [b6, 2 * b4, b2, 4]
+        f: dict[int, list[int]] = {
+            1: [1],
+            3: [b8, 3 * b6, 3 * b4, b2, 3],
         }
-        g: dict[int, QPoly] = {
-            0: QPoly.zero(),
-            2: QPoly.one(),
-            4: QPoly([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
-                      10 * b8, 10 * b6, 5 * b4, b2, 2]),
+        g: dict[int, list[int]] = {
+            0: [],
+            2: [1],
+            4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
+                10 * b8, 10 * b6, 5 * b4, b2, 2],
         }
-        F2 = F * F
+        F2 = _mul(F, F)
 
-        def get_f(k: int) -> QPoly:
+        def sq(a):
+            return _mul(a, a)
+
+        def cube(a):
+            return _mul(a, sq(a))
+
+        def get_f(k: int) -> list[int]:
             if k not in f:
                 m = (k - 1) // 2
                 if m % 2 == 0:
-                    f[k] = F2 * get_g(m + 2) * get_g(m) ** 3 - get_f(m - 1) * get_f(m + 1) ** 3
+                    f[k] = _sub(_mul(_mul(F2, get_g(m + 2)), cube(get_g(m))),
+                                _mul(get_f(m - 1), cube(get_f(m + 1))))
                 else:
-                    f[k] = get_f(m + 2) * get_f(m) ** 3 - F2 * get_g(m - 1) * get_g(m + 1) ** 3
+                    f[k] = _sub(_mul(get_f(m + 2), cube(get_f(m))),
+                                _mul(_mul(F2, get_g(m - 1)), cube(get_g(m + 1))))
             return f[k]
 
-        def get_g(k: int) -> QPoly:
+        def get_g(k: int) -> list[int]:
             if k not in g:
                 m = k // 2
                 if m % 2 == 0:
-                    g[k] = get_g(m) * (get_g(m + 2) * get_f(m - 1) ** 2
-                                       - get_g(m - 2) * get_f(m + 1) ** 2)
+                    g[k] = _mul(get_g(m), _sub(_mul(get_g(m + 2), sq(get_f(m - 1))),
+                                               _mul(get_g(m - 2), sq(get_f(m + 1)))))
                 else:
-                    g[k] = get_f(m) * (get_f(m + 2) * get_g(m - 1) ** 2
-                                       - get_f(m - 2) * get_g(m + 1) ** 2)
+                    g[k] = _mul(get_f(m), _sub(_mul(get_f(m + 2), sq(get_g(m - 1))),
+                                               _mul(get_f(m - 2), sq(get_g(m + 1)))))
             return g[k]
 
-        return get_f, get_g
+        return get_f, get_g, F
 
 
 # ---------------------------------------------------------------------------

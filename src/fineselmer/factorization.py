@@ -25,7 +25,8 @@ Before that product is formed, the constant-term test (Abbott, Shoup &
 Zimmermann, ISSAC 2000) asks that lc * prod h_i(0) divide lc * f(0); it
 is exact, and it rejects almost every false subset with one product of
 integers. Each survivor is trial-divided exactly in Z[x], all on integer
-coefficient lists. The product of the returned factors (times content)
+coefficient lists; every product, in the lift and in the recombination,
+is polynomial._mul reduced mod l^k. The product of the returned factors (times content)
 is checked against the input before returning; a mismatch is a bug, not
 a condition the caller handles.
 
@@ -46,9 +47,9 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from .finitefield import (FiniteField, FqPoly, _vec_gcd, _vec_mulmod,
-                          _vec_powmod, _vec_quo, _vec_rem, _vec_trim)
+                          _vec_powmod, _vec_quo, _vec_rem)
 from .modular import is_prime, primes_below
-from .polynomial import QPoly
+from .polynomial import QPoly, _mul, _sub, _trim
 
 __all__ = [
     "DEFAULT_SEED",
@@ -105,9 +106,7 @@ class _DistinctDegree:
                 break
             self._searched += 1
             self._frob = _vec_powmod(self._frob, l, self._rest, l)
-            frob_minus_x = self._frob + [0] * (2 - len(self._frob))
-            frob_minus_x[1] = (frob_minus_x[1] - 1) % l
-            g = _vec_gcd(self._rest, _vec_trim(frob_minus_x), l)
+            g = _vec_gcd(self._rest, [c % l for c in _sub(self._frob, [0, 1])], l)
             if len(g) > 1:
                 inv = pow(g[-1], -1, l)
                 g = [c * inv % l for c in g]
@@ -135,14 +134,13 @@ def _equal_degree_ints(f: list[int], d: int, l: int, rng: random.Random) -> list
         return [f]
     half = (l**d - 1) // 2
     while True:
-        r = _vec_trim([rng.randrange(l) for _ in range(n)])
+        r = _trim([rng.randrange(l) for _ in range(n)])
         if len(r) < 2:
             continue
         g = _vec_gcd(f, r, l)
         if len(g) == 1:
-            s = _vec_powmod(r, half, f, l) or [0]
-            s[0] = (s[0] - 1) % l
-            g = _vec_gcd(f, _vec_trim(s), l)
+            s = _sub(_vec_powmod(r, half, f, l), [1])
+            g = _vec_gcd(f, [c % l for c in s], l)
         if 1 < len(g) <= n:
             inv = pow(g[-1], -1, l)
             g = [c * inv % l for c in g]
@@ -155,15 +153,15 @@ def _equal_degree_ints(f: list[int], d: int, l: int, rng: random.Random) -> list
 # ---------------------------------------------------------------------------
 
 
-def _landau_mignotte(g: QPoly) -> int:
+def _landau_mignotte(g: list[int]) -> int:
     """Coefficient bound for any divisor of g in Z[x], monic or not; deliberately generous.
 
-    Mignotte's bound ||F||_1 <= 2^deg(F) |lc(F) / lc(g)| ||g||_2 holds for
-    every divisor F, and lc(F) divides lc(g), so it is at most
-    2^n sqrt(n + 1) height(g).
+    g is an integer coefficient list. Mignotte's bound
+    ||F||_1 <= 2^deg(F) |lc(F) / lc(g)| ||g||_2 holds for every divisor
+    F, and lc(F) divides lc(g), so it is at most 2^n sqrt(n + 1) height(g).
     """
-    n = g.degree
-    height = max(abs(int(c)) for c in g.coeffs)
+    n = len(g) - 1
+    height = max(abs(c) for c in g)
     return (1 << n) * (math.isqrt(n + 1) + 1) * height
 
 
@@ -262,7 +260,7 @@ def _hensel_lift_factors(f: list[int], l: int, hbars: list[FqPoly], target: int)
         inv = pow(f[-1], -1, step)
         prod = [1]
         for h in lifted:
-            prod = _int_poly_mul(prod, h, step)
+            prod = [c % step for c in _mul(prod, h)]
         e_over = [(a * inv - b) % step // modulus for a, b in zip(f, prod)]
         for h, t, hbar in zip(lifted, ts, residues):
             # delta_i = e * t_i mod hbar_i (all mod l)
@@ -271,15 +269,6 @@ def _hensel_lift_factors(f: list[int], l: int, hbars: list[FqPoly], target: int)
                     h[k_idx] = (h[k_idx] + modulus * d) % step
         modulus = step
     return modulus, lifted
-
-
-def _int_poly_mul(a: list[int], b: list[int], mod: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % mod
-    return out
 
 
 def _fq_inverse_mod(a: FqPoly, mod: FqPoly) -> FqPoly:
@@ -367,7 +356,7 @@ def _factor_squarefree(g: QPoly, l: int, residues: list[FqPoly]) -> list[QPoly]:
     if g.degree == 1 or len(residues) == 1:
         return [g.primitive()]
     current = g.int_coeffs()
-    bound = 2 * abs(current[-1]) * _landau_mignotte(g) + 1
+    bound = 2 * abs(current[-1]) * _landau_mignotte(current) + 1
     modulus, lifted = _hensel_lift_factors(current, l, residues, bound)
 
     remaining = list(range(len(lifted)))
@@ -414,7 +403,7 @@ def _try_subsets(current, lifted, remaining, size, modulus):
             continue
         prod = [lc]
         for i in subset:
-            prod = _int_poly_mul(prod, lifted[i], modulus)
+            prod = [c % modulus for c in _mul(prod, lifted[i])]
         candidate = _primitive([_symmetric(c, modulus) for c in prod])
         quotient = _exact_quotient(current, candidate)
         if quotient is not None:

@@ -14,66 +14,54 @@ value.
 from __future__ import annotations
 
 from .modular import is_prime
+from .polynomial import _add, _derivative, _horner, _mul, _sub, _trim
 
 __all__ = ["FiniteField", "FqElem", "FqPoly"]
 
 
 # ---------------------------------------------------------------------------
-# bare int-vector polynomial helpers mod l: the same arithmetic as FqPoly on
-# plain coefficient lists, on which factorization runs its distinct- and
-# equal-degree splits and its Hensel step
+# int-list polynomial helpers mod l, on which factorization runs its
+# distinct- and equal-degree splits and its Hensel step: residues in
+# [0, l), lowest degree first. The product is polynomial._mul reduced
+# mod l; one long-division loop gives both quotient and remainder.
 # ---------------------------------------------------------------------------
 
 
-def _vec_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _vec_mulmod(a: list[int], b: list[int], mod: list[int], l: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % l
-    return _vec_rem(out, mod, l)
+    return _vec_rem([c % l for c in _mul(a, b)], mod, l)
+
+
+def _vec_divmod(a: list[int], mod: list[int], l: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by mod over F_l."""
+    rem = list(a)
+    dm = len(mod) - 1
+    inv_lead = pow(mod[-1], -1, l)
+    quo = [0] * max(len(rem) - dm, 0)
+    for i in range(len(rem) - 1, dm - 1, -1):
+        c = rem[i]
+        if c:
+            q = quo[i - dm] = c * inv_lead % l
+            for j, mc in enumerate(mod):
+                rem[i - dm + j] = (rem[i - dm + j] - q * mc) % l
+    del rem[dm:]
+    return quo, _trim(rem)
 
 
 def _vec_rem(a: list[int], mod: list[int], l: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, l)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            q = c * inv_lead % l
-            for j, mc in enumerate(mod):
-                a[i - dm + j] = (a[i - dm + j] - q * mc) % l
-    del a[dm:]
-    return _vec_trim(a)
+    return _vec_divmod(a, mod, l)[1]
 
 
 def _vec_quo(a: list[int], mod: list[int], l: int) -> list[int]:
     """Exact quotient a / mod over F_l; a remainder is a bug in the caller."""
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, l)
-    quo = [0] * (len(a) - dm)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            q = quo[i - dm] = c * inv_lead % l
-            for j, mc in enumerate(mod):
-                a[i - dm + j] = (a[i - dm + j] - q * mc) % l
-    if any(a[:dm]):
+    quo, rem = _vec_divmod(a, mod, l)
+    if rem:
         raise ArithmeticError("inexact polynomial division mod l")
     return quo
 
 
 def _vec_powmod(a: list[int], e: int, mod: list[int], l: int) -> list[int]:
     result = [1]
-    base = _vec_rem(list(a), mod, l)
+    base = _vec_rem(a, mod, l)
     while e:
         if e & 1:
             result = _vec_mulmod(result, base, mod, l)
@@ -83,7 +71,7 @@ def _vec_powmod(a: list[int], e: int, mod: list[int], l: int) -> list[int]:
 
 
 def _vec_gcd(a: list[int], b: list[int], l: int) -> list[int]:
-    a, b = _vec_trim(list(a)), _vec_trim(list(b))
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
         a, b = b, _vec_rem(a, b, l)
     return a
@@ -285,34 +273,19 @@ class FqPoly:
         return hash((self.field.char, self.coeffs))
 
     def __add__(self, other: "FqPoly") -> "FqPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return FqPoly(self.field, out)
+        return FqPoly(self.field, _add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "FqPoly":
         return FqPoly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
-        return self + (-other)
+        return FqPoly(self.field, _sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other) -> "FqPoly":
         if isinstance(other, (int, FqElem)):
             o = self.field.element(other)
             return FqPoly(self.field, [c * o for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return FqPoly(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-        return FqPoly(self.field, out)
+        return FqPoly(self.field, _mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -366,13 +339,10 @@ class FqPoly:
         return result
 
     def derivative(self) -> "FqPoly":
-        return FqPoly(self.field, [c * i for i, c in enumerate(self.coeffs)][1:])
+        return FqPoly(self.field, _derivative(self.coeffs))
 
     def __call__(self, x: FqElem) -> FqElem:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self.field.element(_horner(self.coeffs, x))
 
     def roots(self) -> list[FqElem]:
         """All roots in F_l, ascending, by gcd with x^l - x then enumeration.

@@ -12,9 +12,10 @@ The root machinery works on integer polynomials. hensel_lift is Newton
 iteration under the general criterion v(f(r0)) > 2 v(f'(r0));
 padic_roots finds every root in Z_p by scanning the residues mod p,
 lifting those with a unit derivative, and recursing on f(r0 + p x)/p^e
-for the rest, with a recursion depth budget; the shifts run on integer
-coefficient lists. Exhausting the budget produces an explicit
-inconclusive marker, never a silent omission.
+for the rest, with a recursion depth budget; the lift and the shifts
+run on integer coefficient lists with the kernels of polynomial.
+Exhausting the budget produces an explicit inconclusive marker, never a
+silent omission.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .factorization import SQUAREFREE_TRIES, good_reduction
 from .modular import valuation
-from .polynomial import QPoly
+from .polynomial import QPoly, _compose_linear, _derivative, _horner
 
 __all__ = [
     "PadicNumber",
@@ -220,49 +221,23 @@ class PadicNumber:
 # ---------------------------------------------------------------------------
 
 
-def _int_coeffs(f: QPoly) -> list[int]:
-    if not f.is_integral:
-        raise ValueError("p-adic root machinery expects integer coefficients")
-    return f.int_coeffs()
-
-
-def _eval_int(coeffs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deriv(coeffs: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _compose_linear(coeffs: list[int], a: int, b: int) -> list[int]:
-    """Coefficients of f(a x + b) for the nonzero integer polynomial f."""
-    out = [coeffs[-1]]
-    for c in reversed(coeffs[:-1]):
-        nxt = [0] * (len(out) + 1)
-        for i, v in enumerate(out):
-            nxt[i] += v * b
-            nxt[i + 1] += v * a
-        nxt[0] += c
-        out = nxt
-    return out
-
-
 def hensel_lift(f: QPoly, r0: int, p: int, absprec: int = DEFAULT_PRECISION) -> PadicNumber:
     """Newton-lift the approximate root r0 of f to absolute precision absprec.
 
     Requires v(f(r0)) > 2 v(f'(r0)) and raises NoLiftError otherwise. The
     returned root r satisfies v(f(r)) >= absprec and is congruent to r0
-    modulo p^(v(f'(r0)) + 1).
+    modulo p^(v(f'(r0)) + 1). f must have integer coefficients.
     """
-    coeffs = _int_coeffs(f)
-    dcoeffs = _deriv(coeffs)
-    fr = _eval_int(coeffs, r0)
+    return _newton_lift(f.int_coeffs(), r0, p, absprec)
+
+
+def _newton_lift(coeffs: list[int], r0: int, p: int, absprec: int) -> PadicNumber:
+    """hensel_lift on the integer coefficient list of f."""
+    dcoeffs = _derivative(coeffs)
+    fr = _horner(coeffs, r0)
     if fr == 0:
         return PadicNumber.from_int(r0, p, absprec)
-    dfr = _eval_int(dcoeffs, r0)
+    dfr = _horner(dcoeffs, r0)
     b = valuation(dfr, p) if dfr else absprec  # dfr = 0 means criterion fails below
     a = valuation(fr, p)
     if dfr == 0 or a <= 2 * b:
@@ -273,12 +248,12 @@ def hensel_lift(f: QPoly, r0: int, p: int, absprec: int = DEFAULT_PRECISION) -> 
     big = p ** (absprec + 2 * b + 4)
     r = r0
     for _ in range(absprec.bit_length() + 34):
-        fr = _eval_int(coeffs, r)
+        fr = _horner(coeffs, r)
         if fr % p ** (absprec + b) == 0:
             root = r % p**absprec
-            assert _eval_int(coeffs, root) % p**absprec == 0
+            assert _horner(coeffs, root) % p**absprec == 0
             return PadicNumber.from_int(root, p, absprec)
-        dfr = _eval_int(dcoeffs, r)
+        dfr = _horner(dcoeffs, r)
         u = dfr // p**b
         delta = (fr // p**b) * pow(u, -1, big) % big
         r = (r - delta) % big
@@ -336,12 +311,12 @@ def padic_roots(
 
     def search(cs: list[int], depth: int, base: int, scale: int) -> None:
         # roots of cs correspond to base + p^scale * x for roots x of cs
-        dcs = _deriv(cs)
+        dcs = _derivative(cs)
         for rbar in range(p):
-            fr = _eval_int(cs, rbar)
+            fr = _horner(cs, rbar)
             if fr % p != 0:
                 continue
-            dfr = _eval_int(dcs, rbar)
+            dfr = _horner(dcs, rbar)
             target = absprec - scale
             if target <= 0:
                 # the class is flat to working precision but no root is
@@ -352,12 +327,8 @@ def padic_roots(
                 continue
             if dfr % p != 0:
                 # unit derivative: classical Hensel, and the lifted root is
-                # the only one in this residue class.  A unit derivative with
-                # f(rbar) = 0 exactly means rbar itself is the root.
-                if fr == 0:
-                    root = PadicNumber.from_int(rbar, p, target)
-                else:
-                    root = hensel_lift(QPoly(cs), rbar, p, target)
+                # the only one in this residue class
+                root = _newton_lift(cs, rbar, p, target)
                 certified.append(
                     PadicNumber.from_int(base + root.lift() * p**scale, p, absprec)
                 )

@@ -1,11 +1,13 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials: coefficient-list kernels and QPoly.
 
-One class serves both the IntPoly and the rational-polynomial roles:
-coefficients are fractions.Fraction, and integer-only contexts
-(factorization over Z, division polynomials of integral models) check
-`is_integral` and extract plain ints. Degrees stay small here (at most
-(13^2 - 1)/2 = 84), so dense lists win on simplicity and there is no
-sparse representation.
+The kernels `_mul`, `_add`, `_sub`, `_horner`, `_derivative` and
+`_compose_linear` take coefficient lists, lowest degree first, over any
+ring whose elements mix with the int 0: plain ints (the division
+polynomial ladder, the p-adic root search, the Hensel lift), Fractions
+(QPoly) and the F_l elements of FqPoly. None of them reduces; a caller
+working mod m reduces the result. QPoly is a polynomial over Q with the
+division, gcd and squarefree machinery on top. Degrees stay at most
+(13^2 - 1)/2 = 84, so everything is dense.
 
 The zero polynomial has degree -1, a sentinel chosen so that
 deg(f*g) = deg f + deg g never has to special-case zero in callers that
@@ -21,6 +23,67 @@ from typing import Iterable, Sequence
 __all__ = ["QPoly", "ZERO_DEGREE"]
 
 ZERO_DEGREE = -1
+
+
+# ---------------------------------------------------------------------------
+# coefficient-list kernels, lowest degree first
+# ---------------------------------------------------------------------------
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a: Sequence, b: Sequence) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _trim(out)
+
+
+def _sub(a: Sequence, b: Sequence) -> list:
+    return _add(a, [-c for c in b])
+
+
+def _mul(a: Sequence, b: Sequence) -> list:
+    """Schoolbook product; [] when either factor is []."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def _horner(a: Sequence, x):
+    """a(x); the int 0 for a = []."""
+    if not a:
+        return 0
+    acc = a[-1]
+    for c in reversed(a[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(a: Sequence) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _compose_linear(a: Sequence, u, v) -> list:
+    """Coefficients of a(u x + v) for a nonzero a."""
+    out = [a[-1]]
+    for c in reversed(a[:-1]):
+        nxt = [0] * (len(out) + 1)
+        for i, w in enumerate(out):
+            nxt[i] += w * v
+            nxt[i + 1] += w * u
+        nxt[0] += c
+        out = nxt
+    return out
 
 
 def _as_fraction(x) -> Fraction:
@@ -107,32 +170,18 @@ class QPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        return QPoly(_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "QPoly":
         return QPoly([-c for c in self.coeffs])
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
+        return QPoly(_sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
             return QPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPoly(out)
+        return QPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -182,16 +231,11 @@ class QPoly:
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return QPoly(_derivative(self.coeffs))
 
     def __call__(self, x):
         """Evaluate by Horner; works for any value supporting + and *."""
-        if not self.coeffs:
-            return x * 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x) if self.coeffs else x * 0
 
     # -- normalization ---------------------------------------------------
 

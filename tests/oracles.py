@@ -17,6 +17,10 @@ split over any F_q (the quadratic residue trick for odd q, the trace map
 for q = 2^k). `factor_fq` chains the three and `is_irreducible_fq` is an
 independent irreducibility test. The package no longer reaches
 `compose_linear` either; the rational oracles use it.
+
+The package builds division polynomials and the x-multiple maps on
+integer coefficient lists. The f/g ladder on QPoly at the end of this
+file is the code it replaced, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import random
 
 from fineselmer.elliptic import COUNT_LIMIT, WeierstrassModel
 from fineselmer.factorization import DEFAULT_SEED
-from fineselmer.finitefield import _vec_gcd, _vec_mulmod, _vec_powmod, _vec_trim
+from fineselmer.finitefield import _vec_gcd, _vec_mulmod, _vec_powmod
 from fineselmer.modular import is_prime
-from fineselmer.polynomial import QPoly
+from fineselmer.polynomial import QPoly, _trim as _vec_trim
 
 
 # ---------------------------------------------------------------------------
@@ -722,3 +726,71 @@ def compose_linear(f: QPoly, a, b) -> QPoly:
     for c in reversed(f.coeffs):
         acc = acc * inner + QPoly.constant(c)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the division-polynomial ladder on QPoly
+# ---------------------------------------------------------------------------
+
+
+def division_ladder_qpoly(model: WeierstrassModel):
+    """(get_f, get_g) of the f/g bisection ladder on rational QPolys.
+
+    The package runs the same recurrences on integer coefficient lists;
+    this is the code it replaced, and it takes any rational model.
+    """
+    b2, b4, b6, b8 = model.b2, model.b4, model.b6, model.b8
+    F = two_torsion_polynomial(model)
+    f = {1: QPoly.one(), 3: QPoly([b8, 3 * b6, 3 * b4, b2, 3])}
+    g = {
+        0: QPoly.zero(),
+        2: QPoly.one(),
+        4: QPoly([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
+                  10 * b8, 10 * b6, 5 * b4, b2, 2]),
+    }
+    F2 = F * F
+
+    def get_f(k: int) -> QPoly:
+        if k not in f:
+            m = (k - 1) // 2
+            if m % 2 == 0:
+                f[k] = F2 * get_g(m + 2) * get_g(m) ** 3 - get_f(m - 1) * get_f(m + 1) ** 3
+            else:
+                f[k] = get_f(m + 2) * get_f(m) ** 3 - F2 * get_g(m - 1) * get_g(m + 1) ** 3
+        return f[k]
+
+    def get_g(k: int) -> QPoly:
+        if k not in g:
+            m = k // 2
+            if m % 2 == 0:
+                g[k] = get_g(m) * (get_g(m + 2) * get_f(m - 1) ** 2
+                                   - get_g(m - 2) * get_f(m + 1) ** 2)
+            else:
+                g[k] = get_f(m) * (get_f(m + 2) * get_g(m - 1) ** 2
+                                   - get_f(m - 2) * get_g(m + 1) ** 2)
+        return g[k]
+
+    return get_f, get_g
+
+
+def two_torsion_polynomial(model: WeierstrassModel) -> QPoly:
+    """4x^3 + b2 x^2 + 2 b4 x + b6, the square of the 2-division value."""
+    return QPoly([model.b6, 2 * model.b4, model.b2, 4])
+
+
+def division_polynomial_qpoly(model: WeierstrassModel, n: int) -> QPoly:
+    """psi_n for odd n, from the QPoly ladder."""
+    return division_ladder_qpoly(model)[0](n)
+
+
+def x_multiple_fraction_qpoly(model: WeierstrassModel, k: int) -> tuple[QPoly, QPoly]:
+    """(num, den) with x([k]P) = num(x)/den(x), from the QPoly ladder."""
+    get_f, get_g = division_ladder_qpoly(model)
+    F = two_torsion_polynomial(model)
+    if k % 2:
+        den = get_f(k) ** 2
+        num = QPoly.x() * den - F * get_g(k - 1) * get_g(k + 1)
+    else:
+        den = F * get_g(k) ** 2
+        num = QPoly.x() * den - get_f(k - 1) * get_f(k + 1)
+    return num, den

@@ -225,6 +225,8 @@ def test_qmu5_field_itemizes_split_places(capsys):
         ("run", "--curve", CURVE, "--p", "5", "--precision", "0"),
         ("run", "--curve", CURVE, "--p", "5", "--extension", "user"),  # no table
         ("run", "--p", "5"),  # missing curve
+        ("run", "--curve", CURVE, "--p", "5", "--precision", "257"),
+        ("run", "--curve", CURVE, "--p", "5", "--precision", "1000000000"),
     ],
 )
 def test_bad_inputs_exit_three(capsys, argv):
@@ -279,6 +281,31 @@ def test_precision_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("FINESELMER_PRECISION", "zero")
     code, _, err = run_cli(capsys, "run", "--curve", CURVE, "--p", "5")
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "257"])
+def test_precision_env_variable_out_of_range(capsys, monkeypatch, value):
+    monkeypatch.setenv("FINESELMER_PRECISION", value)
+    code, out, err = run_cli(capsys, "run", "--curve", CURVE, "--p", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: FINESELMER_PRECISION must be between 1 and 256")
+
+
+def test_batch_precision_out_of_range_is_a_line_error(capsys, tmp_path):
+    f = tmp_path / "prec.ndjson"
+    good = '{"curve": [0, -1, 1, -7820, -263580], "p": 5}'
+    f.write_text(good + "\n"
+                 + '{"curve": [0, -1, 1, -7820, -263580], "p": 5, "precision": 1000000000}\n'
+                 + good + "\n")
+    code, out, err = run_cli(capsys, "batch", str(f))
+    assert code == 3
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 3
+    assert lines[0] == lines[2] and lines[0]["bound"]["value"] == "2"
+    assert lines[1] == {"error": "line 2: precision must be between 1 and 256, "
+                                 "got 1000000000", "line": 2}
+    assert err.strip() == "2 ok / 0 blocked / 1 error"
 
 
 # --- batch mode ---

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fineselmer.elliptic import (
     WeierstrassModel,
@@ -145,6 +145,66 @@ def test_division_polynomial_rejects_bad_inputs():
             model.division_polynomial(n)
     with pytest.raises(ValueError):
         model.change_model(2, 0, 0, 0).division_polynomial(5)
+
+
+# --- the integer ladder against the QPoly ladder it replaced ---
+
+
+def isogeny_13_curve():
+    """y^2 = x^3 - 3k x - 2k(j - 1728), k = j(j - 1728): a model with
+    j-invariant j = 19 * 48^3, a curve with a rational 13-isogeny."""
+    j = 19 * 48**3
+    k = j * (j - 1728)
+    return (0, 0, 0, -3 * k, -2 * k * (j - 1728))
+
+
+LADDER_CURVES = {
+    "11a1": X11A1,
+    "37a1": (0, 0, 1, -1, 0),
+    "20a1": (0, 1, 0, 4, 4),
+    "13-isogeny": isogeny_13_curve(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CURVES))
+def test_int_ladder_matches_qpoly_ladder_on_named_curves(name):
+    model = WeierstrassModel(*LADDER_CURVES[name])
+    for n in range(3, 14, 2):
+        assert model.division_polynomial(n) == oracles.division_polynomial_qpoly(model, n)
+    for k in range(2, 14):
+        assert model.x_multiple_fraction(k) == oracles.x_multiple_fraction_qpoly(model, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(ainv, ainv, ainv, ainv, ainv), st.integers(1, 6), st.integers(2, 13))
+def test_int_ladder_matches_qpoly_ladder(a, half, k):
+    model = nonsingular(*a)
+    assume(model is not None)
+    n = 2 * half + 1
+    assert model.division_polynomial(n) == oracles.division_polynomial_qpoly(model, n)
+    assert model.x_multiple_fraction(k) == oracles.x_multiple_fraction_qpoly(model, k)
+
+
+def test_ladder_never_multiplies_qpolys(monkeypatch):
+    def boxed(*args):
+        raise AssertionError("a QPoly product ran in the ladder")
+
+    model = WeierstrassModel(*X11A2)
+    expected_psi = oracles.division_polynomial_qpoly(model, 13)
+    expected_map = oracles.x_multiple_fraction_qpoly(model, 13)
+    monkeypatch.setattr(QPoly, "__mul__", boxed)
+    assert model.division_polynomial(13) == expected_psi
+    assert model.x_multiple_fraction(13) == expected_map
+
+
+def test_x_multiple_fraction_rejects_a_non_integral_model():
+    model = WeierstrassModel(*X11A2).change_model(2, 0, 0, 0)
+    assert not model.is_integral
+    with pytest.raises(ValueError, match="integral"):
+        model.x_multiple_fraction(2)
+    for k in (1, 14):
+        with pytest.raises(ValueError, match="range"):
+            WeierstrassModel(*X11A2).x_multiple_fraction(k)
 
 
 def test_psi5_roots_are_5_torsion_over_extensions():

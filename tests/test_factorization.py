@@ -23,7 +23,7 @@ from fineselmer.factorization import (
     good_reduction,
 )
 from fineselmer.finitefield import FqPoly
-from fineselmer.polynomial import QPoly
+from fineselmer.polynomial import QPoly, _mul
 import oracles
 from oracles import (DistinctDegreeBoxed, admits_divisor_of_degree, compose_linear,
                      equal_degree_boxed, factor_fq, is_irreducible_fq)
@@ -361,7 +361,7 @@ def factor_squarefree_monicised(g: QPoly, l: int, residues: list[FqPoly]) -> lis
         g = -g
     if len(residues) == 1:
         return [g]
-    bound = 2 * factorization._landau_mignotte(g) + 1
+    bound = 2 * factorization._landau_mignotte(g.int_coeffs()) + 1
     modulus, lifted = factorization._hensel_lift_factors(g.int_coeffs(), l, residues, bound)
     remaining = list(range(len(lifted)))
     current = g
@@ -385,7 +385,7 @@ def try_subsets_monicised(current, lifted, remaining, size, modulus):
     for subset in combinations(remaining, size):
         prod = [1]
         for i in subset:
-            prod = factorization._int_poly_mul(prod, lifted[i], modulus)
+            prod = [c % modulus for c in _mul(prod, lifted[i])]
         candidate = QPoly([factorization._symmetric(c, modulus) for c in prod])
         if candidate.divides(current):
             return set(subset), candidate.primitive()
@@ -450,7 +450,7 @@ def lifted_factors(g: QPoly):
     if reduction is None:
         return None
     coeffs = g.int_coeffs()
-    bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(g) + 1
+    bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(coeffs) + 1
     return factorization._hensel_lift_factors(
         coeffs, reduction.l, reduction.irreducibles(), bound)
 
@@ -467,7 +467,7 @@ def test_constant_term_test_never_rejects_a_true_factor(parts):
         for subset in combinations(range(len(lifted)), size):
             prod = [current[-1]]
             for i in subset:
-                prod = factorization._int_poly_mul(prod, lifted[i], modulus)
+                prod = [c % modulus for c in _mul(prod, lifted[i])]
             candidate = QPoly([factorization._symmetric(c, modulus) for c in prod])
             if candidate.divides(g):
                 assert factorization._passes_constant_test(

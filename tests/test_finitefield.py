@@ -12,7 +12,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fineselmer.finitefield import FiniteField, FqPoly
+from fineselmer.finitefield import FiniteField, FqPoly, _vec_divmod, _vec_quo
 import oracles
 
 SMALL_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 2)]
@@ -184,3 +184,23 @@ def test_prime_field_matches_oracle_at_degree_one(l, xs, ys, e):
                lambda u, v: u - v, lambda u, v: u.roots() if u.degree >= 0 else [],
                lambda u, v: v.roots() if v.degree >= 0 else []):
         assert outcome(lambda: op(f, g)) == outcome(lambda: op(fo, go)), (xs, ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11]), st.lists(st.integers(0, 10), max_size=9),
+       st.lists(st.integers(0, 10), min_size=1, max_size=5))
+def test_int_list_division_matches_fqpoly(l, a, b):
+    a = [c % l for c in a]
+    b = [c % l for c in b]
+    if not b[-1]:
+        b[-1] = 1
+    field = FiniteField(l)
+    quo, rem = _vec_divmod(a, b, l)
+    q, r = FqPoly(field, a).divmod(FqPoly(field, b))
+    assert FqPoly(field, quo) == q and FqPoly(field, rem) == r
+    assert not rem or rem[-1] != 0
+    if rem:
+        with pytest.raises(ArithmeticError):
+            _vec_quo(a, b, l)
+    else:
+        assert _vec_quo(a, b, l) == quo

@@ -26,12 +26,10 @@ from fineselmer.padic import (
     NoLiftError,
     PadicNumber,
     PadicRoots,
-    _deriv,
-    _eval_int,
     hensel_lift,
     padic_roots,
 )
-from fineselmer.polynomial import QPoly
+from fineselmer.polynomial import QPoly, _derivative as _deriv, _horner as _eval_int
 from oracles import compose_linear
 
 

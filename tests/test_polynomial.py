@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fineselmer.polynomial import QPoly
+from fineselmer.polynomial import (QPoly, _add, _compose_linear, _derivative, _horner,
+                                   _mul, _sub)
 from oracles import compose_linear
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -122,3 +123,56 @@ def test_divide_by_zero_raises():
 def test_int_coeffs_rejects_fractions():
     with pytest.raises(ValueError):
         QPoly([Fraction(1, 2)]).int_coeffs()
+
+
+# --- the coefficient-list kernels ---
+
+int_lists = st.lists(st.integers(-60, 60), max_size=8)
+nonzero_int_lists = st.lists(st.integers(-60, 60), min_size=1, max_size=8).filter(
+    lambda a: a[-1] != 0)
+
+
+def value(a, x):
+    """a(x) straight from the definition, with no Horner."""
+    return sum(c * x**i for i, c in enumerate(a))
+
+
+@given(int_lists, int_lists)
+def test_list_product_sum_and_difference(a, b):
+    # deg(a b) < len(a) + len(b), so agreement at that many points is
+    # equality of polynomials
+    prod, total, diff = _mul(a, b), _add(a, b), _sub(a, b)
+    assert len(prod) == (len(a) + len(b) - 1 if a and b else 0)
+    for x in range(-1, len(a) + len(b)):
+        assert value(prod, x) == value(a, x) * value(b, x)
+        assert value(total, x) == value(a, x) + value(b, x)
+        assert value(diff, x) == value(a, x) - value(b, x)
+    assert not total or total[-1] != 0
+    assert not diff or diff[-1] != 0
+    assert QPoly(prod) == QPoly(a) * QPoly(b)
+    assert QPoly(total) == QPoly(a) + QPoly(b)
+    assert QPoly(diff) == QPoly(a) - QPoly(b)
+
+
+@given(int_lists, st.integers(-9, 9))
+def test_list_horner(a, x):
+    assert _horner(a, x) == value(a, x)
+    assert QPoly(a)(Fraction(x)) == value(a, x)
+
+
+@given(nonzero_int_lists, nonzero_int_lists, st.integers(-9, 9), st.integers(1, 5))
+def test_list_derivative(a, b, x, h):
+    # Leibniz, and f(x + h) - f(x) = h f'(x) mod h^2
+    lhs = _derivative(_mul(a, b))
+    rhs = _add(_mul(_derivative(a), b), _mul(a, _derivative(b)))
+    assert QPoly(lhs) == QPoly(rhs)
+    assert (value(a, x + h) - value(a, x) - h * value(_derivative(a), x)) % (h * h) == 0
+    assert QPoly(_derivative(a)) == QPoly(a).derivative()
+
+
+@given(nonzero_int_lists, st.integers(-7, 7).filter(bool), st.integers(-7, 7))
+def test_list_linear_shift(a, u, v):
+    shifted = _compose_linear(a, u, v)
+    assert shifted == compose_linear(QPoly(a), u, v).int_coeffs()
+    for x in range(-2, 3):
+        assert value(shifted, x) == value(a, u * x + v)
