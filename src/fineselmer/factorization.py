@@ -9,11 +9,10 @@ those primes is good.
 Then it factors modulo l. The distinct-degree split and the randomized
 equal-degree split (Cantor & Zassenhaus, Math. Comp. 36, 1981, with the
 quadratic residue trick) run on plain coefficient lists mod l with the
-`_vec_*` helpers of finitefield. Two steps still run on boxed FqPoly:
-the squarefree test of good_reduction and the Bezout cofactors of the
-Hensel lift (_equal_degree_ints says why). The random source is a
-`random.Random` seeded with DEFAULT_SEED unless a caller overrides it,
-so repeated runs produce factors in identical order.
+`_vec_*` helpers of finitefield, and so do the squarefree test of
+good_reduction and the Bezout cofactors of the Hensel lift. The random
+source is a `random.Random` seeded with DEFAULT_SEED unless a caller
+overrides it, so repeated runs produce factors in identical order.
 
 It lifts the monic factors of lc^(-1) f (lc the leading coefficient)
 with linear Hensel steps past 2 |lc| times a Landau-Mignotte-style
@@ -46,10 +45,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .finitefield import (FiniteField, FqPoly, _vec_gcd, _vec_mulmod,
+from .finitefield import (_vec_gcd, _vec_inverse_mod, _vec_mulmod,
                           _vec_powmod, _vec_quo, _vec_rem)
 from .modular import is_prime, primes_below
-from .polynomial import QPoly, _mul, _sub, _trim
+from .polynomial import QPoly, _derivative, _mul, _sub, _trim
 
 __all__ = [
     "DEFAULT_SEED",
@@ -121,13 +120,7 @@ def _equal_degree_ints(f: list[int], d: int, l: int, rng: random.Random) -> list
     """Cantor-Zassenhaus on a monic squarefree coefficient list mod odd l.
 
     f is a product of irreducibles of degree d; the factors come out
-    unsorted. This split and the distinct-degree split run on coefficient
-    lists; the squarefree test of good_reduction and the Bezout cofactors
-    of the Hensel lift still run on FqPoly, for a measurement reason.
-    Moved as well, they speed up the benchmark's batch-mixed workload
-    enough that its peak_rss_mb, which reads the harness's memory and
-    grows with the number of rounds, rose about 9 % against a 10 %
-    bound. They move once that metric measures the package alone.
+    unsorted.
     """
     n = len(f) - 1
     if n == d:
@@ -195,14 +188,14 @@ class GoodReduction:
                     reach |= reach << k
         return bool(reach >> d & 1)
 
-    def irreducibles(self, seed: int = DEFAULT_SEED) -> list[FqPoly]:
-        """The monic irreducible factors of f mod l, sorted by (degree, coefficients)."""
+    def irreducibles(self, seed: int = DEFAULT_SEED) -> list[list[int]]:
+        """The monic irreducible factors of f mod l as coefficient lists,
+        sorted by (degree, coefficients)."""
         rng = random.Random(seed)
         out: list[list[int]] = []
         for same_degree, k in self._split.through(self._split.degree):
             out += _equal_degree_ints(same_degree, k, self.l, rng)
-        field = FiniteField(self.l)
-        return [FqPoly(field, h) for h in sorted(out, key=lambda h: (len(h), h))]
+        return sorted(out, key=lambda h: (len(h), h))
 
 
 def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
@@ -224,36 +217,33 @@ def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
     candidates = (l for l in primes if l != 2 and lead % l)
     for l in islice(candidates, tries):
         reduced = [c % l for c in coeffs]
-        residue = FqPoly(FiniteField(l), reduced)
-        if residue.gcd(residue.derivative()).degree == 0:
+        if len(_vec_gcd(reduced, [c % l for c in _derivative(reduced)], l)) == 1:
             return GoodReduction(l, reduced)
     return None
 
 
-def _hensel_lift_factors(f: list[int], l: int, hbars: list[FqPoly], target: int) -> tuple[int, list[list[int]]]:
+def _hensel_lift_factors(f: list[int], l: int, hbars: list[list[int]], target: int) -> tuple[int, list[list[int]]]:
     """Lift the mod-l factorization f = lc * prod(hbars) to factors mod l^k > target.
 
     f is an integer coefficient list whose leading coefficient lc is
-    prime to l. Returns (l^k, list of monic integer coefficient vectors
-    mod l^k) whose product is lc^(-1) * f mod l^k; the inverse of lc is
-    taken afresh modulo each new power. Linear lifting with the Bezout
-    elements of the residue factorization, which stay valid at every
-    step because corrections vanish mod l.
+    prime to l, and hbars are monic coefficient lists mod l. Returns
+    (l^k, list of monic integer coefficient vectors mod l^k) whose
+    product is lc^(-1) * f mod l^k; the inverse of lc is taken afresh
+    modulo each new power. Linear lifting with the Bezout elements of the
+    residue factorization, which stay valid at every step because
+    corrections vanish mod l.
     """
-    field = hbars[0].field
-
     # Bezout: t_i = (prod_{j != i} hbar_j)^(-1) mod hbar_i
     ts = []
     for i, hi in enumerate(hbars):
-        prod_others = FqPoly(field, (1,))
+        prod_others = [1]
         for j, hj in enumerate(hbars):
             if j != i:
-                prod_others = (prod_others * hj) % hi
-        ts.append([c.lift() for c in _fq_inverse_mod(prod_others, hi).coeffs])
-    residues = [[c.lift() for c in h.coeffs] for h in hbars]
+                prod_others = _vec_mulmod(prod_others, hj, hi, l)
+        ts.append(_vec_inverse_mod(prod_others, hi, l))
 
     modulus = l
-    lifted = [list(h) for h in residues]
+    lifted = [list(h) for h in hbars]
     while modulus <= target:
         # error e = (lc^(-1) f - prod lifted) / modulus mod l
         step = modulus * l
@@ -262,27 +252,13 @@ def _hensel_lift_factors(f: list[int], l: int, hbars: list[FqPoly], target: int)
         for h in lifted:
             prod = [c % step for c in _mul(prod, h)]
         e_over = [(a * inv - b) % step // modulus for a, b in zip(f, prod)]
-        for h, t, hbar in zip(lifted, ts, residues):
+        for h, t, hbar in zip(lifted, ts, hbars):
             # delta_i = e * t_i mod hbar_i (all mod l)
             for k_idx, d in enumerate(_vec_mulmod(e_over, t, hbar, l)):
                 if d:
                     h[k_idx] = (h[k_idx] + modulus * d) % step
         modulus = step
     return modulus, lifted
-
-
-def _fq_inverse_mod(a: FqPoly, mod: FqPoly) -> FqPoly:
-    """Inverse of a mod `mod` over a prime field, by extended Euclid."""
-    field = a.field
-    r0, r1 = mod, a % mod
-    s0, s1 = FqPoly(field), FqPoly(field, (1,))
-    while not r1.is_zero:
-        q, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise ValueError("element not invertible modulo the given polynomial")
-    return s0 * r0.leading.inverse()
 
 
 def _symmetric(c: int, mod: int) -> int:
@@ -315,7 +291,7 @@ def factor_int_poly(f: QPoly, seed: int = DEFAULT_SEED,
         if g.coeff(0) == 0:
             factors.append((QPoly.x(), 1))
             g = g // QPoly.x()
-            residues.remove(FqPoly.x(FiniteField(reduction.l)))
+            residues.remove([0, 1])
         factors += [(irr, 1) for irr in _factor_squarefree(g, reduction.l, residues)]
     else:
         for squarefree, mult in prim.yun_squarefree():
@@ -343,13 +319,14 @@ def factor_int_poly(f: QPoly, seed: int = DEFAULT_SEED,
     return content, factors
 
 
-def _factor_squarefree(g: QPoly, l: int, residues: list[FqPoly]) -> list[QPoly]:
+def _factor_squarefree(g: QPoly, l: int, residues: list[list[int]]) -> list[QPoly]:
     """Irreducible factors of a primitive squarefree integer polynomial.
 
     l is a good prime for g, `residues` are the monic irreducible factors
-    of g mod l, and g(0) != 0. The residues are lifted as factors of
-    lc^(-1) g, with lc the leading coefficient of g, far enough that
-    lc * F / lc(F) is read off exactly for every divisor F of g in Z[x].
+    of g mod l as coefficient lists, and g(0) != 0. The residues are
+    lifted as factors of lc^(-1) g, with lc the leading coefficient of g,
+    far enough that lc * F / lc(F) is read off exactly for every divisor
+    F of g in Z[x].
     """
     if g.degree <= 0:
         return []

@@ -1,11 +1,14 @@
-"""The prime field F_l, its elements, and dense polynomials over it.
+"""The prime field F_l: int-list polynomial helpers, elements, FqPoly.
 
 The pipeline needs prime fields only: reduction types and split tests
 at the bad primes, traces a_l, and psi_p modulo one good prime l.
-`FiniteField(l)` is a plain value compared by its characteristic, an
-element `FqElem` holds one int in [0, l), and `FqPoly` is a dense
-polynomial of elements. Extension fields F_{l^f} live in the tests as
-an oracle.
+Factoring psi_p runs entirely on the `_vec_*` helpers below, plain
+coefficient lists of ints. `FiniteField(l)` is a plain value compared
+by its characteristic and an element `FqElem` holds one int in [0, l);
+WeierstrassModel.reduction hands them out. `FqPoly`, a dense polynomial
+of elements, is public API for root counts over F_l (the acceptance
+test counts torsion points with `FqPoly.roots`), not a pipeline layer.
+Extension fields F_{l^f} live in the tests as an oracle.
 
 Everything here is exact and immutable; elements hash and compare by
 value.
@@ -14,16 +17,17 @@ value.
 from __future__ import annotations
 
 from .modular import is_prime
-from .polynomial import _add, _derivative, _horner, _mul, _sub, _trim
+from .polynomial import _horner, _mul, _sub, _trim
 
 __all__ = ["FiniteField", "FqElem", "FqPoly"]
 
 
 # ---------------------------------------------------------------------------
 # int-list polynomial helpers mod l, on which factorization runs its
-# distinct- and equal-degree splits and its Hensel step: residues in
-# [0, l), lowest degree first. The product is polynomial._mul reduced
-# mod l; one long-division loop gives both quotient and remainder.
+# squarefree test, its distinct- and equal-degree splits and its Hensel
+# step: residues in [0, l), lowest degree first. The product is
+# polynomial._mul reduced mod l; one long-division loop gives both
+# quotient and remainder.
 # ---------------------------------------------------------------------------
 
 
@@ -75,6 +79,20 @@ def _vec_gcd(a: list[int], b: list[int], l: int) -> list[int]:
     while b:
         a, b = b, _vec_rem(a, b, l)
     return a
+
+
+def _vec_inverse_mod(a: list[int], mod: list[int], l: int) -> list[int]:
+    """Inverse of a modulo `mod` over F_l, by extended Euclid."""
+    r0, r1 = _trim(list(mod)), _vec_rem(a, mod, l)
+    s0, s1 = [], [1]
+    while r1:
+        q, rem = _vec_divmod(r0, r1, l)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _trim([c % l for c in _sub(s0, _mul(q, s1))])
+    if len(r0) != 1:
+        raise ValueError("element not invertible modulo the given polynomial")
+    inv = pow(r0[0], -1, l)
+    return [c * inv % l for c in s0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +277,6 @@ class FqPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> FqElem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FqPoly)
@@ -271,12 +286,6 @@ class FqPoly:
 
     def __hash__(self) -> int:
         return hash((self.field.char, self.coeffs))
-
-    def __add__(self, other: "FqPoly") -> "FqPoly":
-        return FqPoly(self.field, _add(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "FqPoly":
-        return FqPoly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
         return FqPoly(self.field, _sub(self.coeffs, other.coeffs))
@@ -308,9 +317,6 @@ class FqPoly:
                     rem[i + j] = rem[i + j] - q * oc
         return FqPoly(self.field, quot), FqPoly(self.field, rem)
 
-    def __floordiv__(self, other: "FqPoly") -> "FqPoly":
-        return self.divmod(other)[0]
-
     def __mod__(self, other: "FqPoly") -> "FqPoly":
         return self.divmod(other)[1]
 
@@ -337,9 +343,6 @@ class FqPoly:
             base = (base * base) % mod
             e >>= 1
         return result
-
-    def derivative(self) -> "FqPoly":
-        return FqPoly(self.field, _derivative(self.coeffs))
 
     def __call__(self, x: FqElem) -> FqElem:
         return self.field.element(_horner(self.coeffs, x))

@@ -111,33 +111,13 @@ def _inverse_mod(a: QPoly, h: QPoly) -> QPoly | None:
     return u % h
 
 
-def _span_with_sign(p: int, gens: tuple[int, ...]) -> set[int]:
-    """Subgroup of (Z/p)^x generated by -1 and the given integers."""
-    span = {1, p - 1}
-    muls = [g % p for g in gens]
-    grew = True
-    while grew:
-        grew = False
-        for a in list(span):
-            for b in muls:
-                c = a * b % p
-                if c not in span:
-                    span.add(c)
-                    grew = True
-    return span
-
-
 def _halfgroup_generators(p: int) -> tuple[int, ...]:
-    """Small integers generating (Z/p)^x modulo sign; empty for p = 3."""
-    gens: list[int] = []
-    for g in range(2, p):
-        span = _span_with_sign(p, tuple(gens))
-        if len(span) == p - 1:
-            break
-        if g % p not in span:
-            gens.append(g)
-    assert len(_span_with_sign(p, tuple(gens))) == p - 1
-    return tuple(gens)
+    """Generators of (Z/p)^x modulo sign, for p = 3 ... 13.
+
+    -1 alone gives (Z/3)^x. 2 is a primitive root mod 5, 11 and 13; mod 7
+    it has order 3 and -1 is not in <2>, so +-<2> is all of (Z/7)^x.
+    """
+    return () if p == 3 else (2,)
 
 
 @dataclass(frozen=True)

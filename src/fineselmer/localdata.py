@@ -519,7 +519,13 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
     Over Q(mu_p) the place above p is totally ramified with e = p - 1,
     and the congruence a_p = 1 (mod p) decides delta exactly in both
     directions.
+
+    `precision` is the starting p-adic precision of the root search, from
+    1 to MAX_PRECISION; None means DEFAULT_PRECISION.
     """
+    prec = DEFAULT_PRECISION if precision is None else precision
+    if not 1 <= prec <= MAX_PRECISION:
+        raise ValueError(f"precision must be between 1 and {MAX_PRECISION}, got {prec}")
     if p < 3:
         raise ValueError("p must be an odd prime")
     if field not in SUPPORTED_FIELDS:
@@ -552,7 +558,6 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
     # torsion free over Z_p for p >= 3, so searching Z_p covers every
     # Q_p-rational candidate
     psi = Emin.division_polynomial(p)
-    prec = precision or DEFAULT_PRECISION
     while True:
         found = padic_roots(psi, p, prec)
         rational_point = False

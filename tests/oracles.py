@@ -15,8 +15,11 @@ int-list split stays cross-checked against it: squarefree decomposition
 in characteristic p, the distinct-degree split, and the equal-degree
 split over any F_q (the quadratic residue trick for odd q, the trace map
 for q = 2^k). `factor_fq` chains the three and `is_irreducible_fq` is an
-independent irreducibility test. The package no longer reaches
-`compose_linear` either; the rational oracles use it.
+independent irreducibility test. `fq_inverse_mod` is the boxed extended
+Euclid that the Hensel lift's Bezout cofactors used to run on, and the
+boxed `gcd` with `derivative` is the squarefree test good_reduction
+used to run. The package no longer reaches `compose_linear` either; the
+rational oracles use it.
 
 The package builds division polynomials and the x-multiple maps on
 integer coefficient lists. The f/g ladder on QPoly at the end of this
@@ -712,6 +715,20 @@ def is_irreducible_fq(f: FqPoly) -> bool:
         if f.gcd(h - x).degree > 0:
             return False
     return True
+
+
+def fq_inverse_mod(a: FqPoly, mod: FqPoly) -> FqPoly:
+    """Inverse of a mod `mod` over a prime field, by extended Euclid."""
+    field = a.field
+    r0, r1 = mod, a % mod
+    s0, s1 = FqPoly(field), FqPoly(field, (1,))
+    while not r1.is_zero:
+        q, rem = r0.divmod(r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        raise ValueError("element not invertible modulo the given polynomial")
+    return s0 * r0.leading.inverse()
 
 
 # ---------------------------------------------------------------------------

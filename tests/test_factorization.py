@@ -13,7 +13,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fineselmer import factorization
 from fineselmer.factorization import (
@@ -22,7 +22,7 @@ from fineselmer.factorization import (
     factor_int_poly,
     good_reduction,
 )
-from fineselmer.finitefield import FqPoly
+from fineselmer.modular import is_prime
 from fineselmer.polynomial import QPoly, _mul
 import oracles
 from oracles import (DistinctDegreeBoxed, admits_divisor_of_degree, compose_linear,
@@ -190,10 +190,10 @@ def test_good_reduction_of_psi7_on_27a1_matches_factor_fq():
     reduction = good_reduction(psi)
     assert reduction.l == 5
     irreducibles = reduction.irreducibles()
-    assert [h.degree for h in irreducibles] == [3, 3, 6, 6, 6]
+    assert [len(h) - 1 for h in irreducibles] == [3, 3, 6, 6, 6]
     residue = oracles.FqPoly(oracles.FiniteField(5), [c % 5 for c in psi.int_coeffs()])
     _, factors = factor_fq(residue)
-    keys = [coefficient_key(h) for h in irreducibles]
+    keys = irreducibles
     assert [(key, 1) for key in keys] == [(coefficient_key(h), m) for h, m in factors]
     rng = random.Random(DEFAULT_SEED)
     boxed = [coefficient_key(h)
@@ -336,7 +336,7 @@ def test_factor_int_poly_rejects_zero():
 # --- leading-coefficient recombination against the monicised path it replaces ---
 
 
-def factor_squarefree_monicised(g: QPoly, l: int, residues: list[FqPoly]) -> list[QPoly]:
+def factor_squarefree_monicised(g: QPoly, l: int, residues: list[list[int]]) -> list[QPoly]:
     """_factor_squarefree as it ran before leading-coefficient recombination.
 
     A non-monic g is made monic by G(x) = lead^(n-1) g(x/lead), with the
@@ -353,7 +353,7 @@ def factor_squarefree_monicised(g: QPoly, l: int, residues: list[FqPoly]) -> lis
         n = g.degree
         G = QPoly([c * Fraction(lead) ** (n - 1 - i) for i, c in enumerate(g.coeffs)])
         assert G.is_integral and G.leading == 1
-        scaled = [FqPoly(h.field, [c * pow(lead, h.degree - j, l) for j, c in enumerate(h.coeffs)])
+        scaled = [[c * pow(lead, len(h) - 1 - j, l) % l for j, c in enumerate(h)]
                   for h in residues]
         return [compose_linear(H, Fraction(lead), 0).primitive()
                 for H in factor_squarefree_monicised(G, l, scaled)]
@@ -565,11 +565,11 @@ def test_good_prime_skips_yun(monkeypatch):
 
 def test_repeated_factor_falls_back_to_yun_after_few_primes(monkeypatch):
     reduced = []
-    field_of = factorization.FiniteField
+    gcd = factorization._vec_gcd
 
-    def counting_field(l, *args):
+    def counting_gcd(a, b, l):
         reduced.append(l)
-        return field_of(l, *args)
+        return gcd(a, b, l)
 
     yun_calls = []
     yun = QPoly.yun_squarefree
@@ -578,7 +578,7 @@ def test_repeated_factor_falls_back_to_yun_after_few_primes(monkeypatch):
         yun_calls.append(self.degree)
         return yun(self)
 
-    monkeypatch.setattr(factorization, "FiniteField", counting_field)
+    monkeypatch.setattr(factorization, "_vec_gcd", counting_gcd)
     monkeypatch.setattr(QPoly, "yun_squarefree", counting_yun)
     f = qpoly(1, 0, 1) ** 2 * qpoly(-2, 0, 0, 1)
     content, factors = factor_int_poly(f)
@@ -595,7 +595,7 @@ def test_good_reduction_degree_question():
     f = qpoly(1, 0, 1) * qpoly(-2, 0, 0, 1)
     reduction = good_reduction(f)
     assert reduction.l == 7
-    assert [h.degree for h in reduction.irreducibles()] == [2, 3]
+    assert [len(h) - 1 for h in reduction.irreducibles()] == [2, 3]
     assert [d for d in range(6) if reduction.admits_divisor_of_degree(d)] == [0, 2, 3, 5]
     # the cyclotomic polynomial Phi_7 is irreducible mod 3 (3 has order 6
     # mod 7), so no divisor of degree 1 to 5 can exist over Q
@@ -613,18 +613,77 @@ def test_good_reduction_degree_question():
     assert good_reduction(BAD_FIRST_PRIMES).l == 29
 
 
+# --- the int-list squarefree test against the boxed gcd it replaces ---
+
+
+def boxed_squarefree(coeffs: list[int], l: int) -> bool:
+    residue = oracles.FqPoly(oracles.FiniteField(l), [c % l for c in coeffs])
+    return residue.gcd(residue.derivative()).degree == 0
+
+
+def first_good_prime_boxed(coeffs: list[int], tries: int):
+    """good_reduction(f, tries).l as the boxed gcd decides it, or None."""
+    candidates = (l for l in range(3, 200, 2) if is_prime(l) and coeffs[-1] % l)
+    for _, l in zip(range(tries), candidates):
+        if boxed_squarefree(coeffs, l):
+            return l
+    return None
+
+
+@st.composite
+def hard_residues(draw):
+    """(l, kind, f): an integer f whose first good-prime candidate is l.
+
+    The leading coefficient is a multiple of every odd prime below l and
+    prime to l. kind "square" has a squared factor mod l, "frobenius" has
+    a derivative that vanishes mod l, "degree" has l | deg f; l times a
+    lower-degree noise term leaves f mod l as built.
+    """
+    l = draw(st.sampled_from([3, 5, 7]))
+    lead = draw(st.sampled_from([1, 2, -4])) * {3: 1, 5: 3, 7: 15}[l]
+    small = st.integers(-9, 9)
+    kind = draw(st.sampled_from(["square", "frobenius", "degree", "random"]))
+    if kind == "square":
+        r = draw(small)
+        f = _mul(_mul([r, 1], [r, 1]), draw(st.lists(small, max_size=3)) + [lead])
+    elif kind == "frobenius":
+        f = [0] * (2 * l + 1)
+        f[0], f[l], f[-1] = draw(small), draw(small), lead
+    elif kind == "degree":
+        f = draw(st.lists(small, min_size=l, max_size=l)) + [lead]
+    else:
+        f = draw(st.lists(small, min_size=1, max_size=6)) + [lead]
+    noise = draw(st.lists(small, max_size=len(f) - 1))
+    return l, kind, [c + l * e for c, e in zip(f, noise + [0] * len(f))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hard_residues(), st.integers(1, 4))
+# x^3 + 1 = (x + 1)^3 mod 3, where its derivative 3x^2 vanishes; 5 is good
+@example((3, "frobenius", [1, 0, 0, 1]), 2)
+def test_int_squarefree_test_matches_boxed_gcd(lkf, tries):
+    l, kind, f = lkf
+    verdict = boxed_squarefree(f, l)
+    if kind in ("square", "frobenius"):
+        assert not verdict
+    # l is the first candidate, so one try asks exactly the verdict at l
+    assert (good_reduction(qpoly(*f), 1) is not None) == verdict
+    found = good_reduction(qpoly(*f), tries)
+    assert (found.l if found else None) == first_good_prime_boxed(f, tries)
+
+
 def test_capped_search_tries_the_same_primes_without_the_sieve(monkeypatch):
     # 3 and 7 divide the leading coefficient; mod each of the next eight
     # odd primes 21 x^2 - c is 21 x^2, a square; mod 37 it is squarefree
     f = qpoly(-5 * 11 * 13 * 17 * 19 * 23 * 29 * 31, 0, 21)
-    field_of = factorization.FiniteField
+    gcd = factorization._vec_gcd
     reduced = []
 
-    def recording_field(l, *args):
+    def recording_gcd(a, b, l):
         reduced.append(l)
-        return field_of(l, *args)
+        return gcd(a, b, l)
 
-    monkeypatch.setattr(factorization, "FiniteField", recording_field)
+    monkeypatch.setattr(factorization, "_vec_gcd", recording_gcd)
     assert good_reduction(f).l == 37
     uncapped, reduced[:] = reduced[:], []
 

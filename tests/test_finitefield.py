@@ -12,7 +12,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fineselmer.finitefield import FiniteField, FqPoly, _vec_divmod, _vec_quo
+from fineselmer.finitefield import (FiniteField, FqPoly, _vec_divmod, _vec_inverse_mod,
+                                    _vec_mulmod, _vec_quo)
+from fineselmer.polynomial import _mul
 import oracles
 
 SMALL_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 2)]
@@ -204,3 +206,29 @@ def test_int_list_division_matches_fqpoly(l, a, b):
             _vec_quo(a, b, l)
     else:
         assert _vec_quo(a, b, l) == quo
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 101]),
+    st.lists(st.integers(0, 100), max_size=8),
+    st.lists(st.integers(0, 100), min_size=1, max_size=6),
+    st.lists(st.integers(0, 100), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_int_list_inverse_matches_boxed_extended_euclid(l, a, m, common, shared):
+    # a factor `common` of positive degree shared with mod makes a non-invertible
+    common = [c % l for c in common] + [1] if shared else [1]
+    a = [c % l for c in _mul(common, a)]
+    mod = [c % l for c in _mul(common, m + [1])]
+    field = oracles.FiniteField(l)
+    try:
+        boxed = lifts(oracles.fq_inverse_mod(oracles.FqPoly(field, a),
+                                             oracles.FqPoly(field, mod)).coeffs)
+    except ValueError:
+        with pytest.raises(ValueError, match="not invertible"):
+            _vec_inverse_mod(a, mod, l)
+        return
+    inverse = _vec_inverse_mod(a, mod, l)
+    assert inverse == boxed
+    assert _vec_mulmod(a, inverse, mod, l) == [1]

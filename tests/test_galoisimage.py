@@ -31,6 +31,7 @@ from fineselmer.galoisimage import (
     find_stable_subgroups,
     surjectivity_certificate,
 )
+from fineselmer.lambdabound import compute_lambda_bound
 from fineselmer.modular import primes_below
 from fineselmer.polynomial import QPoly
 
@@ -77,9 +78,14 @@ def reverify_certificate(model: WeierstrassModel, p: int, cert) -> None:
 
 
 def test_halfgroup_generators():
-    # (Z/p)^x divided by +-1 is generated by 2 alone for every p in range
+    # -1 and the generators span (Z/p)^x, by brute force from the definition
     for p in (3, 5, 7, 11, 13):
-        assert _halfgroup_generators(p) == ((2,) if p > 3 else ())
+        gens = _halfgroup_generators(p)
+        assert gens == ((2,) if p > 3 else ())
+        span = {1, p - 1}
+        for g in gens:
+            span = {s * pow(g, k, p) % p for s in span for k in range(p - 1)}
+        assert span == set(range(1, p))
 
 
 def test_isogeny_class_with_two_stable_lines():
@@ -308,6 +314,14 @@ def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):
     # x or r to a power modulo f with FqPoly.pow_mod
     def boxed(*args):
         raise AssertionError("an FqPoly split ran over F_l")
+
+    # no step of the whole pipeline builds an FqPoly: the squarefree test,
+    # the splits, the Hensel lift and the recombination all run on ints
+    runs = [(CREMONA["14a1"], 3), (CREMONA["11a1"], 5), (CREMONA["27a1"], 7),
+            (CREMONA["37a1"], 11)]
+    expected = [compute_lambda_bound(WeierstrassModel(*curve), p) for curve, p in runs]
+    monkeypatch.setattr(FqPoly, "__init__", boxed)
+    assert [compute_lambda_bound(WeierstrassModel(*curve), p) for curve, p in runs] == expected
 
     splits = []
     split_ints = factorization._equal_degree_ints

@@ -307,6 +307,15 @@ def test_delta_congruent_trace_without_torsion():
     assert (d.value, d.provenance, d.method) == (0, "computed-exact", "division-poly-exhausted")
 
 
+def test_delta_precision_range():
+    # 0 once meant the default and 257 ran past the ladder's last rung
+    for precision in (0, -5, 257):
+        with pytest.raises(ValueError, match="precision must be between 1 and 256"):
+            delta_v(E11A1, 5, precision=precision)
+    for precision in (1, 256, None):
+        assert delta_v(E11A1, 5, precision=precision).value == 2
+
+
 def test_delta_at_ramified_place():
     d = delta_v(E11A2, 5, "Q(mu_p)")
     assert (d.value, d.provenance, d.method) == (2, "computed-exact", "ramified-congruence")
