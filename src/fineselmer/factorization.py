@@ -15,8 +15,10 @@ source is a `random.Random` seeded with DEFAULT_SEED unless a caller
 overrides it, so repeated runs produce factors in identical order.
 
 It lifts the monic factors of lc^(-1) f (lc the leading coefficient)
-with linear Hensel steps past 2 |lc| times a Landau-Mignotte-style
-coefficient bound, and recombines with the leading coefficient in place
+past 2 |lc| times a Landau-Mignotte-style coefficient bound with
+quadratic Hensel steps, each of which at most doubles the exponent of
+l, and stops at the first power of l above the bound, the power a
+linear lift would reach. It recombines with the leading coefficient in place
 (von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 15.19): for a
 subset S of the lifted factors h_i that belongs to a divisor F,
 lc * prod(h_S) read with symmetric representatives is (lc / lc(F)) * F.
@@ -25,8 +27,9 @@ Zimmermann, ISSAC 2000) asks that lc * prod h_i(0) divide lc * f(0); it
 is exact, and it rejects almost every false subset with one product of
 integers. Each survivor is trial-divided exactly in Z[x], all on integer
 coefficient lists; every product, in the lift and in the recombination,
-is polynomial._mul reduced mod l^k. The product of the returned factors (times content)
-is checked against the input before returning; a mismatch is a bug, not
+is polynomial._mul reduced mod a power of l. The product of the returned
+factors (times content) is checked exactly against the input before
+returning, on integer coefficient lists too; a mismatch is a bug, not
 a condition the caller handles.
 
 The same reduction answers a cheaper question first. Every divisor of f
@@ -48,7 +51,7 @@ from itertools import combinations, islice
 from .finitefield import (_vec_gcd, _vec_inverse_mod, _vec_mulmod,
                           _vec_powmod, _vec_quo, _vec_rem)
 from .modular import is_prime, primes_below
-from .polynomial import QPoly, _derivative, _mul, _sub, _trim
+from .polynomial import QPoly, _add, _derivative, _mul, _sub, _trim
 
 __all__ = [
     "DEFAULT_SEED",
@@ -223,15 +226,19 @@ def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
 
 
 def _hensel_lift_factors(f: list[int], l: int, hbars: list[list[int]], target: int) -> tuple[int, list[list[int]]]:
-    """Lift the mod-l factorization f = lc * prod(hbars) to factors mod l^k > target.
+    """Lift the mod-l factorization f = lc * prod(hbars) to factors mod l^K > target.
 
     f is an integer coefficient list whose leading coefficient lc is
     prime to l, and hbars are monic coefficient lists mod l. Returns
-    (l^k, list of monic integer coefficient vectors mod l^k) whose
-    product is lc^(-1) * f mod l^k; the inverse of lc is taken afresh
-    modulo each new power. Linear lifting with the Bezout elements of the
-    residue factorization, which stay valid at every step because
-    corrections vanish mod l.
+    (l^K, list of monic integer coefficient vectors mod l^K) whose
+    product is lc^(-1) * f mod l^K, with K the least exponent for which
+    l^K > target. Quadratic multifactor lifting (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 15.4-15.5): the exponent runs
+    1, ..., ceil(K/2), K, and each step from m to M (M | m^2) corrects
+    the factors h_i and then the partial-fraction cofactors t_i, which
+    keep sum_i t_i prod_{j != i} h_j = 1 mod M. Monic lifts of a coprime
+    factorization are unique, so l^K and the factors are those a linear
+    lift, one digit per step, would reach.
     """
     # Bezout: t_i = (prod_{j != i} hbar_j)^(-1) mod hbar_i
     ts = []
@@ -240,25 +247,48 @@ def _hensel_lift_factors(f: list[int], l: int, hbars: list[list[int]], target: i
         for j, hj in enumerate(hbars):
             if j != i:
                 prod_others = _vec_mulmod(prod_others, hj, hi, l)
-        ts.append(_vec_inverse_mod(prod_others, hi, l))
+        t = _vec_inverse_mod(prod_others, hi, l)
+        ts.append(t + [0] * (len(hi) - 1 - len(t)))
 
-    modulus = l
+    top, power = 1, l
+    while power <= target:
+        top, power = top + 1, power * l
+    exponents = [top]
+    while exponents[-1] > 1:
+        exponents.append((exponents[-1] + 1) // 2)
+    exponents.reverse()
+
     lifted = [list(h) for h in hbars]
-    while modulus <= target:
-        # error e = (lc^(-1) f - prod lifted) / modulus mod l
-        step = modulus * l
-        inv = pow(f[-1], -1, step)
+    for k, k_next in zip(exponents, exponents[1:]):
+        # every correction is m times a residue mod q = M / m <= m
+        m, modulus = l**k, l**k_next
+        q = modulus // m
+        inv = pow(f[-1], -1, modulus)
         prod = [1]
         for h in lifted:
-            prod = [c % step for c in _mul(prod, h)]
-        e_over = [(a * inv - b) % step // modulus for a, b in zip(f, prod)]
-        for h, t, hbar in zip(lifted, ts, hbars):
-            # delta_i = e * t_i mod hbar_i (all mod l)
-            for k_idx, d in enumerate(_vec_mulmod(e_over, t, hbar, l)):
-                if d:
-                    h[k_idx] = (h[k_idx] + modulus * d) % step
-        modulus = step
-    return modulus, lifted
+            prod = [c % modulus for c in _mul(prod, h)]
+        # e = (lc^(-1) f - prod h_i) / m; h_i += m * (e t_i rem h_i)
+        e = [(a * inv - b) % modulus // m for a, b in zip(f, prod)]
+        for h, t in zip(lifted, ts):
+            for i, d in enumerate(_mod_q_rem(e, t, h, q)):
+                h[i] = (h[i] + m * d) % modulus
+        if k_next == top:
+            break
+        # b = (sum_i t_i prod_{j != i} h_j - 1) / m; t_i -= m * (b t_i rem h_i)
+        total, prefix = [], [1]
+        for h, t in zip(lifted, ts):
+            total = [c % modulus for c in _add(_mul(total, h), _mul(t, prefix))]
+            prefix = [c % modulus for c in _mul(prefix, h)]
+        b = [(c - (i == 0)) % modulus // m for i, c in enumerate(total)]
+        for h, t in zip(lifted, ts):
+            for i, d in enumerate(_mod_q_rem(b, t, h, q)):
+                t[i] = (t[i] - m * d) % modulus
+    return l**top, lifted
+
+
+def _mod_q_rem(a: list[int], t: list[int], h: list[int], q: int) -> list[int]:
+    """a * t rem h, reduced mod q, for a monic h; t and h enter mod q."""
+    return _vec_mulmod(a, [c % q for c in t], [c % q for c in h], q)
 
 
 def _symmetric(c: int, mod: int) -> int:
@@ -306,17 +336,18 @@ def factor_int_poly(f: QPoly, seed: int = DEFAULT_SEED,
             factors += [(irr, mult) for irr in _factor_squarefree(
                 part, part_reduction.l, part_reduction.irreducibles(seed))]
     factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
-    # fold the primitive-part units of the factors back into the content
-    check = QPoly.constant(1)
+    # fold the primitive-part units of the factors back into the content;
+    # prim and every factor are integral, so the check runs on int lists
+    check = [1]
     for poly, mult in factors:
-        check = check * poly**mult
-    if check.degree != prim.degree:
+        for _ in range(mult):
+            check = _mul(check, poly.int_coeffs())
+    target = prim.int_coeffs()
+    if len(check) != len(target):
         raise AssertionError("factor_int_poly lost degree; this is a bug")
-    unit = prim.leading / check.leading
-    content = content * unit
-    if QPoly([c * unit for c in check.coeffs]) != prim:
+    if [c * target[-1] for c in check] != [c * check[-1] for c in target]:
         raise AssertionError("factor_int_poly reconstruction failed; this is a bug")
-    return content, factors
+    return content * Fraction(target[-1], check[-1]), factors
 
 
 def _factor_squarefree(g: QPoly, l: int, residues: list[list[int]]) -> list[QPoly]:

@@ -27,7 +27,9 @@ __all__ = ["FiniteField", "FqElem", "FqPoly"]
 # squarefree test, its distinct- and equal-degree splits and its Hensel
 # step: residues in [0, l), lowest degree first. The product is
 # polynomial._mul reduced mod l; one long-division loop gives both
-# quotient and remainder.
+# quotient and remainder. The Hensel lift also runs _vec_mulmod and
+# _vec_divmod modulo a prime power l^k; there it divides only by monic
+# polynomials, so the leading coefficient is always invertible.
 # ---------------------------------------------------------------------------
 
 

@@ -39,8 +39,8 @@ from .cyclotomic import is_regular, kinf_ramification
 from .elliptic import WeierstrassModel
 from .factorization import factor_int_poly
 from .galoisimage import ImageClassification, classify_image
-from .localdata import (DeltaResult, PlaceSets, compute_place_sets, delta_v,
-                        g_v)
+from .localdata import (DeltaResult, PlaceSets, _start_precision,
+                        compute_place_sets, delta_v, g_v)
 from .modular import is_prime, valuation
 
 __all__ = [
@@ -207,6 +207,8 @@ def compute_lambda_bound(
                              f"expected one of {sorted(ASSUMPTION_TOKENS)}")
     if (dim_y is not None and dim_y < 0) or (dim_z is not None and dim_z < 0):
         raise ValueError("global dimensions cannot be negative")
+    # checked here too: a curve blocked at p never reaches delta_v
+    _start_precision(precision)
 
     notes: list[str] = []
     ledger: dict[str, HypothesisEntry] = {}

@@ -506,6 +506,15 @@ def _torsion_x_has_rational_y(model: WeierstrassModel, x0: PadicNumber, p: int) 
     return d.is_square()
 
 
+def _start_precision(precision: int | None) -> int:
+    """delta_v's starting precision: DEFAULT_PRECISION for None, else
+    `precision` itself, which must lie in 1 .. MAX_PRECISION."""
+    prec = DEFAULT_PRECISION if precision is None else precision
+    if not 1 <= prec <= MAX_PRECISION:
+        raise ValueError(f"precision must be between 1 and {MAX_PRECISION}, got {prec}")
+    return prec
+
+
 def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
             precision: int | None = None) -> DeltaResult:
     """delta at the place above p: 2 if E(F_v)[p] != 0, else 0.
@@ -523,9 +532,7 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
     `precision` is the starting p-adic precision of the root search, from
     1 to MAX_PRECISION; None means DEFAULT_PRECISION.
     """
-    prec = DEFAULT_PRECISION if precision is None else precision
-    if not 1 <= prec <= MAX_PRECISION:
-        raise ValueError(f"precision must be between 1 and {MAX_PRECISION}, got {prec}")
+    prec = _start_precision(precision)
     if p < 3:
         raise ValueError("p must be an odd prime")
     if field not in SUPPORTED_FIELDS:

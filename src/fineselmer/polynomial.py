@@ -222,12 +222,6 @@ class QPoly:
     def __mod__(self, other: "QPoly") -> "QPoly":
         return self.divmod(other)[1]
 
-    def divides(self, other: "QPoly") -> bool:
-        """True iff self divides other exactly in Q[x]."""
-        if self.is_zero:
-            return other.is_zero
-        return other.divmod(self)[1].is_zero
-
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self) -> "QPoly":

@@ -19,7 +19,12 @@ independent irreducibility test. `fq_inverse_mod` is the boxed extended
 Euclid that the Hensel lift's Bezout cofactors used to run on, and the
 boxed `gcd` with `derivative` is the squarefree test good_reduction
 used to run. The package no longer reaches `compose_linear` either; the
-rational oracles use it.
+rational oracles use it, and `divides` is the exact divisibility test
+QPoly used to carry.
+
+The package lifts the factorization mod l quadratically.
+`hensel_lift_linear`, one l-adic digit a step, is the lift it replaced,
+and the tests check that both return the same modulus and factors.
 
 The package builds division polynomials and the x-multiple maps on
 integer coefficient lists. The f/g ladder on QPoly at the end of this
@@ -32,9 +37,9 @@ import random
 
 from fineselmer.elliptic import COUNT_LIMIT, WeierstrassModel
 from fineselmer.factorization import DEFAULT_SEED
-from fineselmer.finitefield import _vec_gcd, _vec_mulmod, _vec_powmod
+from fineselmer.finitefield import _vec_gcd, _vec_inverse_mod, _vec_mulmod, _vec_powmod
 from fineselmer.modular import is_prime
-from fineselmer.polynomial import QPoly, _trim as _vec_trim
+from fineselmer.polynomial import QPoly, _mul, _trim as _vec_trim
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +737,56 @@ def fq_inverse_mod(a: FqPoly, mod: FqPoly) -> FqPoly:
 
 
 # ---------------------------------------------------------------------------
+# the linear Hensel lift
+# ---------------------------------------------------------------------------
+
+
+def hensel_lift_linear(f: list[int], l: int, hbars: list[list[int]],
+                       target: int) -> tuple[int, list[list[int]]]:
+    """Lift the mod-l factorization f = lc * prod(hbars) one l-adic digit a step.
+
+    Same contract as factorization._hensel_lift_factors: (l^k, monic
+    factors mod l^k of lc^(-1) f) with l^k the first power above target.
+    The Bezout elements of the residue factorization stay valid at every
+    step because the corrections vanish mod l.
+    """
+    ts = []
+    for i, hi in enumerate(hbars):
+        prod_others = [1]
+        for j, hj in enumerate(hbars):
+            if j != i:
+                prod_others = _vec_mulmod(prod_others, hj, hi, l)
+        ts.append(_vec_inverse_mod(prod_others, hi, l))
+
+    modulus = l
+    lifted = [list(h) for h in hbars]
+    while modulus <= target:
+        # error e = (lc^(-1) f - prod lifted) / modulus mod l
+        step = modulus * l
+        inv = pow(f[-1], -1, step)
+        prod = [1]
+        for h in lifted:
+            prod = [c % step for c in _mul(prod, h)]
+        e_over = [(a * inv - b) % step // modulus for a, b in zip(f, prod)]
+        for h, t, hbar in zip(lifted, ts, hbars):
+            # delta_i = e * t_i mod hbar_i (all mod l)
+            for k_idx, d in enumerate(_vec_mulmod(e_over, t, hbar, l)):
+                if d:
+                    h[k_idx] = (h[k_idx] + modulus * d) % step
+        modulus = step
+    return modulus, lifted
+
+
+# ---------------------------------------------------------------------------
 # rational polynomials
 # ---------------------------------------------------------------------------
+
+
+def divides(d: QPoly, f: QPoly) -> bool:
+    """True iff d divides f exactly in Q[x]."""
+    if d.is_zero:
+        return f.is_zero
+    return (f % d).is_zero
 
 
 def compose_linear(f: QPoly, a, b) -> QPoly:

@@ -27,6 +27,7 @@ from fineselmer.polynomial import QPoly, _mul
 import oracles
 from oracles import (DistinctDegreeBoxed, admits_divisor_of_degree, compose_linear,
                      equal_degree_boxed, factor_fq, is_irreducible_fq)
+from test_elliptic import isogeny_13_curve
 
 
 def qpoly(*coeffs: int) -> QPoly:
@@ -362,7 +363,7 @@ def factor_squarefree_monicised(g: QPoly, l: int, residues: list[list[int]]) -> 
     if len(residues) == 1:
         return [g]
     bound = 2 * factorization._landau_mignotte(g.int_coeffs()) + 1
-    modulus, lifted = factorization._hensel_lift_factors(g.int_coeffs(), l, residues, bound)
+    modulus, lifted = oracles.hensel_lift_linear(g.int_coeffs(), l, residues, bound)
     remaining = list(range(len(lifted)))
     current = g
     out = []
@@ -387,7 +388,7 @@ def try_subsets_monicised(current, lifted, remaining, size, modulus):
         for i in subset:
             prod = [c % modulus for c in _mul(prod, lifted[i])]
         candidate = QPoly([factorization._symmetric(c, modulus) for c in prod])
-        if candidate.divides(current):
+        if oracles.divides(candidate, current):
             return set(subset), candidate.primitive()
     return None
 
@@ -443,16 +444,23 @@ def test_psi_factors_match_monicised_recombination():
 # --- the constant-term test that guards every product in the recombination ---
 
 
-def lifted_factors(g: QPoly):
-    """(l^k, lifted factors of lc^(-1) g) as _factor_squarefree lifts them,
-    or None when no good prime is found within SQUAREFREE_TRIES."""
+def lift_arguments(g: QPoly):
+    """(coefficients, l, residues, bound) as _factor_squarefree passes them
+    to the Hensel lift, or None when no good prime is found within
+    SQUAREFREE_TRIES."""
     reduction = good_reduction(g, SQUAREFREE_TRIES)
     if reduction is None:
         return None
     coeffs = g.int_coeffs()
     bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(coeffs) + 1
-    return factorization._hensel_lift_factors(
-        coeffs, reduction.l, reduction.irreducibles(), bound)
+    return coeffs, reduction.l, reduction.irreducibles(), bound
+
+
+def lifted_factors(g: QPoly):
+    """(l^k, lifted factors of lc^(-1) g) as _factor_squarefree lifts them,
+    or None when no good prime is found within SQUAREFREE_TRIES."""
+    args = lift_arguments(g)
+    return None if args is None else factorization._hensel_lift_factors(*args)
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,7 +477,7 @@ def test_constant_term_test_never_rejects_a_true_factor(parts):
             for i in subset:
                 prod = [c % modulus for c in _mul(prod, lifted[i])]
             candidate = QPoly([factorization._symmetric(c, modulus) for c in prod])
-            if candidate.divides(g):
+            if oracles.divides(candidate, g):
                 assert factorization._passes_constant_test(
                     current, [lifted[i][0] for i in subset], modulus), subset
 
@@ -496,6 +504,68 @@ def test_constant_term_test_settles_psi11_without_a_product(monkeypatch):
     _, factors = factor_int_poly(psi)
     assert [(g.degree, m) for g, m in factors] == [(60, 1)]
     assert len(passed) == 2509 and not any(passed)
+
+
+# --- the quadratic Hensel lift against the linear lift it replaces ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_factor_lists(max_parts=4), st.integers(0, 300))
+def test_quadratic_lift_matches_linear_lift(parts, digits):
+    # monic lifts of a coprime factorization are unique: both lifts must
+    # stop at the same power of l with the same factors, at the bound
+    # _factor_squarefree uses and at an arbitrary l-adic target
+    args = lift_arguments(product(parts).primitive())
+    assume(args is not None)
+    coeffs, l, residues, bound = args
+    for target in (bound, l**digits):
+        assert (factorization._hensel_lift_factors(coeffs, l, residues, target)
+                == oracles.hensel_lift_linear(coeffs, l, residues, target))
+
+
+@pytest.mark.parametrize("curve, p", [
+    pytest.param((0, -1, 1, -10, -20), 5, id="11a1-5"),
+    pytest.param((0, -1, 1, -7820, -263580), 5, id="11a2-5"),
+    pytest.param((1, -1, 1, -3, 3), 7, id="26b1-7"),
+    pytest.param((0, 0, 1, 0, -7), 7, id="27a1-7"),
+    pytest.param(isogeny_13_curve(), 13, id="13-isogeny-13"),
+])
+def test_quadratic_lift_matches_linear_lift_on_psi(curve, p):
+    from fineselmer.elliptic import WeierstrassModel
+
+    psi = WeierstrassModel(*curve).integral_model().division_polynomial(p)
+    coeffs, l, residues, bound = lift_arguments(psi.primitive())
+    modulus, lifted = factorization._hensel_lift_factors(coeffs, l, residues, bound)
+    assert (modulus, lifted) == oracles.hensel_lift_linear(coeffs, l, residues, bound)
+    assert len(lifted) > 1 and modulus > bound >= modulus // l
+
+
+# --- the exact reconstruction check at the end of factor_int_poly ---
+
+
+def test_reconstruction_check_catches_a_wrong_coefficient(monkeypatch):
+    factor_squarefree = factorization._factor_squarefree
+
+    def perturbed(g, l, residues):
+        out = factor_squarefree(g, l, residues)
+        coeffs = list(out[0].coeffs)
+        coeffs[0] += 1
+        return [QPoly(coeffs)] + out[1:]
+
+    monkeypatch.setattr(factorization, "_factor_squarefree", perturbed)
+    with pytest.raises(AssertionError, match="reconstruction failed"):
+        factor_int_poly(product([[1, 0, 1], [-2, 0, 0, 1], [3, 2]]))
+
+
+def test_reconstruction_check_catches_a_lost_factor(monkeypatch):
+    factor_squarefree = factorization._factor_squarefree
+
+    def dropped(g, l, residues):
+        return factor_squarefree(g, l, residues)[1:]
+
+    monkeypatch.setattr(factorization, "_factor_squarefree", dropped)
+    with pytest.raises(AssertionError, match="lost degree"):
+        factor_int_poly(product([[1, 0, 1], [-2, 0, 0, 1], [3, 2]]))
 
 
 # --- the good-prime squarefree proof against the Yun path it replaces ---
