@@ -1,18 +1,22 @@
 """Polynomial factorization over Z, through one good prime.
 
-factor_int_poly is Zassenhaus. It first looks for a good prime l among
-the first SQUAREFREE_TRIES odd primes not dividing the leading
-coefficient: f mod l squarefree of the same degree. Such an l proves f
-squarefree over Q, so Yun's decomposition over Q runs only when none of
-those primes is good.
+factor_int_poly is Zassenhaus, and squarefree input is its contract.
+It factors f modulo a good prime l: one not dividing the leading
+coefficient, with f mod l squarefree of the same degree. It tries the
+first SQUAREFREE_TRIES candidates one at a time and then sieves the
+whole range below GOOD_PRIME_BOUND. A good prime proves f squarefree
+over Q, and a repeated factor stays repeated mod every l, so such an f
+has no good prime and raises NoGoodPrime after the full scan. Every
+caller in the package passes psi_p of a nonsingular curve, which is
+squarefree.
 
-Then it factors modulo l. The distinct-degree split and the randomized
+It factors modulo l first. The distinct-degree split and the randomized
 equal-degree split (Cantor & Zassenhaus, Math. Comp. 36, 1981, with the
 quadratic residue trick) run on plain coefficient lists mod l with the
 `_vec_*` helpers of finitefield, and so do the squarefree test of
 good_reduction and the Bezout cofactors of the Hensel lift. The random
-source is a `random.Random` seeded with DEFAULT_SEED unless a caller
-overrides it, so repeated runs produce factors in identical order.
+source is a `random.Random` seeded with DEFAULT_SEED, so repeated runs
+produce factors in identical order.
 
 It lifts the monic factors of lc^(-1) f (lc the leading coefficient)
 past 2 |lc| times a Landau-Mignotte-style coefficient bound with
@@ -65,13 +69,18 @@ DEFAULT_SEED = 0x5E1F
 # without finding a good one is a hard error, not a retry
 GOOD_PRIME_BOUND = 10_000
 
-# candidate primes tried for a squarefree proof before factor_int_poly
-# falls back to Yun's decomposition over Q
+# candidate primes tested one at a time before the search sieves the
+# whole range: nearly every squarefree input has a good prime among them
 SQUAREFREE_TRIES = 8
 
 
 class NoGoodPrime(Exception):
-    """No reduction prime kept the polynomial squarefree (practically unreachable)."""
+    """No prime below GOOD_PRIME_BOUND is good for the polynomial.
+
+    A polynomial with a repeated factor has no good prime at all, so
+    factor_int_poly raises this for it; for squarefree input it is
+    practically unreachable.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +200,10 @@ class GoodReduction:
                     reach |= reach << k
         return bool(reach >> d & 1)
 
-    def irreducibles(self, seed: int = DEFAULT_SEED) -> list[list[int]]:
+    def irreducibles(self) -> list[list[int]]:
         """The monic irreducible factors of f mod l as coefficient lists,
         sorted by (degree, coefficients)."""
-        rng = random.Random(seed)
+        rng = random.Random(DEFAULT_SEED)
         out: list[list[int]] = []
         for same_degree, k in self._split.through(self._split.degree):
             out += _equal_degree_ints(same_degree, k, self.l, rng)
@@ -296,58 +305,45 @@ def _symmetric(c: int, mod: int) -> int:
     return c - mod if c > mod // 2 else c
 
 
-def factor_int_poly(f: QPoly, seed: int = DEFAULT_SEED,
-                    reduction: GoodReduction | None = None
+def factor_int_poly(f: QPoly, reduction: GoodReduction | None = None
                     ) -> tuple[Fraction, list[tuple[QPoly, int]]]:
-    """Factor nonzero f with rational coefficients into irreducibles over Q.
+    """Factor a nonzero squarefree f with rational coefficients over Q.
 
     Returns (content, [(primitive integer irreducible with positive leading
-    coefficient, multiplicity)]) with f == content * prod(factor^mult),
-    asserted exactly before returning. `reduction`, when given, is
-    good_reduction(f) for an integral f, already computed by the caller;
-    it is used as it stands, and it may already be part way split.
+    coefficient, 1)]) with f == content * prod(factor), asserted exactly
+    before returning. `reduction`, when given, is good_reduction(f) for an
+    integral f, already computed by the caller; it is used as it stands,
+    and it may already be part way split. Raises NoGoodPrime when no good
+    prime is found, as for every f with a repeated factor.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     content = f.content() if f.leading > 0 else -f.content()
     prim = f * (1 / content)
     if reduction is None:
-        reduction = good_reduction(prim, SQUAREFREE_TRIES)
-    factors: list[tuple[QPoly, int]] = []
-    if reduction is not None:
-        # a good prime proves prim squarefree, so Yun over Q is skipped;
-        # x is split off to keep the constant coefficient nonzero
-        g, residues = prim, reduction.irreducibles(seed)
-        if g.coeff(0) == 0:
-            factors.append((QPoly.x(), 1))
-            g = g // QPoly.x()
-            residues.remove([0, 1])
-        factors += [(irr, 1) for irr in _factor_squarefree(g, reduction.l, residues)]
-    else:
-        for squarefree, mult in prim.yun_squarefree():
-            # Yun's parts are squarefree, so x divides at most one, once
-            if squarefree.coeff(0) == 0:
-                factors.append((QPoly.x(), mult))
-                squarefree = squarefree // QPoly.x()
-            part = squarefree.primitive()
-            part_reduction = good_reduction(part)
-            if part_reduction is None:
-                raise NoGoodPrime(f"no good reduction prime below {GOOD_PRIME_BOUND} for {part!r}")
-            factors += [(irr, mult) for irr in _factor_squarefree(
-                part, part_reduction.l, part_reduction.irreducibles(seed))]
-    factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
+        reduction = good_reduction(prim, SQUAREFREE_TRIES) or good_reduction(prim)
+    if reduction is None:
+        raise NoGoodPrime(f"no good reduction prime below {GOOD_PRIME_BOUND} for {prim!r}")
+    factors: list[QPoly] = []
+    g, residues = prim, reduction.irreducibles()
+    # x is split off to keep the constant coefficient nonzero
+    if g.coeff(0) == 0:
+        factors.append(QPoly.x())
+        g = g // QPoly.x()
+        residues.remove([0, 1])
+    factors += _factor_squarefree(g, reduction.l, residues)
+    factors.sort(key=lambda t: (t.degree, t.coeffs))
     # fold the primitive-part units of the factors back into the content;
     # prim and every factor are integral, so the check runs on int lists
     check = [1]
-    for poly, mult in factors:
-        for _ in range(mult):
-            check = _mul(check, poly.int_coeffs())
+    for poly in factors:
+        check = _mul(check, poly.int_coeffs())
     target = prim.int_coeffs()
     if len(check) != len(target):
         raise AssertionError("factor_int_poly lost degree; this is a bug")
     if [c * target[-1] for c in check] != [c * check[-1] for c in target]:
         raise AssertionError("factor_int_poly reconstruction failed; this is a bug")
-    return content * Fraction(target[-1], check[-1]), factors
+    return content * Fraction(target[-1], check[-1]), [(poly, 1) for poly in factors]
 
 
 def _factor_squarefree(g: QPoly, l: int, residues: list[list[int]]) -> list[QPoly]:

@@ -35,7 +35,11 @@ Q and testing every factor product of degree (p-1)/2 for closure of its
 root set under the multiplication-by-g maps, g running over generators
 of (Z/p)^x up to sign.  Closure under those maps pins the root set as
 the x-coordinates of a single line in E[p], which is what makes the
-witness a certificate rather than a heuristic.  Each witness carries
+witness a certificate rather than a heuristic.  psi_p of a nonsingular
+curve is squarefree, which is what factor_int_poly asks of its input,
+and so is every candidate kernel.  That lets the closure test clear the
+denominator of x([g]P) by homogenising, with no inverse modulo the
+kernel (see _closed_under_multiples).  Each witness carries
 the isogenous quotient curve computed from the kernel polynomial and a
 trail of Frobenius traces checked against the original curve.
 
@@ -60,7 +64,7 @@ from itertools import combinations
 from .elliptic import WeierstrassModel, trace_of_frobenius
 from .factorization import factor_int_poly, good_reduction
 from .localdata import SUPPORTED_FIELDS
-from .modular import primes_below
+from .modular import is_prime, primes_below
 from .polynomial import QPoly
 
 __all__ = [
@@ -87,30 +91,6 @@ CM_J_INVARIANTS = frozenset(Fraction(j) for j in (
     16581375, -884736000, -147197952000, -262537412640768000))
 
 
-def _xgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
-    """(g, u, v) with u a + v b = g, g the monic gcd."""
-    r0, r1 = a, b
-    u0, u1 = QPoly.one(), QPoly.zero()
-    v0, v1 = QPoly.zero(), QPoly.one()
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    lead = r0.leading
-    scale = QPoly.constant(1 / lead)
-    return r0.monic(), u0 * scale, v0 * scale
-
-
-def _inverse_mod(a: QPoly, h: QPoly) -> QPoly | None:
-    g, u, _ = _xgcd(a % h, h)
-    if g.degree != 0:
-        return None
-    return u % h
-
-
 def _halfgroup_generators(p: int) -> tuple[int, ...]:
     """Generators of (Z/p)^x modulo sign, for p = 3 ... 13.
 
@@ -135,20 +115,34 @@ class StableSubgroupWitness:
                 f"quotient={tuple(int(a) for a in self.quotient.a_invariants)})")
 
 
-def _closed_under_multiples(model: WeierstrassModel, h: QPoly, p: int,
+def _closed_under_multiples(model: WeierstrassModel, h: QPoly,
                             gens: tuple[int, ...]) -> bool:
-    """Is the root set of h stable under x([g]P) for every generator g?"""
+    """Is the root set of h stable under x([g]P) for every generator g?
+
+    h is monic and squarefree, a divisor of psi_p, and N/D = x([g]P) is
+    the x-multiple map, with D = psi_g^2 and N = x D - psi_(g-1) psi_(g+1)
+    as polynomials in x. The test is the homogenised Horner sum
+    H = sum_i c_i N^i D^(d-i) mod h, where h = sum_i c_i x^i has degree
+    d, and it accepts exactly when H = 0 mod h; no inverse is needed.
+
+    N and D are coprime. At a common root r, psi_g(r) = 0 and one of
+    psi_(g-1)(r), psi_(g+1)(r) is 0, so a point P with x(P) = r has
+    [g]P = O and [g-1]P = O or [g+1]P = O, hence P = O, which has no
+    finite x-coordinate. So at each root r of h, H(r) = D(r)^d h(N(r)/D(r))
+    when D(r) != 0, and H(r) = N(r)^d != 0 when D(r) = 0. As h is
+    squarefree, H = 0 mod h says that every root r of h has D(r) != 0
+    and x([g]P) a root of h again. A root with D(r) = 0 is killed by [g],
+    which no point of exact order p is, and it is rejected.
+    """
+    d = h.degree
     for g in gens:
         num, den = model.x_multiple_fraction(g)
-        dinv = _inverse_mod(den, h)
-        if dinv is None:
-            # den shares a root with h: h contains an x-coordinate killed
-            # by [g], impossible for points of exact order p, so reject
-            return False
-        xg = (num % h) * dinv % h
-        acc = QPoly.zero()
-        for c in reversed(h.coeffs):
-            acc = (acc * xg) % h + QPoly.constant(c)
+        num, den = num % h, den % h
+        # acc = sum_{j >= i} c_j N^(j-i) D^(d-j), built from i = d down
+        acc, den_power = QPoly.one(), QPoly.one()
+        for c in reversed(h.coeffs[:-1]):
+            den_power = den_power * den % h
+            acc = (acc * num + den_power * c) % h
         if not acc.is_zero:
             return False
     return True
@@ -196,7 +190,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
     When the division polynomial mod its good prime has no factor degrees
     summing to (p-1)/2, there is no candidate and nothing is factored.
     """
-    if p % 2 == 0 or not 3 <= p <= 13:
+    if p % 2 == 0 or not 3 <= p <= 13 or not is_prime(p):
         raise ValueError("p must be an odd prime within the ladder range")
     E = model.integral_model()
     psi = E.division_polynomial(p)
@@ -206,7 +200,6 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
     if reduction is not None and not reduction.admits_divisor_of_degree(d):
         return ()
     _, factors = factor_int_poly(psi, reduction=reduction)
-    assert all(mult == 1 for _, mult in factors), "p-division polynomial must be squarefree"
     irreducibles = [f for f, _ in factors]
     gens = _halfgroup_generators(p)
     witnesses: list[StableSubgroupWitness] = []
@@ -218,7 +211,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
             h = QPoly.one()
             for i in subset:
                 h = h * irreducibles[i].monic()
-            if not _closed_under_multiples(E, h, p, gens):
+            if not _closed_under_multiples(E, h, gens):
                 continue
             quotient = _velu_quotient(E, h).integral_model()
             traces = _matching_trace_primes(E, quotient, p, trace_bound)
@@ -287,6 +280,8 @@ def surjectivity_certificate(model: WeierstrassModel, p: int,
     (D_K / p), the same for every ell.  So witnesses (i) and (ii) never
     both appear, below any bound.
     """
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
     if p == 3 or model.j_invariant in CM_J_INVARIANTS:
         return None
     E = model.integral_model()

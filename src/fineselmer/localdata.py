@@ -461,6 +461,8 @@ def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1,
 def finite_level_place_count(ell: int, p: int, n: int, field: str = "Q",
                              residue_degree: int = 1) -> int:
     """Places above v at the n-th layer: p^n / ord(Frob_v); oracle-facing."""
+    if n < 0:
+        raise ValueError(f"layer n must be >= 0, got {n}")
     if ell == p:
         return 1
     if field == "Q":

@@ -5,8 +5,9 @@ The kernels `_mul`, `_add`, `_sub`, `_horner`, `_derivative` and
 ring whose elements mix with the int 0: plain ints (the division
 polynomial ladder, the p-adic root search, the Hensel lift), Fractions
 (QPoly) and the F_l elements of FqPoly. None of them reduces; a caller
-working mod m reduces the result. QPoly is a polynomial over Q with the
-division, gcd and squarefree machinery on top. Degrees stay at most
+working mod m reduces the result. QPoly is a polynomial over Q with
+division, the gcd and the squarefree part on top; the squarefree part
+is the p-adic root search's fallback. Degrees stay at most
 (13^2 - 1)/2 = 84, so everything is dense.
 
 The zero polynomial has degree -1, a sentinel chosen so that
@@ -272,31 +273,6 @@ class QPoly:
             raise ValueError("zero polynomial has no squarefree part")
         g = self.gcd(self.derivative())
         return (self // g).monic()
-
-    def yun_squarefree(self) -> list[tuple["QPoly", int]]:
-        """Yun's squarefree decomposition: [(g_i, i)] with f = lc * prod g_i^i.
-
-        Each g_i is monic squarefree, pairwise coprime; trivial factors are
-        omitted. Characteristic zero only.
-        """
-        f = self.monic()
-        if f.degree == 0:
-            return []
-        g = f.gcd(f.derivative())
-        b = f // g
-        c = f.derivative() // g
-        d = c - b.derivative()
-        out: list[tuple[QPoly, int]] = []
-        i = 1
-        while b.degree > 0:
-            a = b.gcd(d)
-            if a.degree > 0:
-                out.append((a, i))
-            b = b // a
-            c = d // a
-            d = c - b.derivative()
-            i += 1
-        return out
 
     # -- misc --------------------------------------------------------------
 

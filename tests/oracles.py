@@ -22,6 +22,14 @@ used to run. The package no longer reaches `compose_linear` either; the
 rational oracles use it, and `divides` is the exact divisibility test
 QPoly used to carry.
 
+The package factors over Q only squarefree polynomials, through one
+good prime. `yun_squarefree` is Yun's decomposition over Q that it used
+to fall back on, kept so the tests can build a reference factorization
+of any input. The package's closure test clears the denominator of
+x([g]P) by homogenising; `closed_under_multiples_by_inverse` is the test
+it replaced, which inverted the denominator modulo the kernel with the
+rational extended Euclid `xgcd`.
+
 The package lifts the factorization mod l quadratically.
 `hensel_lift_linear`, one l-adic digit a step, is the lift it replaced,
 and the tests check that both return the same modulus and factors.
@@ -796,6 +804,69 @@ def compose_linear(f: QPoly, a, b) -> QPoly:
     for c in reversed(f.coeffs):
         acc = acc * inner + QPoly.constant(c)
     return acc
+
+
+def yun_squarefree(f: QPoly) -> list[tuple[QPoly, int]]:
+    """Yun's squarefree decomposition: [(g_i, i)] with f = lc * prod g_i^i.
+
+    Each g_i is monic squarefree, pairwise coprime; trivial factors are
+    omitted. Characteristic zero only.
+    """
+    f = f.monic()
+    if f.degree == 0:
+        return []
+    g = f.gcd(f.derivative())
+    b = f // g
+    c = f.derivative() // g
+    d = c - b.derivative()
+    out: list[tuple[QPoly, int]] = []
+    i = 1
+    while b.degree > 0:
+        a = b.gcd(d)
+        if a.degree > 0:
+            out.append((a, i))
+        b = b // a
+        c = d // a
+        d = c - b.derivative()
+        i += 1
+    return out
+
+
+def xgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
+    """(g, u, v) with u a + v b = g, g the monic gcd."""
+    r0, r1 = a, b
+    u0, u1 = QPoly.one(), QPoly.zero()
+    v0, v1 = QPoly.zero(), QPoly.one()
+    while not r1.is_zero:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero:
+        return r0, u0, v0
+    scale = QPoly.constant(1 / r0.leading)
+    return r0.monic(), u0 * scale, v0 * scale
+
+
+def closed_under_multiples_by_inverse(model: WeierstrassModel, h: QPoly,
+                                      gens: tuple[int, ...]) -> bool:
+    """galoisimage._closed_under_multiples as it ran with an inverse mod h.
+
+    x([g]P) = N/D is reduced to N D^(-1) mod h, and h of it must vanish
+    mod h; a D sharing a root with h has no inverse and is rejected.
+    """
+    for g in gens:
+        num, den = model.x_multiple_fraction(g)
+        common, dinv, _ = xgcd(den % h, h)
+        if common.degree != 0:
+            return False
+        xg = (num % h) * (dinv % h) % h
+        acc = QPoly.zero()
+        for c in reversed(h.coeffs):
+            acc = (acc * xg) % h + QPoly.constant(c)
+        if not acc.is_zero:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

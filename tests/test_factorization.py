@@ -18,15 +18,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fineselmer import factorization
 from fineselmer.factorization import (
     DEFAULT_SEED,
+    GOOD_PRIME_BOUND,
     SQUAREFREE_TRIES,
+    NoGoodPrime,
     factor_int_poly,
     good_reduction,
 )
-from fineselmer.modular import is_prime
+from fineselmer.modular import is_prime, primes_below
 from fineselmer.polynomial import QPoly, _mul
 import oracles
 from oracles import (DistinctDegreeBoxed, admits_divisor_of_degree, compose_linear,
-                     equal_degree_boxed, factor_fq, is_irreducible_fq)
+                     equal_degree_boxed, factor_fq, is_irreducible_fq, yun_squarefree)
 from test_elliptic import isogeny_13_curve
 
 
@@ -37,6 +39,10 @@ def qpoly(*coeffs: int) -> QPoly:
 
 def fq_poly(field: oracles.FiniteField, *coeffs: int) -> oracles.FqPoly:
     return oracles.FqPoly(field, coeffs)
+
+
+def squarefree(f: QPoly) -> bool:
+    return f.gcd(f.derivative()).degree == 0
 
 
 # --- finite field side ---
@@ -225,16 +231,19 @@ def test_is_irreducible_fq_quartics():
 
 
 def test_factor_int_poly_known_product():
-    f = qpoly(-2, 0, 1) * qpoly(-3, 0, 1) * qpoly(1, 1) * qpoly(1, 1) * qpoly(6)
+    f = qpoly(-2, 0, 1) * qpoly(-3, 0, 1) * qpoly(1, 1) * qpoly(6)
     content, factors = factor_int_poly(f)
     rebuilt = QPoly.constant(content)
     for g, mult in factors:
         rebuilt = rebuilt * g ** mult
     assert rebuilt == f
     assert content == 6
-    assert sorted((g.degree, m) for g, m in factors) == [(1, 2), (2, 1), (2, 1)]
+    assert sorted((g.degree, m) for g, m in factors) == [(1, 1), (2, 1), (2, 1)]
     assert any(list(g.int_coeffs()) == [-2, 0, 1] for g, _ in factors)
     assert any(list(g.int_coeffs()) == [-3, 0, 1] for g, _ in factors)
+    # a repeated factor leaves no good prime
+    with pytest.raises(NoGoodPrime):
+        factor_int_poly(f * qpoly(1, 1))
 
 
 def test_factor_int_poly_swinnerton_dyer_quartic():
@@ -274,9 +283,11 @@ def test_factor_int_poly_negative_leading():
 
 
 def test_factor_int_poly_power_of_x():
-    content, factors = factor_int_poly(qpoly(0, 0, 0, 5))
+    content, factors = factor_int_poly(qpoly(0, 5))
     assert content == 5
-    assert factors == [(QPoly.x(), 3)]
+    assert factors == [(QPoly.x(), 1)]
+    with pytest.raises(NoGoodPrime):
+        factor_int_poly(qpoly(0, 0, 0, 5))
 
 
 def test_factor_int_poly_division_polynomial_shape():
@@ -312,10 +323,12 @@ def test_factor_int_poly_division_polynomial_shape():
         ),
         min_size=1,
         max_size=4,
+        unique_by=tuple,
     ),
     st.integers(-6, 6).filter(lambda n: n != 0),
 )
 def test_factor_int_poly_random_roundtrip(parts, scale):
+    # distinct irreducible parts: the product is squarefree
     f = QPoly.constant(Fraction(scale))
     for part in parts:
         f = f * qpoly(*part)
@@ -325,7 +338,8 @@ def test_factor_int_poly_random_roundtrip(parts, scale):
         assert g.is_integral
         assert g.leading > 0
         assert g.content() == 1
-        rebuilt = rebuilt * g ** mult
+        assert mult == 1
+        rebuilt = rebuilt * g
     assert rebuilt == f
 
 
@@ -428,7 +442,11 @@ def product(parts) -> QPoly:
 @given(integer_factor_lists(max_parts=4), st.integers(-12, 12).filter(lambda n: n != 0))
 def test_factor_int_poly_matches_monicised_recombination(parts, scale):
     f = QPoly.constant(scale) * product(parts)
-    assert factor_int_poly(f) == factor_monicised(f)
+    if squarefree(f):
+        assert factor_int_poly(f) == factor_monicised(f)
+    else:
+        with pytest.raises(NoGoodPrime):
+            factor_int_poly(f)
 
 
 def test_psi_factors_match_monicised_recombination():
@@ -568,24 +586,24 @@ def test_reconstruction_check_catches_a_lost_factor(monkeypatch):
         factor_int_poly(product([[1, 0, 1], [-2, 0, 0, 1], [3, 2]]))
 
 
-# --- the good-prime squarefree proof against the Yun path it replaces ---
+# --- the good-prime factorization against the Yun path it replaces ---
 
 
-def factor_by_yun(f: QPoly, seed: int = DEFAULT_SEED):
-    """factor_int_poly as it ran before a good prime could prove f
-    squarefree: Yun's decomposition over Q, then each part on its own."""
+def factor_by_yun(f: QPoly):
+    """factor_int_poly as it ran before squarefree input was its contract:
+    Yun's decomposition over Q, then each part on its own."""
     content = f.content() if f.leading > 0 else -f.content()
     prim = f * (1 / content)
     factors = []
-    for squarefree, mult in prim.yun_squarefree():
-        if squarefree.coeff(0) == 0:
+    for part, mult in yun_squarefree(prim):
+        if part.coeff(0) == 0:
             factors.append((QPoly.x(), mult))
-            squarefree = squarefree // QPoly.x()
-        part = squarefree.primitive()
+            part = part // QPoly.x()
+        part = part.primitive()
         if part.degree > 0:
             reduction = good_reduction(part)
             factors += [(g, mult) for g in factor_squarefree_monicised(
-                part, reduction.l, reduction.irreducibles(seed))]
+                part, reduction.l, reduction.irreducibles())]
     factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
     check = QPoly.one()
     for g, mult in factors:
@@ -601,39 +619,47 @@ BAD_FIRST_PRIMES = qpoly(-3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 0, 1)
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
-        st.tuples(
-            st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
-            st.integers(1, 3),
-        ),
+        st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
         min_size=1,
         max_size=3,
     ),
-    st.integers(0, 2),
+    st.integers(0, 1),
     st.booleans(),
     st.integers(-12, 12).filter(lambda n: n != 0),
 )
+# a repeated factor, which the package refuses
+@example([[1, 0, 1], [1, 0, 1]], 0, False, 1)
 def test_factor_int_poly_matches_yun_path(parts, x_power, bad_first, scale):
-    # repeated factors, x | f, non-monic leading coefficients and inputs
-    # whose first odd primes are all bad
+    # x | f, non-monic leading coefficients and inputs whose first odd
+    # primes are all bad
     f = QPoly.constant(scale) * qpoly(0, 1) ** x_power
     if bad_first:
         f = f * BAD_FIRST_PRIMES
-    for coeffs, mult in parts:
-        f = f * qpoly(*coeffs) ** mult
-    assert factor_int_poly(f) == factor_by_yun(f)
+    for coeffs in parts:
+        f = f * qpoly(*coeffs)
+    if squarefree(f):
+        assert factor_int_poly(f) == factor_by_yun(f)
+    else:
+        with pytest.raises(NoGoodPrime):
+            factor_int_poly(f)
 
 
-def test_good_prime_skips_yun(monkeypatch):
-    def no_yun(self):
-        raise AssertionError("Yun ran although a good prime proves squarefree")
+def test_factor_int_poly_never_calls_qpoly_gcd(monkeypatch):
+    def no_gcd(self, other):
+        raise AssertionError("factor_int_poly ran a Euclid over Q")
 
-    monkeypatch.setattr(QPoly, "yun_squarefree", no_yun)
+    monkeypatch.setattr(QPoly, "gcd", no_gcd)
     f = qpoly(0, 1) * qpoly(-2, 0, 3) * qpoly(5, 1, 0, 7)
     content, factors = factor_int_poly(f)
     assert content == 1 and sorted(g.degree for g, _ in factors) == [1, 2, 3]
+    # nor when the good prime lies past the first SQUAREFREE_TRIES candidates
+    content, factors = factor_int_poly(BAD_FIRST_PRIMES * qpoly(1, 1))
+    assert content == 1 and sorted(g.degree for g, _ in factors) == [1, 2]
+    with pytest.raises(NoGoodPrime):
+        factor_int_poly(qpoly(1, 0, 1) ** 2)
 
 
-def test_repeated_factor_falls_back_to_yun_after_few_primes(monkeypatch):
+def test_repeated_factor_raises_no_good_prime(monkeypatch):
     reduced = []
     gcd = factorization._vec_gcd
 
@@ -641,22 +667,16 @@ def test_repeated_factor_falls_back_to_yun_after_few_primes(monkeypatch):
         reduced.append(l)
         return gcd(a, b, l)
 
-    yun_calls = []
-    yun = QPoly.yun_squarefree
-
-    def counting_yun(self):
-        yun_calls.append(self.degree)
-        return yun(self)
-
     monkeypatch.setattr(factorization, "_vec_gcd", counting_gcd)
-    monkeypatch.setattr(QPoly, "yun_squarefree", counting_yun)
     f = qpoly(1, 0, 1) ** 2 * qpoly(-2, 0, 0, 1)
-    content, factors = factor_int_poly(f)
-    assert yun_calls == [7]
-    assert sorted((g.degree, m) for g, m in factors) == [(2, 2), (3, 1)]
-    # the squarefree proof gave up after its tries; it never scanned the
-    # 1 228 odd primes below GOOD_PRIME_BOUND
-    assert len(reduced) <= 2 * SQUAREFREE_TRIES
+    with pytest.raises(NoGoodPrime, match=f"below {GOOD_PRIME_BOUND}"):
+        factor_int_poly(f)
+    # x^2 + 1 stays a square factor mod every l: the first SQUAREFREE_TRIES
+    # candidates are tried one at a time, then the sieved scan runs through
+    # all 1 228 odd primes below GOOD_PRIME_BOUND and finds none good
+    odd = primes_below(GOOD_PRIME_BOUND)[1:]
+    assert len(odd) == 1228
+    assert reduced == odd[:SQUAREFREE_TRIES] + odd
 
 
 def test_good_reduction_degree_question():

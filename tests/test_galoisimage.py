@@ -11,7 +11,8 @@ import math
 import random
 from itertools import combinations
 
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fineselmer import factorization, galoisimage
 from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
@@ -34,6 +35,8 @@ from fineselmer.galoisimage import (
 from fineselmer.lambdabound import compute_lambda_bound
 from fineselmer.modular import primes_below
 from fineselmer.polynomial import QPoly
+from oracles import closed_under_multiples_by_inverse
+from test_elliptic import isogeny_13_curve
 
 E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 E11A2 = WeierstrassModel(0, -1, 1, -7820, -263580)
@@ -265,7 +268,7 @@ def stable_subgroups_by_full_factoring(model: WeierstrassModel, p: int):
             h = QPoly.one()
             for f in subset:
                 h = h * f.monic()
-            if not _closed_under_multiples(E, h, p, gens):
+            if not _closed_under_multiples(E, h, gens):
                 continue
             quotient = _velu_quotient(E, h).integral_model()
             traces = _matching_trace_primes(E, quotient, p, TRACE_CHECK_BOUND)
@@ -469,3 +472,87 @@ def test_certificate_matches_the_hunt_off_cm(a):
     assume(E.j_invariant not in CM_CURVES)
     for p in (5, 7):
         assert surjectivity_certificate(E, p) == surjectivity_certificate_by_hunt(E, p)
+
+
+# --- composite and out-of-range p are refused, not given a verdict ---
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
+def test_p_must_be_an_odd_prime(p):
+    with pytest.raises(ValueError, match="odd prime"):
+        find_stable_subgroups(E37A1, p)
+    with pytest.raises(ValueError, match="odd prime"):
+        classify_image(E37A1, p)
+    with pytest.raises(ValueError, match="odd prime"):
+        surjectivity_certificate(E37A1, p)
+
+
+# --- the homogenised closure test against the inverse-based one it replaces ---
+
+
+@st.composite
+def closure_cases(draw):
+    """(E, g, h): a small integral curve, g in {2, 3}, a monic squarefree h.
+
+    h is a product of random monic polynomials of degree 1 to 3. Half
+    the time it also takes an irreducible factor of the denominator D of
+    x([g]P), so that h and D share a root: for g = 2 that is a factor of
+    the 2-division polynomial, the x of a 2-torsion point when linear.
+    """
+    try:
+        E = WeierstrassModel(*draw(st.tuples(*[st.integers(-6, 6)] * 5)))
+    except ValueError:
+        assume(False)
+    g = draw(st.sampled_from([2, 3]))
+    h = QPoly.one()
+    for coeffs in draw(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+                                min_size=1, max_size=3)):
+        h = h * QPoly(coeffs + [1])
+    if draw(st.booleans()):
+        _, den = E.x_multiple_fraction(g)
+        _, factors = factor_int_poly(den.squarefree_part())
+        h = h * draw(st.sampled_from([f for f, _ in factors])).monic()
+    assume(h.gcd(h.derivative()).degree == 0)
+    return E, g, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_cases())
+# y^2 = x^3 - x: x = 0 is a rational 2-torsion x, a root of D for g = 2
+@example((WeierstrassModel(0, 0, 0, -1, 0), 2, QPoly([0, 1])))
+@example((WeierstrassModel(0, 0, 0, -1, 0), 2, QPoly([0, -1, 0, 1])))
+def test_closure_test_matches_the_inverse_test(case):
+    E, g, h = case
+    assert (_closed_under_multiples(E, h, (g,))
+            == closed_under_multiples_by_inverse(E, h, (g,)))
+
+
+# the curves and primes of the benchmark's isogeny-lines workload, and
+# a curve with a rational 13-isogeny
+ISOGENY_LINES = [pytest.param(CREMONA[label], p, id=f"{label}-{p}") for label, p in (
+    ("11a1", 5), ("11a2", 5), ("11a3", 5), ("14a1", 3), ("20a1", 3), ("26b1", 7),
+    ("38b1", 5))] + [pytest.param(isogeny_13_curve(), 13, id="13-isogeny-13")]
+
+
+@pytest.mark.parametrize("curve, p", ISOGENY_LINES)
+def test_closure_test_matches_the_inverse_test_on_every_candidate(curve, p):
+    # every monic product of rational factors of psi_p of degree (p - 1)/2,
+    # as find_stable_subgroups tries them; the accepted ones are its kernels
+    E = WeierstrassModel(*curve).integral_model()
+    _, factors = factor_int_poly(E.division_polynomial(p))
+    d = (p - 1) // 2
+    gens = _halfgroup_generators(p)
+    accepted = []
+    for size in range(1, len(factors) + 1):
+        for subset in combinations([f.monic() for f, _ in factors], size):
+            if sum(f.degree for f in subset) != d:
+                continue
+            h = QPoly.one()
+            for f in subset:
+                h = h * f
+            closed = _closed_under_multiples(E, h, gens)
+            assert closed == closed_under_multiples_by_inverse(E, h, gens)
+            if closed:
+                accepted.append(h)
+    kernels = [w.kernel_monic for w in find_stable_subgroups(E, p)]
+    assert sorted(accepted, key=lambda h: h.coeffs) == kernels != []

