@@ -4,7 +4,12 @@ A model is the quintuple [a1, a2, a3, a4, a6] with rational entries and
 nonzero discriminant.  The b- and c-invariants are computed once at
 construction and double-checked against the identities
 4*b8 = b2*b6 - b4^2 and 1728*Delta = c4^3 - c6^2, so a silent formula
-slip cannot survive the constructor.
+slip cannot survive the constructor.  An integral model computes and
+checks them on plain ints, and a coordinate change of an integral model
+by integral r, s, t computes the new a-invariants on ints too, dividing
+by powers of u only when u != 1; one formula body serves both paths, and
+every attribute is stored as a Fraction either way.  Entries are ints,
+Fractions or strings such as '1/2'; a float is refused with TypeError.
 
 The group law is written against duck-typed field elements (anything
 with +, -, *, / and ==): the same code path serves exact rational
@@ -37,6 +42,42 @@ __all__ = [
 COUNT_LIMIT = 10**6
 
 
+def _exact(v) -> Fraction:
+    """v as a Fraction. A float is refused: its binary value is not the
+    rational its digits spell, so 0.1 would enter as 3602879701896397/2^55."""
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a float; pass an int, a Fraction or a "
+                        "string such as '1/2'")
+    return v if type(v) is Fraction else Fraction(v)
+
+
+def _invariants(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8, c4, c6, discriminant) of [a1, a2, a3, a4, a6],
+    on ints or on Fractions alike, with both identities checked."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    if 4 * b8 != b2 * b6 - b4 * b4:
+        raise AssertionError("b-invariant identity failed; formula bug")
+    if 1728 * disc != c4**3 - c6 * c6:
+        raise AssertionError("c-invariant identity failed; formula bug")
+    return b2, b4, b6, b8, c4, c6, disc
+
+
+def _shifted(a1, a2, a3, a4, a6, r, s, t):
+    """The a-invariants after x = x' + r, y = y' + s x' + t, on ints or
+    on Fractions alike; change_model then divides the k-th by u^k."""
+    return (a1 + 2 * s,
+            a2 - s * a1 + 3 * r - s * s,
+            a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1)
+
+
 class WeierstrassModel:
     """Immutable Weierstrass equation y^2 + a1xy + a3y = x^3 + a2x^2 + a4x + a6."""
 
@@ -44,24 +85,14 @@ class WeierstrassModel:
                  "c4", "c6", "discriminant")
 
     def __init__(self, a1, a2, a3, a4, a6):
-        a1, a2, a3, a4, a6 = (Fraction(v) for v in (a1, a2, a3, a4, a6))
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        if 4 * b8 != b2 * b6 - b4 * b4:
-            raise AssertionError("b-invariant identity failed; formula bug")
-        if 1728 * disc != c4**3 - c6 * c6:
-            raise AssertionError("c-invariant identity failed; formula bug")
-        if disc == 0:
+        a = tuple(_exact(v) for v in (a1, a2, a3, a4, a6))
+        if all(v.denominator == 1 for v in a):
+            invariants = tuple(Fraction(v) for v in _invariants(*(v.numerator for v in a)))
+        else:
+            invariants = _invariants(*a)
+        if invariants[-1] == 0:
             raise ValueError("singular model: discriminant is zero")
-        for name, val in (("a1", a1), ("a2", a2), ("a3", a3), ("a4", a4),
-                          ("a6", a6), ("b2", b2), ("b4", b4), ("b6", b6),
-                          ("b8", b8), ("c4", c4), ("c6", c6),
-                          ("discriminant", disc)):
+        for name, val in zip(self.__slots__, a + invariants):
             object.__setattr__(self, name, val)
 
     def __setattr__(self, name, value):
@@ -96,16 +127,17 @@ class WeierstrassModel:
 
         Scales the discriminant by u^-12 and c4 by u^-4.
         """
-        u, r, s, t = (Fraction(v) for v in (u, r, s, t))
+        u, r, s, t = (_exact(v) for v in (u, r, s, t))
         if u == 0:
             raise ValueError("u must be nonzero")
-        a1, a2, a3, a4, a6 = self.a_invariants
-        na1 = (a1 + 2 * s) / u
-        na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
-        na3 = (a3 + r * a1 + 2 * t) / u**3
-        na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-        na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-        return WeierstrassModel(na1, na2, na3, na4, na6)
+        shift = self.a_invariants + (r, s, t)
+        if all(v.denominator == 1 for v in shift):
+            moved = _shifted(*(v.numerator for v in shift))
+        else:
+            moved = _shifted(*shift)
+        if u != 1:
+            moved = (v / u**k for v, k in zip(moved, (1, 2, 3, 4, 6)))
+        return WeierstrassModel(*moved)
 
     def integral_model(self) -> "WeierstrassModel":
         """Rescale by u = 1/m, m the lcm of coefficient denominators."""

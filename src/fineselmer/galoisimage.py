@@ -41,7 +41,9 @@ and so is every candidate kernel.  That lets the closure test clear the
 denominator of x([g]P) by homogenising, with no inverse modulo the
 kernel (see _closed_under_multiples).  Each witness carries
 the isogenous quotient curve computed from the kernel polynomial and a
-trail of Frobenius traces checked against the original curve.
+trail of Frobenius traces checked against the original curve.  One
+search counts each of the original curve's traces once, however many
+candidates close, and keeps nothing after it returns.
 
 Before any factoring over Q, psi_p is reduced modulo its first good
 prime l: one not dividing the leading coefficient, with psi_p mod l
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .elliptic import WeierstrassModel, trace_of_frobenius
+from .elliptic import COUNT_LIMIT, WeierstrassModel, trace_of_frobenius
 from .factorization import factor_int_poly, good_reduction
 from .localdata import SUPPORTED_FIELDS
 from .modular import is_prime, primes_below
@@ -164,19 +166,37 @@ def _velu_quotient(model: WeierstrassModel, h: QPoly) -> WeierstrassModel:
 
 
 def _matching_trace_primes(a: WeierstrassModel, b: WeierstrassModel,
-                           p: int, bound: int) -> tuple[int, ...] | None:
+                           p: int, bound: int,
+                           a_traces: dict[int, int] | None = None
+                           ) -> tuple[int, ...] | None:
     """Primes ell <= bound of visibly good reduction for both models where
-    the Frobenius traces agree; None on any disagreement."""
+    the Frobenius traces agree; None on any disagreement.
+
+    a_traces maps ell to a's trace; a trace missing from it is counted
+    and stored, so a caller that matches a against several quotients
+    passes one dict and counts each of a's traces once."""
+    if a_traces is None:
+        a_traces = {}
     da = abs(int(a.discriminant))
     db = abs(int(b.discriminant))
     good = []
     for ell in primes_below(bound + 1):
         if ell == p or da % ell == 0 or db % ell == 0:
             continue
-        if trace_of_frobenius(a, ell) != trace_of_frobenius(b, ell):
+        if ell not in a_traces:
+            a_traces[ell] = trace_of_frobenius(a, ell)
+        if a_traces[ell] != trace_of_frobenius(b, ell):
             return None
         good.append(ell)
     return tuple(good)
+
+
+def _check_count_bound(name: str, bound: int) -> None:
+    """Refuse a bound trace_of_frobenius would only refuse after counting
+    points at every good prime below COUNT_LIMIT."""
+    if bound > COUNT_LIMIT:
+        raise ValueError(f"{name} must be at most COUNT_LIMIT = {COUNT_LIMIT}, "
+                         f"got {bound}")
 
 
 def find_stable_subgroups(model: WeierstrassModel, p: int,
@@ -192,6 +212,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
     """
     if p % 2 == 0 or not 3 <= p <= 13 or not is_prime(p):
         raise ValueError("p must be an odd prime within the ladder range")
+    _check_count_bound("trace_bound", trace_bound)
     E = model.integral_model()
     psi = E.division_polynomial(p)
     d = (p - 1) // 2
@@ -203,6 +224,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
     irreducibles = [f for f, _ in factors]
     gens = _halfgroup_generators(p)
     witnesses: list[StableSubgroupWitness] = []
+    E_traces: dict[int, int] = {}
     idx = range(len(irreducibles))
     for size in range(1, len(irreducibles) + 1):
         for subset in combinations(idx, size):
@@ -214,7 +236,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
             if not _closed_under_multiples(E, h, gens):
                 continue
             quotient = _velu_quotient(E, h).integral_model()
-            traces = _matching_trace_primes(E, quotient, p, trace_bound)
+            traces = _matching_trace_primes(E, quotient, p, trace_bound, E_traces)
             assert traces is not None, (
                 "certified kernel produced a quotient with mismatched traces")
             witnesses.append(StableSubgroupWitness(
@@ -282,6 +304,7 @@ def surjectivity_certificate(model: WeierstrassModel, p: int,
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError("p must be an odd prime")
+    _check_count_bound("bound", bound)
     if p == 3 or model.j_invariant in CM_J_INVARIANTS:
         return None
     E = model.integral_model()
@@ -340,6 +363,7 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q",
     """
     if field not in SUPPORTED_FIELDS:
         raise ValueError("field must be 'Q' or 'Q(mu_p)'")
+    _check_count_bound("certificate_bound", certificate_bound)
     witnesses = find_stable_subgroups(model, p)
     n = len(witnesses)
     if n >= 2:

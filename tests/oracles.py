@@ -35,13 +35,19 @@ The package lifts the factorization mod l quadratically.
 and the tests check that both return the same modulus and factors.
 
 The package builds division polynomials and the x-multiple maps on
-integer coefficient lists. The f/g ladder on QPoly at the end of this
-file is the code it replaced, and the tests compare the two.
+integer coefficient lists. The f/g ladder on QPoly below is the code it
+replaced, and the tests compare the two.
+
+The package computes the invariants of an integral model, and the
+coordinate changes of one by integral r, s, t, on plain ints.
+`invariants_fraction` and `change_model_fraction` at the end of this
+file are the Fraction formulas they replaced, for any rational model.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from fineselmer.elliptic import COUNT_LIMIT, WeierstrassModel
 from fineselmer.factorization import DEFAULT_SEED
@@ -935,3 +941,39 @@ def x_multiple_fraction_qpoly(model: WeierstrassModel, k: int) -> tuple[QPoly, Q
         den = F * get_g(k) ** 2
         num = QPoly.x() * den - get_f(k - 1) * get_f(k + 1)
     return num, den
+
+
+# ---------------------------------------------------------------------------
+# Weierstrass invariants and coordinate changes in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def invariants_fraction(a1, a2, a3, a4, a6) -> dict[str, Fraction]:
+    """WeierstrassModel's 12 attributes by name, all in Fraction arithmetic;
+    ValueError on a singular model."""
+    a1, a2, a3, a4, a6 = (Fraction(v) for v in (a1, a2, a3, a4, a6))
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    assert 4 * b8 == b2 * b6 - b4 * b4
+    assert 1728 * disc == c4**3 - c6 * c6
+    if disc == 0:
+        raise ValueError("singular model: discriminant is zero")
+    return {"a1": a1, "a2": a2, "a3": a3, "a4": a4, "a6": a6,
+            "b2": b2, "b4": b4, "b6": b6, "b8": b8,
+            "c4": c4, "c6": c6, "discriminant": disc}
+
+
+def change_model_fraction(model: WeierstrassModel, u, r, s, t) -> tuple[Fraction, ...]:
+    """The a-invariants after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+    u, r, s, t = (Fraction(v) for v in (u, r, s, t))
+    a1, a2, a3, a4, a6 = model.a_invariants
+    return ((a1 + 2 * s) / u,
+            (a2 - s * a1 + 3 * r - s * s) / u**2,
+            (a3 + r * a1 + 2 * t) / u**3,
+            (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
+            (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6)

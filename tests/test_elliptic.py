@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fineselmer.elliptic import (
     WeierstrassModel,
@@ -61,6 +61,59 @@ def test_singular_model_rejected():
         WeierstrassModel(0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         WeierstrassModel(0, 0, 0, -3, 2)  # y^2 = (x-1)^2 (x+2)
+
+
+def test_float_a_invariant_refused():
+    # 0.1 would enter as 3602879701896397/2^55, not as 1/10
+    with pytest.raises(TypeError, match="float"):
+        WeierstrassModel(0, 0, 1, -1, 0.1)
+    assert WeierstrassModel(0, 0, 1, -1, "1/10").a6 == Fraction(1, 10)
+
+
+def test_change_model_refuses_a_float():
+    model = WeierstrassModel(*X11A1)
+    for args in ((0.5, 0, 0, 0), (1, 0.5, 0, 0), (1, 0, 0, 2.0)):
+        with pytest.raises(TypeError, match="float"):
+            model.change_model(*args)
+    assert model.change_model("1/2", 0, 0, 0) == model.change_model(Fraction(1, 2), 0, 0, 0)
+
+
+def assert_attributes(model, expected):
+    for name in WeierstrassModel.__slots__:
+        value = getattr(model, name)
+        assert type(value) is Fraction and value == expected[name], name
+    assert type(model.j_invariant) is Fraction
+    assert model.j_invariant == expected["c4"] ** 3 / expected["discriminant"]
+
+
+def ints_or_fractions(n, ints):
+    """n-tuples drawn all from ints or all from small_fraction."""
+    return st.booleans().flatmap(
+        lambda integral: st.tuples(*[ints if integral else small_fraction] * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ints_or_fractions(5, st.integers(-4, 4)),
+    st.one_of(st.sampled_from([1, -1]),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)),
+    ints_or_fractions(3, st.integers(-6, 6)),
+)
+@example(a=(0, 0, 0, 0, 0), u=1, rst=(0, 0, 0))
+@example(a=(0, 0, 0, -3, 2), u=1, rst=(0, 0, 0))
+@example(a=(0, 0, 0, Fraction(-3, 4), Fraction(1, 4)), u=1, rst=(0, 0, 0))
+def test_int_path_matches_fraction_path(a, u, rst):
+    try:
+        expected = oracles.invariants_fraction(*a)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            WeierstrassModel(*a)
+        return
+    model = WeierstrassModel(*a)
+    assert_attributes(model, expected)
+    moved = model.change_model(u, *rst)
+    assert_attributes(moved, oracles.invariants_fraction(
+        *oracles.change_model_fraction(model, u, *rst)))
 
 
 @settings(max_examples=50, deadline=None)

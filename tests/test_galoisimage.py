@@ -9,6 +9,7 @@ three Frobenius rules from scratch.
 
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -485,6 +486,42 @@ def test_p_must_be_an_odd_prime(p):
         classify_image(E37A1, p)
     with pytest.raises(ValueError, match="odd prime"):
         surjectivity_certificate(E37A1, p)
+
+
+# --- a bound above COUNT_LIMIT is refused before anything is counted ---
+
+
+def test_trace_bounds_above_the_count_limit_fail_at_once(deadline):
+    bound = 2 * 10**6
+    with deadline(2):
+        with pytest.raises(ValueError, match="COUNT_LIMIT"):
+            find_stable_subgroups(E11A1, 5, trace_bound=bound)
+        with pytest.raises(ValueError, match="COUNT_LIMIT"):
+            surjectivity_certificate(E37A1, 5, bound=bound)
+        with pytest.raises(ValueError, match="COUNT_LIMIT"):
+            classify_image(E37A1, 5, certificate_bound=bound)
+
+
+# --- one search counts each trace of the input curve once ---
+
+
+def test_one_search_counts_each_trace_of_the_curve_once(monkeypatch):
+    counted = Counter()
+    count = galoisimage.trace_of_frobenius
+
+    def counting(model, ell):
+        counted[model.a_invariants, ell] += 1
+        return count(model, ell)
+
+    monkeypatch.setattr(galoisimage, "trace_of_frobenius", counting)
+    witnesses = find_stable_subgroups(E11A1, 5)
+    assert len(witnesses) == 2
+    # the good primes below TRACE_CHECK_BOUND, as every search has recorded them
+    primes = (2, 3, 7, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+              67, 71, 73, 79, 83, 89, 97)
+    assert all(w.trace_primes == primes for w in witnesses)
+    own = {ell: n for (a, ell), n in counted.items() if a == E11A1.a_invariants}
+    assert own == dict.fromkeys(primes, 1)
 
 
 # --- the homogenised closure test against the inverse-based one it replaces ---
