@@ -18,23 +18,32 @@ good_reduction and the Bezout cofactors of the Hensel lift. The random
 source is a `random.Random` seeded with DEFAULT_SEED, so repeated runs
 produce factors in identical order.
 
-It lifts the monic factors of lc^(-1) f (lc the leading coefficient)
-past 2 |lc| times a Landau-Mignotte-style coefficient bound with
-quadratic Hensel steps, each of which at most doubles the exponent of
-l, and stops at the first power of l above the bound, the power a
-linear lift would reach. It recombines with the leading coefficient in place
-(von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 15.19): for a
-subset S of the lifted factors h_i that belongs to a divisor F,
-lc * prod(h_S) read with symmetric representatives is (lc / lc(F)) * F.
-Before that product is formed, the constant-term test (Abbott, Shoup &
-Zimmermann, ISSAC 2000) asks that lc * prod h_i(0) divide lc * f(0); it
-is exact, and it rejects almost every false subset with one product of
-integers. Each survivor is trial-divided exactly in Z[x], all on integer
+A degree cap k asks for the irreducible factors of degree <= k only
+(Zassenhaus with a degree bound; von zur Gathen & Gerhard, Modern
+Computer Algebra, 15.6). Without one, k is the degree of f. The
+distinct-degree split runs only through k and the equal-degree split
+only on its parts of degree <= k; every other factor mod l is lumped
+into one monic cofactor, coprime to the rest because f mod l is
+squarefree.
+
+It lifts the monic factors of lc^(-1) f (lc the leading coefficient),
+the lumped cofactor among them, past 2 |lc| times a Landau-Mignotte
+bound for divisors of degree <= k, with quadratic Hensel steps, each
+of which at most doubles the exponent of l, and stops at the first
+power of l above the bound, the power a linear lift would reach. It
+recombines the small factors only, in subsets of degree <= k, with the
+leading coefficient in place (Alg. 15.19 there): for a subset S of the
+lifted factors h_i that belongs to a divisor F, lc * prod(h_S) read
+with symmetric representatives is (lc / lc(F)) * F. Before that
+product is formed, the constant-term test (Abbott, Shoup & Zimmermann,
+ISSAC 2000) asks that lc * prod h_i(0) divide lc * f(0); it is exact,
+and it rejects almost every false subset with one product of integers.
+Each survivor is trial-divided exactly in Z[x], all on integer
 coefficient lists; every product, in the lift and in the recombination,
-is polynomial._mul reduced mod a power of l. The product of the returned
-factors (times content) is checked exactly against the input before
-returning, on integer coefficient lists too; a mismatch is a bug, not
-a condition the caller handles.
+is polynomial._mul reduced mod a power of l. The returned factors times
+the leftover the cap leaves out are checked exactly against the
+primitive part of the input before returning, on integer coefficient
+lists too; a mismatch is a bug, not a condition the caller handles.
 
 The same reduction answers a cheaper question first. Every divisor of f
 over Q reduces mod a good l to a product of distinct irreducibles of
@@ -42,7 +51,8 @@ f mod l, so a divisor of degree d needs d to be a subset sum of the
 degrees of those irreducibles, and only the degrees up to d matter.
 GoodReduction runs the distinct-degree split only that far; when the
 answer is no, nothing is lifted or recombined, and when it is yes,
-factor_int_poly takes the same reduction up where the split stopped.
+factor_int_poly, capped at d, takes the same reduction up where the
+split stopped.
 """
 
 from __future__ import annotations
@@ -97,34 +107,36 @@ class _DistinctDegree:
     coefficient list. It keeps its place, so a later call with a larger
     k only takes the steps still missing. The last entry may have a
     degree above k: once the unsplit rest has degree below 2(j + 1) it
-    is itself irreducible.
+    is itself irreducible. `rest` is the monic product of the
+    irreducibles not split off yet; after `through(k)` each has degree
+    above k.
     """
 
     def __init__(self, f: list[int], l: int):
         self.degree = len(f) - 1
         self.l = l
         self._parts: list[tuple[list[int], int]] = []
-        self._rest = f
+        self.rest = f
         self._frob = [0, 1]  # x^(l^searched) mod rest
         self._searched = 0
 
     def through(self, k: int) -> list[tuple[list[int], int]]:
         l = self.l
-        while self._searched < k and len(self._rest) > 1:
-            if len(self._rest) - 1 < 2 * (self._searched + 1):
-                self._parts.append((self._rest, len(self._rest) - 1))
-                self._rest = [1]
+        while self._searched < k and len(self.rest) > 1:
+            if len(self.rest) - 1 < 2 * (self._searched + 1):
+                self._parts.append((self.rest, len(self.rest) - 1))
+                self.rest = [1]
                 break
             self._searched += 1
-            self._frob = _vec_powmod(self._frob, l, self._rest, l)
-            g = _vec_gcd(self._rest, [c % l for c in _sub(self._frob, [0, 1])], l)
+            self._frob = _vec_powmod(self._frob, l, self.rest, l)
+            g = _vec_gcd(self.rest, [c % l for c in _sub(self._frob, [0, 1])], l)
             if len(g) > 1:
                 inv = pow(g[-1], -1, l)
                 g = [c * inv % l for c in g]
                 self._parts.append((g, self._searched))
-                self._rest = _vec_quo(self._rest, g, l)
-                if len(self._rest) > 1:
-                    self._frob = _vec_rem(self._frob, self._rest, l)
+                self.rest = _vec_quo(self.rest, g, l)
+                if len(self.rest) > 1:
+                    self._frob = _vec_rem(self._frob, self.rest, l)
         return self._parts
 
 
@@ -158,16 +170,19 @@ def _equal_degree_ints(f: list[int], d: int, l: int, rng: random.Random) -> list
 # ---------------------------------------------------------------------------
 
 
-def _landau_mignotte(g: list[int]) -> int:
-    """Coefficient bound for any divisor of g in Z[x], monic or not; deliberately generous.
+def _landau_mignotte(g: list[int], max_degree: int) -> int:
+    """Coefficient bound for any divisor of g in Z[x] of degree at most
+    max_degree, monic or not; deliberately generous.
 
-    g is an integer coefficient list. Mignotte's bound
+    g is an integer coefficient list of degree n. Mignotte's bound
     ||F||_1 <= 2^deg(F) |lc(F) / lc(g)| ||g||_2 holds for every divisor
-    F, and lc(F) divides lc(g), so it is at most 2^n sqrt(n + 1) height(g).
+    F, and lc(F) divides lc(g), so it is at most 2^k sqrt(n + 1) height(g)
+    when deg(F) <= k.
     """
     n = len(g) - 1
+    k = min(max_degree, n)
     height = max(abs(c) for c in g)
-    return (1 << n) * (math.isqrt(n + 1) + 1) * height
+    return (1 << k) * (math.isqrt(n + 1) + 1) * height
 
 
 class GoodReduction:
@@ -203,11 +218,30 @@ class GoodReduction:
     def irreducibles(self) -> list[list[int]]:
         """The monic irreducible factors of f mod l as coefficient lists,
         sorted by (degree, coefficients)."""
+        return self.residues(self._split.degree)
+
+    def residues(self, k: int) -> list[list[int]]:
+        """The monic irreducible factors of f mod l of degree <= k, sorted
+        by (degree, coefficients), then the product of the others.
+
+        The distinct-degree split runs only through k, and the
+        equal-degree split only on its parts of degree <= k. Every other
+        factor is lumped into one monic cofactor, the last entry, left
+        out when there is none. f mod l is squarefree, so the entries
+        are pairwise coprime: a factorization _hensel_lift_factors lifts.
+        """
+        l = self.l
         rng = random.Random(DEFAULT_SEED)
-        out: list[list[int]] = []
-        for same_degree, k in self._split.through(self._split.degree):
-            out += _equal_degree_ints(same_degree, k, self.l, rng)
-        return sorted(out, key=lambda h: (len(h), h))
+        small: list[list[int]] = []
+        parts = self._split.through(k)
+        lumped = self._split.rest
+        for same_degree, j in parts:
+            if j <= k:
+                small += _equal_degree_ints(same_degree, j, l, rng)
+            else:
+                lumped = [c % l for c in _mul(lumped, same_degree)]
+        small.sort(key=lambda h: (len(h), h))
+        return small + [lumped] if len(lumped) > 1 else small
 
 
 def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
@@ -305,69 +339,97 @@ def _symmetric(c: int, mod: int) -> int:
     return c - mod if c > mod // 2 else c
 
 
-def factor_int_poly(f: QPoly, reduction: GoodReduction | None = None
+def factor_int_poly(f: QPoly, max_degree: int | None = None,
+                    reduction: GoodReduction | None = None
                     ) -> tuple[Fraction, list[tuple[QPoly, int]]]:
-    """Factor a nonzero squarefree f with rational coefficients over Q.
+    """The irreducible factors over Q of degree <= max_degree of a nonzero
+    squarefree f with rational coefficients; all of them when None.
 
     Returns (content, [(primitive integer irreducible with positive leading
-    coefficient, 1)]) with f == content * prod(factor), asserted exactly
-    before returning. `reduction`, when given, is good_reduction(f) for an
-    integral f, already computed by the caller; it is used as it stands,
-    and it may already be part way split. Raises NoGoodPrime when no good
-    prime is found, as for every f with a repeated factor.
+    coefficient, 1)]) sorted by (degree, coefficients). f == content *
+    prod(factor) * rest, with rest a primitive integer polynomial with
+    positive leading coefficient and no factor of degree <= max_degree;
+    rest is 1 when max_degree is None, and the identity is asserted
+    exactly before returning. `reduction`, when given, is
+    good_reduction(f) for an integral f, already computed by the caller;
+    it is used as it stands, and it may already be part way split.
+    Raises NoGoodPrime when no good prime is found, as for every f with
+    a repeated factor.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
+    if max_degree is not None and max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     content = f.content() if f.leading > 0 else -f.content()
     prim = f * (1 / content)
+    k = prim.degree if max_degree is None else min(max_degree, prim.degree)
     if reduction is None:
         reduction = good_reduction(prim, SQUAREFREE_TRIES) or good_reduction(prim)
     if reduction is None:
         raise NoGoodPrime(f"no good reduction prime below {GOOD_PRIME_BOUND} for {prim!r}")
-    factors: list[QPoly] = []
-    g, residues = prim, reduction.irreducibles()
+    parts: list[QPoly] = []
+    g, residues = prim, reduction.residues(k)
     # x is split off to keep the constant coefficient nonzero
     if g.coeff(0) == 0:
-        factors.append(QPoly.x())
+        parts.append(QPoly.x())
         g = g // QPoly.x()
         residues.remove([0, 1])
-    factors += _factor_squarefree(g, reduction.l, residues)
-    factors.sort(key=lambda t: (t.degree, t.coeffs))
-    # fold the primitive-part units of the factors back into the content;
-    # prim and every factor are integral, so the check runs on int lists
+    parts += _factor_squarefree(g, reduction.l, residues, k)
+    # prim and every part are integral, primitive and have a positive
+    # leading coefficient, so their product is prim exactly
     check = [1]
-    for poly in factors:
+    for poly in parts:
         check = _mul(check, poly.int_coeffs())
     target = prim.int_coeffs()
     if len(check) != len(target):
         raise AssertionError("factor_int_poly lost degree; this is a bug")
-    if [c * target[-1] for c in check] != [c * check[-1] for c in target]:
+    if check != target:
         raise AssertionError("factor_int_poly reconstruction failed; this is a bug")
-    return content * Fraction(target[-1], check[-1]), [(poly, 1) for poly in factors]
+    factors = sorted((t for t in parts if t.degree <= k),
+                     key=lambda t: (t.degree, t.coeffs))
+    return content, [(poly, 1) for poly in factors]
 
 
-def _factor_squarefree(g: QPoly, l: int, residues: list[list[int]]) -> list[QPoly]:
-    """Irreducible factors of a primitive squarefree integer polynomial.
+def _factor_squarefree(g: QPoly, l: int, residues: list[list[int]],
+                       max_degree: int) -> list[QPoly]:
+    """Split a primitive squarefree integer polynomial g into its
+    irreducible factors of degree <= max_degree and one rest.
 
-    l is a good prime for g, `residues` are the monic irreducible factors
-    of g mod l as coefficient lists, and g(0) != 0. The residues are
-    lifted as factors of lc^(-1) g, with lc the leading coefficient of g,
-    far enough that lc * F / lc(F) is read off exactly for every divisor
-    F of g in Z[x].
+    l is a good prime for g, and g(0) != 0. `residues` are the monic
+    irreducible factors of g mod l of degree <= max_degree, then, when g
+    mod l has others, their product as one lumped cofactor. All of them
+    are lifted as factors of lc^(-1) g, with lc the leading coefficient
+    of g, far enough that lc * F / lc(F) is read off exactly for every
+    divisor F of g of degree <= max_degree. Only the small residues are
+    recombined, and only in subsets of degree <= max_degree.
+
+    Returns primitive integer polynomials with positive leading
+    coefficients whose product is g: the irreducible factors of degree
+    <= max_degree, and at most one of higher degree, which has none.
     """
     if g.degree <= 0:
         return []
     if g.degree == 1 or len(residues) == 1:
         return [g.primitive()]
     current = g.int_coeffs()
-    bound = 2 * abs(current[-1]) * _landau_mignotte(current) + 1
+    bound = 2 * abs(current[-1]) * _landau_mignotte(current, max_degree) + 1
     modulus, lifted = _hensel_lift_factors(current, l, residues, bound)
 
-    remaining = list(range(len(lifted)))
+    # the lumped cofactor is lifted with the small residues, never recombined
+    degrees = [len(h) - 1 for h in lifted]
+    remaining = [i for i, n in enumerate(degrees) if n <= max_degree]
     out: list[QPoly] = []
     size = 1
-    while 2 * size <= len(remaining):
-        found = _try_subsets(current, lifted, remaining, size, modulus)
+    while size <= len(remaining):
+        if sum(sorted(degrees[i] for i in remaining)[:size]) > max_degree:
+            break
+        # stop at half the remaining factors only once current has degree
+        # <= max_degree: then no subset was skipped for its degree, and a
+        # proper divisor of current or its complement takes at most half of
+        # them. A current that holds the lumped cofactor never gets there
+        if len(current) - 1 <= max_degree and 2 * size > len(remaining):
+            break
+        found = _try_subsets(current, lifted, remaining, size, modulus, max_degree)
         if found is None:
             size += 1
             continue
@@ -394,8 +456,9 @@ def _passes_constant_test(current: list[int], constants: list[int], modulus: int
     return c != 0 and current[-1] * current[0] % c == 0
 
 
-def _try_subsets(current, lifted, remaining, size, modulus):
-    """The first subset of `size` lifted factors that gives a factor of current.
+def _try_subsets(current, lifted, remaining, size, modulus, max_degree):
+    """The first subset of `size` lifted factors, of degree at most
+    max_degree, that gives a factor of current.
 
     Returns (subset, primitive factor, current / factor), all on
     integer coefficient lists, or None. Only the subsets that pass the
@@ -403,6 +466,8 @@ def _try_subsets(current, lifted, remaining, size, modulus):
     """
     lc = current[-1]
     for subset in combinations(remaining, size):
+        if sum(len(lifted[i]) - 1 for i in subset) > max_degree:
+            continue
         if not _passes_constant_test(current, [lifted[i][0] for i in subset], modulus):
             continue
         prod = [lc]

@@ -30,10 +30,12 @@ checkable situations decide it.
 
 Everything else is reported as inconclusive, never guessed.
 
-Stable subgroups are found by factoring the p-division polynomial over
-Q and testing every factor product of degree (p-1)/2 for closure of its
-root set under the multiplication-by-g maps, g running over generators
-of (Z/p)^x up to sign.  Closure under those maps pins the root set as
+Stable subgroups are found from the rational factors of the
+p-division polynomial of degree at most (p-1)/2, the only ones a kernel
+polynomial can hold: factor_int_poly, capped at that degree, lifts and
+recombines nothing else.  Every product of them of degree (p-1)/2 is
+tested for closure of its root set under the multiplication-by-g maps,
+g running over generators of (Z/p)^x up to sign.  Closure under those maps pins the root set as
 the x-coordinates of a single line in E[p], which is what makes the
 witness a certificate rather than a heuristic.  psi_p of a nonsingular
 curve is squarefree, which is what factor_int_poly asks of its input,
@@ -54,7 +56,7 @@ So when d is no subset sum of the degrees a distinct-degree split mod l
 finds up to d, no stable line exists and the search ends with no
 witness; that is exactly what the full search would have found.  Most
 curves at p = 11 and 13 end there.  Otherwise the same reduction goes
-on into the full factorization.
+on into the factorization capped at d.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
     """All Galois-stable order-p subgroups of E[p], certified.
 
     Candidates are the monic degree-(p-1)/2 products of rational
-    irreducible factors of the p-division polynomial; each must pass the
+    irreducible factors of the p-division polynomial, of which only those
+    of degree <= (p-1)/2 are computed; each must pass the
     multiplication-closure test before the quotient is even attempted.
     When the division polynomial mod its good prime has no factor degrees
     summing to (p-1)/2, there is no candidate and nothing is factored.
@@ -220,7 +223,8 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
     reduction = good_reduction(psi)
     if reduction is not None and not reduction.admits_divisor_of_degree(d):
         return ()
-    _, factors = factor_int_poly(psi, reduction=reduction)
+    # only a factor of degree <= d can divide a kernel polynomial
+    _, factors = factor_int_poly(psi, max_degree=d, reduction=reduction)
     irreducibles = [f for f, _ in factors]
     gens = _halfgroup_generators(p)
     witnesses: list[StableSubgroupWitness] = []

@@ -144,13 +144,13 @@ def _rational_is_square(x: Fraction) -> bool:
 def _pointwise_rational_line(model: WeierstrassModel, kernel) -> bool:
     """Does the kernel consist of rational points (beyond the origin)?
 
-    True iff the kernel polynomial splits into rational linear factors
-    and each root supports a rational y, i.e. the quadratic in y has a
-    square discriminant.
+    True iff the kernel polynomial splits into rational linear factors,
+    as many as its degree, and each root supports a rational y, i.e. the
+    quadratic in y has a square discriminant.
     """
     prim = kernel.primitive()
-    _, factors = factor_int_poly(prim)
-    if any(f.degree != 1 for f, _ in factors):
+    _, factors = factor_int_poly(prim, max_degree=1)
+    if len(factors) != prim.degree:
         return False
     for f, _ in factors:
         x0 = -f.coeff(0) / f.coeff(1)
@@ -302,8 +302,8 @@ def compute_lambda_bound(
     # image condition and the pointwise guard; skipped when bad reduction
     # above p already blocks every route. Classifying the image reduces the
     # division polynomial of degree (p^2 - 1)/2 modulo one good prime, and
-    # it factors over Q (about a second at p = 13) only when the degrees
-    # there leave room for a stable line
+    # it finds the rational factors of degree <= (p - 1)/2 only when the
+    # degrees there leave room for a stable line
     if places.good_above_p:
         image: ImageClassification = classify_image(model, p, field)
         ledger["image-condition"] = HypothesisEntry(

@@ -1,7 +1,10 @@
 """Fixtures shared by the test modules."""
 
 import contextlib
+import importlib.util
 import signal
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,15 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+@pytest.fixture(scope="session")
+def bench_corpus():
+    """bench/corpus.py, the benchmark's frozen job corpus, as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its own module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -28,7 +28,10 @@ to fall back on, kept so the tests can build a reference factorization
 of any input. The package's closure test clears the denominator of
 x([g]P) by homogenising; `closed_under_multiples_by_inverse` is the test
 it replaced, which inverted the denominator modulo the kernel with the
-rational extended Euclid `xgcd`.
+rational extended Euclid `xgcd`. The package's stable-line search
+factors psi_p only up to the degree (p-1)/2 a kernel can have;
+`find_stable_subgroups_by_full_factoring` is the search it replaced,
+which factored psi_p in full and then filtered.
 
 The package lifts the factorization mod l quadratically.
 `hensel_lift_linear`, one l-adic digit a step, is the lift it replaced,
@@ -48,10 +51,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from fineselmer.elliptic import COUNT_LIMIT, WeierstrassModel
-from fineselmer.factorization import DEFAULT_SEED
+from fineselmer.factorization import DEFAULT_SEED, factor_int_poly
 from fineselmer.finitefield import _vec_gcd, _vec_inverse_mod, _vec_mulmod, _vec_powmod
+from fineselmer.galoisimage import (TRACE_CHECK_BOUND, StableSubgroupWitness,
+                                    _closed_under_multiples, _halfgroup_generators,
+                                    _matching_trace_primes, _velu_quotient)
 from fineselmer.modular import is_prime
 from fineselmer.polynomial import QPoly, _mul, _trim as _vec_trim
 
@@ -873,6 +880,42 @@ def closed_under_multiples_by_inverse(model: WeierstrassModel, h: QPoly,
         if not acc.is_zero:
             return False
     return True
+
+
+def find_stable_subgroups_by_full_factoring(
+        model: WeierstrassModel, p: int,
+        trace_bound: int = TRACE_CHECK_BOUND) -> tuple[StableSubgroupWitness, ...]:
+    """galoisimage.find_stable_subgroups as it ran before its degree cap.
+
+    It factors psi_p over Q in full and then keeps the subsets of the
+    irreducibles whose degrees sum to (p-1)/2; the closure test, Velu
+    and the trace matching are the package's own. It skips the mod-l
+    degree test too, so it checks that short cut as well.
+    """
+    E = model.integral_model()
+    d = (p - 1) // 2
+    _, factors = factor_int_poly(E.division_polynomial(p))
+    irreducibles = [f for f, _ in factors]
+    gens = _halfgroup_generators(p)
+    witnesses: list[StableSubgroupWitness] = []
+    E_traces: dict[int, int] = {}
+    idx = range(len(irreducibles))
+    for size in range(1, len(irreducibles) + 1):
+        for subset in combinations(idx, size):
+            if sum(irreducibles[i].degree for i in subset) != d:
+                continue
+            h = QPoly.one()
+            for i in subset:
+                h = h * irreducibles[i].monic()
+            if not _closed_under_multiples(E, h, gens):
+                continue
+            quotient = _velu_quotient(E, h).integral_model()
+            traces = _matching_trace_primes(E, quotient, p, trace_bound, E_traces)
+            assert traces is not None
+            witnesses.append(StableSubgroupWitness(
+                p, h, h.primitive(), quotient, gens, traces))
+    witnesses.sort(key=lambda w: tuple(w.kernel_monic.coeffs))
+    return tuple(witnesses)
 
 
 # ---------------------------------------------------------------------------

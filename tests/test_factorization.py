@@ -376,7 +376,7 @@ def factor_squarefree_monicised(g: QPoly, l: int, residues: list[list[int]]) -> 
         g = -g
     if len(residues) == 1:
         return [g]
-    bound = 2 * factorization._landau_mignotte(g.int_coeffs()) + 1
+    bound = 2 * factorization._landau_mignotte(g.int_coeffs(), g.degree) + 1
     modulus, lifted = oracles.hensel_lift_linear(g.int_coeffs(), l, residues, bound)
     remaining = list(range(len(lifted)))
     current = g
@@ -409,7 +409,11 @@ def try_subsets_monicised(current, lifted, remaining, size, modulus):
 
 def factor_monicised(f: QPoly):
     """factor_int_poly with the monicised recombination in its place."""
-    with mock.patch.object(factorization, "_factor_squarefree", factor_squarefree_monicised):
+    def uncapped(g, l, residues, max_degree):
+        assert max_degree >= g.degree
+        return factor_squarefree_monicised(g, l, residues)
+
+    with mock.patch.object(factorization, "_factor_squarefree", uncapped):
         return factor_int_poly(f)
 
 
@@ -470,7 +474,7 @@ def lift_arguments(g: QPoly):
     if reduction is None:
         return None
     coeffs = g.int_coeffs()
-    bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(coeffs) + 1
+    bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(coeffs, g.degree) + 1
     return coeffs, reduction.l, reduction.irreducibles(), bound
 
 
@@ -564,8 +568,8 @@ def test_quadratic_lift_matches_linear_lift_on_psi(curve, p):
 def test_reconstruction_check_catches_a_wrong_coefficient(monkeypatch):
     factor_squarefree = factorization._factor_squarefree
 
-    def perturbed(g, l, residues):
-        out = factor_squarefree(g, l, residues)
+    def perturbed(g, l, residues, max_degree):
+        out = factor_squarefree(g, l, residues, max_degree)
         coeffs = list(out[0].coeffs)
         coeffs[0] += 1
         return [QPoly(coeffs)] + out[1:]
@@ -578,8 +582,8 @@ def test_reconstruction_check_catches_a_wrong_coefficient(monkeypatch):
 def test_reconstruction_check_catches_a_lost_factor(monkeypatch):
     factor_squarefree = factorization._factor_squarefree
 
-    def dropped(g, l, residues):
-        return factor_squarefree(g, l, residues)[1:]
+    def dropped(g, l, residues, max_degree):
+        return factor_squarefree(g, l, residues, max_degree)[1:]
 
     monkeypatch.setattr(factorization, "_factor_squarefree", dropped)
     with pytest.raises(AssertionError, match="lost degree"):
@@ -784,3 +788,139 @@ def test_capped_search_tries_the_same_primes_without_the_sieve(monkeypatch):
     assert good_reduction(f, SQUAREFREE_TRIES) is None
     assert reduced == uncapped[:SQUAREFREE_TRIES] == [5, 11, 13, 17, 19, 23, 29, 31]
     assert good_reduction(f, SQUAREFREE_TRIES + 1).l == 37
+
+
+# --- the degree cap: only the factors of degree <= k are lifted and recombined ---
+
+
+SWINNERTON_DYER = qpoly(1, 0, -10, 0, 1)
+
+
+def assert_caps_match_full(f: QPoly, caps) -> None:
+    """With each cap k, factor_int_poly(f) keeps the content and the factors
+    of degree <= k of the full factorization, and what it leaves out is a
+    primitive integer polynomial."""
+    content, factors = factor_int_poly(f)
+    for k in caps:
+        capped = factor_int_poly(f, max_degree=k)
+        assert capped == (content, [(g, m) for g, m in factors if g.degree <= k]), k
+        rest = f * (1 / content)
+        for g, _ in capped[1]:
+            rest = rest // g
+        assert rest.is_integral and rest.content() == 1 and rest.leading > 0
+
+
+@st.composite
+def capped_inputs(draw):
+    """A squarefree product of random integer polynomials of degree 1 to 6,
+    with an x factor, a non-unit leading coefficient and rational content
+    each drawn half the time."""
+    f = QPoly.constant(draw(st.fractions(min_value=-9, max_value=9,
+                                         max_denominator=12).filter(bool)))
+    if draw(st.booleans()):
+        f = f * qpoly(0, 1)
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        f = f * qpoly(*coeffs, draw(st.sampled_from(LEADS)))
+    assume(f.coeff(0) != 0 or f.coeff(1) != 0)
+    assume(squarefree(f))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(capped_inputs())
+# a Swinnerton-Dyer quartic times a cubic: the quartic splits mod every prime
+@example(SWINNERTON_DYER * qpoly(-2, 0, 0, 1))
+def test_capped_factorization_matches_the_full_one(f):
+    assert_caps_match_full(f, range(1, f.degree + 2))
+
+
+def test_capped_swinnerton_dyer_quartic_times_a_line():
+    # x^4 - 10x^2 + 1 = prod(x +- sqrt 2 +- sqrt 3) is irreducible over Q,
+    # yet it splits into factors of degree <= 2 modulo every prime
+    # (its discriminant is 2^14 3^2, so it is squarefree mod every l >= 5)
+    for l in primes_below(200)[2:]:
+        reduced = [c % l for c in SWINNERTON_DYER.int_coeffs()]
+        residues = factorization.GoodReduction(l, reduced).irreducibles()
+        assert max(len(h) - 1 for h in residues) <= 2, l
+    f = SWINNERTON_DYER * qpoly(1, 1)
+    assert factor_int_poly(f, max_degree=3) == (1, [(qpoly(1, 1), 1)])
+    assert factor_int_poly(f, max_degree=4) == (1, [(qpoly(1, 1), 1), (SWINNERTON_DYER, 1)])
+    assert factor_int_poly(f, max_degree=4) == factor_int_poly(f)
+
+
+def test_capped_factorization_of_psi_on_every_corpus_curve(bench_corpus):
+    from fineselmer.elliptic import WeierstrassModel
+
+    for curve, _ in bench_corpus.CURVES.values():
+        E = WeierstrassModel(*curve).integral_model()
+        for p in (3, 5, 7):
+            assert_caps_match_full(E.division_polynomial(p), range(1, (p - 1) // 2 + 1))
+
+
+def test_capped_recombination_finds_a_small_factor_of_many_residues():
+    # mod 23 the quartic B splits into four lines and the irreducible sextic
+    # A into a line and a quintic, so with the cap 5 nothing is lumped. A
+    # is two residues of total degree 6 > 5; stopping at half the six
+    # residues, as if those were all the subsets, would miss B, which
+    # takes four of them
+    A = qpoly(-2, 1, 3, 3, 3, -3, 1)
+    f = A * SWINNERTON_DYER
+    reduction = factorization.GoodReduction(23, [c % 23 for c in f.int_coeffs()])
+    assert [len(h) - 1 for h in reduction.residues(5)] == [1, 1, 1, 1, 1, 5]
+    for k, expected in ((3, []), (4, [SWINNERTON_DYER]), (5, [SWINNERTON_DYER]),
+                        (6, [SWINNERTON_DYER, A])):
+        assert factor_int_poly(f, max_degree=k, reduction=reduction) == (
+            1, [(g, 1) for g in expected]), k
+
+
+def test_cap_below_one_is_refused():
+    with pytest.raises(ValueError, match="max_degree"):
+        factor_int_poly(qpoly(1, 1), max_degree=0)
+
+
+def test_recombination_never_takes_the_lumped_cofactor(monkeypatch):
+    # the cofactor is lifted with the small residues, but no subset tried
+    # holds it; 32a2 at 7 lumps its three sextics mod 3
+    from fineselmer.elliptic import WeierstrassModel
+
+    try_subsets = factorization._try_subsets
+    seen = []
+
+    def recording(current, lifted, remaining, size, modulus, max_degree):
+        seen.append(max(len(lifted[i]) - 1 for i in remaining))
+        assert all(len(lifted[i]) - 1 <= max_degree for i in remaining)
+        return try_subsets(current, lifted, remaining, size, modulus, max_degree)
+
+    monkeypatch.setattr(factorization, "_try_subsets", recording)
+    psi = WeierstrassModel(0, 0, 0, -1, 0).division_polynomial(7)
+    assert factor_int_poly(psi, max_degree=3) == (1, [])
+    assert seen and max(seen) == 3
+
+
+@pytest.mark.parametrize("curve, p, degrees, handed", [
+    # 32a2 at 7: [3, 3, 6, 6, 6] mod 3; the three sextics are one cofactor
+    pytest.param((0, 0, 0, -1, 0), 7, [3, 3, 6, 6, 6], 3, id="32a2-7"),
+    # 26b1 at 7: [1, 1, 1, 3, 6, 6, 6] mod 3
+    pytest.param((1, -1, 1, -3, 3), 7, [1, 1, 1, 3, 6, 6, 6], 5, id="26b1-7"),
+])
+def test_the_lift_gets_only_the_small_factors_and_one_cofactor(monkeypatch, curve, p, degrees, handed):
+    from fineselmer import galoisimage
+    from fineselmer.elliptic import WeierstrassModel
+
+    E = WeierstrassModel(*curve)
+    reduction = good_reduction(E.division_polynomial(p))
+    assert reduction.l == 3
+    assert [len(h) - 1 for h in reduction.irreducibles()] == degrees
+    lift = factorization._hensel_lift_factors
+    counts = []
+
+    def counting(f, l, hbars, target):
+        counts.append(len(hbars))
+        return lift(f, l, hbars, target)
+
+    expected = galoisimage.find_stable_subgroups(E, p)
+    monkeypatch.setattr(factorization, "_hensel_lift_factors", counting)
+    assert galoisimage.find_stable_subgroups(E, p) == expected
+    assert counts == [handed]

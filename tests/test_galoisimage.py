@@ -22,13 +22,9 @@ from fineselmer.finitefield import FqPoly
 from fineselmer.galoisimage import (
     CERTIFICATE_BOUND,
     CM_J_INVARIANTS,
-    TRACE_CHECK_BOUND,
-    StableSubgroupWitness,
     SurjectivityCertificate,
     _closed_under_multiples,
     _halfgroup_generators,
-    _matching_trace_primes,
-    _velu_quotient,
     classify_image,
     find_stable_subgroups,
     surjectivity_certificate,
@@ -36,7 +32,7 @@ from fineselmer.galoisimage import (
 from fineselmer.lambdabound import compute_lambda_bound
 from fineselmer.modular import primes_below
 from fineselmer.polynomial import QPoly
-from oracles import closed_under_multiples_by_inverse
+from oracles import closed_under_multiples_by_inverse, find_stable_subgroups_by_full_factoring
 from test_elliptic import isogeny_13_curve
 
 E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
@@ -253,32 +249,6 @@ CREMONA = {
 }
 
 
-def stable_subgroups_by_full_factoring(model: WeierstrassModel, p: int):
-    """find_stable_subgroups as it ran before the degree test: factor
-    psi_p over Q, then try every factor subset of degree (p - 1)/2."""
-    E = model.integral_model()
-    _, factors = factor_int_poly(E.division_polynomial(p))
-    irreducibles = [f for f, _ in factors]
-    d = (p - 1) // 2
-    gens = _halfgroup_generators(p)
-    witnesses = []
-    for size in range(1, len(irreducibles) + 1):
-        for subset in combinations(irreducibles, size):
-            if sum(f.degree for f in subset) != d:
-                continue
-            h = QPoly.one()
-            for f in subset:
-                h = h * f.monic()
-            if not _closed_under_multiples(E, h, gens):
-                continue
-            quotient = _velu_quotient(E, h).integral_model()
-            traces = _matching_trace_primes(E, quotient, p, TRACE_CHECK_BOUND)
-            witnesses.append(StableSubgroupWitness(
-                p, h, h.primitive(), quotient, gens, traces))
-    witnesses.sort(key=lambda w: tuple(w.kernel_monic.coeffs))
-    return tuple(witnesses)
-
-
 def witness_key(w):
     return (w.p, w.kernel_monic, w.kernel_primitive, w.quotient.a_invariants,
             w.closure_generators, w.trace_primes)
@@ -306,10 +276,45 @@ def test_degree_test_agrees_with_full_factoring():
             excluded += not admits
             kept += admits
             fast = find_stable_subgroups(E, p)
-            slow = stable_subgroups_by_full_factoring(E, p)
+            slow = find_stable_subgroups_by_full_factoring(E, p)
             assert [witness_key(w) for w in fast] == [witness_key(w) for w in slow], (label, p)
     # both sides of the test are exercised
     assert excluded >= 10 and kept >= 10
+
+
+# --- the search capped at degree (p-1)/2 against the full factoring it replaces ---
+
+
+def test_search_matches_full_factoring_on_the_bench_corpus(bench_corpus):
+    jobs = (bench_corpus.SURJECTIVE_P11 + bench_corpus.ISOGENY_LINES
+            + bench_corpus.INCONCLUSIVE_CM + bench_corpus.BATCH_GENERIC
+            + bench_corpus.BATCH_BLOCKED)
+    pairs = sorted({(job.curve, job.p) for job in jobs if job.p <= 7})
+    lines = 0
+    for curve, p in pairs:
+        E = WeierstrassModel(*curve)
+        fast = find_stable_subgroups(E, p)
+        slow = find_stable_subgroups_by_full_factoring(E, p)
+        assert [witness_key(w) for w in fast] == [witness_key(w) for w in slow], (curve, p)
+        lines += len(fast)
+    # 11a1 and 14a1 have two lines; 11a2, 11a3, 20a1, 26b1, 38b1 and 49a1
+    # (CM by the order of discriminant -7, ramified at 7) have one
+    assert lines == 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(-6, 6)] * 5), st.sampled_from([3, 5, 7]))
+@example(CREMONA["11a1"], 5)
+@example(CREMONA["14a1"], 3)
+@example(CREMONA["26b1"], 7)
+def test_search_matches_full_factoring_on_small_curves(a, p):
+    try:
+        E = WeierstrassModel(*a)
+    except ValueError:
+        assume(False)
+    fast = find_stable_subgroups(E, p)
+    slow = find_stable_subgroups_by_full_factoring(E, p)
+    assert [witness_key(w) for w in fast] == [witness_key(w) for w in slow]
 
 
 def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):

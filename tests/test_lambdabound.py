@@ -261,3 +261,34 @@ def test_former_factoring_cliff(monkeypatch, curve, p, bound, image, digest):
     job = cli.job_from_dict({"curve": list(curve), "p": p, "field": "Q"}, "pinned")
     text = cli.render_json(r, job, compact=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# --- the pointwise guard asks only for the linear factors of a kernel ---
+
+
+def test_pointwise_guard_matches_the_full_factoring(monkeypatch, bench_corpus):
+    from fineselmer import lambdabound
+    from fineselmer.galoisimage import find_stable_subgroups
+
+    kernels = []
+    for label in ("11a1", "11a2", "11a3", "14a1", "20a1", "26b1", "38b1"):
+        E = WeierstrassModel(*bench_corpus.CURVES[label][0]).integral_model()
+        for p in (3, 5, 7):
+            kernels += [(E, w.kernel_monic) for w in find_stable_subgroups(E, p)]
+    factor_int_poly = lambdabound.factor_int_poly
+    caps = []
+
+    def recording(f, max_degree=None, **kwargs):
+        caps.append(max_degree)
+        return factor_int_poly(f, max_degree=max_degree, **kwargs)
+
+    monkeypatch.setattr(lambdabound, "factor_int_poly", recording)
+    fast = [lambdabound._pointwise_rational_line(E, h) for E, h in kernels]
+    assert caps == [1] * len(kernels)
+    # with every factor returned, the kernel splits when all of them are lines
+    monkeypatch.setattr(lambdabound, "factor_int_poly",
+                        lambda f, max_degree=None: factor_int_poly(f))
+    slow = [lambdabound._pointwise_rational_line(E, h) for E, h in kernels]
+    assert fast == slow
+    # 11a1, 11a3 and 14a1 have a rational point of order p; other kernels do not
+    assert 0 < sum(fast) < len(fast)
