@@ -433,7 +433,9 @@ def run_batch(path: str, jobs: int) -> int:
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # the pool forks all its workers at the first submit: never
+            # more than there are lines
+            with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
                 futures = [pool.submit(_batch_line, item) for item in work]
                 try:
                     for (n, _), future in zip(work, futures):   # input order

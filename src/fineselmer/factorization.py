@@ -38,12 +38,17 @@ with symmetric representatives is (lc / lc(F)) * F. Before that
 product is formed, the constant-term test (Abbott, Shoup & Zimmermann,
 ISSAC 2000) asks that lc * prod h_i(0) divide lc * f(0); it is exact,
 and it rejects almost every false subset with one product of integers.
-Each survivor is trial-divided exactly in Z[x], all on integer
-coefficient lists; every product, in the lift and in the recombination,
-is polynomial._mul reduced mod a power of l. The returned factors times
-the leftover the cap leaves out are checked exactly against the
-primitive part of the input before returning, on integer coefficient
-lists too; a mismatch is a bug, not a condition the caller handles.
+Each survivor is trial-divided exactly in Z[x]; every product, in the
+lift and in the recombination, is polynomial._mul reduced mod a power
+of l. The returned factors times the leftover the cap leaves out are
+checked exactly against the primitive part of the input before
+returning; a mismatch is a bug, not a condition the caller handles.
+
+QPolys appear only at the boundary. factor_int_poly reads the
+primitive part of its input into an integer coefficient list once,
+splits off x by slicing, and builds QPolys only for the factors it
+returns; the good-prime search, the lift, the recombination and the
+check in between all run on integer coefficient lists.
 
 The same reduction answers a cheaper question first. Every divisor of f
 over Q reduces mod a good l to a product of distinct irreducibles of
@@ -215,11 +220,6 @@ class GoodReduction:
                     reach |= reach << k
         return bool(reach >> d & 1)
 
-    def irreducibles(self) -> list[list[int]]:
-        """The monic irreducible factors of f mod l as coefficient lists,
-        sorted by (degree, coefficients)."""
-        return self.residues(self._split.degree)
-
     def residues(self, k: int) -> list[list[int]]:
         """The monic irreducible factors of f mod l of degree <= k, sorted
         by (degree, coefficients), then the product of the others.
@@ -252,7 +252,11 @@ def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
     caps how many of them are tested (all when None). The test is the
     gcd of f mod l with its derivative.
     """
-    coeffs = f.int_coeffs()
+    return _good_reduction(f.int_coeffs(), tries)
+
+
+def _good_reduction(coeffs: list[int], tries: int | None) -> GoodReduction | None:
+    """good_reduction on the integer coefficient list of f."""
     lead = abs(coeffs[-1])
     if tries is None:
         # the scan may run through the whole range: sieve it once
@@ -361,38 +365,38 @@ def factor_int_poly(f: QPoly, max_degree: int | None = None,
     if max_degree is not None and max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     content = f.content() if f.leading > 0 else -f.content()
-    prim = f * (1 / content)
-    k = prim.degree if max_degree is None else min(max_degree, prim.degree)
+    prim = [int(c / content) for c in f.coeffs]
+    k = len(prim) - 1 if max_degree is None else min(max_degree, len(prim) - 1)
     if reduction is None:
-        reduction = good_reduction(prim, SQUAREFREE_TRIES) or good_reduction(prim)
+        reduction = (_good_reduction(prim, SQUAREFREE_TRIES)
+                     or _good_reduction(prim, None))
     if reduction is None:
-        raise NoGoodPrime(f"no good reduction prime below {GOOD_PRIME_BOUND} for {prim!r}")
-    parts: list[QPoly] = []
+        raise NoGoodPrime(f"no good reduction prime below {GOOD_PRIME_BOUND} "
+                          f"for {QPoly(prim)!r}")
+    parts: list[list[int]] = []
     g, residues = prim, reduction.residues(k)
     # x is split off to keep the constant coefficient nonzero
-    if g.coeff(0) == 0:
-        parts.append(QPoly.x())
-        g = g // QPoly.x()
+    if g[0] == 0:
+        parts.append([0, 1])
+        g = g[1:]
         residues.remove([0, 1])
     parts += _factor_squarefree(g, reduction.l, residues, k)
-    # prim and every part are integral, primitive and have a positive
-    # leading coefficient, so their product is prim exactly
+    # prim and every part are primitive and have a positive leading
+    # coefficient, so their product is prim exactly
     check = [1]
-    for poly in parts:
-        check = _mul(check, poly.int_coeffs())
-    target = prim.int_coeffs()
-    if len(check) != len(target):
+    for part in parts:
+        check = _mul(check, part)
+    if len(check) != len(prim):
         raise AssertionError("factor_int_poly lost degree; this is a bug")
-    if check != target:
+    if check != prim:
         raise AssertionError("factor_int_poly reconstruction failed; this is a bug")
-    factors = sorted((t for t in parts if t.degree <= k),
-                     key=lambda t: (t.degree, t.coeffs))
-    return content, [(poly, 1) for poly in factors]
+    factors = sorted((t for t in parts if len(t) - 1 <= k), key=lambda t: (len(t), t))
+    return content, [(QPoly(t), 1) for t in factors]
 
 
-def _factor_squarefree(g: QPoly, l: int, residues: list[list[int]],
-                       max_degree: int) -> list[QPoly]:
-    """Split a primitive squarefree integer polynomial g into its
+def _factor_squarefree(g: list[int], l: int, residues: list[list[int]],
+                       max_degree: int) -> list[list[int]]:
+    """Split a primitive squarefree integer coefficient list g into its
     irreducible factors of degree <= max_degree and one rest.
 
     l is a good prime for g, and g(0) != 0. `residues` are the monic
@@ -403,22 +407,22 @@ def _factor_squarefree(g: QPoly, l: int, residues: list[list[int]],
     divisor F of g of degree <= max_degree. Only the small residues are
     recombined, and only in subsets of degree <= max_degree.
 
-    Returns primitive integer polynomials with positive leading
+    Returns primitive integer coefficient lists with positive leading
     coefficients whose product is g: the irreducible factors of degree
     <= max_degree, and at most one of higher degree, which has none.
     """
-    if g.degree <= 0:
+    if len(g) <= 1:
         return []
-    if g.degree == 1 or len(residues) == 1:
-        return [g.primitive()]
-    current = g.int_coeffs()
+    if len(g) == 2 or len(residues) == 1:
+        return [_primitive(g)]
+    current = g
     bound = 2 * abs(current[-1]) * _landau_mignotte(current, max_degree) + 1
     modulus, lifted = _hensel_lift_factors(current, l, residues, bound)
 
     # the lumped cofactor is lifted with the small residues, never recombined
     degrees = [len(h) - 1 for h in lifted]
     remaining = [i for i, n in enumerate(degrees) if n <= max_degree]
-    out: list[QPoly] = []
+    out: list[list[int]] = []
     size = 1
     while size <= len(remaining):
         if sum(sorted(degrees[i] for i in remaining)[:size]) > max_degree:
@@ -434,9 +438,9 @@ def _factor_squarefree(g: QPoly, l: int, residues: list[list[int]],
             size += 1
             continue
         subset, factor, current = found
-        out.append(QPoly(factor))
+        out.append(factor)
         remaining = [i for i in remaining if i not in subset]
-    out.append(QPoly(current).primitive())
+    out.append(_primitive(current))
     return out
 
 

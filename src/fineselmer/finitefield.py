@@ -2,13 +2,16 @@
 
 The pipeline needs prime fields only: reduction types and split tests
 at the bad primes, traces a_l, and psi_p modulo one good prime l.
-Factoring psi_p runs entirely on the `_vec_*` helpers below, plain
-coefficient lists of ints. `FiniteField(l)` is a plain value compared
-by its characteristic and an element `FqElem` holds one int in [0, l);
-WeierstrassModel.reduction hands them out. `FqPoly`, a dense polynomial
-of elements, is public API for root counts over F_l (the acceptance
-test counts torsion points with `FqPoly.roots`), not a pipeline layer.
-Extension fields F_{l^f} live in the tests as an oracle.
+All polynomial arithmetic mod l runs on the `_vec_*` helpers below,
+plain coefficient lists of ints; there is no second layer of it.
+`FiniteField(l)` is a plain value compared by its characteristic and
+an element `FqElem` holds one int in [0, l); WeierstrassModel.reduction
+hands them out. `FqPoly`, a polynomial of elements, is only a boundary:
+public API for root counts over F_l (the acceptance test counts torsion
+points with `FqPoly.roots`), which reads its residues into an int list
+and answers on the `_vec_*` helpers. No pipeline step builds one.
+Extension fields F_{l^f}, and the boxed polynomial arithmetic the
+helpers replaced, live in the tests as oracles.
 
 Everything here is exact and immutable; elements hash and compare by
 value.
@@ -247,7 +250,10 @@ class FqElem:
 
 
 class FqPoly:
-    """Immutable dense polynomial over a FiniteField; zero has degree -1."""
+    """Immutable dense polynomial over a FiniteField; zero has degree -1.
+
+    Its one operation, `roots()`, runs on the `_vec_*` helpers above.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -261,93 +267,9 @@ class FqPoly:
     def __setattr__(self, name, value):
         raise AttributeError("FqPoly is immutable")
 
-    @classmethod
-    def x(cls, field: FiniteField) -> "FqPoly":
-        return cls(field, (0, 1))
-
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> FqElem:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FqPoly)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.char, self.coeffs))
-
-    def __sub__(self, other: "FqPoly") -> "FqPoly":
-        return FqPoly(self.field, _sub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other) -> "FqPoly":
-        if isinstance(other, (int, FqElem)):
-            o = self.field.element(other)
-            return FqPoly(self.field, [c * o for c in self.coeffs])
-        return FqPoly(self.field, _mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "FqPoly") -> tuple["FqPoly", "FqPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return FqPoly(self.field), self
-        zero = self.field.zero()
-        quot = [zero] * (dq + 1)
-        inv_lead = other.leading.inverse()
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree]
-            if c:
-                q = c * inv_lead
-                quot[i] = q
-                for j, oc in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - q * oc
-        return FqPoly(self.field, quot), FqPoly(self.field, rem)
-
-    def __mod__(self, other: "FqPoly") -> "FqPoly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "FqPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        if self.leading == self.field.one():
-            return self
-        inv = self.leading.inverse()
-        return FqPoly(self.field, [c * inv for c in self.coeffs])
-
-    def gcd(self, other: "FqPoly") -> "FqPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a if a.is_zero else a.monic()
-
-    def pow_mod(self, e: int, mod: "FqPoly") -> "FqPoly":
-        result = FqPoly(self.field, (1,))
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
-
-    def __call__(self, x: FqElem) -> FqElem:
-        return self.field.element(_horner(self.coeffs, x))
+        return len(self.coeffs) - 1
 
     def roots(self) -> list[FqElem]:
         """All roots in F_l, ascending, by gcd with x^l - x then enumeration.
@@ -355,22 +277,24 @@ class FqPoly:
         The gcd keeps only the distinct linear factors, so the scan stops
         once it has found as many roots as their product has degree.
         """
-        if self.is_zero:
+        if not self.coeffs:
             raise ValueError("zero polynomial has every root")
-        xq = FqPoly.x(self.field).pow_mod(self.field.order, self)
-        linear_part = self.gcd(xq - FqPoly.x(self.field))
-        if linear_part.degree <= 0:
+        l = self.field.char
+        f = [c.value for c in self.coeffs]
+        xl = _vec_powmod([0, 1], l, f, l)
+        linear_part = _vec_gcd(f, [c % l for c in _sub(xl, [0, 1])], l)
+        if len(linear_part) <= 1:
             return []
         found: list[FqElem] = []
-        for a in self.field.elements():
-            if not linear_part(a):
-                found.append(a)
-                if len(found) == linear_part.degree:
+        for a in range(l):
+            if not _horner(linear_part, a) % l:
+                found.append(FqElem(self.field, a))
+                if len(found) == len(linear_part) - 1:
                     break
         return found
 
     def __repr__(self) -> str:
-        if self.is_zero:
+        if not self.coeffs:
             return "FqPoly(0)"
         body = ", ".join(str(c.value) for c in self.coeffs)
         return f"FqPoly[{self.field!r}]({body})"

@@ -224,10 +224,13 @@ class PadicNumber:
 def hensel_lift(f: QPoly, r0: int, p: int, absprec: int = DEFAULT_PRECISION) -> PadicNumber:
     """Newton-lift the approximate root r0 of f to absolute precision absprec.
 
-    Requires v(f(r0)) > 2 v(f'(r0)) and raises NoLiftError otherwise. The
+    Requires v(f(r0)) > 2 v(f'(r0)) and raises NoLiftError otherwise, and
+    raises ValueError for absprec < 1, as padic_roots does. The
     returned root r satisfies v(f(r)) >= absprec and is congruent to r0
     modulo p^(v(f'(r0)) + 1). f must have integer coefficients.
     """
+    if absprec < 1:
+        raise ValueError("absprec must be positive")
     return _newton_lift(f.int_coeffs(), r0, p, absprec)
 
 

@@ -2,13 +2,14 @@
 
 The kernels `_mul`, `_add`, `_sub`, `_horner`, `_derivative` and
 `_compose_linear` take coefficient lists, lowest degree first, over any
-ring whose elements mix with the int 0: plain ints (the division
-polynomial ladder, the p-adic root search, the Hensel lift), Fractions
-(QPoly) and the F_l elements of FqPoly. None of them reduces; a caller
-working mod m reduces the result. QPoly is a polynomial over Q with
-division, the gcd and the squarefree part on top; the squarefree part
-is the p-adic root search's fallback. Degrees stay at most
-(13^2 - 1)/2 = 84, so everything is dense.
+ring whose elements mix with the int 0. The package passes plain ints
+(the division polynomial ladder, the p-adic root search, the Hensel
+lift, and residues mod l for the `_vec_*` helpers of finitefield) and
+Fractions (QPoly); no F_l elements go through them. None of them
+reduces; a caller working mod m reduces the result. QPoly is a
+polynomial over Q with division, the gcd and the squarefree part on
+top; the squarefree part is the p-adic root search's fallback.
+Degrees stay at most (13^2 - 1)/2 = 84, so everything is dense.
 
 The zero polynomial has degree -1, a sentinel chosen so that
 deg(f*g) = deg f + deg g never has to special-case zero in callers that

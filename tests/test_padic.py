@@ -173,6 +173,17 @@ def test_hensel_lift_rejects_non_root():
         hensel_lift(qpoly(1, 0, 1), 1, 7, absprec=8)
 
 
+@pytest.mark.parametrize("absprec", [0, -1])
+def test_hensel_lift_refuses_a_precision_below_one(absprec):
+    # as padic_roots does; absprec 0 would return a vacuous O(7^0), and a
+    # negative one would reach the Newton loop's convergence assertion.
+    # Both the exact root 5 of x^2 - 25 and the approximate root 3 of
+    # x^2 - 2 are refused
+    for f, r0 in ((qpoly(-25, 0, 1), 5), (qpoly(-2, 0, 1), 3)):
+        with pytest.raises(ValueError, match="absprec must be positive"):
+            hensel_lift(f, r0, 7, absprec=absprec)
+
+
 def test_hensel_lift_congruent_to_seed():
     # the documented congruence: result == r0 mod p^(v(f'(r0)) + 1); here
     # f'(r0) is a unit, so each seed keeps its residue class mod 5
