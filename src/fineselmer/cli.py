@@ -104,10 +104,10 @@ def _parse_g_table(rows, where: str) -> tuple[dict, ...]:
         if extra:
             raise CliError(f"{where}: row {i} has unknown keys {sorted(extra)}")
         out.append({
-            "residue_char": _parse_int(row["residue_char"], f"{where} row {i} residue_char"),
+            "residue_char": _parse_int(row["residue_char"], f"{where}: row {i} residue_char"),
             "residue_degree": _parse_int(row.get("residue_degree", 1),
-                                         f"{where} row {i} residue_degree"),
-            "g": _parse_int(row["g"], f"{where} row {i} g"),
+                                         f"{where}: row {i} residue_degree"),
+            "g": _parse_int(row["g"], f"{where}: row {i} g"),
         })
     return tuple(out)
 
@@ -124,8 +124,7 @@ def _load_g_table_file(path: str) -> tuple[dict, ...]:
 
 
 def _parse_precision(value, what: str) -> int:
-    # delta_v's precision ladder stops at MAX_PRECISION; a larger start
-    # costs time without reaching further
+    # a floor for delta_v's single root search; no value changes a report
     precision = _parse_int(value, what)
     if not 1 <= precision <= MAX_PRECISION:
         raise CliError(f"{what} must be between 1 and {MAX_PRECISION}, got {precision}")
@@ -236,8 +235,6 @@ def _place_entry(term: LocalTerm) -> dict:
 def report_to_dict(report: LambdaBoundReport, job: JobSpec) -> dict:
     """The JSON form: fixed key order, integers as decimal strings."""
     inv = report.global_invariants
-    dims_exact = inv.provenance == "certified-zero"
-    dims_prov = "computed-exact" if dims_exact else "asserted"
     included = report.route == "with-global-dims"
 
     bound = None
@@ -249,7 +246,7 @@ def report_to_dict(report: LambdaBoundReport, job: JobSpec) -> dict:
             p_ = _term_provenance(term)
             if _WEAKNESS[p_] > _WEAKNESS[prov]:
                 prov = p_
-        if included and not dims_exact:
+        if included:
             prov = "asserted"
         bound = _num(report.bound, prov)
 
@@ -271,10 +268,10 @@ def report_to_dict(report: LambdaBoundReport, job: JobSpec) -> dict:
         "extension": extension,
         "places": [_place_entry(t) for t in report.terms],
         "global_invariants": {
-            "dim_y": _num(inv.dim_y, dims_prov),
-            "dim_z": _num(inv.dim_z, dims_prov),
+            "dim_y": _num(inv.dim_y, "asserted"),
+            "dim_z": _num(inv.dim_z, "asserted"),
             "origin": inv.provenance,
-            "contribution": _num(2 * inv.dim_y + inv.dim_z, dims_prov),
+            "contribution": _num(2 * inv.dim_y + inv.dim_z, "asserted"),
             "included_in_bound": included,
         },
         "ledger": [{"id": e.id, "status": e.status, "detail": e.detail}

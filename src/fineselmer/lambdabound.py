@@ -91,7 +91,7 @@ class HypothesisEntry:
 class GlobalInvariants:
     dim_y: int = 0
     dim_z: int = 0
-    provenance: str = "asserted-zero"   # | "user-supplied" | "certified-zero"
+    provenance: str = "asserted-zero"   # | "user-supplied"
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def compute_lambda_bound(
             terms.append(LocalTerm(
                 pl.label, p, pl.residue_degree, "S_p", "good", None,
                 1, "computed-exact", delta.value, delta.provenance,
-                delta.value * 1))
+                delta.value))
             notes.append(f"g at {pl.label} is 1: the place above {p} is "
                          "totally ramified in the tower")
             notes.append(f"delta at {pl.label} decided by {delta.method}")
@@ -308,8 +308,7 @@ def compute_lambda_bound(
         image: ImageClassification = classify_image(model, p, field)
         ledger["image-condition"] = HypothesisEntry(
             "image-condition",
-            {"certified": "certified", "refuted": "refuted",
-             "inconclusive": "inconclusive"}[image.image_condition],
+            image.image_condition,
             f"{image.status}: " + "; ".join(image.notes))
         guard = (len(image.witnesses) >= 2
                  and any(_pointwise_rational_line(model.integral_model(),

@@ -17,8 +17,8 @@ in the bigger residue field.
 
 The defect delta_v is 2 when E has a p-torsion point over the
 completion at v, else 0.  Over Q_p with good reduction this reduces to
-a congruence on a_p plus, in the a_p = 1 (mod p) case, a certified
-search for Z_p-rational x-coordinates on the p-division polynomial.
+a congruence on a_p plus, when a_p = 1 (mod p), one certified search
+for the Z_p-roots of psi_p, each tested by a Legendre symbol mod p.
 Over the ramified place of Q(mu_p) above p the congruence alone is
 decisive in both directions, so no search runs there.
 """
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .elliptic import WeierstrassModel, trace_of_frobenius
-from .modular import factorize, multiplicative_order, valuation
-from .padic import (DEFAULT_PRECISION, MAX_PRECISION, PadicNumber, padic_roots)
+from .modular import factorize, is_prime, multiplicative_order, valuation
+from .padic import DEFAULT_PRECISION, DEPTH_BUDGET, MAX_PRECISION, padic_roots
 
 __all__ = [
     "ReductionData",
@@ -136,6 +136,8 @@ def _double_root_mod(a: int, b: int, c: int, ell: int) -> int | None:
 
 def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
     """The complete minimization loop; valid for every prime ell."""
+    if not is_prime(ell):
+        raise ValueError("ell must be prime")
     E = model.integral_model()
     while True:
         vD = _vl(E.discriminant, ell)
@@ -247,16 +249,20 @@ def _tate_shortcut(model: WeierstrassModel, ell: int) -> ReductionData:
 
 def tate_reduction(model: WeierstrassModel, ell: int) -> ReductionData:
     """Reduction data at ell on the ell-minimal model."""
-    if ell < 2 or ell in (4, 6, 8, 9, 10):
-        raise ValueError("ell must be prime")
-    if ell >= 5:
+    if ell >= 5 and is_prime(ell):
         return _tate_shortcut(model, ell)
+    # refuses an ell that is not prime
     return tate_reduction_full(model, ell)
 
 
 # ---------------------------------------------------------------------------
 # Reduction over the cyclotomic field K = Q(mu_p)
 # ---------------------------------------------------------------------------
+
+
+def _require_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
 
 
 @dataclass(frozen=True)
@@ -282,6 +288,7 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
     splitting exactly when -c6 becomes a square in the residue field
     F_{ell^f}.
     """
+    _require_odd_prime(p)
     if ell == p:
         raise ValueError("use the ramified-place handling for ell = p")
     base = tate_reduction(model, ell)
@@ -372,6 +379,7 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
     Membership is decided on the minimal model at each place; primes
     dividing a non-minimal discriminant that turn out good are dropped.
     """
+    _require_odd_prime(p)
     if field not in SUPPORTED_FIELDS:
         raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
     records: list[PlaceRecord] = []
@@ -431,6 +439,7 @@ def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1,
     the residue field size: the Frobenius at v generates a subgroup of
     the layer-n Galois group of index p^min(n, m).
     """
+    _require_odd_prime(p)
     if table is not None:
         for row in table:
             if (row["residue_char"] == ell
@@ -461,6 +470,7 @@ def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1,
 def finite_level_place_count(ell: int, p: int, n: int, field: str = "Q",
                              residue_degree: int = 1) -> int:
     """Places above v at the n-th layer: p^n / ord(Frob_v); oracle-facing."""
+    _require_odd_prime(p)
     if n < 0:
         raise ValueError(f"layer n must be >= 0, got {n}")
     if ell == p:
@@ -492,24 +502,25 @@ class DeltaResult:
     notes: tuple[str, ...] = dc_field(default_factory=tuple)
 
 
-def _torsion_x_has_rational_y(model: WeierstrassModel, x0: PadicNumber, p: int) -> bool | None:
-    """Does the x-coordinate x0 support a Q_p-rational point?  None = undecided.
+def _torsion_x_has_rational_y(model: WeierstrassModel, x0: int, p: int) -> bool:
+    """Does the Z_p-root x0 of psi_p carry a Q_p-rational y?  Reads x0 mod p.
 
-    y exists iff D(x) = (a1 x + a3)^2 + 4(x^3 + a2 x^2 + a4 x + a6) is a
-    square in Q_p.
+    y exists iff F(x0) = (2y + a1 x0 + a3)^2, F = 4x^3 + b2 x^2 + 2 b4 x + b6,
+    is a square in Q_p.  model is integral with good reduction at p >= 3.
+    Any y with P = (x0, y) on E is integral (a root of a monic over Z_p),
+    so P reduces to an affine point with [p]P~ = O (reduction is a group
+    homomorphism, Silverman AEC VII.2): P~ has order p, is not 2-torsion,
+    and F(x0) = (2y~ + a1 x0 + a3)^2 != 0 (mod p).  A p-adic unit is a
+    square exactly when its residue is: one Legendre symbol decides.
     """
-    prec = x0.absprec
-    coeffs = [PadicNumber.from_rational(Fraction(v), p, prec)
-              for v in (model.a1, model.a2, model.a3, model.a4, model.a6)]
-    a1, a2, a3, a4, a6 = coeffs
-    g = ((x0 * x0 * x0) + a2 * (x0 * x0) + a4 * x0 + a6)
-    h = a1 * x0 + a3
-    d = h * h + g * 4
-    return d.is_square()
+    b2, b4, b6 = (int(v) for v in (model.b2, model.b4, model.b6))
+    F = (((4 * x0 + b2) * x0 + 2 * b4) * x0 + b6) % p
+    assert F != 0, "a p-torsion x-coordinate reduced onto the 2-torsion"
+    return pow(F, (p - 1) // 2, p) == 1
 
 
 def _start_precision(precision: int | None) -> int:
-    """delta_v's starting precision: DEFAULT_PRECISION for None, else
+    """delta_v's precision floor: DEFAULT_PRECISION for None, else
     `precision` itself, which must lie in 1 .. MAX_PRECISION."""
     prec = DEFAULT_PRECISION if precision is None else precision
     if not 1 <= prec <= MAX_PRECISION:
@@ -531,12 +542,12 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
     and the congruence a_p = 1 (mod p) decides delta exactly in both
     directions.
 
-    `precision` is the starting p-adic precision of the root search, from
-    1 to MAX_PRECISION; None means DEFAULT_PRECISION.
+    The search runs once, at max(precision, DEPTH_BUDGET + 1), where its
+    outcome no longer depends on precision; `precision` (1 to
+    MAX_PRECISION, None means DEFAULT_PRECISION) is a floor only.
     """
-    prec = _start_precision(precision)
-    if p < 3:
-        raise ValueError("p must be an odd prime")
+    _require_odd_prime(p)
+    prec = max(_start_precision(precision), DEPTH_BUDGET + 1)
     if field not in SUPPORTED_FIELDS:
         raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
     E = model.integral_model()
@@ -567,28 +578,15 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
     # torsion free over Z_p for p >= 3, so searching Z_p covers every
     # Q_p-rational candidate
     psi = Emin.division_polynomial(p)
-    while True:
-        found = padic_roots(psi, p, prec)
-        rational_point = False
-        undecided = False
-        for root in found.certified:
-            has_y = _torsion_x_has_rational_y(Emin, root, p)
-            if has_y:
-                rational_point = True
-                break
-            if has_y is None:
-                undecided = True
-        if rational_point:
-            return DeltaResult(2, "computed-exact", "division-poly-root",
-                               ("certified torsion x-coordinate with a "
-                                "rational y over Q_p",))
-        if found.complete and not undecided:
-            return DeltaResult(0, "computed-exact", "division-poly-exhausted",
-                               ("the certified root search is complete and "
-                                "no root carries a rational y",))
-        if prec >= MAX_PRECISION:
-            return DeltaResult(2, "conservative",
-                               "search-budget-exhausted",
-                               (f"root separation incomplete at precision {prec}; "
-                                "reporting the safe upper value",))
-        prec = min(prec * 2, MAX_PRECISION)
+    found = padic_roots(psi, p, prec)
+    if any(_torsion_x_has_rational_y(Emin, root.lift(), p) for root in found.certified):
+        return DeltaResult(2, "computed-exact", "division-poly-root",
+                           ("certified torsion x-coordinate with a "
+                            "rational y over Q_p",))
+    if found.complete:
+        return DeltaResult(0, "computed-exact", "division-poly-exhausted",
+                           ("the certified root search is complete and "
+                            "no root carries a rational y",))
+    return DeltaResult(2, "conservative", "search-budget-exhausted",
+                       (f"root separation incomplete at precision {prec}; "
+                        "reporting the safe upper value",))

@@ -297,6 +297,11 @@ def padic_roots(
     as it stands; the squarefree part over Q, a rational Euclid, is
     computed only when none of them is good.  A division polynomial is
     squarefree, so delta_v never needs that Euclid.
+
+    The recursion depth equals the scale, so at absprec > depth_budget no
+    branch reports "precision exhausted" and the residue classes visited
+    do not depend on absprec: complete and the inconclusive markers are
+    the same at any two such a and b, and the roots agree mod p^min(a, b).
     """
     if f.is_zero:
         raise ValueError("zero polynomial has every element as root")

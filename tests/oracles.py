@@ -49,6 +49,9 @@ The package computes the invariants of an integral model, and the
 coordinate changes of one by integral r, s, t, on plain ints.
 `invariants_fraction` and `change_model_fraction` at the end of this
 file are the Fraction formulas they replaced, for any rational model.
+
+`torsion_x_has_rational_y_padic` is delta_v's y-test on PadicNumber, which
+the package replaced by one Legendre symbol mod p.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from fineselmer.galoisimage import (TRACE_CHECK_BOUND, StableSubgroupWitness,
                                     _closed_under_multiples, _halfgroup_generators,
                                     _matching_trace_primes, _velu_quotient)
 from fineselmer.modular import is_prime
+from fineselmer.padic import PadicNumber
 from fineselmer.polynomial import QPoly, _mul, _trim as _vec_trim
 
 
@@ -1008,3 +1012,20 @@ def change_model_fraction(model: WeierstrassModel, u, r, s, t) -> tuple[Fraction
             (a3 + r * a1 + 2 * t) / u**3,
             (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
             (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6)
+
+
+def torsion_x_has_rational_y_padic(model: WeierstrassModel, x0: PadicNumber,
+                                   p: int) -> bool | None:
+    """Does the x-coordinate x0 support a Q_p-rational point?  None = undecided.
+
+    y exists iff D(x) = (a1 x + a3)^2 + 4(x^3 + a2 x^2 + a4 x + a6) is a
+    square in Q_p.
+    """
+    prec = x0.absprec
+    coeffs = [PadicNumber.from_rational(Fraction(v), p, prec)
+              for v in (model.a1, model.a2, model.a3, model.a4, model.a6)]
+    a1, a2, a3, a4, a6 = coeffs
+    g = ((x0 * x0 * x0) + a2 * (x0 * x0) + a4 * x0 + a6)
+    h = a1 * x0 + a3
+    d = h * h + g * 4
+    return d.is_square()

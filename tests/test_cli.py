@@ -411,6 +411,24 @@ def test_batch_inline_g_table(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("key", ["residue_char", "residue_degree", "g"])
+def test_g_table_row_error_names_its_source_once(capsys, tmp_path, key):
+    row = {"residue_char": 11, "g": 7, key: "x"}
+    f = tmp_path / "j.ndjson"
+    f.write_text(json.dumps({"curve": [0, -1, 1, -7820, -263580], "p": 5,
+                             "extension": "user", "g_table": [row]}) + "\n")
+    code, out, _ = run_cli(capsys, "batch", str(f))
+    assert code == 3
+    assert json.loads(out) == {
+        "error": f"line 1: row 0 {key} must be an integer, got 'x'", "line": 1}
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps([row]))
+    code, out, err = run_cli(capsys, "run", "--curve", CURVE, "--p", "5",
+                             "--extension", "user", "--g-table", str(table))
+    assert (code, out) == (3, "")
+    assert err == f"error: {table}: row 0 {key} must be an integer, got 'x'\n"
+
+
 def test_batch_compact_json_has_no_spaces(capsys):
     code, out, _ = run_cli(capsys, "batch", str(GOLDEN / "jobs.ndjson"))
     first = out.splitlines()[0]

@@ -13,10 +13,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fineselmer import localdata
-from fineselmer.elliptic import WeierstrassModel
+from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
 from fineselmer.localdata import (
     _tate_shortcut,
     compute_place_sets,
@@ -27,6 +27,7 @@ from fineselmer.localdata import (
     tate_reduction,
     tate_reduction_full,
 )
+from fineselmer.padic import PadicNumber, PadicRoots, padic_roots
 import oracles
 
 E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
@@ -73,6 +74,28 @@ def test_multiplicative_at_eleven():
 def test_good_reduction_elsewhere():
     for ell in (2, 3, 5, 7, 13):
         assert tate_reduction(E11A1, ell).category == "good"
+
+
+@pytest.mark.parametrize("ell", [-3, 0, 1, 4, 6, 15, 25, 55])
+def test_composite_ell_is_refused(ell):
+    # 15, 25 and 55 once read as good reduction, though 11 | 55
+    for fn in (tate_reduction, tate_reduction_full):
+        with pytest.raises(ValueError, match="ell must be prime"):
+            fn(E11A1, ell)
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 2, 4, 15, 25, 55])
+def test_p_must_be_an_odd_prime(p):
+    calls = (lambda: compute_place_sets(E11A1, p),
+             lambda: compute_place_sets(E11A1, p, "Q(mu_p)"),
+             lambda: reduction_over_K(E11A1, 11, p),
+             lambda: g_v(11, p),
+             lambda: g_v(11, p, table=[{"residue_char": 11, "g": 1}]),
+             lambda: finite_level_place_count(11, p, 2),
+             lambda: delta_v(E11A1, p))
+    for call in calls:
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            call()
 
 
 def test_full_loop_agrees_with_shortcut():
@@ -312,6 +335,89 @@ def test_delta_congruent_trace_without_torsion():
     # a_5 = 1 mod 5 forces the root search, which certifies emptiness
     d = delta_v(E11A2, 5)
     assert (d.value, d.provenance, d.method) == (0, "computed-exact", "division-poly-exhausted")
+
+
+def _search_curves():
+    """(curve, p, the DeltaResult every precision must give) on both search outcomes."""
+    return ((E11A1, 5, delta_v(E11A1, 5)), (E11A2, 5, delta_v(E11A2, 5)))
+
+
+def test_delta_searches_once_at_every_precision(monkeypatch):
+    calls = []
+
+    def counting(f, p, absprec, *args):
+        calls.append(absprec)
+        return padic_roots(f, p, absprec, *args)
+
+    monkeypatch.setattr(localdata, "padic_roots", counting)
+    for E, p, expected in _search_curves():
+        for precision in (1, 17, 256):
+            calls.clear()
+            assert delta_v(E, p, precision=precision) == expected
+            assert calls == [max(precision, 17)]
+
+
+def test_delta_runs_no_padic_number_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta_v ran PadicNumber arithmetic")
+
+    expected = _search_curves()
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "is_square"):
+        monkeypatch.setattr(PadicNumber, name, refuse)
+    monkeypatch.setattr(PadicNumber, "from_rational", classmethod(refuse))
+    with pytest.raises(AssertionError, match="PadicNumber arithmetic"):
+        PadicNumber.from_int(1, 5, 4) * PadicNumber.from_int(1, 5, 4)
+    assert not hasattr(localdata, "PadicNumber")
+    for E, p, result in expected:
+        for precision in (1, 17, 256, None):
+            assert delta_v(E, p, precision=precision) == result
+
+
+@pytest.mark.parametrize("precision, searched", [(1, 17), (None, 32), (256, 256)])
+def test_incomplete_search_is_conservative_at_the_searched_precision(
+        monkeypatch, precision, searched):
+    monkeypatch.setattr(localdata, "padic_roots",
+                        lambda f, p, absprec: PadicRoots((), ("depth budget exhausted",)))
+    d = delta_v(E11A2, 5, precision=precision)
+    assert (d.value, d.provenance, d.method) == (2, "conservative", "search-budget-exhausted")
+    assert d.notes == (f"root separation incomplete at precision {searched}; "
+                       "reporting the safe upper value",)
+
+
+def _y_tests_agree(E, p) -> int:
+    """Compare the Legendre y-test with the PadicNumber oracle on every
+    certified Z_p-root of psi_p; returns how many roots were compared."""
+    roots = padic_roots(E.division_polynomial(p), p).certified
+    for root in roots:
+        assert (localdata._torsion_x_has_rational_y(E, root.lift(), p)
+                is oracles.torsion_x_has_rational_y_padic(E, root, p))
+    return len(roots)
+
+
+def test_legendre_y_test_matches_the_padic_oracle_on_the_corpus(bench_corpus):
+    pairs = {(job.label, job.p) for jobs in vars(bench_corpus).values()
+             if isinstance(jobs, tuple) for job in jobs
+             if isinstance(job, bench_corpus.Job)}
+    compared = 0
+    for label, p in sorted(pairs):
+        red = tate_reduction(WeierstrassModel(*bench_corpus.CURVES[label][0]), p)
+        if red.is_good and (trace_of_frobenius(red.minimal_model, p) - 1) % p == 0:
+            compared += _y_tests_agree(red.minimal_model, p)
+    assert compared >= 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=5, max_size=5), st.sampled_from((3, 5, 7)))
+@example([2, -5, 1, 1, 4], 3)   # a root of psi_3 whose y is not 3-adic
+@example([0, -1, 1, -10, -20], 5)
+def test_legendre_y_test_matches_the_padic_oracle(a, p):
+    try:
+        E = WeierstrassModel(*a)
+    except ValueError:
+        assume(False)
+    red = tate_reduction(E, p)
+    assume(red.is_good)
+    _y_tests_agree(red.minimal_model, p)
 
 
 def test_delta_precision_range():

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fineselmer.elliptic import WeierstrassModel
 from fineselmer.modular import valuation
@@ -419,6 +419,30 @@ def test_root_search_matches_the_squarefree_part_search(case):
         slow = padic_roots_by_squarefree_part(f, p, absprec)
         assert fast.certified == slow.certified
         assert fast.inconclusive == slow.inconclusive
+
+
+@st.composite
+def integer_polynomials(draw):
+    """(f, p): a random integer polynomial, or one from root_search_inputs."""
+    if draw(st.booleans()):
+        return draw(root_search_inputs())
+    coeffs = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=7))
+    return qpoly(*coeffs, draw(st.integers(1, 30))), draw(st.sampled_from((3, 5, 7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_polynomials(), st.integers(DEPTH_BUDGET + 1, 64),
+       st.integers(DEPTH_BUDGET + 1, 64))
+@example((qpoly(-1, 1) * qpoly(-1 - 3**20, 1), 3), DEPTH_BUDGET + 1, 64)  # inconclusive
+def test_search_above_the_depth_budget_does_not_depend_on_precision(case, a, b):
+    # delta_v runs one search at max(precision, DEPTH_BUDGET + 1) on this
+    f, p = case
+    at_a, at_b = padic_roots(f, p, a), padic_roots(f, p, b)
+    assert at_a.complete == at_b.complete
+    assert at_a.inconclusive == at_b.inconclusive
+    m = p ** min(a, b)
+    assert (sorted(r.lift() % m for r in at_a.certified)
+            == sorted(r.lift() % m for r in at_b.certified))
 
 
 def test_squarefree_psi_skips_the_rational_euclid(monkeypatch):
