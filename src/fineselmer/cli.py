@@ -30,15 +30,12 @@ from .elliptic import WeierstrassModel
 from .lambdabound import (ASSUMPTION_TOKENS, LambdaBoundReport, LocalTerm,
                           compute_lambda_bound)
 from .localdata import SUPPORTED_FIELDS
-from .padic import MAX_PRECISION
-
-PRECISION_ENV = "FINESELMER_PRECISION"
 
 _FORMATS = ("json", "text", "both")
 _EXTENSIONS = ("cyclotomic", "user")
 
 _JOB_KEYS = {"curve", "label", "p", "field", "extension", "g_table",
-             "assume", "dim_y", "dim_z", "precision"}
+             "assume", "dim_y", "dim_z"}
 
 _WEAKNESS = {"computed-exact": 0, "conservative": 1, "asserted": 2}
 
@@ -57,7 +54,6 @@ class JobSpec:
     assume: tuple[str, ...] = ()
     dim_y: int | None = None
     dim_z: int | None = None
-    precision: int | None = None
     g_table: tuple[dict, ...] | None = None
 
 
@@ -123,19 +119,6 @@ def _load_g_table_file(path: str) -> tuple[dict, ...]:
     return _parse_g_table(rows, path)
 
 
-def _parse_precision(value, what: str) -> int:
-    # a floor for delta_v's single root search; no value changes a report
-    precision = _parse_int(value, what)
-    if not 1 <= precision <= MAX_PRECISION:
-        raise CliError(f"{what} must be between 1 and {MAX_PRECISION}, got {precision}")
-    return precision
-
-
-def _env_precision() -> int | None:
-    raw = os.environ.get(PRECISION_ENV)
-    return None if raw is None or raw == "" else _parse_precision(raw, PRECISION_ENV)
-
-
 def _validate_job(job: JobSpec) -> JobSpec:
     if job.field not in SUPPORTED_FIELDS:
         raise CliError(f"field must be one of {SUPPORTED_FIELDS}, got {job.field!r}")
@@ -176,7 +159,6 @@ def job_from_dict(raw: dict, where: str) -> JobSpec:
         raise CliError(f"{where}: label must be a string")
     dim_y = raw.get("dim_y")
     dim_z = raw.get("dim_z")
-    precision = raw.get("precision")
     return _validate_job(JobSpec(
         a_invariants=parse_curve(raw["curve"]),
         p=_parse_int(raw["p"], f"{where}: p"),
@@ -187,8 +169,6 @@ def job_from_dict(raw: dict, where: str) -> JobSpec:
         assume=tuple(str(t) for t in assume),
         dim_y=None if dim_y is None else _parse_int(dim_y, f"{where}: dim_y"),
         dim_z=None if dim_z is None else _parse_int(dim_z, f"{where}: dim_z"),
-        precision=None if precision is None
-        else _parse_precision(precision, f"{where}: precision"),
         g_table=g_table,
     ))
 
@@ -340,13 +320,12 @@ def _dash(v) -> str:
 
 def run_job(job: JobSpec) -> tuple[int, LambdaBoundReport]:
     """Execute one job; CliError propagates input problems (exit 3)."""
-    precision = job.precision if job.precision is not None else _env_precision()
     try:
         model = WeierstrassModel(*job.a_invariants)
         report = compute_lambda_bound(
             model, job.p, job.field,
             dim_y=job.dim_y, dim_z=job.dim_z,
-            assume=job.assume, precision=precision,
+            assume=job.assume,
             g_table=list(job.g_table) if job.g_table is not None else None)
     except (ValueError, KeyError) as e:
         msg = e.args[0] if e.args else str(e)
@@ -487,9 +466,6 @@ def _build_run_parser() -> _Parser:
                    help="accept responsibility for a hypothesis; repeatable")
     q.add_argument("--dim-y", dest="dim_y", help="residual dimension of Y")
     q.add_argument("--dim-z", dest="dim_z", help="residual dimension of Z")
-    q.add_argument("--precision",
-                   help=f"p-adic working precision, 1 to {MAX_PRECISION} "
-                        f"(default from ${PRECISION_ENV})")
     q.add_argument("--format", default="json", choices=_FORMATS)
     return q
 
@@ -523,8 +499,6 @@ def main(argv: list[str] | None = None) -> int:
             assume=tuple(ns.assume),
             dim_y=None if ns.dim_y is None else _parse_int(ns.dim_y, "dim_y"),
             dim_z=None if ns.dim_z is None else _parse_int(ns.dim_z, "dim_z"),
-            precision=None if ns.precision is None
-            else _parse_precision(ns.precision, "precision"),
             g_table=_load_g_table_file(ns.g_table) if ns.g_table else None,
         ))
         code, report = run_job(job)

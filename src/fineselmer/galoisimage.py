@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .elliptic import COUNT_LIMIT, WeierstrassModel, trace_of_frobenius
+from .elliptic import WeierstrassModel, trace_of_frobenius
 from .factorization import factor_int_poly, good_reduction
 from .localdata import SUPPORTED_FIELDS
 from .modular import is_prime, primes_below
@@ -80,6 +80,8 @@ __all__ = [
     "classify_image",
 ]
 
+# a witness's trace trail runs over the good primes up to here; like
+# CERTIFICATE_BOUND it is fixed, far below elliptic.COUNT_LIMIT
 TRACE_CHECK_BOUND = 100
 # each trace is an O(ell) quadratic-character sum on plain ints, so the
 # whole hunt below this bound costs tens of milliseconds per curve; a
@@ -168,11 +170,10 @@ def _velu_quotient(model: WeierstrassModel, h: QPoly) -> WeierstrassModel:
 
 
 def _matching_trace_primes(a: WeierstrassModel, b: WeierstrassModel,
-                           p: int, bound: int,
-                           a_traces: dict[int, int] | None = None
+                           p: int, a_traces: dict[int, int] | None = None
                            ) -> tuple[int, ...] | None:
-    """Primes ell <= bound of visibly good reduction for both models where
-    the Frobenius traces agree; None on any disagreement.
+    """Primes ell <= TRACE_CHECK_BOUND of visibly good reduction for both
+    models where the Frobenius traces agree; None on any disagreement.
 
     a_traces maps ell to a's trace; a trace missing from it is counted
     and stored, so a caller that matches a against several quotients
@@ -182,7 +183,7 @@ def _matching_trace_primes(a: WeierstrassModel, b: WeierstrassModel,
     da = abs(int(a.discriminant))
     db = abs(int(b.discriminant))
     good = []
-    for ell in primes_below(bound + 1):
+    for ell in primes_below(TRACE_CHECK_BOUND + 1):
         if ell == p or da % ell == 0 or db % ell == 0:
             continue
         if ell not in a_traces:
@@ -193,16 +194,7 @@ def _matching_trace_primes(a: WeierstrassModel, b: WeierstrassModel,
     return tuple(good)
 
 
-def _check_count_bound(name: str, bound: int) -> None:
-    """Refuse a bound trace_of_frobenius would only refuse after counting
-    points at every good prime below COUNT_LIMIT."""
-    if bound > COUNT_LIMIT:
-        raise ValueError(f"{name} must be at most COUNT_LIMIT = {COUNT_LIMIT}, "
-                         f"got {bound}")
-
-
-def find_stable_subgroups(model: WeierstrassModel, p: int,
-                          trace_bound: int = TRACE_CHECK_BOUND
+def find_stable_subgroups(model: WeierstrassModel, p: int
                           ) -> tuple[StableSubgroupWitness, ...]:
     """All Galois-stable order-p subgroups of E[p], certified.
 
@@ -215,7 +207,6 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
     """
     if p % 2 == 0 or not 3 <= p <= 13 or not is_prime(p):
         raise ValueError("p must be an odd prime within the ladder range")
-    _check_count_bound("trace_bound", trace_bound)
     E = model.integral_model()
     psi = E.division_polynomial(p)
     d = (p - 1) // 2
@@ -240,7 +231,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int,
             if not _closed_under_multiples(E, h, gens):
                 continue
             quotient = _velu_quotient(E, h).integral_model()
-            traces = _matching_trace_primes(E, quotient, p, trace_bound, E_traces)
+            traces = _matching_trace_primes(E, quotient, p, E_traces)
             assert traces is not None, (
                 "certified kernel produced a quotient with mismatched traces")
             witnesses.append(StableSubgroupWitness(
@@ -260,15 +251,15 @@ class SurjectivityCertificate:
     nonsplit_witness: int      # ell with irreducible Frobenius char poly
     split_witness: int         # ell with distinct rational eigenvalues
     order_witness: int         # ell whose image has projective order > 5
-    bound: int
+    bound: int                 # CERTIFICATE_BOUND, the hunt's range
 
 
-def surjectivity_certificate(model: WeierstrassModel, p: int,
-                             bound: int = CERTIFICATE_BOUND
+def surjectivity_certificate(model: WeierstrassModel, p: int
                              ) -> SurjectivityCertificate | None:
     """Certify that the mod-p image is all of GL_2(F_p), or return None.
 
-    Three kinds of Frobenius elements are hunted among good ell <= bound:
+    Three kinds of Frobenius elements are hunted among good
+    ell <= CERTIFICATE_BOUND:
 
     (i)  trace a != 0 and a^2 - 4 ell a nonzero nonsquare mod p: the
          characteristic polynomial is irreducible, ruling out Borel and
@@ -308,13 +299,12 @@ def surjectivity_certificate(model: WeierstrassModel, p: int,
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    _check_count_bound("bound", bound)
     if p == 3 or model.j_invariant in CM_J_INVARIANTS:
         return None
     E = model.integral_model()
     disc = abs(int(E.discriminant))
     nonsplit = split = order_w = None
-    for ell in primes_below(bound + 1):
+    for ell in primes_below(CERTIFICATE_BOUND + 1):
         if ell == p or disc % ell == 0:
             continue
         a = trace_of_frobenius(E, ell)
@@ -332,7 +322,8 @@ def surjectivity_certificate(model: WeierstrassModel, p: int,
             if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0:
                 order_w = ell
         if nonsplit and split and order_w:
-            return SurjectivityCertificate(p, nonsplit, split, order_w, bound)
+            return SurjectivityCertificate(p, nonsplit, split, order_w,
+                                           CERTIFICATE_BOUND)
     return None
 
 
@@ -355,8 +346,8 @@ class ImageClassification:
     notes: tuple[str, ...]
 
 
-def classify_image(model: WeierstrassModel, p: int, field: str = "Q",
-                   certificate_bound: int = CERTIFICATE_BOUND) -> ImageClassification:
+def classify_image(model: WeierstrassModel, p: int, field: str = "Q"
+                   ) -> ImageClassification:
     """Decide the image condition (nonsolvable or order prime to p).
 
     The verdict is computed from data over Q and each branch's argument
@@ -367,7 +358,6 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q",
     """
     if field not in SUPPORTED_FIELDS:
         raise ValueError("field must be 'Q' or 'Q(mu_p)'")
-    _check_count_bound("certificate_bound", certificate_bound)
     witnesses = find_stable_subgroups(model, p)
     n = len(witnesses)
     if n >= 2:
@@ -382,7 +372,7 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q",
             witnesses, None,
             ("a single stable line forces a unipotent element: the image "
              "is solvable of order divisible by p, over Q and over Q(mu_p)",))
-    cert = surjectivity_certificate(model, p, certificate_bound)
+    cert = surjectivity_certificate(model, p)
     if cert is not None:
         note = ("mod-p representation certified surjective; GL_2(F_p) is "
                 f"nonsolvable for p = {p} >= 5")
@@ -394,4 +384,4 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q",
     return ImageClassification(
         p, field, "Inconclusive", "inconclusive", None, None, witnesses, None,
         ("no stable subgroup, and the surjectivity witnesses were not all "
-         f"found below {certificate_bound}",))
+         f"found below {CERTIFICATE_BOUND}",))

@@ -39,8 +39,7 @@ from .cyclotomic import is_regular, kinf_ramification
 from .elliptic import WeierstrassModel
 from .factorization import factor_int_poly
 from .galoisimage import ImageClassification, classify_image
-from .localdata import (DeltaResult, PlaceSets, _start_precision,
-                        compute_place_sets, delta_v, g_v)
+from .localdata import DeltaResult, PlaceSets, compute_place_sets, delta_v, g_v
 from .modular import is_prime, valuation
 
 __all__ = [
@@ -192,7 +191,6 @@ def compute_lambda_bound(
     dim_y: int | None = None,
     dim_z: int | None = None,
     assume: tuple[str, ...] = (),
-    precision: int | None = None,
     g_table=None,
 ) -> LambdaBoundReport:
     """Run the whole pipeline for one curve, prime, and base field."""
@@ -207,8 +205,6 @@ def compute_lambda_bound(
                              f"expected one of {sorted(ASSUMPTION_TOKENS)}")
     if (dim_y is not None and dim_y < 0) or (dim_z is not None and dim_z < 0):
         raise ValueError("global dimensions cannot be negative")
-    # checked here too: a curve blocked at p never reaches delta_v
-    _start_precision(precision)
 
     notes: list[str] = []
     ledger: dict[str, HypothesisEntry] = {}
@@ -276,7 +272,7 @@ def compute_lambda_bound(
                 f"the sum separately for {total} in all; a reading that "
                 f"treats {ell} as inert would keep a single term of "
                 f"{single} and understate the bound")
-        delta: DeltaResult = delta_v(model, p, field, precision=precision)
+        delta: DeltaResult = delta_v(model, p, field)
         for pl in places.above_p:
             terms.append(LocalTerm(
                 pl.label, p, pl.residue_degree, "S_p", "good", None,

@@ -18,7 +18,8 @@ in the bigger residue field.
 The defect delta_v is 2 when E has a p-torsion point over the
 completion at v, else 0.  Over Q_p with good reduction this reduces to
 a congruence on a_p plus, when a_p = 1 (mod p), one certified search
-for the Z_p-roots of psi_p, each tested by a Legendre symbol mod p.
+for the Z_p-roots of psi_p at the fixed precision
+padic.DEFAULT_PRECISION, each root tested by a Legendre symbol mod p.
 Over the ramified place of Q(mu_p) above p the congruence alone is
 decisive in both directions, so no search runs there.
 """
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .elliptic import WeierstrassModel, trace_of_frobenius
 from .modular import factorize, is_prime, multiplicative_order, valuation
-from .padic import DEFAULT_PRECISION, DEPTH_BUDGET, MAX_PRECISION, padic_roots
+from .padic import DEFAULT_PRECISION, padic_roots
 
 __all__ = [
     "ReductionData",
@@ -354,16 +355,6 @@ class PlaceSets:
     def S0(self) -> tuple[PlaceRecord, ...]:
         return tuple(r for r in self.bad_places if r.in_S0)
 
-    @property
-    def residue_chars(self) -> tuple[int, ...]:
-        seen = []
-        for r in self.bad_places:
-            if r.place.residue_char not in seen:
-                seen.append(r.place.residue_char)
-        if self.p not in seen:
-            seen.append(self.p)
-        return tuple(sorted(seen))
-
 
 def _bad_primes(model: WeierstrassModel) -> list[int]:
     E = model.integral_model()
@@ -519,17 +510,7 @@ def _torsion_x_has_rational_y(model: WeierstrassModel, x0: int, p: int) -> bool:
     return pow(F, (p - 1) // 2, p) == 1
 
 
-def _start_precision(precision: int | None) -> int:
-    """delta_v's precision floor: DEFAULT_PRECISION for None, else
-    `precision` itself, which must lie in 1 .. MAX_PRECISION."""
-    prec = DEFAULT_PRECISION if precision is None else precision
-    if not 1 <= prec <= MAX_PRECISION:
-        raise ValueError(f"precision must be between 1 and {MAX_PRECISION}, got {prec}")
-    return prec
-
-
-def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
-            precision: int | None = None) -> DeltaResult:
+def delta_v(model: WeierstrassModel, p: int, field: str = "Q") -> DeltaResult:
     """delta at the place above p: 2 if E(F_v)[p] != 0, else 0.
 
     Requires good reduction at p and p >= 3.  Over Q the reduction map
@@ -542,12 +523,11 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
     and the congruence a_p = 1 (mod p) decides delta exactly in both
     directions.
 
-    The search runs once, at max(precision, DEPTH_BUDGET + 1), where its
-    outcome no longer depends on precision; `precision` (1 to
-    MAX_PRECISION, None means DEFAULT_PRECISION) is a floor only.
+    The search runs once, at DEFAULT_PRECISION = 32.  That is above
+    padic.DEPTH_BUDGET, so the residue classes it visits, and with them
+    the result, are those of any higher precision.
     """
     _require_odd_prime(p)
-    prec = max(_start_precision(precision), DEPTH_BUDGET + 1)
     if field not in SUPPORTED_FIELDS:
         raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
     E = model.integral_model()
@@ -578,7 +558,7 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
     # torsion free over Z_p for p >= 3, so searching Z_p covers every
     # Q_p-rational candidate
     psi = Emin.division_polynomial(p)
-    found = padic_roots(psi, p, prec)
+    found = padic_roots(psi, p, DEFAULT_PRECISION)
     if any(_torsion_x_has_rational_y(Emin, root.lift(), p) for root in found.certified):
         return DeltaResult(2, "computed-exact", "division-poly-root",
                            ("certified torsion x-coordinate with a "
@@ -588,5 +568,5 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q", *,
                            ("the certified root search is complete and "
                             "no root carries a rational y",))
     return DeltaResult(2, "conservative", "search-budget-exhausted",
-                       (f"root separation incomplete at precision {prec}; "
+                       (f"root separation incomplete at precision {DEFAULT_PRECISION}; "
                         "reporting the safe upper value",))

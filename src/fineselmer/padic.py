@@ -12,7 +12,7 @@ The root machinery works on integer polynomials. hensel_lift is Newton
 iteration under the general criterion v(f(r0)) > 2 v(f'(r0));
 padic_roots finds every root in Z_p by scanning the residues mod p,
 lifting those with a unit derivative, and recursing on f(r0 + p x)/p^e
-for the rest, with a recursion depth budget; the lift and the shifts
+for the rest, to the fixed depth DEPTH_BUDGET; the lift and the shifts
 run on integer coefficient lists with the kernels of polynomial.
 Exhausting the budget produces an explicit inconclusive marker, never a
 silent omission.
@@ -34,12 +34,10 @@ __all__ = [
     "hensel_lift",
     "padic_roots",
     "DEFAULT_PRECISION",
-    "MAX_PRECISION",
     "DEPTH_BUDGET",
 ]
 
 DEFAULT_PRECISION = 32
-MAX_PRECISION = 256
 DEPTH_BUDGET = 16
 
 
@@ -185,21 +183,6 @@ class PadicNumber:
         """True iff the two elements coincide to their common precision."""
         return (self - other).unit == 0
 
-    def is_square(self) -> bool | None:
-        """Squareness in Q_p (p odd): True/False, or None if precision cannot decide.
-
-        An element certified zero is undecidable (its true valuation is
-        unknown); otherwise the answer needs only the parity of the
-        valuation and the Legendre symbol of the unit.
-        """
-        if self.p == 2:
-            raise ValueError("square test implemented for odd p only")
-        if self.unit == 0:
-            return None
-        if self.val % 2 == 1:
-            return False
-        return pow(self.unit % self.p, (self.p - 1) // 2, self.p) == 1
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PadicNumber)
@@ -284,7 +267,6 @@ def padic_roots(
     f: QPoly,
     p: int,
     absprec: int = DEFAULT_PRECISION,
-    depth_budget: int = DEPTH_BUDGET,
 ) -> PadicRoots:
     """All roots of f in Z_p, certified to absolute precision absprec.
 
@@ -298,10 +280,11 @@ def padic_roots(
     computed only when none of them is good.  A division polynomial is
     squarefree, so delta_v never needs that Euclid.
 
-    The recursion depth equals the scale, so at absprec > depth_budget no
-    branch reports "precision exhausted" and the residue classes visited
-    do not depend on absprec: complete and the inconclusive markers are
-    the same at any two such a and b, and the roots agree mod p^min(a, b).
+    The recursion stops at the constant depth DEPTH_BUDGET, and the depth
+    equals the scale, so at absprec > DEPTH_BUDGET no branch reports
+    "precision exhausted" and the residue classes visited do not depend
+    on absprec: complete and the inconclusive markers are the same at
+    any two such a and b, and the roots agree mod p^min(a, b).
     """
     if f.is_zero:
         raise ValueError("zero polynomial has every element as root")
@@ -344,7 +327,7 @@ def padic_roots(
             # non-unit derivative: the class may hold zero, one, or several
             # roots; zoom in.  Splitting always strips at least one power of
             # p since every coefficient of cs(rbar + p x) is divisible by p.
-            if depth >= depth_budget:
+            if depth >= DEPTH_BUDGET:
                 inconclusive.append(
                     f"residue {base + rbar * p**scale} mod {p}^{scale + 1}: depth budget exhausted"
                 )

@@ -51,7 +51,8 @@ coordinate changes of one by integral r, s, t, on plain ints.
 file are the Fraction formulas they replaced, for any rational model.
 
 `torsion_x_has_rational_y_padic` is delta_v's y-test on PadicNumber, which
-the package replaced by one Legendre symbol mod p.
+the package replaced by one Legendre symbol mod p; `padic_is_square` is
+the square test it runs, once the method PadicNumber.is_square.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from itertools import combinations
 from fineselmer.elliptic import COUNT_LIMIT, WeierstrassModel
 from fineselmer.factorization import DEFAULT_SEED, factor_int_poly
 from fineselmer.finitefield import _vec_gcd, _vec_inverse_mod, _vec_mulmod, _vec_powmod
-from fineselmer.galoisimage import (TRACE_CHECK_BOUND, StableSubgroupWitness,
-                                    _closed_under_multiples, _halfgroup_generators,
-                                    _matching_trace_primes, _velu_quotient)
+from fineselmer.galoisimage import (StableSubgroupWitness, _closed_under_multiples,
+                                    _halfgroup_generators, _matching_trace_primes,
+                                    _velu_quotient)
 from fineselmer.modular import is_prime
 from fineselmer.padic import PadicNumber
 from fineselmer.polynomial import QPoly, _mul, _trim as _vec_trim
@@ -875,8 +876,7 @@ def closed_under_multiples_by_inverse(model: WeierstrassModel, h: QPoly,
 
 
 def find_stable_subgroups_by_full_factoring(
-        model: WeierstrassModel, p: int,
-        trace_bound: int = TRACE_CHECK_BOUND) -> tuple[StableSubgroupWitness, ...]:
+        model: WeierstrassModel, p: int) -> tuple[StableSubgroupWitness, ...]:
     """galoisimage.find_stable_subgroups as it ran before its degree cap.
 
     It factors psi_p over Q in full and then keeps the subsets of the
@@ -902,7 +902,7 @@ def find_stable_subgroups_by_full_factoring(
             if not _closed_under_multiples(E, h, gens):
                 continue
             quotient = _velu_quotient(E, h).integral_model()
-            traces = _matching_trace_primes(E, quotient, p, trace_bound, E_traces)
+            traces = _matching_trace_primes(E, quotient, p, E_traces)
             assert traces is not None
             witnesses.append(StableSubgroupWitness(
                 p, h, h.primitive(), quotient, gens, traces))
@@ -1028,4 +1028,20 @@ def torsion_x_has_rational_y_padic(model: WeierstrassModel, x0: PadicNumber,
     g = ((x0 * x0 * x0) + a2 * (x0 * x0) + a4 * x0 + a6)
     h = a1 * x0 + a3
     d = h * h + g * 4
-    return d.is_square()
+    return padic_is_square(d)
+
+
+def padic_is_square(x: PadicNumber) -> bool | None:
+    """Squareness in Q_p (p odd): True/False, or None if precision cannot decide.
+
+    An element certified zero is undecidable (its true valuation is
+    unknown); otherwise the answer needs only the parity of the
+    valuation and the Legendre symbol of the unit.
+    """
+    if x.p == 2:
+        raise ValueError("square test implemented for odd p only")
+    if x.unit == 0:
+        return None
+    if x.val % 2 == 1:
+        return False
+    return pow(x.unit % x.p, (x.p - 1) // 2, x.p) == 1

@@ -227,6 +227,7 @@ def test_qmu5_field_itemizes_split_places(capsys):
         ("run", "--p", "5"),  # missing curve
         ("run", "--curve", CURVE, "--p", "5", "--precision", "257"),
         ("run", "--curve", CURVE, "--p", "5", "--precision", "1000000000"),
+        ("run", "--curve", CURVE, "--p", "5", "--precision", "32"),  # no such flag
     ],
 )
 def test_bad_inputs_exit_three(capsys, argv):
@@ -273,38 +274,26 @@ def test_g_table_missing_row_is_an_input_error(capsys):
         table.unlink()
 
 
-def test_precision_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("FINESELMER_PRECISION", "24")
-    code, out, _ = run_cli(capsys, "run", "--curve", CURVE, "--p", "5")
-    assert code == 0
-    assert json.loads(out)["bound"]["value"] == "2"
-    monkeypatch.setenv("FINESELMER_PRECISION", "zero")
-    code, _, err = run_cli(capsys, "run", "--curve", CURVE, "--p", "5")
-    assert code == 3
+def test_precision_variable_is_not_read(capsys, monkeypatch):
+    # 0 was refused while the variable was read
+    monkeypatch.setenv("FINESELMER_PRECISION", "0")
+    code, out, err = run_cli(capsys, "run", "--curve", CURVE, "--label", "11a2", "--p", "5")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "run_Q.json").read_text()
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "257"])
-def test_precision_env_variable_out_of_range(capsys, monkeypatch, value):
-    monkeypatch.setenv("FINESELMER_PRECISION", value)
-    code, out, err = run_cli(capsys, "run", "--curve", CURVE, "--p", "5")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: FINESELMER_PRECISION must be between 1 and 256")
-
-
-def test_batch_precision_out_of_range_is_a_line_error(capsys, tmp_path):
+def test_batch_precision_key_is_a_line_error(capsys, tmp_path):
+    first, second = (GOLDEN / "jobs.ndjson").read_text().splitlines()
+    with_precision = json.dumps({**json.loads(first), "precision": 32})
     f = tmp_path / "prec.ndjson"
-    good = '{"curve": [0, -1, 1, -7820, -263580], "p": 5}'
-    f.write_text(good + "\n"
-                 + '{"curve": [0, -1, 1, -7820, -263580], "p": 5, "precision": 1000000000}\n'
-                 + good + "\n")
+    f.write_text("\n".join([first, with_precision, second]) + "\n")
     code, out, err = run_cli(capsys, "batch", str(f))
     assert code == 3
-    lines = [json.loads(line) for line in out.splitlines()]
-    assert len(lines) == 3
-    assert lines[0] == lines[2] and lines[0]["bound"]["value"] == "2"
-    assert lines[1] == {"error": "line 2: precision must be between 1 and 256, "
-                                 "got 1000000000", "line": 2}
+    reports = (GOLDEN / "reports.ndjson").read_text().splitlines()
+    lines = out.splitlines()
+    assert [lines[0], lines[2]] == reports
+    assert json.loads(lines[1]) == {"error": "line 2: unknown job keys ['precision']",
+                                    "line": 2}
     assert err.strip() == "2 ok / 0 blocked / 1 error"
 
 
@@ -736,7 +725,6 @@ GOOD_OPTION = st.one_of(
     st.tuples(st.just("--field"), st.sampled_from(["Q", "Q(mu_p)"])),
     st.tuples(st.just("--assume"), st.sampled_from(sorted(cli.ASSUMPTION_TOKENS))),
     st.tuples(st.sampled_from(["--dim-y", "--dim-z"]), st.integers(0, 3).map(str)),
-    st.tuples(st.just("--precision"), st.integers(1, 40).map(str)),
     st.tuples(st.just("--format"), st.sampled_from(["json", "text", "both"])),
     st.tuples(st.just("--label"), WORDS.filter(lambda w: not w.startswith("-"))))
 BAD_OPTION = st.one_of(
@@ -747,8 +735,9 @@ BAD_OPTION = st.one_of(
         st.sampled_from(["4", "9", "17", "-5", "1" * 40]), WORDS)),
     st.tuples(st.just("--field"), st.sampled_from(["R", ""])),
     st.tuples(st.just("--assume"), WORDS),
-    st.tuples(st.sampled_from(["--dim-y", "--dim-z", "--precision"]),
+    st.tuples(st.sampled_from(["--dim-y", "--dim-z"]),
               st.one_of(st.integers(-3, 0).map(str), WORDS)),
+    st.tuples(st.just("--precision"), st.one_of(st.integers(-3, 40).map(str), WORDS)),
     st.tuples(st.just("--format"), st.just("xml")),
     st.tuples(st.just("--extension"), st.sampled_from(["cyclotomic", "user", "x"])),
     st.tuples(st.just("--g-table"), st.sampled_from([*G_TABLES, "missing"])),

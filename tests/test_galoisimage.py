@@ -493,20 +493,6 @@ def test_p_must_be_an_odd_prime(p):
         surjectivity_certificate(E37A1, p)
 
 
-# --- a bound above COUNT_LIMIT is refused before anything is counted ---
-
-
-def test_trace_bounds_above_the_count_limit_fail_at_once(deadline):
-    bound = 2 * 10**6
-    with deadline(2):
-        with pytest.raises(ValueError, match="COUNT_LIMIT"):
-            find_stable_subgroups(E11A1, 5, trace_bound=bound)
-        with pytest.raises(ValueError, match="COUNT_LIMIT"):
-            surjectivity_certificate(E37A1, 5, bound=bound)
-        with pytest.raises(ValueError, match="COUNT_LIMIT"):
-            classify_image(E37A1, 5, certificate_bound=bound)
-
-
 # --- one search counts each trace of the input curve once ---
 
 

@@ -30,7 +30,7 @@ from fineselmer.padic import (
     padic_roots,
 )
 from fineselmer.polynomial import QPoly, _derivative as _deriv, _horner as _eval_int
-from oracles import compose_linear
+from oracles import compose_linear, padic_is_square
 
 
 def qpoly(*coeffs: int) -> QPoly:
@@ -116,13 +116,13 @@ def test_from_rational_below_precision_window_is_zero():
 
 def test_is_square_classification():
     p = 7
-    assert PadicNumber.from_int(2, p, 10).is_square() is True  # 2 = 3^2 mod 7
-    assert PadicNumber.from_int(3, p, 10).is_square() is False
-    assert PadicNumber.from_int(7, p, 10).is_square() is False  # odd valuation
-    assert PadicNumber.from_int(49 * 2, p, 10).is_square() is True
-    assert PadicNumber.zero(p, 10).is_square() is None
+    assert padic_is_square(PadicNumber.from_int(2, p, 10)) is True  # 2 = 3^2 mod 7
+    assert padic_is_square(PadicNumber.from_int(3, p, 10)) is False
+    assert padic_is_square(PadicNumber.from_int(7, p, 10)) is False  # odd valuation
+    assert padic_is_square(PadicNumber.from_int(49 * 2, p, 10)) is True
+    assert padic_is_square(PadicNumber.zero(p, 10)) is None
     with pytest.raises(ValueError):
-        PadicNumber.from_int(1, 2, 10).is_square()
+        padic_is_square(PadicNumber.from_int(1, 2, 10))
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,12 +133,12 @@ def test_is_square_classification():
 def test_is_square_matches_definition(n, p):
     x = PadicNumber.from_int(n, p, 24)
     if x.is_zero:
-        assert x.is_square() is None
+        assert padic_is_square(x) is None
         return
     v = valuation(n, p)
     unit = n // p**v
     expected = v % 2 == 0 and pow(unit % p, (p - 1) // 2, p) == 1
-    assert x.is_square() is expected
+    assert padic_is_square(x) is expected
 
 
 # --- Hensel lifting ---
@@ -435,7 +435,7 @@ def integer_polynomials(draw):
        st.integers(DEPTH_BUDGET + 1, 64))
 @example((qpoly(-1, 1) * qpoly(-1 - 3**20, 1), 3), DEPTH_BUDGET + 1, 64)  # inconclusive
 def test_search_above_the_depth_budget_does_not_depend_on_precision(case, a, b):
-    # delta_v runs one search at max(precision, DEPTH_BUDGET + 1) on this
+    # delta_v runs its one search at DEFAULT_PRECISION > DEPTH_BUDGET on this
     f, p = case
     at_a, at_b = padic_roots(f, p, a), padic_roots(f, p, b)
     assert at_a.complete == at_b.complete
