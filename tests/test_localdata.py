@@ -372,10 +372,30 @@ def test_delta_runs_no_padic_number_arithmetic(monkeypatch):
         assert delta_v(E, p) == result
 
 
-def test_incomplete_search_is_conservative_at_the_searched_precision(monkeypatch):
-    monkeypatch.setattr(localdata, "padic_roots",
-                        lambda f, p, absprec: PadicRoots((), ("depth budget exhausted",)))
+@pytest.mark.parametrize("precision, searched", [(1, 17), (None, 32), (256, 256)])
+def test_incomplete_search_is_conservative_at_the_searched_precision(
+        monkeypatch, precision, searched):
+    # FINESELMER_PRECISION=precision (None: unset) once moved the search to
+    # absprec `searched`.  The variable is not read now: the one search at 32
+    # decides as the one at `searched` did, and an incomplete one names 32.
+    if precision is None:
+        monkeypatch.delenv("FINESELMER_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("FINESELMER_PRECISION", str(precision))
+    psi = tate_reduction(E11A2, 5).minimal_model.division_polynomial(5)
+    then, now = padic_roots(psi, 5, searched), padic_roots(psi, 5, 32)
+    assert (then.inconclusive, len(then.certified)) == (now.inconclusive, len(now.certified))
+    assert delta_v(E11A2, 5).method == "division-poly-exhausted"
+
+    calls = []
+
+    def incomplete(f, p, absprec):
+        calls.append(absprec)
+        return PadicRoots((), ("depth budget exhausted",))
+
+    monkeypatch.setattr(localdata, "padic_roots", incomplete)
     d = delta_v(E11A2, 5)
+    assert calls == [32]
     assert (d.value, d.provenance, d.method) == (2, "conservative", "search-budget-exhausted")
     assert d.notes == ("root separation incomplete at precision 32; "
                        "reporting the safe upper value",)
