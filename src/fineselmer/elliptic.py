@@ -23,6 +23,7 @@ maps built on it) runs on integer lists and returns QPolys at the end.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
@@ -36,6 +37,7 @@ __all__ = [
     "point_add",
     "scalar_mul",
     "trace_of_frobenius",
+    "frobenius_traces",
     "COUNT_LIMIT",
 ]
 
@@ -301,33 +303,50 @@ def is_on_curve(ainvs, P: Point) -> bool:
     return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
 
 
-def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
-    """a_ell = ell + 1 - #E(F_ell) for a prime ell of good reduction.
+def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
+    """[a_ell for ell in ells], a_ell = ell + 1 - #E(F_ell), for primes ell
+    of good reduction.
 
-    The model must be integral with ell not dividing the discriminant;
-    such a model is automatically minimal at ell.  For odd ell the count
-    runs on plain ints: completing the square in y gives
-    a_ell = -sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6), chi the quadratic
-    character mod ell read off a table of squares built for this call.
+    The model must be integral with no ell dividing the discriminant;
+    such a model is automatically minimal at each ell.  b2, b4, b6 and
+    the discriminant are read as ints once.  For odd ell the count runs
+    on plain ints: completing the square in y gives
+    a_ell = -sum_x chi(F(x)), F(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, chi the
+    quadratic character mod ell read off a table of squares.  F steps
+    from x to x + 1 by finite differences mod ell; the third is 24.
     For ell = 2 the four affine pairs (x, y) are checked directly.
     """
-    if ell > COUNT_LIMIT or not is_prime(ell):
-        raise ValueError(f"ell must be a prime <= {COUNT_LIMIT}, got {ell}")
     if not model.is_integral:
         raise ValueError("pass an integral model")
-    if int(model.discriminant) % ell == 0:
-        raise ValueError(f"{ell} divides the discriminant; minimize and check reduction first")
-    if ell == 2:
-        a1, a2, a3, a4, a6 = (int(v) for v in model.a_invariants)
-        affine = sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
-                     for x in (0, 1) for y in (0, 1))
-        a = 2 - affine
-    else:
-        chi = [-1] * ell
-        chi[0] = 0
-        for i in range(1, ell // 2 + 1):
-            chi[i * i % ell] = 1
-        c2, c1, c0 = int(model.b2) % ell, 2 * int(model.b4) % ell, int(model.b6) % ell
-        a = -sum(chi[(((4 * x + c2) * x + c1) * x + c0) % ell] for x in range(ell))
-    assert a * a <= 4 * ell, "Hasse bound violated; counting bug"
-    return a
+    b2, b4, b6, disc = (int(v) for v in (model.b2, model.b4, model.b6, model.discriminant))
+    traces = []
+    for ell in ells:
+        if ell > COUNT_LIMIT or not is_prime(ell):
+            raise ValueError(f"ell must be a prime <= {COUNT_LIMIT}, got {ell}")
+        if disc % ell == 0:
+            raise ValueError(f"{ell} divides the discriminant; minimize and check reduction first")
+        if ell == 2:
+            a1, a2, a3, a4, a6 = (int(v) for v in model.a_invariants)
+            affine = sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
+                         for x in (0, 1) for y in (0, 1))
+            a = 2 - affine
+        else:
+            chi = [-1] * ell
+            chi[0] = 0
+            for i in range(1, ell // 2 + 1):
+                chi[i * i % ell] = 1
+            # F(0) and its first and second differences at 0
+            f, d1, d2 = b6 % ell, (4 + b2 + 2 * b4) % ell, (24 + 2 * b2) % ell
+            a = 0
+            for _ in range(ell):
+                a -= chi[f]
+                f, d1, d2 = (f + d1) % ell, (d1 + d2) % ell, (d2 + 24) % ell
+        assert a * a <= 4 * ell, "Hasse bound violated; counting bug"
+        traces.append(a)
+    return traces
+
+
+def trace_of_frobenius(model: WeierstrassModel, ell: int) -> int:
+    """a_ell = ell + 1 - #E(F_ell) for a prime ell of good reduction:
+    frobenius_traces at the one prime ell, with the same checks."""
+    return frobenius_traces(model, (ell,))[0]

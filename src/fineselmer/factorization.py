@@ -14,7 +14,7 @@ It factors modulo l first. The distinct-degree split and the randomized
 equal-degree split (Cantor & Zassenhaus, Math. Comp. 36, 1981, with the
 quadratic residue trick) run on plain coefficient lists mod l with the
 `_vec_*` helpers of finitefield, and so do the squarefree test of
-good_reduction and the Bezout cofactors of the Hensel lift. The random
+good_reduction and the inverses the Hensel lift starts from. The random
 source is a `random.Random` seeded with DEFAULT_SEED, so repeated runs
 produce factors in identical order.
 
@@ -22,27 +22,29 @@ A degree cap k asks for the irreducible factors of degree <= k only
 (Zassenhaus with a degree bound; von zur Gathen & Gerhard, Modern
 Computer Algebra, 15.6). Without one, k is the degree of f. The
 distinct-degree split runs only through k and the equal-degree split
-only on its parts of degree <= k; every other factor mod l is lumped
-into one monic cofactor, coprime to the rest because f mod l is
-squarefree.
+only on its parts of degree <= k; every other factor mod l is left
+unsplit and is never lifted.
 
-It lifts the monic factors of lc^(-1) f (lc the leading coefficient),
-the lumped cofactor among them, past 2 |lc| times a Landau-Mignotte
-bound for divisors of degree <= k, with quadratic Hensel steps, each
-of which at most doubles the exponent of l, and stops at the first
-power of l above the bound, the power a linear lift would reach. It
-recombines the small factors only, in subsets of degree <= k, with the
-leading coefficient in place (Alg. 15.19 there): for a subset S of the
-lifted factors h_i that belongs to a divisor F, lc * prod(h_S) read
-with symmetric representatives is (lc / lc(F)) * F. Before that
-product is formed, the constant-term test (Abbott, Shoup & Zimmermann,
-ISSAC 2000) asks that lc * prod h_i(0) divide lc * f(0); it is exact,
-and it rejects almost every false subset with one product of integers.
-Each survivor is trial-divided exactly in Z[x]; every product, in the
-lift and in the recombination, is polynomial._mul reduced mod a power
-of l. The returned factors times the leftover the cap leaves out are
-checked exactly against the primitive part of the input before
-returning; a mismatch is a bug, not a condition the caller handles.
+It lifts the monic factors of lc^(-1) f of degree <= k (lc the leading
+coefficient) past 2 |lc| times a Landau-Mignotte bound for divisors of
+degree <= k, with quadratic Hensel steps, each of which at most
+doubles the exponent of l. Their cofactor stays implicit: at each step
+the remainder of lc^(-1) f by the product A of the lifts is the error
+the corrections use, so a step costs O(deg f deg A), not O(deg f^2).
+The lift stops at the first power of l above the bound, the power a
+linear lift would reach. It recombines the lifts in subsets of degree
+<= k, with the leading coefficient in place (Alg. 15.19 there): for a
+subset S of the lifted factors h_i that belongs to a divisor F,
+lc * prod(h_S) read with symmetric representatives is
+(lc / lc(F)) * F. Before that product is formed, the constant-term
+test (Abbott, Shoup & Zimmermann, ISSAC 2000) asks that
+lc * prod h_i(0) divide lc * f(0); it is exact, and it rejects almost
+every false subset with one product of integers. Each survivor is
+trial-divided exactly in Z[x]; every product, in the lift and in the
+recombination, is polynomial._mul reduced mod a power of l. The
+returned factors times the leftover the cap leaves out are checked
+exactly against the primitive part of the input before returning; a
+mismatch is a bug, not a condition the caller handles.
 
 QPolys appear only at the boundary. factor_int_poly reads the
 primitive part of its input into an integer coefficient list once,
@@ -70,7 +72,7 @@ from itertools import combinations, islice
 from .finitefield import (_vec_gcd, _vec_inverse_mod, _vec_mulmod,
                           _vec_powmod, _vec_quo, _vec_rem)
 from .modular import is_prime, primes_below
-from .polynomial import QPoly, _add, _derivative, _mul, _sub, _trim
+from .polynomial import QPoly, _derivative, _mul, _sub, _trim
 
 __all__ = [
     "DEFAULT_SEED",
@@ -222,26 +224,18 @@ class GoodReduction:
 
     def residues(self, k: int) -> list[list[int]]:
         """The monic irreducible factors of f mod l of degree <= k, sorted
-        by (degree, coefficients), then the product of the others.
+        by (degree, coefficients).
 
         The distinct-degree split runs only through k, and the
-        equal-degree split only on its parts of degree <= k. Every other
-        factor is lumped into one monic cofactor, the last entry, left
-        out when there is none. f mod l is squarefree, so the entries
-        are pairwise coprime: a factorization _hensel_lift_factors lifts.
+        equal-degree split only on its parts of degree <= k; the other
+        factors are never split or multiplied out. f mod l is
+        squarefree, so the factors are pairwise coprime and coprime to
+        their cofactor: what _hensel_lift_factors lifts.
         """
-        l = self.l
         rng = random.Random(DEFAULT_SEED)
-        small: list[list[int]] = []
-        parts = self._split.through(k)
-        lumped = self._split.rest
-        for same_degree, j in parts:
-            if j <= k:
-                small += _equal_degree_ints(same_degree, j, l, rng)
-            else:
-                lumped = [c % l for c in _mul(lumped, same_degree)]
-        small.sort(key=lambda h: (len(h), h))
-        return small + [lumped] if len(lumped) > 1 else small
+        small = [h for part, j in self._split.through(k) if j <= k
+                 for h in _equal_degree_ints(part, j, self.l, rng)]
+        return sorted(small, key=lambda h: (len(h), h))
 
 
 def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
@@ -273,29 +267,26 @@ def _good_reduction(coeffs: list[int], tries: int | None) -> GoodReduction | Non
 
 
 def _hensel_lift_factors(f: list[int], l: int, hbars: list[list[int]], target: int) -> tuple[int, list[list[int]]]:
-    """Lift the mod-l factorization f = lc * prod(hbars) to factors mod l^K > target.
+    """Lift monic factors hbars of f mod l to factors of lc^(-1) f mod l^K > target.
 
-    f is an integer coefficient list whose leading coefficient lc is
-    prime to l, and hbars are monic coefficient lists mod l. Returns
-    (l^K, list of monic integer coefficient vectors mod l^K) whose
-    product is lc^(-1) * f mod l^K, with K the least exponent for which
-    l^K > target. Quadratic multifactor lifting (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 15.4-15.5): the exponent runs
-    1, ..., ceil(K/2), K, and each step from m to M (M | m^2) corrects
-    the factors h_i and then the partial-fraction cofactors t_i, which
-    keep sum_i t_i prod_{j != i} h_j = 1 mod M. Monic lifts of a coprime
-    factorization are unique, so l^K and the factors are those a linear
-    lift, one digit per step, would reach.
+    f is an integer coefficient list, squarefree mod l of the same
+    degree, with leading coefficient lc, and hbars are distinct monic
+    irreducible factors of f mod l. Returns (l^K, the monic lifts of
+    hbars mod l^K), with K the least exponent for which l^K > target;
+    their cofactor in lc^(-1) f is never lifted. Quadratic Hensel steps
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 15.4-15.5): the
+    exponent runs 1, ..., ceil(K/2), K. At a step from m to M (M | m^2),
+    with A the product of the lifts, lc^(-1) f rem A is m e mod M, and
+    each h_i gains m (e t_i rem h_i), t_i = (lc^(-1) f / h_i)^(-1) mod
+    h_i. As f = h_i G_i gives f' = h_i' G_i mod h_i, t_i = h_i' u_i with
+    u_i = (lc^(-1) f' rem h_i)^(-1), and u_i takes one Newton step a
+    lift step. So a step costs O(deg f deg A). Monic lifts of a coprime
+    factorization are unique, so l^K and the lifts are those a linear
+    lift of every factor, one digit per step, would reach.
     """
-    # Bezout: t_i = (prod_{j != i} hbar_j)^(-1) mod hbar_i
-    ts = []
-    for i, hi in enumerate(hbars):
-        prod_others = [1]
-        for j, hj in enumerate(hbars):
-            if j != i:
-                prod_others = _vec_mulmod(prod_others, hj, hi, l)
-        t = _vec_inverse_mod(prod_others, hi, l)
-        ts.append(t + [0] * (len(hi) - 1 - len(t)))
+    inv = pow(f[-1], -1, l)
+    derivative = [c * inv % l for c in _derivative(f)]
+    us = [_vec_inverse_mod(derivative, h, l) for h in hbars]
 
     top, power = 1, l
     while power <= target:
@@ -311,31 +302,24 @@ def _hensel_lift_factors(f: list[int], l: int, hbars: list[list[int]], target: i
         m, modulus = l**k, l**k_next
         q = modulus // m
         inv = pow(f[-1], -1, modulus)
+        monic = [c * inv % modulus for c in f]
         prod = [1]
         for h in lifted:
             prod = [c % modulus for c in _mul(prod, h)]
-        # e = (lc^(-1) f - prod h_i) / m; h_i += m * (e t_i rem h_i)
-        e = [(a * inv - b) % modulus // m for a, b in zip(f, prod)]
-        for h, t in zip(lifted, ts):
-            for i, d in enumerate(_mod_q_rem(e, t, h, q)):
+        e = [c // m for c in _vec_rem(monic, prod, modulus)]
+        for h, u in zip(lifted, us):
+            hq = [c % q for c in h]
+            t = _vec_mulmod(_derivative(hq), u, hq, q)
+            for i, d in enumerate(_vec_mulmod(e, t, hq, q)):
                 h[i] = (h[i] + m * d) % modulus
         if k_next == top:
             break
-        # b = (sum_i t_i prod_{j != i} h_j - 1) / m; t_i -= m * (b t_i rem h_i)
-        total, prefix = [], [1]
-        for h, t in zip(lifted, ts):
-            total = [c % modulus for c in _add(_mul(total, h), _mul(t, prefix))]
-            prefix = [c % modulus for c in _mul(prefix, h)]
-        b = [(c - (i == 0)) % modulus // m for i, c in enumerate(total)]
-        for h, t in zip(lifted, ts):
-            for i, d in enumerate(_mod_q_rem(b, t, h, q)):
-                t[i] = (t[i] - m * d) % modulus
+        # u_i <- u_i (2 - u_i w_i), w_i = lc^(-1) f' rem h_i: exact mod m^2
+        derivative = _derivative(monic)
+        for i, h in enumerate(lifted):
+            w = _vec_mulmod(us[i], _vec_rem(derivative, h, modulus), h, modulus)
+            us[i] = _vec_mulmod(us[i], _sub([2], w), h, modulus)
     return l**top, lifted
-
-
-def _mod_q_rem(a: list[int], t: list[int], h: list[int], q: int) -> list[int]:
-    """a * t rem h, reduced mod q, for a monic h; t and h enter mod q."""
-    return _vec_mulmod(a, [c % q for c in t], [c % q for c in h], q)
 
 
 def _symmetric(c: int, mod: int) -> int:
@@ -400,12 +384,11 @@ def _factor_squarefree(g: list[int], l: int, residues: list[list[int]],
     irreducible factors of degree <= max_degree and one rest.
 
     l is a good prime for g, and g(0) != 0. `residues` are the monic
-    irreducible factors of g mod l of degree <= max_degree, then, when g
-    mod l has others, their product as one lumped cofactor. All of them
+    irreducible factors of g mod l of degree <= max_degree. They alone
     are lifted as factors of lc^(-1) g, with lc the leading coefficient
     of g, far enough that lc * F / lc(F) is read off exactly for every
-    divisor F of g of degree <= max_degree. Only the small residues are
-    recombined, and only in subsets of degree <= max_degree.
+    divisor F of g of degree <= max_degree, and recombined in subsets of
+    degree <= max_degree.
 
     Returns primitive integer coefficient lists with positive leading
     coefficients whose product is g: the irreducible factors of degree
@@ -413,15 +396,14 @@ def _factor_squarefree(g: list[int], l: int, residues: list[list[int]],
     """
     if len(g) <= 1:
         return []
-    if len(g) == 2 or len(residues) == 1:
+    # no residue, or one of full degree: g has no proper divisor to find
+    if len(g) == 2 or not residues or len(residues[0]) == len(g):
         return [_primitive(g)]
     current = g
     bound = 2 * abs(current[-1]) * _landau_mignotte(current, max_degree) + 1
     modulus, lifted = _hensel_lift_factors(current, l, residues, bound)
-
-    # the lumped cofactor is lifted with the small residues, never recombined
     degrees = [len(h) - 1 for h in lifted]
-    remaining = [i for i, n in enumerate(degrees) if n <= max_degree]
+    remaining = list(range(len(lifted)))
     out: list[list[int]] = []
     size = 1
     while size <= len(remaining):
@@ -430,7 +412,7 @@ def _factor_squarefree(g: list[int], l: int, residues: list[list[int]],
         # stop at half the remaining factors only once current has degree
         # <= max_degree: then no subset was skipped for its degree, and a
         # proper divisor of current or its complement takes at most half of
-        # them. A current that holds the lumped cofactor never gets there
+        # them. A current with a factor mod l left unlifted never gets there
         if len(current) - 1 <= max_degree and 2 * size > len(remaining):
             break
         found = _try_subsets(current, lifted, remaining, size, modulus, max_degree)

@@ -44,8 +44,8 @@ denominator of x([g]P) by homogenising, with no inverse modulo the
 kernel (see _closed_under_multiples).  Each witness carries
 the isogenous quotient curve computed from the kernel polynomial and a
 trail of Frobenius traces checked against the original curve.  One
-search counts each of the original curve's traces once, however many
-candidates close, and keeps nothing after it returns.
+search counts each of the original curve's traces once, in one sweep,
+however many candidates close, and keeps nothing after it returns.
 
 Before any factoring over Q, psi_p is reduced modulo its first good
 prime l: one not dividing the leading coefficient, with psi_p mod l
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .elliptic import WeierstrassModel, trace_of_frobenius
+from .elliptic import WeierstrassModel, frobenius_traces, trace_of_frobenius
 from .factorization import factor_int_poly, good_reduction
 from .localdata import SUPPORTED_FIELDS
 from .modular import is_prime, primes_below
@@ -170,27 +170,24 @@ def _velu_quotient(model: WeierstrassModel, h: QPoly) -> WeierstrassModel:
 
 
 def _matching_trace_primes(a: WeierstrassModel, b: WeierstrassModel,
-                           p: int, a_traces: dict[int, int] | None = None
+                           p: int, a_traces: dict[int, int]
                            ) -> tuple[int, ...] | None:
     """Primes ell <= TRACE_CHECK_BOUND of visibly good reduction for both
     models where the Frobenius traces agree; None on any disagreement.
 
-    a_traces maps ell to a's trace; a trace missing from it is counted
-    and stored, so a caller that matches a against several quotients
-    passes one dict and counts each of a's traces once."""
-    if a_traces is None:
-        a_traces = {}
+    a_traces maps ell to a's trace; the traces missing from it are
+    counted in one sweep and stored, so a caller that matches a against
+    several quotients passes one dict and counts each of a's traces
+    once. b is swept once."""
     da = abs(int(a.discriminant))
     db = abs(int(b.discriminant))
-    good = []
-    for ell in primes_below(TRACE_CHECK_BOUND + 1):
-        if ell == p or da % ell == 0 or db % ell == 0:
-            continue
-        if ell not in a_traces:
-            a_traces[ell] = trace_of_frobenius(a, ell)
-        if a_traces[ell] != trace_of_frobenius(b, ell):
-            return None
-        good.append(ell)
+    good = [ell for ell in primes_below(TRACE_CHECK_BOUND + 1)
+            if ell != p and da % ell and db % ell]
+    missing = [ell for ell in good if ell not in a_traces]
+    if missing:
+        a_traces.update(zip(missing, frobenius_traces(a, missing)))
+    if frobenius_traces(b, good) != [a_traces[ell] for ell in good]:
+        return None
     return tuple(good)
 
 

@@ -165,7 +165,8 @@ def multiplicative_order(a: int, m: int) -> int:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Miller-Rabin on PRIME_BASES is exact below MR_EXACT_LIMIT.  Above it
+    Trial division by PRIME_BASES decides every n < 43^2 = 1849, and
+    Miller-Rabin on them is exact below MR_EXACT_LIMIT.  Above it
     a failed base still proves n composite, but a number that passes
     every base raises ValueError: the answer is never probabilistic.
     """
@@ -174,6 +175,9 @@ def is_prime(n: int) -> bool:
     for q in PRIME_BASES:
         if n % q == 0:
             return n == q
+    # every composite below 43^2 has a prime factor <= 41
+    if n < 43 * 43:
+        return True
     if _strong_probable_prime(n):
         if n >= MR_EXACT_LIMIT:
             raise ValueError(f"cannot prove a {n.bit_length()}-bit integer prime: "

@@ -7,7 +7,7 @@ character and the trace to F_l) is the code it replaced, kept as an
 oracle: it checks the package's F_l at f = 1, the split test of
 reduction_over_K over the residue field F_{l^f}, and torsion over
 extension fields. `count_points` counts E(F_q) on it, the slow path
-against which trace_of_frobenius is checked.
+against which the trace sweep frobenius_traces is checked.
 
 The package runs all polynomial arithmetic mod a prime l on plain
 coefficient lists, the `_vec_*` helpers of finitefield, and its own
@@ -37,9 +37,12 @@ factors psi_p only up to the degree (p-1)/2 a kernel can have;
 `find_stable_subgroups_by_full_factoring` is the search it replaced,
 which factored psi_p in full and then filtered.
 
-The package lifts the factorization mod l quadratically.
-`hensel_lift_linear`, one l-adic digit a step, is the lift it replaced,
-and the tests check that both return the same modulus and factors.
+The package lifts only the factors mod l of degree at most its cap,
+quadratically, and leaves their cofactor implicit. `hensel_lift_linear`,
+one l-adic digit a step, and `hensel_lift_multifactor`, quadratic, are
+the lifts it replaced, which lift every factor, the lumped cofactor
+among them; the tests check that all three reach the same modulus and
+the same small factors.
 
 The package builds division polynomials and the x-multiple maps on
 integer coefficient lists. The f/g ladder on QPoly below is the code it
@@ -69,7 +72,7 @@ from fineselmer.galoisimage import (StableSubgroupWitness, _closed_under_multipl
                                     _velu_quotient)
 from fineselmer.modular import is_prime
 from fineselmer.padic import PadicNumber
-from fineselmer.polynomial import QPoly, _mul, _trim as _vec_trim
+from fineselmer.polynomial import QPoly, _add, _mul, _trim as _vec_trim
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +762,7 @@ def hensel_lift_linear(f: list[int], l: int, hbars: list[list[int]],
                        target: int) -> tuple[int, list[list[int]]]:
     """Lift the mod-l factorization f = lc * prod(hbars) one l-adic digit a step.
 
-    Same contract as factorization._hensel_lift_factors: (l^k, monic
+    hbars are all the monic factors of f mod l. Returns (l^k, monic
     factors mod l^k of lc^(-1) f) with l^k the first power above target.
     The Bezout elements of the residue factorization stay valid at every
     step because the corrections vanish mod l.
@@ -789,6 +792,66 @@ def hensel_lift_linear(f: list[int], l: int, hbars: list[list[int]],
                     h[k_idx] = (h[k_idx] + modulus * d) % step
         modulus = step
     return modulus, lifted
+
+
+def hensel_lift_multifactor(f: list[int], l: int, hbars: list[list[int]],
+                            target: int) -> tuple[int, list[list[int]]]:
+    """Lift the whole mod-l factorization f = lc * prod(hbars) quadratically.
+
+    The package's quadratic lift before it lifted only the small
+    factors: hbars are all the monic factors of f mod l, the lumped
+    cofactor among them, and the result is (l^K, monic factors mod l^K
+    of lc^(-1) f) with l^K the first power above target, as for
+    hensel_lift_linear. Each step from m to M corrects the factors h_i
+    and then the partial-fraction cofactors t_i, which keep
+    sum_i t_i prod_{j != i} h_j = 1 mod M; every step costs O(deg f^2).
+    """
+    def mod_q_rem(a, t, h, q):
+        return _vec_mulmod(a, [c % q for c in t], [c % q for c in h], q)
+
+    # Bezout: t_i = (prod_{j != i} hbar_j)^(-1) mod hbar_i
+    ts = []
+    for i, hi in enumerate(hbars):
+        prod_others = [1]
+        for j, hj in enumerate(hbars):
+            if j != i:
+                prod_others = _vec_mulmod(prod_others, hj, hi, l)
+        t = _vec_inverse_mod(prod_others, hi, l)
+        ts.append(t + [0] * (len(hi) - 1 - len(t)))
+
+    top, power = 1, l
+    while power <= target:
+        top, power = top + 1, power * l
+    exponents = [top]
+    while exponents[-1] > 1:
+        exponents.append((exponents[-1] + 1) // 2)
+    exponents.reverse()
+
+    lifted = [list(h) for h in hbars]
+    for k, k_next in zip(exponents, exponents[1:]):
+        m, modulus = l**k, l**k_next
+        q = modulus // m
+        inv = pow(f[-1], -1, modulus)
+        prod = [1]
+        for h in lifted:
+            prod = [c % modulus for c in _mul(prod, h)]
+        # e = (lc^(-1) f - prod h_i) / m; h_i += m * (e t_i rem h_i)
+        e = [(a * inv - b) % modulus // m for a, b in zip(f, prod)]
+        for h, t in zip(lifted, ts):
+            for i, d in enumerate(mod_q_rem(e, t, h, q)):
+                h[i] = (h[i] + m * d) % modulus
+        if k_next == top:
+            break
+        # b = (sum_i t_i prod_{j != i} h_j - 1) / m; t_i -= m * (b t_i rem h_i)
+        total, prefix = [], [1]
+        for h, t in zip(lifted, ts):
+            total = [c % modulus for c in _add(_mul(total, h), _mul(t, prefix))]
+            prefix = [c % modulus for c in _mul(prefix, h)]
+        b = [(c - (i == 0)) % modulus // m for i, c in enumerate(total)]
+        for h, t in zip(lifted, ts):
+            for i, d in enumerate(mod_q_rem(b, t, h, q)):
+                t[i] = (t[i] - m * d) % modulus
+    return l**top, lifted
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fineselmer.elliptic import (
     point_add,
     point_neg,
     scalar_mul,
+    frobenius_traces,
     trace_of_frobenius,
 )
 from fineselmer.finitefield import FiniteField, FqPoly
@@ -477,6 +478,31 @@ def test_trace_kernel_matches_boxed_count_random(ainvs, ell):
     if model is None or int(model.discriminant) % ell == 0:
         return
     assert trace_of_frobenius(model, ell) == slow_trace(model, ell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(-10**4, 10**4)] * 5))
+@example((0, 0, 1, -1, 0))
+@example((1, -1, 1, -3, 4))
+def test_trace_sweep_matches_boxed_count_below_200(ainvs):
+    # every good ell < 200 in one sweep, 3, 5 and 7 among them; at 3 the
+    # third difference 24 of F vanishes mod ell, and for 37a1, with b2 = 0,
+    # so does the second difference 24 + 2 b2
+    model = nonsingular(*ainvs)
+    assume(model is not None)
+    ells = good_primes(model, 200)
+    assume({3, 5, 7} <= set(ells))
+    assert frobenius_traces(model, ells) == [slow_trace(model, ell) for ell in ells]
+
+
+def test_trace_sweep_of_no_prime_is_empty_and_checks_each_prime():
+    model = WeierstrassModel(*X11A1)
+    assert frobenius_traces(model, []) == []
+    assert frobenius_traces(model, [2, 3, 5]) == [trace_of_frobenius(model, ell) for ell in (2, 3, 5)]
+    with pytest.raises(ValueError, match="divides the discriminant"):
+        frobenius_traces(model, [2, 11])
+    with pytest.raises(ValueError, match="ell must be a prime"):
+        frobenius_traces(model, [3, 9])
 
 
 def test_trace_kernel_input_contract():

@@ -466,16 +466,17 @@ def test_psi_factors_match_monicised_recombination():
 # --- the constant-term test that guards every product in the recombination ---
 
 
-def lift_arguments(g: QPoly):
+def lift_arguments(g: QPoly, cap: int | None = None):
     """(coefficients, l, residues, bound) as _factor_squarefree passes them
-    to the Hensel lift, or None when no good prime is found within
-    SQUAREFREE_TRIES."""
+    to the Hensel lift under the degree cap (none when None), or None when
+    no good prime is found within SQUAREFREE_TRIES."""
     reduction = good_reduction(g, SQUAREFREE_TRIES)
     if reduction is None:
         return None
+    cap = g.degree if cap is None else min(cap, g.degree)
     coeffs = g.int_coeffs()
-    bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(coeffs, g.degree) + 1
-    return coeffs, reduction.l, reduction.residues(g.degree), bound
+    bound = 2 * abs(coeffs[-1]) * factorization._landau_mignotte(coeffs, cap) + 1
+    return coeffs, reduction.l, reduction.residues(cap), bound
 
 
 def lifted_factors(g: QPoly):
@@ -528,21 +529,32 @@ def test_constant_term_test_settles_psi11_without_a_product(monkeypatch):
     assert len(passed) == 2509 and not any(passed)
 
 
-# --- the quadratic Hensel lift against the linear lift it replaces ---
+# --- the small-residue lift against the lifts of every residue it replaces ---
+
+
+def lifts_of_every_residue(coeffs, l, target):
+    """(l^k, lifted factors) of hensel_lift_linear and of
+    hensel_lift_multifactor on the whole factorization of coeffs mod l."""
+    reduction = factorization.GoodReduction(l, [c % l for c in coeffs])
+    every = reduction.residues(len(coeffs) - 1)
+    return (oracles.hensel_lift_linear(coeffs, l, every, target),
+            oracles.hensel_lift_multifactor(coeffs, l, every, target))
 
 
 @settings(max_examples=60, deadline=None)
-@given(integer_factor_lists(max_parts=4), st.integers(0, 300))
-def test_quadratic_lift_matches_linear_lift(parts, digits):
-    # monic lifts of a coprime factorization are unique: both lifts must
-    # stop at the same power of l with the same factors, at the bound
-    # _factor_squarefree uses and at an arbitrary l-adic target
-    args = lift_arguments(product(parts).primitive())
-    assume(args is not None)
-    coeffs, l, residues, bound = args
+@given(integer_factor_lists(max_parts=4), st.integers(1, 6), st.integers(0, 300))
+def test_quadratic_lift_matches_linear_lift(parts, cap, digits):
+    # monic lifts of a coprime factorization are unique: lifting only the
+    # residues of degree <= cap must stop at the power of l the lifts of
+    # every residue reach, with their first len(small) factors, at the
+    # bound _factor_squarefree uses and at an arbitrary l-adic target
+    args = lift_arguments(product(parts).primitive(), cap)
+    assume(args is not None and args[2])
+    coeffs, l, small, bound = args
     for target in (bound, l**digits):
-        assert (factorization._hensel_lift_factors(coeffs, l, residues, target)
-                == oracles.hensel_lift_linear(coeffs, l, residues, target))
+        lift = factorization._hensel_lift_factors(coeffs, l, small, target)
+        for modulus, lifted in lifts_of_every_residue(coeffs, l, target):
+            assert lift == (modulus, lifted[:len(small)])
 
 
 @pytest.mark.parametrize("curve, p", [
@@ -553,13 +565,16 @@ def test_quadratic_lift_matches_linear_lift(parts, digits):
     pytest.param(isogeny_13_curve(), 13, id="13-isogeny-13"),
 ])
 def test_quadratic_lift_matches_linear_lift_on_psi(curve, p):
+    # the stable-line search's cap (p - 1) / 2, as find_stable_subgroups
+    # asks for it
     from fineselmer.elliptic import WeierstrassModel
 
     psi = WeierstrassModel(*curve).integral_model().division_polynomial(p)
-    coeffs, l, residues, bound = lift_arguments(psi.primitive())
-    modulus, lifted = factorization._hensel_lift_factors(coeffs, l, residues, bound)
-    assert (modulus, lifted) == oracles.hensel_lift_linear(coeffs, l, residues, bound)
-    assert len(lifted) > 1 and modulus > bound >= modulus // l
+    coeffs, l, small, bound = lift_arguments(psi.primitive(), (p - 1) // 2)
+    modulus, lifted = factorization._hensel_lift_factors(coeffs, l, small, bound)
+    for every in lifts_of_every_residue(coeffs, l, bound):
+        assert (modulus, lifted) == (every[0], every[1][:len(small)])
+    assert lifted and modulus > bound >= modulus // l
 
 
 # --- the exact reconstruction check at the end of factor_int_poly ---
@@ -881,8 +896,8 @@ def test_cap_below_one_is_refused():
 
 
 def test_recombination_never_takes_the_lumped_cofactor(monkeypatch):
-    # the cofactor is lifted with the small residues, but no subset tried
-    # holds it; 32a2 at 7 lumps its three sextics mod 3
+    # only the small residues are lifted, so no subset tried holds a
+    # factor above the cap; 32a2 at 7 leaves its three sextics mod 3 out
     from fineselmer.elliptic import WeierstrassModel
 
     try_subsets = factorization._try_subsets
@@ -900,12 +915,12 @@ def test_recombination_never_takes_the_lumped_cofactor(monkeypatch):
 
 
 @pytest.mark.parametrize("curve, p, degrees, handed", [
-    # 32a2 at 7: [3, 3, 6, 6, 6] mod 3; the three sextics are one cofactor
-    pytest.param((0, 0, 0, -1, 0), 7, [3, 3, 6, 6, 6], 3, id="32a2-7"),
+    # 32a2 at 7: [3, 3, 6, 6, 6] mod 3; the three sextics are never lifted
+    pytest.param((0, 0, 0, -1, 0), 7, [3, 3, 6, 6, 6], 2, id="32a2-7"),
     # 26b1 at 7: [1, 1, 1, 3, 6, 6, 6] mod 3
-    pytest.param((1, -1, 1, -3, 3), 7, [1, 1, 1, 3, 6, 6, 6], 5, id="26b1-7"),
+    pytest.param((1, -1, 1, -3, 3), 7, [1, 1, 1, 3, 6, 6, 6], 4, id="26b1-7"),
 ])
-def test_the_lift_gets_only_the_small_factors_and_one_cofactor(monkeypatch, curve, p, degrees, handed):
+def test_the_lift_gets_only_the_small_factors(monkeypatch, curve, p, degrees, handed):
     from fineselmer import galoisimage
     from fineselmer.elliptic import WeierstrassModel
 
@@ -915,13 +930,14 @@ def test_the_lift_gets_only_the_small_factors_and_one_cofactor(monkeypatch, curv
     assert reduction.l == 3
     assert [len(h) - 1 for h in reduction.residues(psi.degree)] == degrees
     lift = factorization._hensel_lift_factors
-    counts = []
+    handed_degrees = []
 
     def counting(f, l, hbars, target):
-        counts.append(len(hbars))
+        handed_degrees.append([len(h) - 1 for h in hbars])
         return lift(f, l, hbars, target)
 
     expected = galoisimage.find_stable_subgroups(E, p)
     monkeypatch.setattr(factorization, "_hensel_lift_factors", counting)
     assert galoisimage.find_stable_subgroups(E, p) == expected
-    assert counts == [handed]
+    # one lift, of the residues of degree <= (p - 1) / 2 and no cofactor
+    assert handed_degrees == [degrees[:handed]]

@@ -498,19 +498,25 @@ def test_p_must_be_an_odd_prime(p):
 
 def test_one_search_counts_each_trace_of_the_curve_once(monkeypatch):
     counted = Counter()
-    count = galoisimage.trace_of_frobenius
+    sweeps = Counter()
+    sweep = galoisimage.frobenius_traces
 
-    def counting(model, ell):
-        counted[model.a_invariants, ell] += 1
-        return count(model, ell)
+    def counting(model, ells):
+        sweeps[model.a_invariants] += 1
+        for ell in ells:
+            counted[model.a_invariants, ell] += 1
+        return sweep(model, ells)
 
-    monkeypatch.setattr(galoisimage, "trace_of_frobenius", counting)
+    monkeypatch.setattr(galoisimage, "frobenius_traces", counting)
     witnesses = find_stable_subgroups(E11A1, 5)
     assert len(witnesses) == 2
     # the good primes below TRACE_CHECK_BOUND, as every search has recorded them
     primes = (2, 3, 7, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
               67, 71, 73, 79, 83, 89, 97)
     assert all(w.trace_primes == primes for w in witnesses)
+    # one sweep of E and one of each quotient
+    assert sweeps[E11A1.a_invariants] == 1
+    assert sorted(sweeps.values()) == [1, 1, 1]
     own = {ell: n for (a, ell), n in counted.items() if a == E11A1.a_invariants}
     assert own == dict.fromkeys(primes, 1)
 

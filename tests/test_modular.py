@@ -33,6 +33,13 @@ def test_is_prime_agrees_with_trial_division(n):
     assert is_prime(n) == naive
 
 
+def test_is_prime_below_43_squared_by_trial_division_alone():
+    # below 43^2 trial division by the primes <= 41 decides; 43^2 itself
+    # is the first composite it cannot see, so Miller-Rabin must
+    assert [n for n in range(2000) if is_prime(n)] == primes_below(2000)
+    assert 43 * 43 == 1849 and not is_prime(1849)
+
+
 def test_is_prime_large_composites():
     # strong-pseudoprime classics
     assert not is_prime(3215031751)
