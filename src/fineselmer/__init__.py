@@ -8,7 +8,7 @@ ledger of the hypotheses under which the bound is valid.
 Layering, bottom to top:
 
     modular, polynomial, finitefield, factorization   exact arithmetic
-    padic                                              p-adic numbers and roots
+    padic                                              Z_p-roots of integer polynomials
     elliptic                                           curves and torsion
     localdata                                          reduction types, S/S_0/S_p, g_v, delta_v
     galoisimage                                        mod-p image certification
@@ -17,7 +17,8 @@ Layering, bottom to top:
     cli                                                command line front end
 
 Everything is exact: integers are Python ints, rationals are
-fractions.Fraction, p-adics carry explicit precision. No floats anywhere.
+fractions.Fraction, and a Z_p-root is certified to a stated number of
+p-adic digits. No floats anywhere.
 """
 
 __version__ = "0.1.0"

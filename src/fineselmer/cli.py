@@ -108,14 +108,34 @@ def _parse_g_table(rows, where: str) -> tuple[dict, ...]:
     return tuple(out)
 
 
+def _load_json(data: bytes):
+    """One JSON document from UTF-8 bytes; any way it fails is a CliError."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CliError(f"not valid UTF-8 ({e.reason} at byte {e.start})") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CliError(f"not valid JSON ({e.msg})") from None
+    except ValueError:  # json.loads raises it for an over-long integer
+        raise CliError(
+            f"not valid JSON (integer literal over "
+            f"{sys.get_int_max_str_digits()} digits)") from None
+    except RecursionError:
+        raise CliError("not valid JSON (nested too deeply)") from None
+
+
 def _load_g_table_file(path: str) -> tuple[dict, ...]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise CliError(f"cannot read g table {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"{path}: not valid JSON ({e})") from None
+    try:
+        rows = _load_json(data)
+    except CliError as e:
+        raise CliError(f"{path}: {e}") from None
     return _parse_g_table(rows, path)
 
 
@@ -349,22 +369,11 @@ def _line_error(n: int, msg: str) -> tuple[int, int, str]:
                             separators=(",", ":"))
 
 
-def _batch_line(item: tuple[int, str]) -> tuple[int, int, str]:
-    """Worker: (line number, raw text) -> (line number, code, output)."""
+def _batch_line(item: tuple[int, bytes]) -> tuple[int, int, str]:
+    """Worker: (line number, raw bytes) -> (line number, code, output)."""
     n, raw = item
     try:
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise CliError(f"line {n}: not valid JSON ({e.msg})") from None
-        except ValueError:  # json.loads raises it for an over-long integer
-            raise CliError(
-                f"line {n}: not valid JSON (integer literal over "
-                f"{sys.get_int_max_str_digits()} digits)") from None
-        except RecursionError:
-            raise CliError(
-                f"line {n}: not valid JSON (nested too deeply)") from None
-        job = job_from_dict(obj, f"line {n}")
+        job = job_from_dict(_load_json(raw), f"line {n}")
         code, report = run_job(job)
         return n, code, render_json(report, job, compact=True)
     except CliError as e:
@@ -396,11 +405,14 @@ def _stdout_to_devnull() -> None:
 
 def run_batch(path: str, jobs: int) -> int:
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
     except OSError as e:
         raise CliError(f"cannot read batch file: {e}") from None
-    work = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+    # bytes split at \n, \r\n and \r alone, as text mode does; each line is
+    # decoded on its own, so one that is not UTF-8 gets its own error line
+    work = [(n, line) for n, line in enumerate(lines, start=1)
+            if line.decode("utf-8", "replace").strip()]
     counts = {0: 0, 2: 0, 3: 0}
     try:
         if jobs > 1 and len(work) > 1:

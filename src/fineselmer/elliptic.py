@@ -295,14 +295,6 @@ def scalar_mul(ainvs, n: int, P: Point) -> Point:
     return acc
 
 
-def is_on_curve(ainvs, P: Point) -> bool:
-    if P is None:
-        return True
-    a1, a2, a3, a4, a6 = ainvs
-    x, y = P
-    return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
-
-
 def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
     """[a_ell for ell in ells], a_ell = ell + 1 - #E(F_ell), for primes ell
     of good reduction.

@@ -162,7 +162,9 @@ def _pointwise_rational_line(model: WeierstrassModel, kernel) -> bool:
 
 def _g_best_effort(ell: int, p: int, field: str, residue_degree: int,
                    table) -> int | None:
-    """g for a non-contributing place: informational, so never raises."""
+    """g for a non-contributing place, for information only: the table's
+    row if it has one, else the closed form, else None. compute_lambda_bound
+    checks every table row before any place is read, so this raises nothing."""
     try:
         return g_v(ell, p, field, residue_degree, table=table)
     except KeyError:
@@ -205,6 +207,12 @@ def compute_lambda_bound(
                              f"expected one of {sorted(ASSUMPTION_TOKENS)}")
     if (dim_y is not None and dim_y < 0) or (dim_z is not None and dim_z < 0):
         raise ValueError("global dimensions cannot be negative")
+    # every row, not only those of the curve's places, so that a table is
+    # accepted or refused whatever the curve
+    for i, row in enumerate(g_table or ()):
+        if int(row["g"]) < 1:
+            raise ValueError(f"g table row {i}: g must be a positive integer, "
+                             f"got {row['g']}")
 
     notes: list[str] = []
     ledger: dict[str, HypothesisEntry] = {}

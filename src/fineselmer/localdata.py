@@ -339,8 +339,6 @@ class PlaceRecord:
     split: bool | None
     kodaira: str
     in_S0: bool
-    mu_p_in_completion: bool
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -385,15 +383,9 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
                 continue
             mu_in = ell % p == 1  # mu_p in Q_ell iff ell = 1 (mod p), ell != p
             in_s0 = (not mu_in) or (red.category == "multiplicative" and bool(red.split))
-            if not mu_in:
-                reason = f"mu_{p} not contained in Q_{ell}"
-            elif in_s0:
-                reason = "split multiplicative reduction"
-            else:
-                reason = f"mu_{p} in Q_{ell} and not split multiplicative"
             desc = PlaceDescriptor("Q", ell, 1, 1, 1, 1)
             records.append(PlaceRecord(desc, red.category, red.split, red.kodaira,
-                                       in_s0, mu_in, reason))
+                                       in_s0))
         above = (PlaceDescriptor("Q", p, 1, 1, 1, 1),)
         return PlaceSets("Q", p, good_above_p, tuple(records), above)
 
@@ -406,12 +398,10 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
         if kred.category == "good":
             continue
         in_s0 = kred.category == "multiplicative" and bool(kred.split)
-        reason = ("split multiplicative reduction" if in_s0
-                  else "mu_p present and not split multiplicative")
         for i in range(1, kred.g + 1):
             desc = PlaceDescriptor("Q(mu_p)", ell, kred.f, 1, i, kred.g)
             records.append(PlaceRecord(desc, kred.category, kred.split,
-                                       kred.kodaira, in_s0, True, reason))
+                                       kred.kodaira, in_s0))
     above = (PlaceDescriptor("Q(mu_p)", p, 1, p - 1, 1, 1),)
     return PlaceSets("Q(mu_p)", p, good_above_p, tuple(records), above)
 
@@ -428,17 +418,16 @@ def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1,
     The place above p is totally ramified, so g = 1 there.  Away from p
     the count is p^m with m = max(0, v_p(N(v) - 1) - 1) where N(v) is
     the residue field size: the Frobenius at v generates a subgroup of
-    the layer-n Galois group of index p^min(n, m).
+    the layer-n Galois group of index p^min(n, m).  A table row for
+    (ell, residue_degree) is taken as given: compute_lambda_bound checks
+    every row, and a missing one raises KeyError.
     """
     _require_odd_prime(p)
     if table is not None:
         for row in table:
             if (row["residue_char"] == ell
                     and row.get("residue_degree", 1) == residue_degree):
-                g = int(row["g"])
-                if g < 1:
-                    raise ValueError("g must be a positive integer")
-                return g
+                return int(row["g"])
         raise KeyError(f"no table entry for residue_char={ell}, f={residue_degree}")
     if field not in SUPPORTED_FIELDS:
         raise ValueError("unsupported field without a user decomposition table")

@@ -174,9 +174,6 @@ class QPoly:
     def __add__(self, other: "QPoly") -> "QPoly":
         return QPoly(_add(self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
     def __sub__(self, other: "QPoly") -> "QPoly":
         return QPoly(_sub(self.coeffs, other.coeffs))
 
@@ -224,14 +221,10 @@ class QPoly:
     def __mod__(self, other: "QPoly") -> "QPoly":
         return self.divmod(other)[1]
 
-    # -- calculus and evaluation ------------------------------------------
+    # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "QPoly":
         return QPoly(_derivative(self.coeffs))
-
-    def __call__(self, x):
-        """Evaluate by Horner; works for any value supporting + and *."""
-        return _horner(self.coeffs, x) if self.coeffs else x * 0
 
     # -- normalization ---------------------------------------------------
 

@@ -53,7 +53,15 @@ coordinate changes of one by integral r, s, t, on plain ints.
 `invariants_fraction` and `change_model_fraction` at the end of this
 file are the Fraction formulas they replaced, for any rational model.
 
-`torsion_x_has_rational_y_padic` is delta_v's y-test on PadicNumber, which
+The package's PadicNumber is only the value a Z_p-root search returns.
+`QpNumber` below is it with the Q_p field arithmetic the package once
+carried (from_rational, +, -, *, /, inverse, agrees_with), a subclass so
+that its numbers compare equal to the package's roots; the tests of
+p-adic arithmetic, the Eisenstein oracle and the old y-test run on it.
+The package's Newton lift takes only seeds with a unit derivative;
+`hensel_lift` is the general-criterion lift it replaced, with
+`NoLiftError`, and the slow path the tests check it against.
+`torsion_x_has_rational_y_padic` is delta_v's y-test on QpNumber, which
 the package replaced by one Legendre symbol mod p; `padic_is_square` is
 the square test it runs, once the method PadicNumber.is_square.
 """
@@ -70,9 +78,9 @@ from fineselmer.finitefield import _vec_gcd, _vec_inverse_mod, _vec_mulmod, _vec
 from fineselmer.galoisimage import (StableSubgroupWitness, _closed_under_multiples,
                                     _halfgroup_generators, _matching_trace_primes,
                                     _velu_quotient)
-from fineselmer.modular import is_prime
-from fineselmer.padic import PadicNumber
-from fineselmer.polynomial import QPoly, _add, _mul, _trim as _vec_trim
+from fineselmer.modular import is_prime, valuation
+from fineselmer.padic import DEFAULT_PRECISION, PadicNumber
+from fineselmer.polynomial import QPoly, _add, _derivative, _horner, _mul, _trim as _vec_trim
 
 
 # ---------------------------------------------------------------------------
@@ -1077,6 +1085,172 @@ def change_model_fraction(model: WeierstrassModel, u, r, s, t) -> tuple[Fraction
             (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6)
 
 
+# ---------------------------------------------------------------------------
+# Q_p arithmetic and the general Hensel lift
+# ---------------------------------------------------------------------------
+
+
+class QpNumber(PadicNumber):
+    """A PadicNumber with the Q_p field operations.
+
+    Precision combines pessimistically: addition keeps the smaller
+    absolute precision, multiplication the smaller relative precision.
+    Nothing ever claims digits it cannot justify, which the property
+    tests check against exact rational arithmetic.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x: PadicNumber) -> "QpNumber":
+        """The same element, with arithmetic."""
+        return cls(x.p, x.val, x.unit, x.absprec)
+
+    @classmethod
+    def from_rational(cls, q: Fraction, p: int, absprec: int) -> "QpNumber":
+        if q == 0:
+            return cls(p, absprec, 0, absprec)
+        vnum = valuation(q.numerator, p) if q.numerator else 0
+        vden = valuation(q.denominator, p)
+        v = vnum - vden
+        rel = absprec - v
+        if rel <= 0:
+            return cls(p, absprec, 0, absprec)
+        num = q.numerator // p**vnum
+        den = q.denominator // p**vden
+        unit = num * pow(den, -1, p**rel) % p**rel
+        return cls(p, v, unit, absprec)
+
+    @classmethod
+    def zero(cls, p: int, absprec: int) -> "QpNumber":
+        return cls(p, absprec, 0, absprec)
+
+    @property
+    def is_zero(self) -> bool:
+        """True iff certified zero to the working precision (not 'exactly zero')."""
+        return self.unit == 0
+
+    @property
+    def relprec(self) -> int:
+        return 0 if self.unit == 0 else self.absprec - self.val
+
+    def _check_partner(self, other: PadicNumber) -> None:
+        if not isinstance(other, PadicNumber) or other.p != self.p:
+            raise TypeError("PadicNumber arithmetic requires matching primes")
+
+    def __add__(self, other: PadicNumber) -> "QpNumber":
+        self._check_partner(other)
+        absprec = min(self.absprec, other.absprec)
+        m = min(self.val, other.val)  # zero-certified has val = absprec
+        if m >= absprec:
+            return QpNumber.zero(self.p, absprec)
+        total = 0
+        if self.unit != 0:
+            total += self.unit * self.p ** (self.val - m)
+        if other.unit != 0:
+            total += other.unit * self.p ** (other.val - m)
+        total %= self.p ** (absprec - m)
+        if total == 0:
+            return QpNumber.zero(self.p, absprec)
+        w = valuation(total, self.p)
+        return QpNumber(self.p, m + w, total // self.p**w, absprec)
+
+    def __neg__(self) -> "QpNumber":
+        if self.unit == 0:
+            return self
+        rel = self.relprec
+        return QpNumber(self.p, self.val, (-self.unit) % self.p**rel, self.absprec)
+
+    def __sub__(self, other: PadicNumber) -> "QpNumber":
+        return self + (-QpNumber.of(other))
+
+    def __mul__(self, other) -> "QpNumber":
+        if isinstance(other, int):
+            # exact integer scalar: no relative precision is lost
+            if other == 0:
+                return QpNumber.zero(self.p, self.absprec + 1)
+            v = valuation(other, self.p)
+            if self.unit == 0:
+                return QpNumber.zero(self.p, self.absprec + v)
+            rel = self.relprec
+            unit = self.unit * (other // self.p**v) % self.p**rel
+            return QpNumber(self.p, self.val + v, unit, self.val + v + rel)
+        self._check_partner(other)
+        other = QpNumber.of(other)
+        if self.unit == 0 or other.unit == 0:
+            # 0-to-N times something of valuation v is 0 to N + v
+            if self.unit == 0 and other.unit == 0:
+                return QpNumber.zero(self.p, self.absprec + other.absprec)
+            z, nz = (self, other) if self.unit == 0 else (other, self)
+            return QpNumber.zero(self.p, z.absprec + nz.val)
+        rel = min(self.relprec, other.relprec)
+        val = self.val + other.val
+        unit = self.unit * other.unit % self.p**rel
+        return QpNumber(self.p, val, unit, val + rel)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QpNumber":
+        if self.unit == 0:
+            raise ZeroDivisionError("cannot invert an element certified zero")
+        rel = self.relprec
+        inv_unit = pow(self.unit, -1, self.p**rel)
+        return QpNumber(self.p, -self.val, inv_unit, -self.val + rel)
+
+    def __truediv__(self, other: PadicNumber) -> "QpNumber":
+        self._check_partner(other)
+        return self * QpNumber.of(other).inverse()
+
+    def agrees_with(self, other: PadicNumber) -> bool:
+        """True iff the two elements coincide to their common precision."""
+        return (self - other).unit == 0
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.val, self.unit, self.absprec))
+
+
+class NoLiftError(Exception):
+    """The Hensel criterion v(f(r0)) > 2 v(f'(r0)) fails at this seed."""
+
+
+def hensel_lift(f: QPoly, r0: int, p: int, absprec: int = DEFAULT_PRECISION) -> QpNumber:
+    """Newton-lift the approximate root r0 of f to absolute precision absprec.
+
+    Requires v(f(r0)) > 2 v(f'(r0)) and raises NoLiftError otherwise, and
+    raises ValueError for absprec < 1, as padic_roots does. The
+    returned root r satisfies v(f(r)) >= absprec and is congruent to r0
+    modulo p^(v(f'(r0)) + 1). f must have integer coefficients.
+    """
+    if absprec < 1:
+        raise ValueError("absprec must be positive")
+    coeffs = f.int_coeffs()
+    dcoeffs = _derivative(coeffs)
+    fr = _horner(coeffs, r0)
+    if fr == 0:
+        return QpNumber.from_int(r0, p, absprec)
+    dfr = _horner(dcoeffs, r0)
+    b = valuation(dfr, p) if dfr else absprec  # dfr = 0 means criterion fails below
+    a = valuation(fr, p)
+    if dfr == 0 or a <= 2 * b:
+        raise NoLiftError(f"v(f(r0)) = {a} <= 2*v(f'(r0)) = {2*b} at r0 = {r0}")
+
+    # work modulo p^big; the root is determined mod p^absprec once
+    # v(f(r)) >= absprec + b
+    big = p ** (absprec + 2 * b + 4)
+    r = r0
+    for _ in range(absprec.bit_length() + 34):
+        fr = _horner(coeffs, r)
+        if fr % p ** (absprec + b) == 0:
+            root = r % p**absprec
+            assert _horner(coeffs, root) % p**absprec == 0
+            return QpNumber.from_int(root, p, absprec)
+        dfr = _horner(dcoeffs, r)
+        u = dfr // p**b
+        delta = (fr // p**b) * pow(u, -1, big) % big
+        r = (r - delta) % big
+    raise AssertionError("Newton iteration failed to converge; this is a bug")
+
+
 def torsion_x_has_rational_y_padic(model: WeierstrassModel, x0: PadicNumber,
                                    p: int) -> bool | None:
     """Does the x-coordinate x0 support a Q_p-rational point?  None = undecided.
@@ -1084,8 +1258,9 @@ def torsion_x_has_rational_y_padic(model: WeierstrassModel, x0: PadicNumber,
     y exists iff D(x) = (a1 x + a3)^2 + 4(x^3 + a2 x^2 + a4 x + a6) is a
     square in Q_p.
     """
+    x0 = QpNumber.of(x0)
     prec = x0.absprec
-    coeffs = [PadicNumber.from_rational(Fraction(v), p, prec)
+    coeffs = [QpNumber.from_rational(Fraction(v), p, prec)
               for v in (model.a1, model.a2, model.a3, model.a4, model.a6)]
     a1, a2, a3, a4, a6 = coeffs
     g = ((x0 * x0 * x0) + a2 * (x0 * x0) + a4 * x0 + a6)

@@ -565,6 +565,28 @@ def test_batch_deep_nesting_is_a_line_error(capsys, tmp_path, jobs):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_line_that_is_not_utf8_is_a_line_error(capsys, tmp_path, jobs):
+    # the file is read as bytes and each line decoded on its own; line
+    # numbers count \n, \r\n and \r alike, as text mode does
+    f = tmp_path / "bytes.ndjson"
+    good = GOOD_JOB.encode()
+    f.write_bytes(good + b"\n\xff\xfe{}\n" + good + b"\r\n\r\n" + b'{"p": 5, "x": "\xc3"}\r'
+                  + good + b"\n")
+    code, out, err = run_cli(capsys, "batch", str(f), "--jobs", jobs)
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 5 and lines[0] == lines[2] == lines[4]
+    assert json.loads(lines[0])["bound"]["value"] == "2"
+    assert json.loads(lines[1]) == {
+        "error": "line 2: not valid UTF-8 (invalid start byte at byte 0)", "line": 2}
+    assert json.loads(lines[3]) == {
+        "error": "line 5: not valid UTF-8 (invalid continuation byte at byte 15)",
+        "line": 5}
+    assert "Traceback" not in err
+    assert err.strip() == "3 ok / 0 blocked / 2 error"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_batch_closed_stdout_exits_three(tmp_path, jobs):
     # far more output than a pipe holds, so the batch is still writing
     # when the reader goes away
@@ -716,11 +738,62 @@ def test_batch_fuzz_with_two_workers(lines):
 # --- fuzzing the run front end ---
 
 
+# file contents for --g-table; bytes are written as they are
 G_TABLES = {
     "valid": '[{"residue_char": 11, "residue_degree": 1, "g": 1}]',
     "bad rows": '[{"residue_char": 11}, 5]',
     "not JSON": "[{",
+    "g zero": '[{"residue_char": 2, "g": 0}, {"residue_char": 11, "g": 1}]',
+    "deep": "[" * 100_000,
+    "long integer": '[{"residue_char": 11, "g": 1%s}]' % ("0" * 5000),
+    "not UTF-8": b'[{"residue_char": 11, "g": 1}, "\xff"]',
 }
+G_TABLE_ERRORS = {
+    "bad rows": "row 0 needs residue_char and g",
+    "not JSON": "not valid JSON (Expecting property name enclosed in double quotes)",
+    "deep": "not valid JSON (nested too deeply)",
+    "long integer": "not valid JSON (integer literal over 4300 digits)",
+    "not UTF-8": "not valid UTF-8 (invalid start byte at byte 32)",
+}
+
+
+def write_g_table(path: Path, name: str) -> None:
+    content = G_TABLES[name]
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(G_TABLE_ERRORS))
+def test_bad_g_table_file_is_one_error_line(capsys, tmp_path, name):
+    table = tmp_path / "table.json"
+    write_g_table(table, name)
+    code, out, err = run_cli(capsys, "run", "--curve", "0,-1,1,-10,-20", "--p", "5",
+                             "--extension", "user", "--g-table", str(table))
+    assert (code, out) == (3, "")
+    assert err == f"error: {table}: {G_TABLE_ERRORS[name]}\n"
+    # the same file named by a batch line costs that line alone
+    f = tmp_path / "jobs.ndjson"
+    f.write_text("\n".join([GOOD_JOB, json.dumps(
+        {"curve": [0, -1, 1, -10, -20], "p": 5, "g_table": str(table)}), GOOD_JOB]) + "\n")
+    code, out, err = run_cli(capsys, "batch", str(f), "--jobs", "1")
+    lines = out.splitlines()
+    assert code == 3 and len(lines) == 3 and lines[0] == lines[2]
+    assert json.loads(lines[1]) == {
+        "error": f"line 2: {table}: {G_TABLE_ERRORS[name]}", "line": 2}
+    assert err.strip() == "2 ok / 0 blocked / 1 error"
+
+
+@pytest.mark.parametrize("curve", ["0,-1,1,-10,-20", "1,0,1,4,-6"], ids=["11a1", "14a1"])
+def test_g_table_row_below_one_is_refused_whatever_the_curve(capsys, tmp_path, curve):
+    # 11a1 has no place above 2, so no place reads the first row
+    table = tmp_path / "table.json"
+    write_g_table(table, "g zero")
+    code, out, err = run_cli(capsys, "run", "--curve", curve, "--p", "5",
+                             "--extension", "user", "--g-table", str(table))
+    assert (code, out) == (3, "")
+    assert err == "error: g table row 0: g must be a positive integer, got 0\n"
 GOOD_OPTION = st.one_of(
     st.tuples(st.just("--field"), st.sampled_from(["Q", "Q(mu_p)"])),
     st.tuples(st.just("--assume"), st.sampled_from(sorted(cli.ASSUMPTION_TOKENS))),
@@ -773,7 +846,7 @@ def test_run_fuzz_reports_or_exits_three(drawn):
             if flag == "--g-table":
                 path = Path(tmp) / value
                 if value in G_TABLES:
-                    path.write_text(G_TABLES[value], encoding="utf-8")
+                    write_g_table(path, value)
                 value = str(path)
             argv += [flag] if value is None else [flag, value]
         out, err = io.StringIO(), io.StringIO()

@@ -3,11 +3,11 @@ ramified local-torsion oracle for delta_v over Q(mu_p).
 
 The minimal polynomial of pi is g(x) = ((1+x)^p - 1)/x, an Eisenstein
 polynomial of degree p - 1.  EisensteinElement stores an element by its
-coordinates in the power basis 1, pi, ..., pi^(p-2) with PadicNumber
-entries.  The pi-adic valuation of sum(c_i pi^i) is min over i of
-(p-1) v_p(c_i) + i; the minimum is attained at a single index because
-the candidate values are pairwise distinct mod p - 1, so the formula is
-exact, not a bound.
+coordinates in the power basis 1, pi, ..., pi^(p-2) with entries in
+oracles.QpNumber, the p-adics with field arithmetic.  The pi-adic
+valuation of sum(c_i pi^i) is min over i of (p-1) v_p(c_i) + i; the
+minimum is attained at a single index because the candidate values are
+pairwise distinct mod p - 1, so the formula is exact, not a bound.
 
 eisenstein_roots mirrors the Z_p root search one level up: residue
 enumeration in O/pi = F_p, Newton lifting where the derivative is a
@@ -33,8 +33,9 @@ from hypothesis import given, settings, strategies as st
 
 from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
 from fineselmer.localdata import delta_v, tate_reduction
-from fineselmer.padic import DEFAULT_PRECISION, DEPTH_BUDGET, PadicNumber
+from fineselmer.padic import DEFAULT_PRECISION, DEPTH_BUDGET
 from fineselmer.polynomial import QPoly
+from oracles import QpNumber
 
 
 class PrecisionError(Exception):
@@ -51,7 +52,7 @@ class EisensteinElement:
 
     __slots__ = ("p", "coords")
 
-    def __init__(self, p: int, coords: tuple[PadicNumber, ...]):
+    def __init__(self, p: int, coords: tuple[QpNumber, ...]):
         if len(coords) != p - 1:
             raise ValueError(f"need {p - 1} coordinates, got {len(coords)}")
         object.__setattr__(self, "p", p)
@@ -64,17 +65,17 @@ class EisensteinElement:
 
     @classmethod
     def from_int(cls, n: int, p: int, absprec: int = DEFAULT_PRECISION) -> "EisensteinElement":
-        zero = PadicNumber.zero(p, absprec)
-        return cls(p, (PadicNumber.from_int(n, p, absprec),) + (zero,) * (p - 2))
+        zero = QpNumber.zero(p, absprec)
+        return cls(p, (QpNumber.from_int(n, p, absprec),) + (zero,) * (p - 2))
 
     @classmethod
     def zero(cls, p: int, absprec: int = DEFAULT_PRECISION) -> "EisensteinElement":
-        return cls(p, (PadicNumber.zero(p, absprec),) * (p - 1))
+        return cls(p, (QpNumber.zero(p, absprec),) * (p - 1))
 
     @classmethod
     def pi(cls, p: int, absprec: int = DEFAULT_PRECISION) -> "EisensteinElement":
-        zero = PadicNumber.zero(p, absprec)
-        one = PadicNumber.from_int(1, p, absprec)
+        zero = QpNumber.zero(p, absprec)
+        one = QpNumber.from_int(1, p, absprec)
         coords = [zero] * (p - 1)
         coords[1] = one
         return cls(p, tuple(coords))
@@ -85,7 +86,7 @@ class EisensteinElement:
         if len(digits) > p - 1:
             raise ValueError("too many digits for the power basis")
         padded = list(digits) + [0] * (p - 1 - len(digits))
-        return cls(p, tuple(PadicNumber.from_int(d, p, absprec) for d in padded))
+        return cls(p, tuple(QpNumber.from_int(d, p, absprec) for d in padded))
 
     # -- valuation ---------------------------------------------------------
 
@@ -162,7 +163,7 @@ class EisensteinElement:
         o = self._coerce(other)
         p = self.p
         n = p - 1
-        prod: list[PadicNumber | None] = [None] * (2 * n - 1)
+        prod: list[QpNumber | None] = [None] * (2 * n - 1)
         for i, a in enumerate(self.coords):
             for j, b in enumerate(o.coords):
                 term = a * b
@@ -182,7 +183,7 @@ class EisensteinElement:
         # precision that never becomes the binding constraint
         zprec = max(c.absprec for c in self.coords) + max(c.absprec for c in o.coords)
         filled = tuple(
-            c if c is not None else PadicNumber.zero(p, zprec) for c in prod[:n]
+            c if c is not None else QpNumber.zero(p, zprec) for c in prod[:n]
         )
         return EisensteinElement(p, filled)
 
@@ -215,8 +216,8 @@ class EisensteinElement:
         # rows of the system: sum_j M[i][j] y_j = e0[i]
         M = [[cols[j][i] for j in range(n)] for i in range(n)]
         prec = max(c.absprec for c in self.coords)
-        rhs: list[PadicNumber] = [PadicNumber.from_int(1, p, prec)] + [
-            PadicNumber.zero(p, prec) for _ in range(n - 1)
+        rhs: list[QpNumber] = [QpNumber.from_int(1, p, prec)] + [
+            QpNumber.zero(p, prec) for _ in range(n - 1)
         ]
         for col in range(n):
             pivot_row, pivot_val = None, None
@@ -411,7 +412,7 @@ def exact_from_digits(digits: list[int]) -> QPoly:
 
 def agrees_with_exact(elem: EisensteinElement, exact: QPoly) -> bool:
     for i, coord in enumerate(elem.coords):
-        model = PadicNumber.from_rational(
+        model = QpNumber.from_rational(
             Fraction(exact.coeff(i)), elem.p, coord.absprec
         )
         if not coord.agrees_with(model):
@@ -471,8 +472,8 @@ def test_residue_map():
     assert pi.residue() == 0
     assert (3 + pi * 5).residue() == 3
     bad = EisensteinElement(
-        p, (PadicNumber.from_rational(Fraction(1, 7), 7, 10),)
-        + (PadicNumber.zero(7, 10),) * 5
+        p, (QpNumber.from_rational(Fraction(1, 7), 7, 10),)
+        + (QpNumber.zero(7, 10),) * 5
     )
     with pytest.raises(PrecisionError):
         bad.residue()

@@ -141,6 +141,16 @@ def test_g_table_is_exclusive_and_strict():
         compute_lambda_bound(E11A2, 5, "Q", g_table=[{"residue_char": 13, "g": 1}])
 
 
+@pytest.mark.parametrize("model", [E11A2, WeierstrassModel(1, 0, 1, 4, -6)],
+                         ids=["11a2", "14a1"])
+def test_g_table_row_below_one_is_refused_whatever_the_curve(model):
+    # 11a2 has no place above 2, so g_v never reads the first row; the
+    # table is refused all the same
+    table = [{"residue_char": 2, "g": 0}, {"residue_char": 11, "g": 1}]
+    with pytest.raises(ValueError, match="^g table row 0: g must be a positive integer, got 0$"):
+        compute_lambda_bound(model, 5, "Q", g_table=table)
+
+
 def test_report_model_is_integralized():
     from fractions import Fraction
 

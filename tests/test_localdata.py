@@ -357,19 +357,16 @@ def test_delta_searches_once_at_precision_32(monkeypatch):
         delta_v(E11A1, 5, precision=32)
 
 
-def test_delta_runs_no_padic_number_arithmetic(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("delta_v ran PadicNumber arithmetic")
-
-    expected = _search_curves()
-    for name in ("__mul__", "__rmul__", "__add__", "__sub__"):
-        monkeypatch.setattr(PadicNumber, name, refuse)
-    monkeypatch.setattr(PadicNumber, "from_rational", classmethod(refuse))
-    with pytest.raises(AssertionError, match="PadicNumber arithmetic"):
-        PadicNumber.from_int(1, 5, 4) * PadicNumber.from_int(1, 5, 4)
+def test_delta_runs_no_padic_number_arithmetic():
+    # the package's PadicNumber is a root value with no arithmetic, and
+    # localdata reads its roots only through lift()
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__",
+                 "__truediv__", "inverse", "from_rational", "agrees_with"):
+        assert not hasattr(PadicNumber, name), name
     assert not hasattr(localdata, "PadicNumber")
-    for E, p, result in expected:
-        assert delta_v(E, p) == result
+    for E, p, _ in _search_curves():
+        psi = E.integral_model().division_polynomial(p)
+        assert all(type(r) is PadicNumber for r in padic_roots(psi, p).certified)
 
 
 @pytest.mark.parametrize("precision, searched", [(1, 17), (None, 32), (256, 256)])

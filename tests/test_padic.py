@@ -2,7 +2,9 @@
 
 Oracles used here:
   * Fraction arithmetic pushed through from_rational must commute with the
-    PadicNumber field operations up to the tracked precision.
+    field operations of oracles.QpNumber up to the tracked precision.
+  * the package's Newton lift, which takes only seeds with a unit
+    derivative, must agree with the general-criterion oracles.hensel_lift.
   * residues modulo p^6 found by exhaustive scan (all p^6 of them) pin down
     the root finder from both sides: certified roots reduce into the scan
     set, and every scan residue with unit derivative is matched by exactly
@@ -23,14 +25,13 @@ from fineselmer.modular import valuation
 from fineselmer.padic import (
     DEFAULT_PRECISION,
     DEPTH_BUDGET,
-    NoLiftError,
     PadicNumber,
     PadicRoots,
-    hensel_lift,
+    _newton_lift,
     padic_roots,
 )
 from fineselmer.polynomial import QPoly, _derivative as _deriv, _horner as _eval_int
-from oracles import compose_linear, padic_is_square
+from oracles import NoLiftError, QpNumber, compose_linear, hensel_lift, padic_is_square
 
 
 def qpoly(*coeffs: int) -> QPoly:
@@ -41,7 +42,7 @@ def vp_or_none(n: int, p: int) -> int | None:
     return None if n == 0 else valuation(n, p)
 
 
-# --- PadicNumber arithmetic against Fraction arithmetic ---
+# --- QpNumber arithmetic against Fraction arithmetic ---
 
 p_integral = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
@@ -52,25 +53,25 @@ p_integral = st.fractions(
 @given(p_integral, p_integral, st.sampled_from([5, 7]))
 def test_field_ops_commute_with_fraction_lift(a, b, p):
     N = 12
-    x = PadicNumber.from_rational(a, p, N)
-    y = PadicNumber.from_rational(b, p, N)
+    x = QpNumber.from_rational(a, p, N)
+    y = QpNumber.from_rational(b, p, N)
     for op, expected in (
         (x + y, a + b),
         (x - y, a - b),
         (x * y, a * b),
     ):
-        model = PadicNumber.from_rational(expected, p, op.absprec)
+        model = QpNumber.from_rational(expected, p, op.absprec)
         assert op.agrees_with(model)
     if b != 0 and Fraction(b).numerator % p != 0:
         quot = x / y
-        assert quot.agrees_with(PadicNumber.from_rational(a / b, p, quot.absprec))
+        assert quot.agrees_with(QpNumber.from_rational(a / b, p, quot.absprec))
 
 
 def test_valuations_add_under_multiplication():
     p = 5
     for qa, qb in [(Fraction(25, 3), Fraction(7, 5)), (Fraction(1, 125), Fraction(50))]:
-        x = PadicNumber.from_rational(qa, p, 20)
-        y = PadicNumber.from_rational(qb, p, 20)
+        x = QpNumber.from_rational(qa, p, 20)
+        y = QpNumber.from_rational(qb, p, 20)
         va = valuation(qa.numerator, p) - valuation(qa.denominator, p)
         vb = valuation(qb.numerator, p) - valuation(qb.denominator, p)
         assert x.val == va and y.val == vb
@@ -79,8 +80,8 @@ def test_valuations_add_under_multiplication():
 
 def test_precision_bookkeeping():
     p = 7
-    x = PadicNumber.from_int(7, p, 10)  # val 1, relprec 9
-    y = PadicNumber.from_int(3, p, 10)  # val 0, relprec 10
+    x = QpNumber.from_int(7, p, 10)  # val 1, relprec 9
+    y = QpNumber.from_int(3, p, 10)  # val 0, relprec 10
     assert x.relprec == 9 and y.relprec == 10
     # addition carries absolute precision min; multiplication loses relative
     # precision of the weaker factor shifted by the partner's valuation
@@ -98,19 +99,19 @@ def test_constructor_normalization_rules():
     with pytest.raises(ValueError):
         PadicNumber(5, 0, 10, 4)  # unit part divisible by p
     z = PadicNumber(5, 0, 0, 4)  # certified zero normalizes valuation
-    assert z.is_zero and z.val == 4 and z.lift() == 0
+    assert z.unit == 0 and z.val == 4 and z.lift() == 0
 
 
 def test_lift_rejects_negative_valuation():
-    x = PadicNumber.from_rational(Fraction(1, 5), 5, 8)
-    assert x.val == -1
+    x = PadicNumber(5, -1, 1, 8)  # 1/5, as QpNumber.from_rational gives it
+    assert x == QpNumber.from_rational(Fraction(1, 5), 5, 8)
     with pytest.raises(ValueError):
         x.lift()
 
 
 def test_from_rational_below_precision_window_is_zero():
     # valuation 6 >= absprec 4: indistinguishable from zero at this precision
-    x = PadicNumber.from_rational(Fraction(5**6), 5, 4)
+    x = QpNumber.from_rational(Fraction(5**6), 5, 4)
     assert x.is_zero
 
 
@@ -120,7 +121,7 @@ def test_is_square_classification():
     assert padic_is_square(PadicNumber.from_int(3, p, 10)) is False
     assert padic_is_square(PadicNumber.from_int(7, p, 10)) is False  # odd valuation
     assert padic_is_square(PadicNumber.from_int(49 * 2, p, 10)) is True
-    assert padic_is_square(PadicNumber.zero(p, 10)) is None
+    assert padic_is_square(QpNumber.zero(p, 10)) is None
     with pytest.raises(ValueError):
         padic_is_square(PadicNumber.from_int(1, 2, 10))
 
@@ -131,7 +132,7 @@ def test_is_square_classification():
     st.sampled_from([3, 5, 7, 11]),
 )
 def test_is_square_matches_definition(n, p):
-    x = PadicNumber.from_int(n, p, 24)
+    x = QpNumber.from_int(n, p, 24)
     if x.is_zero:
         assert padic_is_square(x) is None
         return
@@ -141,21 +142,29 @@ def test_is_square_matches_definition(n, p):
     assert padic_is_square(x) is expected
 
 
-# --- Hensel lifting ---
+# --- Hensel lifting: the package's unit-derivative Newton lift, and the
+# general-criterion oracles.hensel_lift ---
+
+
+def newton_lift(f: QPoly, r0: int, p: int, absprec: int) -> int:
+    return _newton_lift(f.int_coeffs(), r0, p, absprec)
 
 
 def test_hensel_lift_sqrt2_in_Q7():
     f = qpoly(-2, 0, 1)
-    r = hensel_lift(f, 3, 7, absprec=30)
-    assert r.lift() % 7 == 3
-    assert pow(r.lift(), 2, 7**30) == 2 % 7**30
+    r = newton_lift(f, 3, 7, absprec=30)
+    assert r % 7 == 3
+    assert pow(r, 2, 7**30) == 2 % 7**30
 
 
 def test_hensel_lift_exact_integer_root():
-    f = qpoly(-12, 0, 0, 3)  # 3x^3 - 12 has no integer root; use (x-4)(x+1)
+    # (x - 4)(x + 1) at p = 5: f'(4) = 5, so only the general lift applies
     f = qpoly(-4, 1) * qpoly(1, 1)
     r = hensel_lift(f, 4, 5, absprec=10)
     assert r.lift() == 4
+    # at p = 7, f'(4) = 5 and f'(-1) = -5 are units
+    assert newton_lift(f, 4, 7, absprec=10) == 4
+    assert newton_lift(f, 6, 7, absprec=10) == 7**10 - 1
 
 
 def test_hensel_lift_singular_start_needs_margin():
@@ -185,13 +194,33 @@ def test_hensel_lift_refuses_a_precision_below_one(absprec):
 
 
 def test_hensel_lift_congruent_to_seed():
-    # the documented congruence: result == r0 mod p^(v(f'(r0)) + 1); here
     # f'(r0) is a unit, so each seed keeps its residue class mod 5
     f = qpoly(-11, 0, 1)
     for seed in (1, 4):
-        r = hensel_lift(f, seed, 5, absprec=20)
-        assert r.lift() % 5 == seed
-        assert pow(r.lift(), 2, 5**20) == 11
+        r = newton_lift(f, seed, 5, absprec=20)
+        assert r % 5 == seed
+        assert pow(r, 2, 5**20) == 11
+
+
+@st.composite
+def unit_derivative_seeds(draw):
+    """(f, r0, p): a random integer polynomial with f(r0) = 0 mod p and
+    f'(r0) a unit; f's constant term is shifted to put a root at r0."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    coeffs = draw(st.lists(st.integers(-60, 60), min_size=2, max_size=7))
+    r0 = draw(st.integers(0, p - 1))
+    coeffs[0] -= _eval_int(coeffs, r0) - p * draw(st.integers(-20, 20))
+    assume(_eval_int(_deriv(coeffs), r0) % p != 0)
+    return QPoly(coeffs), r0, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_derivative_seeds(), st.sampled_from((1, 2, 5, 16, 32, 64)))
+def test_newton_lift_matches_the_general_hensel_lift(case, absprec):
+    f, r0, p = case
+    root = newton_lift(f, r0, p, absprec)
+    assert 0 <= root < p**absprec and root % p == r0
+    assert root == hensel_lift(f, r0, p, absprec).lift()
 
 
 # --- certified root finder ---
