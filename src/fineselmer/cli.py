@@ -32,10 +32,9 @@ from .lambdabound import (ASSUMPTION_TOKENS, LambdaBoundReport, LocalTerm,
 from .localdata import SUPPORTED_FIELDS
 
 _FORMATS = ("json", "text", "both")
-_EXTENSIONS = ("cyclotomic", "user")
 
-_JOB_KEYS = {"curve", "label", "p", "field", "extension", "g_table",
-             "assume", "dim_y", "dim_z"}
+_JOB_KEYS = {"curve", "label", "p", "field", "g_table", "assume", "dim_y",
+             "dim_z"}
 
 _WEAKNESS = {"computed-exact": 0, "conservative": 1, "asserted": 2}
 
@@ -49,7 +48,6 @@ class JobSpec:
     a_invariants: tuple[int, int, int, int, int]
     p: int
     field: str = "Q"
-    extension: str = "cyclotomic"
     label: str | None = None
     assume: tuple[str, ...] = ()
     dim_y: int | None = None
@@ -142,12 +140,6 @@ def _load_g_table_file(path: str) -> tuple[dict, ...]:
 def _validate_job(job: JobSpec) -> JobSpec:
     if job.field not in SUPPORTED_FIELDS:
         raise CliError(f"field must be one of {SUPPORTED_FIELDS}, got {job.field!r}")
-    if job.extension not in _EXTENSIONS:
-        raise CliError(f"extension must be one of {_EXTENSIONS}, got {job.extension!r}")
-    if job.extension == "user" and job.g_table is None:
-        raise CliError("extension 'user' needs a g table")
-    if job.extension == "cyclotomic" and job.g_table is not None:
-        raise CliError("a g table is only accepted with extension 'user'")
     for token in job.assume:
         if token not in ASSUMPTION_TOKENS:
             raise CliError(f"unknown assumption {token!r}; known: "
@@ -183,8 +175,6 @@ def job_from_dict(raw: dict, where: str) -> JobSpec:
         a_invariants=parse_curve(raw["curve"]),
         p=_parse_int(raw["p"], f"{where}: p"),
         field=raw.get("field", "Q"),
-        extension=raw.get("extension",
-                          "user" if g_table is not None else "cyclotomic"),
         label=label,
         assume=tuple(str(t) for t in assume),
         dim_y=None if dim_y is None else _parse_int(dim_y, f"{where}: dim_y"),
@@ -202,10 +192,10 @@ def _num(value: int, provenance: str) -> dict:
     return {"value": str(value), "provenance": provenance}
 
 
-def _public_provenance(raw: str | None) -> str:
+def _public_provenance(raw: str) -> str:
     # the report vocabulary is fixed; internal "user-supplied" is a claim
     # the user made, which the schema calls asserted
-    return "asserted" if raw == "user-supplied" else (raw or "computed-exact")
+    return "asserted" if raw == "user-supplied" else raw
 
 
 def _term_provenance(term: LocalTerm) -> str:
@@ -224,8 +214,7 @@ def _place_entry(term: LocalTerm) -> dict:
         "role": term.role,
         "reduction": term.reduction,
         "split": term.split,
-        "g": None if term.g is None
-        else _num(term.g, _public_provenance(term.g_provenance)),
+        "g": _num(term.g, _public_provenance(term.g_provenance)),
         "delta": None if term.delta is None
         else _num(term.delta, _public_provenance(term.delta_provenance)),
         "contribution": _num(term.contribution, _term_provenance(term)),
@@ -250,11 +239,11 @@ def report_to_dict(report: LambdaBoundReport, job: JobSpec) -> dict:
             prov = "asserted"
         bound = _num(report.bound, prov)
 
-    if job.extension == "user":
+    if job.g_table is not None:
         extension = {"kind": "user", "g_table": [
             {"residue_char": str(r["residue_char"]),
              "residue_degree": str(r["residue_degree"]),
-             "g": str(r["g"])} for r in (job.g_table or ())]}
+             "g": str(r["g"])} for r in job.g_table]}
     else:
         extension = {"kind": "cyclotomic"}
 
@@ -346,10 +335,9 @@ def run_job(job: JobSpec) -> tuple[int, LambdaBoundReport]:
             model, job.p, job.field,
             dim_y=job.dim_y, dim_z=job.dim_z,
             assume=job.assume,
-            g_table=list(job.g_table) if job.g_table is not None else None)
-    except (ValueError, KeyError) as e:
-        msg = e.args[0] if e.args else str(e)
-        raise CliError(str(msg)) from None
+            g_table=job.g_table)
+    except ValueError as e:
+        raise CliError(str(e)) from None
     return (2 if report.strength == "blocked" else 0), report
 
 
@@ -470,9 +458,9 @@ def _build_run_parser() -> _Parser:
     q.add_argument("--label", help="free-text curve label, echoed in output")
     q.add_argument("--p", required=True, help="odd prime, 3 <= p <= 13")
     q.add_argument("--field", default="Q", choices=SUPPORTED_FIELDS)
-    q.add_argument("--extension", default="cyclotomic", choices=_EXTENSIONS)
     q.add_argument("--g-table", dest="g_table", metavar="PATH",
-                   help="JSON decomposition table (extension 'user' only)")
+                   help="JSON decomposition table of a user Z_p-extension; "
+                        "without it the extension is cyclotomic")
     q.add_argument("--assume", action="append", default=[],
                    metavar="HYPOTHESIS",
                    help="accept responsibility for a hypothesis; repeatable")
@@ -506,7 +494,6 @@ def main(argv: list[str] | None = None) -> int:
             a_invariants=parse_curve(ns.curve),
             p=_parse_int(ns.p, "p"),
             field=ns.field,
-            extension=ns.extension,
             label=ns.label,
             assume=tuple(ns.assume),
             dim_y=None if ns.dim_y is None else _parse_int(ns.dim_y, "dim_y"),

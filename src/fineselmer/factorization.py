@@ -8,7 +8,7 @@ whole range below GOOD_PRIME_BOUND. A good prime proves f squarefree
 over Q, and a repeated factor stays repeated mod every l, so such an f
 has no good prime and raises NoGoodPrime after the full scan. Every
 caller in the package passes psi_p of a nonsingular curve, which is
-squarefree.
+squarefree, though not always modulo a prime below the bound.
 
 It factors modulo l first. The distinct-degree split and the randomized
 equal-degree split (Cantor & Zassenhaus, Math. Comp. 36, 1981, with the
@@ -91,13 +91,19 @@ GOOD_PRIME_BOUND = 10_000
 SQUAREFREE_TRIES = 8
 
 
-class NoGoodPrime(Exception):
+class NoGoodPrime(ValueError):
     """No prime below GOOD_PRIME_BOUND is good for the polynomial.
 
     A polynomial with a repeated factor has no good prime at all, so
-    factor_int_poly raises this for it; for squarefree input it is
-    practically unreachable.
+    factor_int_poly raises this for it. A squarefree one may have none
+    below the bound either, when it is squarefree modulo no small prime.
+    The message names the bound in force when it is raised, and `what`,
+    never the polynomial, whose digits may be past the int-to-str limit.
     """
+
+    def __init__(self, what: str):
+        super().__init__(f"no good reduction prime below {GOOD_PRIME_BOUND} "
+                         f"for {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +361,7 @@ def factor_int_poly(f: QPoly, max_degree: int | None = None,
         reduction = (_good_reduction(prim, SQUAREFREE_TRIES)
                      or _good_reduction(prim, None))
     if reduction is None:
-        raise NoGoodPrime(f"no good reduction prime below {GOOD_PRIME_BOUND} "
-                          f"for {QPoly(prim)!r}")
+        raise NoGoodPrime(f"a polynomial of degree {len(prim) - 1}")
     parts: list[list[int]] = []
     g, residues = prim, reduction.residues(k)
     # x is split off to keep the constant coefficient nonzero

@@ -66,7 +66,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .elliptic import WeierstrassModel, frobenius_traces, trace_of_frobenius
-from .factorization import factor_int_poly, good_reduction
+from .factorization import NoGoodPrime, factor_int_poly, good_reduction
 from .localdata import SUPPORTED_FIELDS
 from .modular import is_prime, primes_below
 from .polynomial import QPoly
@@ -207,9 +207,12 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     E = model.integral_model()
     psi = E.division_polynomial(p)
     d = (p - 1) // 2
-    # psi is squarefree for a nonsingular curve, so a good prime exists
+    # psi is squarefree for a nonsingular curve, so some prime is good
+    # for it, but none below the scan's bound need be
     reduction = good_reduction(psi)
-    if reduction is not None and not reduction.admits_divisor_of_degree(d):
+    if reduction is None:
+        raise NoGoodPrime(f"the {p}-division polynomial")
+    if not reduction.admits_divisor_of_degree(d):
         return ()
     # only a factor of degree <= d can divide a kernel polynomial
     _, factors = factor_int_poly(psi, max_degree=d, reduction=reduction)

@@ -101,8 +101,8 @@ class LocalTerm:
     role: str                    # "S0", "S" (bad but not in S0), or "S_p"
     reduction: str
     split: bool | None
-    g: int | None
-    g_provenance: str | None     # "computed-exact" | "user-supplied"
+    g: int
+    g_provenance: str            # "computed-exact" | "user-supplied"
     delta: int | None
     delta_provenance: str | None
     contribution: int
@@ -160,21 +160,6 @@ def _pointwise_rational_line(model: WeierstrassModel, kernel) -> bool:
     return True
 
 
-def _g_best_effort(ell: int, p: int, field: str, residue_degree: int,
-                   table) -> int | None:
-    """g for a non-contributing place, for information only: the table's
-    row if it has one, else the closed form, else None. compute_lambda_bound
-    checks every table row before any place is read, so this raises nothing."""
-    try:
-        return g_v(ell, p, field, residue_degree, table=table)
-    except KeyError:
-        pass
-    try:
-        return g_v(ell, p, field, residue_degree)
-    except ValueError:
-        return None
-
-
 def _route_strength(ledger: dict[str, HypothesisEntry],
                     required: tuple[str, ...]) -> str:
     statuses = [ledger[h].status for h in required]
@@ -195,7 +180,15 @@ def compute_lambda_bound(
     assume: tuple[str, ...] = (),
     g_table=None,
 ) -> LambdaBoundReport:
-    """Run the whole pipeline for one curve, prime, and base field."""
+    """Run the whole pipeline for one curve, prime, and base field.
+
+    g_table, when given, is a user Z_p-extension: rows {residue_char,
+    residue_degree (1 if absent), g}. It is read once, before any place:
+    a row with g < 1 or a second row for one (residue_char,
+    residue_degree) raises ValueError, whatever the curve. A place of S0
+    takes g from its row, and one without a row raises ValueError; a
+    place outside S0 takes its row's g, or else the closed form g_v.
+    """
     # the cap comes first: is_prime on a huge p would not return
     if p > 13:
         raise ValueError("p is capped at 13 by the division-polynomial ladder")
@@ -209,10 +202,16 @@ def compute_lambda_bound(
         raise ValueError("global dimensions cannot be negative")
     # every row, not only those of the curve's places, so that a table is
     # accepted or refused whatever the curve
+    table: dict[tuple[int, int], int] = {}
     for i, row in enumerate(g_table or ()):
+        key = (row["residue_char"], row.get("residue_degree", 1))
         if int(row["g"]) < 1:
             raise ValueError(f"g table row {i}: g must be a positive integer, "
                              f"got {row['g']}")
+        if key in table:
+            raise ValueError(f"g table row {i}: a second row for "
+                             f"residue_char={key[0]}, f={key[1]}")
+        table[key] = int(row["g"])
 
     notes: list[str] = []
     ledger: dict[str, HypothesisEntry] = {}
@@ -233,21 +232,25 @@ def compute_lambda_bound(
 
     # local terms for every place of S = {bad} + {above p}.  Places in
     # S0 contribute 2 g_v; bad places outside S0 are listed with a zero
-    # contribution so the report shows all of S.  A user table is
-    # consulted exclusively for contributing places, so a missing row
-    # raises instead of being papered over by the closed form.
+    # contribution so the report shows all of S.  A place with a table
+    # row takes its g; a place of S0 without one raises instead of being
+    # papered over by the closed form.
     terms: list[LocalTerm] = []
     if places.good_above_p:
         split_counts: dict[int, int] = {}
         witnessed: set[tuple[int, int]] = set()
         for rec in places.bad_places:
             pl = rec.place
+            key = (pl.residue_char, pl.residue_degree)
+            if key in table:
+                g, g_prov = table[key], "user-supplied"
+            elif rec.in_S0 and g_table is not None:
+                raise ValueError(f"no table entry for residue_char={key[0]}, "
+                                 f"f={key[1]}")
+            else:
+                g = g_v(pl.residue_char, p, field, pl.residue_degree)
+                g_prov = "computed-exact"
             if rec.in_S0:
-                g = g_v(pl.residue_char, p, field, pl.residue_degree,
-                        table=g_table)
-                g_prov = ("user-supplied" if g_table is not None
-                          else "computed-exact")
-                key = (pl.residue_char, pl.residue_degree)
                 if g_table is None and key not in witnessed:
                     witnessed.add(key)
                     exp = p - 1 if field == "Q" else pl.residue_degree
@@ -262,13 +265,9 @@ def compute_lambda_bound(
                     pl.label, pl.residue_char, pl.residue_degree, "S0",
                     rec.kodaira, rec.split, g, g_prov, None, None, 2 * g))
             else:
-                g = _g_best_effort(pl.residue_char, p, field,
-                                   pl.residue_degree, g_table)
                 terms.append(LocalTerm(
                     pl.label, pl.residue_char, pl.residue_degree, "S",
-                    rec.kodaira, rec.split, g,
-                    None if g is None else "computed-exact",
-                    None, None, 0))
+                    rec.kodaira, rec.split, g, g_prov, None, None, 0))
         pretty_field = f"Q(mu_{p})" if field == "Q(mu_p)" else field
         for ell, cnt in sorted(split_counts.items()):
             total = sum(t.contribution for t in terms
@@ -372,25 +371,18 @@ def compute_lambda_bound(
 
     local_sum = sum(t.contribution for t in terms)
     routes: list[RouteBound] = []
-
-    s_local = _route_strength(ledger, _LOCAL_ONLY_REQUIRED)
-    routes.append(RouteBound(
-        "local-only",
-        None if s_local == "blocked" else local_sum,
-        s_local, _LOCAL_ONLY_REQUIRED, 0,
-        () if s_local != "blocked" else
-        tuple(f"{h}: {ledger[h].status}" for h in _LOCAL_ONLY_REQUIRED
-              if ledger[h].status == "refuted")))
-
-    s_glob = _route_strength(ledger, _GLOBAL_DIMS_REQUIRED)
-    glob_part = 2 * invariants.dim_y + invariants.dim_z
-    routes.append(RouteBound(
-        "with-global-dims",
-        None if s_glob == "blocked" else local_sum + glob_part,
-        s_glob, _GLOBAL_DIMS_REQUIRED, glob_part,
-        () if s_glob != "blocked" else
-        tuple(f"{h}: {ledger[h].status}" for h in _GLOBAL_DIMS_REQUIRED
-              if ledger[h].status == "refuted")))
+    # a route's refusal notes are its refuted requirements, which it has
+    # exactly when it is blocked
+    for name, required, global_part in (
+            ("local-only", _LOCAL_ONLY_REQUIRED, 0),
+            ("with-global-dims", _GLOBAL_DIMS_REQUIRED,
+             2 * invariants.dim_y + invariants.dim_z)):
+        strength = _route_strength(ledger, required)
+        routes.append(RouteBound(
+            name, None if strength == "blocked" else local_sum + global_part,
+            strength, required, global_part,
+            tuple(f"{h}: refuted" for h in required
+                  if ledger[h].status == "refuted")))
 
     # choose: smallest bound, then strongest, then the leaner route
     rank = {"unconditional": 0, "conditional": 1}

@@ -411,26 +411,18 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
 # ---------------------------------------------------------------------------
 
 
-def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1,
-        table=None) -> int:
+def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1) -> int:
     """Number of places above v in the cyclotomic Z_p-extension (stable value).
 
     The place above p is totally ramified, so g = 1 there.  Away from p
     the count is p^m with m = max(0, v_p(N(v) - 1) - 1) where N(v) is
     the residue field size: the Frobenius at v generates a subgroup of
-    the layer-n Galois group of index p^min(n, m).  A table row for
-    (ell, residue_degree) is taken as given: compute_lambda_bound checks
-    every row, and a missing one raises KeyError.
+    the layer-n Galois group of index p^min(n, m).  This is the closed
+    form alone; compute_lambda_bound reads a user extension's g table.
     """
     _require_odd_prime(p)
-    if table is not None:
-        for row in table:
-            if (row["residue_char"] == ell
-                    and row.get("residue_degree", 1) == residue_degree):
-                return int(row["g"])
-        raise KeyError(f"no table entry for residue_char={ell}, f={residue_degree}")
     if field not in SUPPORTED_FIELDS:
-        raise ValueError("unsupported field without a user decomposition table")
+        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
     if ell == p:
         return 1
     if field == "Q":

@@ -166,7 +166,7 @@ def padic_roots(
     certified: list[PadicNumber] = []
     inconclusive: list[str] = []
 
-    def search(cs: list[int], depth: int, base: int, scale: int) -> None:
+    def search(cs: list[int], base: int, scale: int) -> None:
         # roots of cs correspond to base + p^scale * x for roots x of cs
         dcs = _derivative(cs)
         for rbar in range(p):
@@ -193,7 +193,7 @@ def padic_roots(
             # non-unit derivative: the class may hold zero, one, or several
             # roots; zoom in.  Splitting always strips at least one power of
             # p since every coefficient of cs(rbar + p x) is divisible by p.
-            if depth >= DEPTH_BUDGET:
+            if scale >= DEPTH_BUDGET:
                 inconclusive.append(
                     f"residue {base + rbar * p**scale} mod {p}^{scale + 1}: depth budget exhausted"
                 )
@@ -201,8 +201,8 @@ def padic_roots(
             shifted = _compose_linear(cs, p, rbar)
             e = min(valuation(c, p) for c in shifted if c != 0)
             reduced = [c // p**e for c in shifted]
-            search(reduced, depth + 1, base + rbar * p**scale, scale + 1)
+            search(reduced, base + rbar * p**scale, scale + 1)
 
-    search(coeffs, 0, 0, 0)
+    search(coeffs, 0, 0)
     certified.sort(key=lambda r: r.lift())
     return PadicRoots(tuple(certified), tuple(inconclusive))

@@ -40,12 +40,13 @@ PACKAGE = SRC / "fineselmer"
 # stays although nothing above reaches it
 REASONS = {
     "cli._Parser.error": "argparse's hook for a bad argument; tests/test_cli.py drives it",
-    "cli._load_g_table_file": "the g table of --extension user, which no corpus job uses",
-    "cli._parse_g_table": "the g table of --extension user, which no corpus job uses",
+    "cli._load_g_table_file": "the g table of a user extension (--g-table), which no corpus job uses",
+    "cli._parse_g_table": "the g table of a user extension (--g-table), which no corpus job uses",
     "cli._stdout_to_devnull": "a stdout closed mid-run; tests/test_cli.py drives it",
     "cyclotomic.bernoulli_table": "exported; a demo uses it, and it is the reference for the mod-p route",
     "elliptic.WeierstrassModel": "the value protocol of an immutable model, which the tests use",
     "elliptic.point_neg": "scalar_mul's branch for n < 0; the group-law tests use it",
+    "factorization.NoGoodPrime": "psi_p with no good prime below GOOD_PRIME_BOUND; tests/test_cli.py lowers the bound to reach it",
     "finitefield.FiniteField": "part of a class that test_acceptance imports",
     "finitefield.FqElem": "part of a class that test_acceptance reaches through FiniteField",
     "finitefield.FqPoly": "part of a class that test_acceptance imports",

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fineselmer
-from fineselmer import cli
+from fineselmer import cli, factorization
 from fineselmer.cli import CliError, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -223,7 +223,7 @@ def test_qmu5_field_itemizes_split_places(capsys):
         ("run", "--curve", "1,2,3", "--p", "5"),  # wrong arity
         ("run", "--curve", CURVE, "--p", "5", "--assume", "nonsense"),
         ("run", "--curve", CURVE, "--p", "5", "--precision", "0"),
-        ("run", "--curve", CURVE, "--p", "5", "--extension", "user"),  # no table
+        ("run", "--curve", CURVE, "--p", "5", "--extension", "user"),  # no such flag
         ("run", "--p", "5"),  # missing curve
         ("run", "--curve", CURVE, "--p", "5", "--precision", "257"),
         ("run", "--curve", CURVE, "--p", "5", "--precision", "1000000000"),
@@ -243,14 +243,14 @@ def test_g_table_requires_user_extension(capsys):
     try:
         code, out, _ = run_cli(
             capsys, "run", "--curve", CURVE, "--p", "5",
-            "--extension", "user", "--g-table", str(table),
+            "--g-table", str(table),
         )
         assert code == 0
         report = json.loads(out)
         assert report["bound"]["value"] == "14"
         assert report["extension"]["kind"] == "user"
         assert report["places"][0]["g"]["provenance"] == "asserted"
-        # cyclotomic extension with a table attached is contradictory
+        # there is no --extension flag: the table alone names the extension
         code, _, err = run_cli(
             capsys, "run", "--curve", CURVE, "--p", "5",
             "--extension", "cyclotomic", "--g-table", str(table),
@@ -266,7 +266,7 @@ def test_g_table_missing_row_is_an_input_error(capsys):
     try:
         code, _, err = run_cli(
             capsys, "run", "--curve", CURVE, "--p", "5",
-            "--extension", "user", "--g-table", str(table),
+            "--g-table", str(table),
         )
         assert code == 3
         assert "11" in err
@@ -388,7 +388,6 @@ def test_batch_inline_g_table(capsys, tmp_path):
     f.write_text(json.dumps({
         "curve": [0, -1, 1, -7820, -263580],
         "p": 5,
-        "extension": "user",
         "g_table": [{"residue_char": 11, "g": 7}],
     }) + "\n")
     code, out, _ = run_cli(capsys, "batch", str(f))
@@ -405,7 +404,7 @@ def test_g_table_row_error_names_its_source_once(capsys, tmp_path, key):
     row = {"residue_char": 11, "g": 7, key: "x"}
     f = tmp_path / "j.ndjson"
     f.write_text(json.dumps({"curve": [0, -1, 1, -7820, -263580], "p": 5,
-                             "extension": "user", "g_table": [row]}) + "\n")
+                             "g_table": [row]}) + "\n")
     code, out, _ = run_cli(capsys, "batch", str(f))
     assert code == 3
     assert json.loads(out) == {
@@ -413,7 +412,7 @@ def test_g_table_row_error_names_its_source_once(capsys, tmp_path, key):
     table = tmp_path / "table.json"
     table.write_text(json.dumps([row]))
     code, out, err = run_cli(capsys, "run", "--curve", CURVE, "--p", "5",
-                             "--extension", "user", "--g-table", str(table))
+                             "--g-table", str(table))
     assert (code, out) == (3, "")
     assert err == f"error: {table}: row 0 {key} must be an integer, got 'x'\n"
 
@@ -770,7 +769,7 @@ def test_bad_g_table_file_is_one_error_line(capsys, tmp_path, name):
     table = tmp_path / "table.json"
     write_g_table(table, name)
     code, out, err = run_cli(capsys, "run", "--curve", "0,-1,1,-10,-20", "--p", "5",
-                             "--extension", "user", "--g-table", str(table))
+                             "--g-table", str(table))
     assert (code, out) == (3, "")
     assert err == f"error: {table}: {G_TABLE_ERRORS[name]}\n"
     # the same file named by a batch line costs that line alone
@@ -791,9 +790,104 @@ def test_g_table_row_below_one_is_refused_whatever_the_curve(capsys, tmp_path, c
     table = tmp_path / "table.json"
     write_g_table(table, "g zero")
     code, out, err = run_cli(capsys, "run", "--curve", curve, "--p", "5",
-                             "--extension", "user", "--g-table", str(table))
+                             "--g-table", str(table))
     assert (code, out) == (3, "")
     assert err == "error: g table row 0: g must be a positive integer, got 0\n"
+
+
+def batch_around(tmp_path: Path, job) -> Path:
+    """A batch file: the first golden job, `job`, the second golden job."""
+    f = tmp_path / "jobs.ndjson"
+    f.write_text("\n".join([GOLDEN_JOBS[0], json.dumps(job), GOLDEN_JOBS[1]]) + "\n")
+    return f
+
+
+def assert_one_line_error(out: str, err: str, message: str) -> None:
+    """Line 2 of a batch_around file is an exit-3 line; its neighbours keep their reports."""
+    lines = out.splitlines()
+    assert [lines[0], lines[2]] == GOLDEN_REPORTS
+    assert json.loads(lines[1]) == {"error": f"line 2: {message}", "line": 2}
+    assert err.strip() == "2 ok / 0 blocked / 1 error"
+
+
+@pytest.mark.parametrize("gs", [(7, 1), (1, 7)], ids=["g 7 first", "g 1 first"])
+@pytest.mark.parametrize("curve", [[0, -1, 1, -10, -20], [1, 0, 1, 4, -6]],
+                         ids=["11a1", "14a1"])
+def test_g_table_with_two_rows_for_one_place_is_refused(capsys, tmp_path, curve, gs):
+    # 14a1 has no place above 11, so no place reads either row
+    rows = [{"residue_char": 11, "g": gs[0]},
+            {"residue_char": 11, "residue_degree": 1, "g": gs[1]}]
+    message = "g table row 1: a second row for residue_char=11, f=1"
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "run", "--curve", ",".join(map(str, curve)),
+                             "--p", "5", "--g-table", str(table))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    code, out, err = run_cli(capsys, "batch", str(batch_around(
+        tmp_path, {"curve": curve, "p": 5, "g_table": rows})))
+    assert code == 3
+    assert_one_line_error(out, err, message)
+
+
+def test_g_table_alone_names_a_user_extension(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text('[{"residue_char": 11, "g": 7}]')
+    code, out, _ = run_cli(capsys, "run", "--curve", "0,-1,1,-10,-20", "--label", "11a1",
+                           "--p", "5", "--g-table", str(table))
+    assert code == 0
+    assert out == (GOLDEN / "run_user.json").read_text()
+
+
+def test_extension_input_is_retired(capsys, tmp_path):
+    table = tmp_path / "table.json"
+    table.write_text('[{"residue_char": 11, "g": 7}]')
+    code, out, err = run_cli(capsys, "run", "--curve", "0,-1,1,-10,-20", "--p", "5",
+                             "--extension", "user", "--g-table", str(table))
+    assert (code, out, err) == (3, "", "error: unrecognized arguments: --extension user\n")
+    code, out, err = run_cli(capsys, "batch", str(batch_around(tmp_path, {
+        "curve": [0, -1, 1, -10, -20], "p": 5, "extension": "user",
+        "g_table": [{"residue_char": 11, "g": 7}]})))
+    assert code == 3
+    assert_one_line_error(out, err, "unknown job keys ['extension']")
+
+
+def test_table_g_on_a_place_outside_s0_is_asserted(capsys, tmp_path):
+    # [1,1,1,-30,-76] has additive reduction at 11, so 11 is in S but not S0
+    table = tmp_path / "table.json"
+    table.write_text('[{"residue_char": 11, "g": 3}]')
+    code, out, _ = run_cli(capsys, "run", "--curve", "1,1,1,-30,-76", "--p", "5",
+                           "--g-table", str(table))
+    assert code == 0
+    place = json.loads(out)["places"][0]
+    assert (place["label"], place["role"]) == ("11", "S")
+    assert place["g"] == {"value": "3", "provenance": "asserted"}
+    assert place["contribution"] == {"value": "0", "provenance": "computed-exact"}
+
+
+@pytest.mark.parametrize("curve", [[0, 0, 1, 0, -7], [1, 1, 0, -11, 0]],
+                         ids=["27a1", "33a1"])
+def test_no_good_prime_for_psi_exits_three_after_one_scan(capsys, monkeypatch,
+                                                          tmp_path, curve):
+    # below 5 the only candidate is 3, and psi_5 of each curve is not
+    # squarefree mod 3; the golden jobs still have 3 as a good prime
+    scans = []
+    good_reduction = factorization._good_reduction
+
+    def counting(coeffs, tries):
+        scans.append(tries)
+        return good_reduction(coeffs, tries)
+
+    monkeypatch.setattr(factorization, "_good_reduction", counting)
+    monkeypatch.setattr(factorization, "GOOD_PRIME_BOUND", 5)
+    message = "no good reduction prime below 5 for the 5-division polynomial"
+    code, out, err = run_cli(capsys, "run", "--curve", ",".join(map(str, curve)),
+                             "--p", "5")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert scans == [None]   # find_stable_subgroups' scan, and no other
+    code, out, err = run_cli(capsys, "batch", str(batch_around(
+        tmp_path, {"curve": curve, "p": 5})))
+    assert code == 3
+    assert_one_line_error(out, err, message)
 GOOD_OPTION = st.one_of(
     st.tuples(st.just("--field"), st.sampled_from(["Q", "Q(mu_p)"])),
     st.tuples(st.just("--assume"), st.sampled_from(sorted(cli.ASSUMPTION_TOKENS))),

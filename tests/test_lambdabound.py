@@ -137,7 +137,7 @@ def test_g_table_is_exclusive_and_strict():
     assert r.terms[0].g_provenance == "user-supplied"
     assert r.bound == 14
     assert ledger_map(r)["finitely-decomposed"] == "asserted"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         compute_lambda_bound(E11A2, 5, "Q", g_table=[{"residue_char": 13, "g": 1}])
 
 
@@ -148,6 +148,18 @@ def test_g_table_row_below_one_is_refused_whatever_the_curve(model):
     # table is refused all the same
     table = [{"residue_char": 2, "g": 0}, {"residue_char": 11, "g": 1}]
     with pytest.raises(ValueError, match="^g table row 0: g must be a positive integer, got 0$"):
+        compute_lambda_bound(model, 5, "Q", g_table=table)
+
+
+@pytest.mark.parametrize("model", [E11A2, WeierstrassModel(1, 0, 1, 4, -6)],
+                         ids=["11a2", "14a1"])
+@pytest.mark.parametrize("gs", [(7, 1), (1, 7)], ids=["g 7 first", "g 1 first"])
+def test_g_table_with_two_rows_for_one_place_is_refused(model, gs):
+    # 14a1 has no place above 11; the table is refused all the same
+    table = [{"residue_char": 11, "g": gs[0]},
+             {"residue_char": 11, "residue_degree": 1, "g": gs[1]}]
+    with pytest.raises(ValueError, match=r"^g table row 1: a second row for "
+                                         r"residue_char=11, f=1$"):
         compute_lambda_bound(model, 5, "Q", g_table=table)
 
 

@@ -90,7 +90,6 @@ def test_p_must_be_an_odd_prime(p):
              lambda: compute_place_sets(E11A1, p, "Q(mu_p)"),
              lambda: reduction_over_K(E11A1, 11, p),
              lambda: g_v(11, p),
-             lambda: g_v(11, p, table=[{"residue_char": 11, "g": 1}]),
              lambda: finite_level_place_count(11, p, 2),
              lambda: delta_v(E11A1, p))
     for call in calls:
@@ -278,12 +277,6 @@ def test_g_closed_form_worked_values():
     assert g_v(5, 5, "Q") == 1           # the place above p never splits
     assert g_v(11, 5, "Q(mu_p)", residue_degree=1) == 1
     assert g_v(101, 5, "Q") == 5         # v_5(101^4 - 1) = 2
-
-
-def test_g_table_mode_is_exclusive():
-    assert g_v(3, 7, "Q", table=[{"residue_char": 3, "g": 49}]) == 49
-    with pytest.raises(KeyError):
-        g_v(5, 7, "Q", table=[{"residue_char": 3, "g": 49}])
 
 
 def test_finite_level_place_counts_stabilize():
