@@ -11,11 +11,14 @@ against which the trace sweep frobenius_traces is checked.
 
 The package runs all polynomial arithmetic mod a prime l on plain
 coefficient lists, the `_vec_*` helpers of finitefield, and its own
-FqPoly keeps only `roots()`, on those helpers. The boxed FqPoly below,
-with its long division, gcd, `pow_mod` and `roots`, is the layer they
-replaced, and the reference the tests check `_vec_*` and the package's
-`FqPoly.roots` against. The boxed FqPoly factoring is kept so that every
-int-list split stays cross-checked against it: squarefree decomposition
+FqPoly keeps only `roots()`, on those helpers. Its Frobenius step
+substitutes x^l for x where l is small and powers left to right from a
+otherwise; `square_and_multiply` is the right-to-left powering from 1
+that both replaced, the slow path the tests check them against. The
+boxed FqPoly below, with its long division, gcd, `pow_mod` and `roots`,
+is the layer they replaced, and the reference the tests check `_vec_*`
+and the package's `FqPoly.roots` against. The boxed FqPoly factoring
+is kept so that every int-list split stays cross-checked against it: squarefree decomposition
 in characteristic p, the distinct-degree split, and the equal-degree
 split over any F_q (the quadratic residue trick for odd q, the trace map
 for q = 2^k). `factor_fq` chains the three and `is_irreducible_fq` is an
@@ -74,7 +77,8 @@ from itertools import combinations
 
 from fineselmer.elliptic import COUNT_LIMIT, WeierstrassModel
 from fineselmer.factorization import DEFAULT_SEED, factor_int_poly
-from fineselmer.finitefield import _vec_gcd, _vec_inverse_mod, _vec_mulmod, _vec_powmod
+from fineselmer.finitefield import (_vec_gcd, _vec_inverse_mod, _vec_mulmod, _vec_powmod,
+                                    _vec_rem)
 from fineselmer.galoisimage import (StableSubgroupWitness, _closed_under_multiples,
                                     _halfgroup_generators, _matching_trace_primes,
                                     _velu_quotient)
@@ -561,6 +565,29 @@ def count_points(model: WeierstrassModel, field: FiniteField) -> int:
             if w.trace() == zero:
                 total += 2
     return total
+
+
+# ---------------------------------------------------------------------------
+# powering mod a polynomial over F_l, on coefficient lists
+# ---------------------------------------------------------------------------
+
+
+def square_and_multiply(a: list[int], e: int, mod: list[int], l: int) -> list[int]:
+    """a^e mod `mod` over F_l, right to left from the product 1.
+
+    The powering the package's `_vec_powmod` ran before it started from
+    a, and the step of the distinct-degree split before `_vec_frobenius`
+    substituted x^l for x: a product with 1 on the first set bit and a
+    squaring after the last one, both of which are wasted.
+    """
+    result = [1]
+    base = _vec_rem(a, mod, l)
+    while e:
+        if e & 1:
+            result = _vec_mulmod(result, base, mod, l)
+        base = _vec_mulmod(base, base, mod, l)
+        e >>= 1
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fineselmer.factorization import (
     good_reduction,
 )
 from fineselmer.modular import is_prime, primes_below
-from fineselmer.polynomial import QPoly, _mul
+from fineselmer.polynomial import QPoly, _derivative, _mul
 import oracles
 from oracles import (DistinctDegreeBoxed, admits_divisor_of_degree, compose_linear,
                      equal_degree_boxed, factor_fq, is_irreducible_fq, yun_squarefree)
@@ -189,6 +189,38 @@ def test_int_distinct_degree_matches_boxed_split(lf, k1, k2, d):
     reduction._split.through(k1)
     assert reduction.admits_divisor_of_degree(d) == expected
 
+
+
+@pytest.mark.parametrize("label,curve,p", [
+    ("37a1", (0, 0, 1, -1, 0), 11),
+    ("20a1", (0, 1, 0, 4, 4), 11),
+    ("14a1", (1, 0, 1, 4, -6), 11),
+    ("37a1", (0, 0, 1, -1, 0), 13),
+    ("49a1", (1, -1, 0, -2, -1), 13),
+])
+def test_psi_split_matches_the_powering_step(label, curve, p, monkeypatch):
+    # psi_p's good prime is 3 for all five; the next good primes run the
+    # split at l = 5 and 7 by substitution and at l = 11 and 13 by powering
+    from fineselmer.elliptic import WeierstrassModel
+
+    psi = WeierstrassModel(*curve).integral_model().division_polynomial(p).int_coeffs()
+    assert good_reduction(QPoly(psi)).l == 3
+    goods = [l for l in (3, 5, 7, 11, 13)
+             if psi[-1] % l and len(factorization._vec_gcd(
+                 [c % l for c in psi], [c % l for c in _derivative(psi)], l)) == 1]
+    assert len(goods) >= 2 and max(goods) > 7, goods
+
+    def split(l):
+        inv = pow(psi[-1], -1, l)
+        ddf = factorization._DistinctDegree([c * inv % l for c in psi], l)
+        return [(list(part), j) for part, j in ddf.through((p - 1) // 2)], ddf.rest
+
+    for l in goods:
+        fast = split(l)
+        with monkeypatch.context() as patch:
+            patch.setattr(factorization, "_vec_frobenius",
+                          lambda a, mod, l: oracles.square_and_multiply(a, l, mod, l))
+            assert split(l) == fast, (label, p, l)
 
 def test_good_reduction_of_psi7_on_27a1_matches_factor_fq():
     from fineselmer.elliptic import WeierstrassModel

@@ -5,17 +5,21 @@ on the package at f = 1 and on the oracle in oracles.py at f > 1; the
 oracle's squares and trace map are checked exhaustively; and the
 package's F_l elements, its int-list polynomial helpers and
 FqPoly.roots must agree with the oracle at f = 1 operation by
-operation.
+operation. The Frobenius step, by substitution or by powering, and the
+left-to-right powering must agree with the right-to-left
+square-and-multiply they replaced.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from fineselmer.finitefield import (FiniteField, FqPoly, _vec_divmod, _vec_gcd,
-                                    _vec_inverse_mod, _vec_mulmod, _vec_quo)
-from fineselmer.polynomial import _mul, _sub, _trim
+from fineselmer import finitefield
+from fineselmer.finitefield import (FiniteField, FqPoly, _vec_divmod, _vec_frobenius,
+                                    _vec_gcd, _vec_inverse_mod, _vec_mulmod, _vec_powmod,
+                                    _vec_quo)
+from fineselmer.polynomial import _derivative, _mul, _sub, _trim
 import oracles
 
 SMALL_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 2)]
@@ -275,3 +279,65 @@ def test_fqpoly_roots_match_oracle_on_products_of_linear_factors(l, data):
             FqPoly(F, zero).roots()
         with pytest.raises(ValueError, match="every root"):
             oracles.FqPoly(G, zero).roots()
+
+
+@st.composite
+def frobenius_case(draw):
+    """(l, a, mod): mod monic squarefree of degree 1 to 90 over F_l, deg a < deg mod."""
+    l = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 101]))
+    n = draw(st.integers(1, 90))
+    mod = draw(st.lists(st.integers(0, l - 1), min_size=n, max_size=n)) + [1]
+    assume(len(_vec_gcd(mod, [c % l for c in _derivative(mod)], l)) == 1)
+    a = draw(st.lists(st.integers(0, l - 1), max_size=n))
+    return l, a, mod
+
+
+@settings(max_examples=120, deadline=None)
+@given(frobenius_case())
+@example((3, [0, 1], [1, 0, 0, 1, 1]))
+@example((3, [2, 0, 1], [1, 0, 0, 1, 1]))
+@example((13, [2, 0, 1], [1, 0, 0, 1, 1]))
+@example((7, [], [0, 1]))
+def test_frobenius_matches_powering(case):
+    # both branches: substitution at l <= 7, powering above
+    l, a, mod = case
+    expected = oracles.square_and_multiply(a, l, mod, l)
+    assert _vec_frobenius(a, mod, l) == _vec_powmod(a, l, mod, l) == expected, case
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11, 13, 101])
+def test_frobenius_powers_only_above_seven(l, monkeypatch):
+    calls = []
+    powmod = finitefield._vec_powmod
+    monkeypatch.setattr(finitefield, "_vec_powmod",
+                        lambda *args: calls.append(args) or powmod(*args))
+    mod = [1, 2 % l, 0, 1, 1]
+    assert _vec_frobenius([0, 1, 1], mod, l) == oracles.square_and_multiply([0, 1, 1], l, mod, l)
+    assert len(calls) == (l > 7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 13, 101]), st.integers(0, 2**70),
+       st.lists(st.integers(0, 100), max_size=12),
+       st.lists(st.integers(0, 100), max_size=10))
+def test_powmod_matches_square_and_multiply(l, e, a, m):
+    mod = [c % l for c in m] + [1]
+    assert _vec_powmod(a, e, mod, l) == oracles.square_and_multiply(a, e, mod, l)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 7, 8, 13, 255, 256, (5**6 - 1) // 2, 2**40 + 3])
+def test_powmod_makes_no_wasted_product(e, monkeypatch):
+    # bit_length(e) - 1 squarings and popcount(e) - 1 products with a:
+    # none with 1, none after the top bit
+    squarings, products = [], []
+    mulmod = finitefield._vec_mulmod
+
+    def counting(a, b, mod, l):
+        (squarings if a is b else products).append(1)
+        return mulmod(a, b, mod, l)
+
+    monkeypatch.setattr(finitefield, "_vec_mulmod", counting)
+    mod, l = [2, 1, 0, 4, 3, 1], 5
+    _vec_powmod([1, 3, 0, 2], e, mod, l)
+    assert len(squarings) == e.bit_length() - 1
+    assert len(products) == bin(e).count("1") - 1

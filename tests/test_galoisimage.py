@@ -346,6 +346,24 @@ def test_stable_subgroup_search_never_takes_the_boxed_split(monkeypatch):
     assert splits
 
 
+def test_no_line_at_11_on_37a1_powers_nothing(monkeypatch):
+    # psi_11 mod 3 has no divisor of degree 5; every step of the split
+    # substitutes x^3 for x, so nothing is ever raised to a power
+    from fineselmer import finitefield
+
+    calls = []
+    powmod = finitefield._vec_powmod
+
+    def counting_powmod(*args):
+        calls.append(args[1])
+        return powmod(*args)
+
+    monkeypatch.setattr(finitefield, "_vec_powmod", counting_powmod)
+    monkeypatch.setattr(factorization, "_vec_powmod", counting_powmod)
+    assert find_stable_subgroups(WeierstrassModel(*CREMONA["37a1"]), 11) == ()
+    assert calls == []
+
+
 # --- curves with complex multiplication never run the hunt ---
 
 # one curve over Q per rational CM j-invariant: j -> (a-invariants, the
