@@ -33,9 +33,9 @@ print()
 # Step 2: sort the places into S, S_0 and S_p. The bad prime 11 is 1 mod 5,
 # so mu_5 lives in Q_11 and 11 enters S_0.
 places = compute_place_sets(E, p, "Q")
-print("bad places:", [(r.place.label, "S0" if r.in_S0 else "S")
+print("bad places:", [(r.residue_char, "S0" if r.in_S0 else "S")
                       for r in places.bad_places])
-print("places above p:", [d.label for d in places.above_p])
+print(f"good reduction at the place above {p}:", places.good_above_p)
 print()
 
 # Step 3: how many places of the tower sit over 11? The closed form counts
@@ -56,10 +56,17 @@ print()
 # one stable line survives, so the unconditional route stays closed and
 # the bound is conditional on the stated hypotheses.
 report = compute_lambda_bound(E, p, "Q")
+print("places of S:", [(t.label, t.role) for t in report.terms])
 print(render_text(report, JobSpec(E.a_invariants, p)))
 print()
 
 # Step 6: same curve, base field Q(mu_5). 11 = 1 mod 5 splits into four
 # places, each contributing separately; the report says so with numbers.
+# compute_place_sets keeps them as one record, and the report's terms
+# list them one by one.
+(rec,) = compute_place_sets(E, p, "Q(mu_p)").bad_places
+print(f"above {rec.residue_char}: {rec.count} places of residue degree "
+      f"{rec.residue_degree}")
 report_k = compute_lambda_bound(E, p, "Q(mu_p)")
+print("places of S:", [(t.label, t.role) for t in report_k.terms])
 print(render_text(report_k, JobSpec(E.a_invariants, p, field="Q(mu_p)")))

@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .elliptic import WeierstrassModel
+from .elliptic import LADDER_MAX, WeierstrassModel
 from .lambdabound import (ASSUMPTION_TOKENS, LambdaBoundReport, LocalTerm,
                           compute_lambda_bound)
 from .localdata import SUPPORTED_FIELDS
@@ -456,7 +456,7 @@ def _build_run_parser() -> _Parser:
     q.add_argument("--curve", required=True,
                    help="five comma-separated a-invariants")
     q.add_argument("--label", help="free-text curve label, echoed in output")
-    q.add_argument("--p", required=True, help="odd prime, 3 <= p <= 13")
+    q.add_argument("--p", required=True, help=f"odd prime, 3 <= p <= {LADDER_MAX}")
     q.add_argument("--field", default="Q", choices=SUPPORTED_FIELDS)
     q.add_argument("--g-table", dest="g_table", metavar="PATH",
                    help="JSON decomposition table of a user Z_p-extension; "

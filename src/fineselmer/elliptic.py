@@ -39,9 +39,11 @@ __all__ = [
     "trace_of_frobenius",
     "frobenius_traces",
     "COUNT_LIMIT",
+    "LADDER_MAX",
 ]
 
 COUNT_LIMIT = 10**6
+LADDER_MAX = 13  # the division-polynomial ladder's top n, and so the cap on p
 
 
 def _exact(v) -> Fraction:
@@ -159,12 +161,12 @@ class WeierstrassModel:
     # -- division polynomials -------------------------------------------------
 
     def division_polynomial(self, n: int) -> QPoly:
-        """Univariate n-division polynomial for odd 3 <= n <= 13.
+        """Univariate n-division polynomial for odd 3 <= n <= LADDER_MAX.
 
         Integral models only, so the output has integer coefficients.
         """
-        if n % 2 == 0 or not 3 <= n <= 13:
-            raise ValueError("implemented for odd n between 3 and 13")
+        if n % 2 == 0 or not 3 <= n <= LADDER_MAX:
+            raise ValueError(f"implemented for odd n between 3 and {LADDER_MAX}")
         if not self.is_integral:
             raise ValueError("division polynomials expect an integral model")
         get_f, _, _ = self._division_ladder()
@@ -175,13 +177,13 @@ class WeierstrassModel:
         return poly
 
     def x_multiple_fraction(self, k: int) -> tuple[QPoly, QPoly]:
-        """x([k]P) = num(x)/den(x) as an x-only rational map, 2 <= k <= 13.
+        """x([k]P) = num(x)/den(x) as an x-only rational map, 2 <= k <= LADDER_MAX.
 
         Uses psi_{k-1} psi_{k+1} / psi_k^2 = x - x([k]P); the y-carrying
         factor psi_2 appears squared throughout, so everything collapses
         to the univariate ladder. Integral models only.
         """
-        if not 2 <= k <= 13:
+        if not 2 <= k <= LADDER_MAX:
             raise ValueError("k out of the supported ladder range")
         if not self.is_integral:
             raise ValueError("x-multiple maps expect an integral model")

@@ -139,7 +139,6 @@ class _DistinctDegree:
     """
 
     def __init__(self, f: list[int], l: int):
-        self.degree = len(f) - 1
         self.l = l
         self._parts: list[tuple[list[int], int]] = []
         self.rest = f

@@ -65,7 +65,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .elliptic import WeierstrassModel, frobenius_traces, trace_of_frobenius
+from .elliptic import (LADDER_MAX, WeierstrassModel, frobenius_traces,
+                       trace_of_frobenius)
 from .factorization import NoGoodPrime, factor_int_poly, good_reduction
 from .localdata import SUPPORTED_FIELDS
 from .modular import is_prime, primes_below
@@ -202,7 +203,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     When the division polynomial mod its good prime has no factor degrees
     summing to (p-1)/2, there is no candidate and nothing is factored.
     """
-    if p % 2 == 0 or not 3 <= p <= 13 or not is_prime(p):
+    if p % 2 == 0 or not 3 <= p <= LADDER_MAX or not is_prime(p):
         raise ValueError("p must be an odd prime within the ladder range")
     E = model.integral_model()
     psi = E.division_polynomial(p)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .cyclotomic import is_regular, kinf_ramification
-from .elliptic import WeierstrassModel
+from .elliptic import LADDER_MAX, WeierstrassModel
 from .factorization import factor_int_poly
 from .galoisimage import ImageClassification, classify_image
 from .localdata import DeltaResult, PlaceSets, compute_place_sets, delta_v, g_v
@@ -190,8 +190,8 @@ def compute_lambda_bound(
     place outside S0 takes its row's g, or else the closed form g_v.
     """
     # the cap comes first: is_prime on a huge p would not return
-    if p > 13:
-        raise ValueError("p is capped at 13 by the division-polynomial ladder")
+    if p > LADDER_MAX:
+        raise ValueError(f"p is capped at {LADDER_MAX} by the division-polynomial ladder")
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     for token in assume:
@@ -217,79 +217,68 @@ def compute_lambda_bound(
     ledger: dict[str, HypothesisEntry] = {}
 
     places: PlaceSets = compute_place_sets(model, p, field)
+    # S_p is the single place above p, named eta_p over Q(mu_p)
+    p_label = str(p) if field == "Q" else f"eta_{p}"
     if places.good_above_p:
         ledger["good-reduction-above-p"] = HypothesisEntry(
             "good-reduction-above-p", "certified",
             f"the curve has good reduction at every place above {p}")
     else:
-        bad_label = places.above_p[0].label if places.above_p else str(p)
         ledger["good-reduction-above-p"] = HypothesisEntry(
             "good-reduction-above-p", "refuted",
-            f"bad reduction at place {bad_label} above {p}; the bound "
+            f"bad reduction at place {p_label} above {p}; the bound "
             "machinery does not apply")
         notes.append(f"blocked: the curve has bad reduction at place "
-                     f"{bad_label} above {p}")
+                     f"{p_label} above {p}")
 
-    # local terms for every place of S = {bad} + {above p}.  Places in
-    # S0 contribute 2 g_v; bad places outside S0 are listed with a zero
+    # local terms for every place of S = {bad} + {above p}, one for each of
+    # a record's conjugate places, labelled ell or ell.1 ... ell.g.  Places
+    # in S0 contribute 2 g_v; bad places outside S0 are listed with a zero
     # contribution so the report shows all of S.  A place with a table
     # row takes its g; a place of S0 without one raises instead of being
     # papered over by the closed form.
     terms: list[LocalTerm] = []
     if places.good_above_p:
-        split_counts: dict[int, int] = {}
-        witnessed: set[tuple[int, int]] = set()
+        split_notes: list[str] = []
         for rec in places.bad_places:
-            pl = rec.place
-            key = (pl.residue_char, pl.residue_degree)
-            if key in table:
-                g, g_prov = table[key], "user-supplied"
+            ell, f = rec.residue_char, rec.residue_degree
+            if (ell, f) in table:
+                g, g_prov = table[ell, f], "user-supplied"
             elif rec.in_S0 and g_table is not None:
-                raise ValueError(f"no table entry for residue_char={key[0]}, "
-                                 f"f={key[1]}")
+                raise ValueError(f"no table entry for residue_char={ell}, f={f}")
             else:
-                g = g_v(pl.residue_char, p, field, pl.residue_degree)
-                g_prov = "computed-exact"
-            if rec.in_S0:
-                if g_table is None and key not in witnessed:
-                    witnessed.add(key)
-                    exp = p - 1 if field == "Q" else pl.residue_degree
-                    m = valuation(pl.residue_char ** exp - 1, p)
-                    notes.append(
-                        f"g witness above {pl.residue_char}: "
-                        f"v_{p}({pl.residue_char}^{exp} - 1) = {m}, "
-                        f"so g = {p}^max(0, {m} - 1) = {g}")
-                if pl.count > 1:
-                    split_counts[pl.residue_char] = pl.count
-                terms.append(LocalTerm(
-                    pl.label, pl.residue_char, pl.residue_degree, "S0",
-                    rec.kodaira, rec.split, g, g_prov, None, None, 2 * g))
-            else:
-                terms.append(LocalTerm(
-                    pl.label, pl.residue_char, pl.residue_degree, "S",
-                    rec.kodaira, rec.split, g, g_prov, None, None, 0))
-        pretty_field = f"Q(mu_{p})" if field == "Q(mu_p)" else field
-        for ell, cnt in sorted(split_counts.items()):
-            total = sum(t.contribution for t in terms
-                        if t.role == "S0" and t.residue_char == ell)
-            single = max(t.contribution for t in terms
-                         if t.role == "S0" and t.residue_char == ell)
-            notes.append(
-                f"{ell} has {cnt} places in {pretty_field}, and each enters "
-                f"the sum separately for {total} in all; a reading that "
-                f"treats {ell} as inert would keep a single term of "
-                f"{single} and understate the bound")
+                g, g_prov = g_v(ell, p, field, f), "computed-exact"
+            role, contribution = ("S0", 2 * g) if rec.in_S0 else ("S", 0)
+            labels = ([str(ell)] if rec.count == 1
+                      else [f"{ell}.{i}" for i in range(1, rec.count + 1)])
+            terms.extend(LocalTerm(label, ell, f, role, rec.kodaira, rec.split,
+                                   g, g_prov, None, None, contribution)
+                         for label in labels)
+            if not rec.in_S0:
+                continue
+            if g_table is None:
+                exp = p - 1 if field == "Q" else f
+                m = valuation(ell ** exp - 1, p)
+                notes.append(
+                    f"g witness above {ell}: v_{p}({ell}^{exp} - 1) = {m}, "
+                    f"so g = {p}^max(0, {m} - 1) = {g}")
+            if rec.count > 1:
+                # only a prime of Q that splits in Q(mu_p) has conjugates
+                split_notes.append(
+                    f"{ell} has {rec.count} places in Q(mu_{p}), and each "
+                    f"enters the sum separately for {rec.count * contribution} "
+                    f"in all; a reading that treats {ell} as inert would keep "
+                    f"a single term of {contribution} and understate the bound")
+        notes.extend(split_notes)
         delta: DeltaResult = delta_v(model, p, field)
-        for pl in places.above_p:
-            terms.append(LocalTerm(
-                pl.label, p, pl.residue_degree, "S_p", "good", None,
-                1, "computed-exact", delta.value, delta.provenance,
-                delta.value))
-            notes.append(f"g at {pl.label} is 1: the place above {p} is "
-                         "totally ramified in the tower")
-            notes.append(f"delta at {pl.label} decided by {delta.method}")
-            for extra in delta.notes:
-                notes.append(f"delta at {pl.label}: {extra}")
+        terms.append(LocalTerm(
+            p_label, p, 1, "S_p", "good", None,
+            1, "computed-exact", delta.value, delta.provenance, delta.value))
+        notes.append(f"g at {p_label} is 1: the place above {p} is "
+                     "totally ramified in the tower")
+        notes.append(f"delta at {p_label} decided by {delta.method}")
+        for extra in delta.notes:
+            notes.append(f"delta at {p_label}: {extra}")
         if delta.provenance == "conservative":
             notes.append("delta above p is a conservative upper value; the "
                          "bound remains valid but may overshoot by 2")

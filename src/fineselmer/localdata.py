@@ -13,7 +13,8 @@ cone is inspected directly.
 Places of the p-th cyclotomic field above ell != p are unramified over
 Q_ell, so the Q-minimal model stays minimal, good and additive types
 persist, and a nonsplit torus splits exactly when -c6 becomes a square
-in the bigger residue field.
+in the bigger residue field.  The g conjugate places above one ell share
+all of this, so they share one PlaceRecord, with count g.
 
 The defect delta_v is 2 when E has a p-torsion point over the
 completion at v, else 0.  Over Q_p with good reduction this reduces to
@@ -39,7 +40,6 @@ __all__ = [
     "tate_reduction_full",
     "KPlaceReduction",
     "reduction_over_K",
-    "PlaceDescriptor",
     "PlaceRecord",
     "PlaceSets",
     "compute_place_sets",
@@ -89,13 +89,9 @@ def _split_multiplicative(model: WeierstrassModel, ell: int) -> bool:
     # ell = 2: translate the singular point to the origin, then the node
     # is split iff the tangent quadratic T^2 + T + a2' has roots, i.e.
     # a2' is even.  a1' is automatically odd here since v(c4) = 0.
-    for r in range(2):
-        for t in range(2):
-            m = model.change_model(1, r, 0, t)
-            if all(int(v) % 2 == 0 for v in (m.a3, m.a4, m.a6)):
-                assert int(m.a1) % 2 == 1, "node with even a1 cannot happen at v(c4)=0"
-                return int(m.a2) % 2 == 0
-    raise AssertionError("no singular point found on a multiplicative fiber")
+    m = _move_singular_point(model, 2)
+    assert int(m.a1) % 2 == 1, "node with even a1 cannot happen at v(c4)=0"
+    return int(m.a2) % 2 == 0
 
 
 def _move_singular_point(model: WeierstrassModel, ell: int) -> WeierstrassModel:
@@ -272,13 +268,10 @@ class KPlaceReduction:
 
     ell: int
     p: int
-    e: int
-    f: int
+    f: int                       # unramified, so f g = p - 1
     g: int
-    base: ReductionData          # over Q_ell
-    category: str                # over the completion of Q(mu_p)
-    split: bool | None
-    kodaira: str
+    base: ReductionData          # over Q_ell; the type and category persist
+    split: bool | None           # over the completion of Q(mu_p)
 
 
 def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReduction:
@@ -294,8 +287,7 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
         raise ValueError("use the ramified-place handling for ell = p")
     base = tate_reduction(model, ell)
     f = multiplicative_order(ell % p, p)
-    g = (p - 1) // f
-    category, split, kodaira = base.category, base.split, base.kodaira
+    split = base.split
     if base.category == "multiplicative" and not base.split:
         # the nonsplit twist is by the unramified quadratic character,
         # which dies in the residue extension exactly when f is even
@@ -304,7 +296,7 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
             # Euler's criterion in F_{ell^f}, on the residue of -c6 in F_ell
             assert split == (pow(-int(base.minimal_model.c6) % ell, (ell**f - 1) // 2, ell) == 1)
         # a torus that splits is still the same Kodaira fiber
-    return KPlaceReduction(ell, p, 1, f, g, base, category, split, kodaira)
+    return KPlaceReduction(ell, p, f, (p - 1) // f, base, split)
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +305,13 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
 
 
 @dataclass(frozen=True)
-class PlaceDescriptor:
-    field: str               # "Q" or "Q(mu_p)"
+class PlaceRecord:
+    """The count conjugate places above one bad prime ell != p, which share
+    every local datum: 1 place over Q, g = (p-1)/f over Q(mu_p)."""
+
     residue_char: int
     residue_degree: int
-    ramification_index: int
-    index: int               # 1-based among the conjugate places
-    count: int               # how many conjugates share this data
-
-    @property
-    def label(self) -> str:
-        if self.field == "Q":
-            return str(self.residue_char)
-        if self.ramification_index > 1:
-            return f"eta_{self.residue_char}"
-        if self.count == 1:
-            return f"{self.residue_char}"
-        return f"{self.residue_char}.{self.index}"
-
-
-@dataclass(frozen=True)
-class PlaceRecord:
-    place: PlaceDescriptor
+    count: int
     category: str
     split: bool | None
     kodaira: str
@@ -345,9 +322,8 @@ class PlaceRecord:
 class PlaceSets:
     field: str
     p: int
-    good_above_p: bool
+    good_above_p: bool                     # S_p is the single place above p
     bad_places: tuple[PlaceRecord, ...]    # the places of S away from p
-    above_p: tuple[PlaceDescriptor, ...]   # S_p
 
     @property
     def S0(self) -> tuple[PlaceRecord, ...]:
@@ -361,49 +337,38 @@ def _bad_primes(model: WeierstrassModel) -> list[int]:
 
 
 def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> PlaceSets:
-    """S (bad places and places above p), S_p, and the subset S0.
+    """S (bad places and the place above p), S_p, and the subset S0.
 
     A bad place v away from p lands in S0 when mu_p is not contained in
     the completion F_v, or when the reduction is split multiplicative.
     Membership is decided on the minimal model at each place; primes
     dividing a non-minimal discriminant that turn out good are dropped.
+    The conjugate places above one ell share one PlaceRecord, in
+    increasing ell.
     """
     _require_odd_prime(p)
     if field not in SUPPORTED_FIELDS:
         raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
     records: list[PlaceRecord] = []
     good_above_p = True
-    if field == "Q":
-        for ell in _bad_primes(model):
-            red = tate_reduction(model, ell)
-            if red.is_good:
-                continue
-            if ell == p:
-                good_above_p = False
-                continue
-            mu_in = ell % p == 1  # mu_p in Q_ell iff ell = 1 (mod p), ell != p
-            in_s0 = (not mu_in) or (red.category == "multiplicative" and bool(red.split))
-            desc = PlaceDescriptor("Q", ell, 1, 1, 1, 1)
-            records.append(PlaceRecord(desc, red.category, red.split, red.kodaira,
-                                       in_s0))
-        above = (PlaceDescriptor("Q", p, 1, 1, 1, 1),)
-        return PlaceSets("Q", p, good_above_p, tuple(records), above)
-
-    # field == "Q(mu_p)"
     for ell in _bad_primes(model):
         if ell == p:
             good_above_p = tate_reduction(model, p).is_good
             continue
-        kred = reduction_over_K(model, ell, p)
-        if kred.category == "good":
+        if field == "Q":
+            red = tate_reduction(model, ell)
+            f, count, split = 1, 1, red.split
+            mu_in = ell % p == 1  # mu_p in Q_ell iff ell = 1 (mod p), ell != p
+        else:
+            kred = reduction_over_K(model, ell, p)
+            red, f, count, split = kred.base, kred.f, kred.g, kred.split
+            mu_in = True  # mu_p lies in every completion of Q(mu_p)
+        if red.is_good:
             continue
-        in_s0 = kred.category == "multiplicative" and bool(kred.split)
-        for i in range(1, kred.g + 1):
-            desc = PlaceDescriptor("Q(mu_p)", ell, kred.f, 1, i, kred.g)
-            records.append(PlaceRecord(desc, kred.category, kred.split,
-                                       kred.kodaira, in_s0))
-    above = (PlaceDescriptor("Q(mu_p)", p, 1, p - 1, 1, 1),)
-    return PlaceSets("Q(mu_p)", p, good_above_p, tuple(records), above)
+        in_s0 = (not mu_in) or (red.category == "multiplicative" and bool(split))
+        records.append(PlaceRecord(ell, f, count, red.category, split,
+                                   red.kodaira, in_s0))
+    return PlaceSets(field, p, good_above_p, tuple(records))
 
 
 # ---------------------------------------------------------------------------

@@ -120,14 +120,15 @@ def test_is_regular_checks_the_cap_before_primality(deadline):
 
 
 # the places of Q(mu_p) above ell != p come from reduction_over_K, which
-# reads e, f and g off any curve; the place above p is covered by the
-# place-set tests in test_localdata
+# reads f and g off any curve; they are unramified, so e = 1 shows as
+# f g = p - 1. The place above p is covered by the place-set tests in
+# test_localdata
 E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 
 
-def decomposition(ell: int, p: int) -> tuple[int, int, int]:
+def decomposition(ell: int, p: int) -> tuple[int, int]:
     red = reduction_over_K(E11A1, ell, p)
-    return red.e, red.f, red.g
+    return red.f, red.g
 
 
 def test_decomposition_degree_identity():
@@ -135,16 +136,15 @@ def test_decomposition_degree_identity():
         for ell in primes_below(100):
             if ell == p:
                 continue
-            e, f, g = decomposition(ell, p)
-            assert e * f * g == p - 1
-            assert e == 1
+            f, g = decomposition(ell, p)
+            assert f * g == p - 1
             assert f == multiplicative_order(ell % p, p)
 
 
 def test_decomposition_worked_values():
-    assert decomposition(11, 5) == (1, 1, 4)  # 11 = 1 mod 5: split
-    assert decomposition(2, 5) == (1, 4, 1)   # 2 generates (Z/5)^x
-    assert decomposition(7, 3) == (1, 1, 2)
+    assert decomposition(11, 5) == (1, 4)  # 11 = 1 mod 5: split
+    assert decomposition(2, 5) == (4, 1)   # 2 generates (Z/5)^x
+    assert decomposition(7, 3) == (1, 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,7 +154,7 @@ def test_splitting_count_from_orbits(p, idx):
     # counted here directly as (p-1)/ord(ell)
     ells = [ell for ell in primes_below(200) if ell != p]
     ell = ells[idx % len(ells)]
-    _, f, g = decomposition(ell, p)
+    f, g = decomposition(ell, p)
     orbits = set()
     for r in range(1, p):
         orbit = frozenset(r * pow(ell, k, p) % p for k in range(f))

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from fineselmer import cli
+from fineselmer import cli, lambdabound
 from fineselmer.elliptic import WeierstrassModel
 from fineselmer.lambdabound import (
     ASSUMPTION_TOKENS,
@@ -24,6 +24,7 @@ E49A1 = WeierstrassModel(1, -1, 0, -2, -1)
 E121B1 = WeierstrassModel(0, -1, 1, -7, 10)
 E37A1 = WeierstrassModel(0, 0, 1, -1, 0)
 E389A1 = WeierstrassModel(0, 1, 1, -2, 0)
+E26B1 = WeierstrassModel(1, -1, 1, -3, 3)
 
 
 def ledger_map(report):
@@ -58,6 +59,42 @@ def test_worked_example_over_Qmu5():
     assert r.bound == sum(t.contribution for t in r.terms)
     # the four-way splitting is called out, with the inert misreading named
     assert any("4 places" in note and "inert" in note for note in r.notes)
+
+
+def test_each_record_gives_one_term_per_conjugate_place():
+    # 26b1 at 7 over Q(mu_7): 2 splits into two places and 13 into three
+    r = compute_lambda_bound(E26B1, 7, "Q(mu_p)")
+    records = lambdabound.compute_place_sets(E26B1, 7, "Q(mu_p)").bad_places
+    assert [t.label for t in r.terms] == [
+        f"{rec.residue_char}.{i}" for rec in records
+        for i in range(1, rec.count + 1)] + ["eta_7"]
+    assert [t.label for t in r.terms] == ["2.1", "2.2", "13.1", "13.2", "13.3", "eta_7"]
+    # the g witnesses in ell order, then the split notes, then the place above 7
+    assert list(r.notes[:5]) == [
+        "g witness above 2: v_7(2^3 - 1) = 1, so g = 7^max(0, 1 - 1) = 1",
+        "g witness above 13: v_7(13^2 - 1) = 1, so g = 7^max(0, 1 - 1) = 1",
+        "2 has 2 places in Q(mu_7), and each enters the sum separately for 4 "
+        "in all; a reading that treats 2 as inert would keep a single term "
+        "of 2 and understate the bound",
+        "13 has 3 places in Q(mu_7), and each enters the sum separately for 6 "
+        "in all; a reading that treats 13 as inert would keep a single term "
+        "of 2 and understate the bound",
+        "g at eta_7 is 1: the place above 7 is totally ramified in the tower",
+    ]
+    assert r.bound == 12 and r.strength == "conditional"
+
+
+def test_g_v_is_read_once_per_record(monkeypatch):
+    calls = []
+    g_v = lambdabound.g_v
+
+    def counting(*args):
+        calls.append(args)
+        return g_v(*args)
+
+    monkeypatch.setattr(lambdabound, "g_v", counting)
+    compute_lambda_bound(E26B1, 7, "Q(mu_p)")
+    assert calls == [(2, 7, "Q(mu_p)", 3), (13, 7, "Q(mu_p)", 2)]
 
 
 def test_sum_of_terms_always_recomposes_the_bound():

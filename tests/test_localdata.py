@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fineselmer import localdata
 from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
+from fineselmer.lambdabound import compute_lambda_bound
 from fineselmer.localdata import (
     _tate_shortcut,
     compute_place_sets,
@@ -34,6 +35,7 @@ E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 E11A2 = WeierstrassModel(0, -1, 1, -7820, -263580)
 E49A1 = WeierstrassModel(1, -1, 0, -2, -1)
 E121B1 = WeierstrassModel(0, -1, 1, -7, 10)
+E26B1 = WeierstrassModel(1, -1, 1, -3, 3)
 
 
 # --- Kodaira types ---
@@ -155,9 +157,10 @@ def test_unimodular_invariance(a, ell, r0, s0, t0):
 
 
 def test_splitting_of_eleven_over_Qmu5():
+    # unramified: f g = p - 1 leaves no room for e > 1
     k = reduction_over_K(E11A2, 11, 5)
-    assert (k.e, k.f, k.g) == (1, 1, 4)
-    assert k.category == "multiplicative" and k.split is True
+    assert (k.f, k.g) == (1, 4) and k.f * k.g == 5 - 1
+    assert k.base.category == "multiplicative" and k.split is True
 
 
 def find_nonsplit_at_two():
@@ -215,17 +218,30 @@ def test_split_over_K_matches_oracle_square_in_residue_field():
 def test_place_sets_over_Q():
     ps = compute_place_sets(E11A2, 5, "Q")
     assert ps.good_above_p
-    assert [r.place.residue_char for r in ps.bad_places] == [11]
+    assert [(r.residue_char, r.residue_degree, r.count) for r in ps.bad_places] == [
+        (11, 1, 1)]
     assert ps.bad_places[0].in_S0
     assert ps.bad_places[0].category == "multiplicative"
 
 
 def test_place_sets_over_Qmup():
+    # the four places above 11 = 1 (mod 5) share one record
     ps = compute_place_sets(E11A2, 5, "Q(mu_p)")
-    assert len(ps.bad_places) == 4
+    assert [(r.residue_char, r.residue_degree, r.count) for r in ps.bad_places] == [
+        (11, 1, 4)]
     assert all(r.in_S0 for r in ps.bad_places)
-    assert [r.place.label for r in ps.bad_places] == ["11.1", "11.2", "11.3", "11.4"]
-    assert ps.above_p[0].ramification_index == 4
+    # the report lists them one by one, then the ramified place above 5
+    labels = [t.label for t in compute_lambda_bound(E11A2, 5, "Q(mu_p)").terms]
+    assert labels == ["11.1", "11.2", "11.3", "11.4", "eta_5"]
+
+
+def test_conjugate_places_share_one_record():
+    # 26b1 at 7: 2 has order 3 and 13 order 2 mod 7, so 2 splits into two
+    # places of Q(mu_7) and 13 into three, all split multiplicative
+    ps = compute_place_sets(E26B1, 7, "Q(mu_p)")
+    assert [(r.residue_char, r.residue_degree, r.count, r.kodaira, r.in_S0)
+            for r in ps.bad_places] == [(2, 3, 2, "I7", True), (13, 2, 3, "I1", True)]
+    assert all(r.residue_degree * r.count == 7 - 1 for r in ps.bad_places)
 
 
 def test_S0_empty_cases():
@@ -241,7 +257,7 @@ def test_S0_membership_depends_on_mu_p():
     # 11a1 at p = 7: 11 is not 1 mod 7, so mu_7 is not in Q_11 and the
     # multiplicative place lands in S0 regardless of splitting
     ps = compute_place_sets(E11A1, 7, "Q")
-    assert [r.place.residue_char for r in ps.bad_places] == [11]
+    assert [r.residue_char for r in ps.bad_places] == [11]
     assert ps.bad_places[0].in_S0
 
 
