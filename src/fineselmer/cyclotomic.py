@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .modular import is_prime, primes_below
+from .localdata import require_field
+from .modular import primes_below, require_odd_prime
 
 __all__ = [
     "bernoulli_table",
@@ -87,8 +88,7 @@ def is_regular(p: int) -> bool:
     """
     if p > MAX_REGULARITY_PRIME:
         raise ValueError(f"regularity test capped at {MAX_REGULARITY_PRIME}")
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     if p in (3, 5, 7):
         return True
     residues = _bernoulli_mod_p(p)
@@ -113,12 +113,11 @@ def kinf_ramification(p: int, field: str = "Q") -> RamificationStatement:
     the tower, a computation inside Q(mu_{p^infty}) that needs no input
     data: certified.  Any other base field is a ValueError.
     """
+    require_field(field)
     if field == "Q":
         return RamificationStatement(
             "Q", p,
             f"p = {p} is totally ramified in every layer Q(mu_{{{p}^n}})+")
-    if field == "Q(mu_p)":
-        return RamificationStatement(
-            "Q(mu_p)", p,
-            f"eta_{p} is totally ramified in Q(mu_{{{p}^infty}})")
-    raise ValueError('field must be "Q" or "Q(mu_p)"')
+    return RamificationStatement(
+        "Q(mu_p)", p,
+        f"eta_{p} is totally ramified in Q(mu_{{{p}^infty}})")

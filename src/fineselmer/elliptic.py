@@ -19,6 +19,10 @@ odd n gives a univariate polynomial of degree (n^2-1)/2 with leading
 coefficient n whose roots are the x-coordinates of the nonzero
 n-torsion.  The model is integral, so the ladder (and the x-multiple
 maps built on it) runs on integer lists and returns QPolys at the end.
+Each model object has one ladder: built on first use, kept with the
+object in one slot, and extended as larger n are asked for, so every
+division polynomial and x-multiple map of one model reads the same
+ladder.  Nothing is kept at module level; a new model builds its own.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class WeierstrassModel:
     """Immutable Weierstrass equation y^2 + a1xy + a3y = x^3 + a2x^2 + a4x + a6."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "b2", "b4", "b6", "b8",
-                 "c4", "c6", "discriminant")
+                 "c4", "c6", "discriminant", "_ladder")
 
     def __init__(self, a1, a2, a3, a4, a6):
         a = tuple(_exact(v) for v in (a1, a2, a3, a4, a6))
@@ -96,7 +100,7 @@ class WeierstrassModel:
             invariants = _invariants(*a)
         if invariants[-1] == 0:
             raise ValueError("singular model: discriminant is zero")
-        for name, val in zip(self.__slots__, a + invariants):
+        for name, val in zip(self.__slots__, a + invariants + (None,)):
             object.__setattr__(self, name, val)
 
     def __setattr__(self, name, value):
@@ -163,14 +167,14 @@ class WeierstrassModel:
     def division_polynomial(self, n: int) -> QPoly:
         """Univariate n-division polynomial for odd 3 <= n <= LADDER_MAX.
 
-        Integral models only, so the output has integer coefficients.
+        Integral models only, so the output has integer coefficients.  It
+        is read off the model's one ladder, which is kept with the model.
         """
         if n % 2 == 0 or not 3 <= n <= LADDER_MAX:
             raise ValueError(f"implemented for odd n between 3 and {LADDER_MAX}")
         if not self.is_integral:
             raise ValueError("division polynomials expect an integral model")
-        get_f, _, _ = self._division_ladder()
-        poly = QPoly(get_f(n))
+        poly = QPoly(_ladder_psi(self._psi_ladder(), n))
         expected_deg = (n * n - 1) // 2
         assert poly.degree == expected_deg and poly.leading == n, (
             "division polynomial shape check failed")
@@ -181,67 +185,62 @@ class WeierstrassModel:
 
         Uses psi_{k-1} psi_{k+1} / psi_k^2 = x - x([k]P); the y-carrying
         factor psi_2 appears squared throughout, so everything collapses
-        to the univariate ladder. Integral models only.
+        to the univariate ladder, the model's one ladder that
+        division_polynomial reads too. Integral models only.
         """
         if not 2 <= k <= LADDER_MAX:
             raise ValueError("k out of the supported ladder range")
         if not self.is_integral:
             raise ValueError("x-multiple maps expect an integral model")
-        get_f, get_g, F = self._division_ladder()
+        ladder = self._psi_ladder()
+        den = _mul(_ladder_psi(ladder, k), _ladder_psi(ladder, k))
+        cross = _mul(_ladder_psi(ladder, k - 1), _ladder_psi(ladder, k + 1))
+        # psi_2^2 = F goes with the even-index side
         if k % 2:
-            den = _mul(get_f(k), get_f(k))
-            num = _sub([0] + den, _mul(F, _mul(get_g(k - 1), get_g(k + 1))))
+            cross = _mul(ladder[1], cross)
         else:
-            den = _mul(F, _mul(get_g(k), get_g(k)))
-            num = _sub([0] + den, _mul(get_f(k - 1), get_f(k + 1)))
-        return QPoly(num), QPoly(den)
+            den = _mul(ladder[1], den)
+        return QPoly(_sub([0] + den, cross)), QPoly(den)
+
+    def _psi_ladder(self):
+        """The model's ladder: built by _division_ladder on first use, then kept."""
+        if self._ladder is None:
+            object.__setattr__(self, "_ladder", self._division_ladder())
+        return self._ladder
 
     def _division_ladder(self):
-        """(get_f, get_g, F) on int lists: psi_k for odd k, psi_k / psi_2 for
-        even k, and F = 4x^3 + b2 x^2 + 2 b4 x + b6 = psi_2^2."""
+        """(table, F, F^2) on int lists, F = 4x^3 + b2 x^2 + 2 b4 x + b6 =
+        psi_2^2. The table maps odd k to psi_k and even k to psi_k / psi_2;
+        it starts at 1 <= k <= 4, and _ladder_psi adds the rest as asked."""
         b2, b4, b6, b8 = (int(v) for v in (self.b2, self.b4, self.b6, self.b8))
         F = [b6, 2 * b4, b2, 4]
-        f: dict[int, list[int]] = {
-            1: [1],
-            3: [b8, 3 * b6, 3 * b4, b2, 3],
-        }
-        g: dict[int, list[int]] = {
-            0: [],
-            2: [1],
-            4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
-                10 * b8, 10 * b6, 5 * b4, b2, 2],
-        }
-        F2 = _mul(F, F)
+        table = {1: [1], 2: [1], 3: [b8, 3 * b6, 3 * b4, b2, 3],
+                 4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
+                     10 * b8, 10 * b6, 5 * b4, b2, 2]}
+        return table, F, _mul(F, F)
 
-        def sq(a):
-            return _mul(a, a)
 
-        def cube(a):
-            return _mul(a, sq(a))
-
-        def get_f(k: int) -> list[int]:
-            if k not in f:
-                m = (k - 1) // 2
-                if m % 2 == 0:
-                    f[k] = _sub(_mul(_mul(F2, get_g(m + 2)), cube(get_g(m))),
-                                _mul(get_f(m - 1), cube(get_f(m + 1))))
-                else:
-                    f[k] = _sub(_mul(get_f(m + 2), cube(get_f(m))),
-                                _mul(_mul(F2, get_g(m - 1)), cube(get_g(m + 1))))
-            return f[k]
-
-        def get_g(k: int) -> list[int]:
-            if k not in g:
-                m = k // 2
-                if m % 2 == 0:
-                    g[k] = _mul(get_g(m), _sub(_mul(get_g(m + 2), sq(get_f(m - 1))),
-                                               _mul(get_g(m - 2), sq(get_f(m + 1)))))
-                else:
-                    g[k] = _mul(get_f(m), _sub(_mul(get_f(m + 2), sq(get_g(m - 1))),
-                                               _mul(get_f(m - 2), sq(get_g(m + 1)))))
-            return g[k]
-
-        return get_f, get_g, F
+def _ladder_psi(ladder, k: int) -> list[int]:
+    """Entry t_k of the ladder's table, added with the entries it needs if
+    missing.  In t_k = psi_k for odd k and psi_k / psi_2 for even k, the
+    bisection formulas read t_(2m) = t_m (t_(m+2) t_(m-1)^2 - t_(m-2) t_(m+1)^2)
+    and t_(2m+1) = t_(m+2) t_m^3 - t_(m-1) t_(m+1)^3, whose product of
+    even-index entries also takes the factor psi_2^4 = F^2."""
+    table, _, F2 = ladder
+    if k not in table:
+        m = k // 2
+        a, b, c, d = (_ladder_psi(ladder, i) for i in (m + 2, m, m - 1, m + 1))
+        if k % 2:
+            left, right = _mul(a, _mul(b, _mul(b, b))), _mul(c, _mul(d, _mul(d, d)))
+            if m % 2:
+                right = _mul(F2, right)
+            else:
+                left = _mul(F2, left)
+            table[k] = _sub(left, right)
+        else:
+            e = _ladder_psi(ladder, m - 2)
+            table[k] = _mul(b, _sub(_mul(a, _mul(c, c)), _mul(e, _mul(d, d))))
+    return table[k]
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,8 @@ from itertools import combinations
 from .elliptic import (LADDER_MAX, WeierstrassModel, frobenius_traces,
                        trace_of_frobenius)
 from .factorization import NoGoodPrime, factor_int_poly, good_reduction
-from .localdata import SUPPORTED_FIELDS
-from .modular import is_prime, primes_below
+from .localdata import require_field
+from .modular import primes_below, require_odd_prime
 from .polynomial import QPoly
 
 __all__ = [
@@ -203,8 +203,10 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     When the division polynomial mod its good prime has no factor degrees
     summing to (p-1)/2, there is no candidate and nothing is factored.
     """
-    if p % 2 == 0 or not 3 <= p <= LADDER_MAX or not is_prime(p):
-        raise ValueError("p must be an odd prime within the ladder range")
+    # the cap comes first: is_prime on a huge p would not return
+    if p > LADDER_MAX:
+        raise ValueError(f"p is capped at {LADDER_MAX} by the division-polynomial ladder")
+    require_odd_prime(p)
     E = model.integral_model()
     psi = E.division_polynomial(p)
     d = (p - 1) // 2
@@ -298,8 +300,7 @@ def surjectivity_certificate(model: WeierstrassModel, p: int
     (D_K / p), the same for every ell.  So witnesses (i) and (ii) never
     both appear, below any bound.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     if p == 3 or model.j_invariant in CM_J_INVARIANTS:
         return None
     E = model.integral_model()
@@ -357,8 +358,7 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q"
     delicate direction (refutation) survives because the witnesses to
     failure have determinant one.
     """
-    if field not in SUPPORTED_FIELDS:
-        raise ValueError("field must be 'Q' or 'Q(mu_p)'")
+    require_field(field)
     witnesses = find_stable_subgroups(model, p)
     n = len(witnesses)
     if n >= 2:

@@ -38,9 +38,9 @@ from math import isqrt
 from .cyclotomic import is_regular, kinf_ramification
 from .elliptic import LADDER_MAX, WeierstrassModel
 from .factorization import factor_int_poly
-from .galoisimage import ImageClassification, classify_image
-from .localdata import DeltaResult, PlaceSets, compute_place_sets, delta_v, g_v
-from .modular import is_prime, valuation
+from .galoisimage import classify_image
+from .localdata import compute_place_sets, delta_v, g_v, require_field
+from .modular import require_odd_prime, valuation
 
 __all__ = [
     "HYPOTHESIS_IDS",
@@ -113,7 +113,6 @@ class RouteBound:
     route: str                   # "local-only" | "with-global-dims"
     bound: int | None
     strength: str                # unconditional | conditional | blocked
-    required: tuple[str, ...]
     global_part: int
     notes: tuple[str, ...]
 
@@ -182,6 +181,10 @@ def compute_lambda_bound(
 ) -> LambdaBoundReport:
     """Run the whole pipeline for one curve, prime, and base field.
 
+    The inputs are checked once, before any arithmetic: the cap on p, p,
+    the field, the assumptions, the dimensions, the table rows. Then one
+    integral model serves every layer and the report, with one ladder.
+
     g_table, when given, is a user Z_p-extension: rows {residue_char,
     residue_degree (1 if absent), g}. It is read once, before any place:
     a row with g < 1 or a second row for one (residue_char,
@@ -192,8 +195,8 @@ def compute_lambda_bound(
     # the cap comes first: is_prime on a huge p would not return
     if p > LADDER_MAX:
         raise ValueError(f"p is capped at {LADDER_MAX} by the division-polynomial ladder")
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
+    require_field(field)
     for token in assume:
         if token not in ASSUMPTION_TOKENS:
             raise ValueError(f"unknown assumption {token!r}; "
@@ -213,10 +216,11 @@ def compute_lambda_bound(
                              f"residue_char={key[0]}, f={key[1]}")
         table[key] = int(row["g"])
 
+    E = model.integral_model()
     notes: list[str] = []
     ledger: dict[str, HypothesisEntry] = {}
 
-    places: PlaceSets = compute_place_sets(model, p, field)
+    places = compute_place_sets(E, p, field)
     # S_p is the single place above p, named eta_p over Q(mu_p)
     p_label = str(p) if field == "Q" else f"eta_{p}"
     if places.good_above_p:
@@ -270,7 +274,7 @@ def compute_lambda_bound(
                     f"in all; a reading that treats {ell} as inert would keep "
                     f"a single term of {contribution} and understate the bound")
         notes.extend(split_notes)
-        delta: DeltaResult = delta_v(model, p, field)
+        delta = delta_v(E, p, field)
         terms.append(LocalTerm(
             p_label, p, 1, "S_p", "good", None,
             1, "computed-exact", delta.value, delta.provenance, delta.value))
@@ -297,14 +301,13 @@ def compute_lambda_bound(
     # it finds the rational factors of degree <= (p - 1)/2 only when the
     # degrees there leave room for a stable line
     if places.good_above_p:
-        image: ImageClassification = classify_image(model, p, field)
+        image = classify_image(E, p, field)
         ledger["image-condition"] = HypothesisEntry(
             "image-condition",
             image.image_condition,
             f"{image.status}: " + "; ".join(image.notes))
         guard = (len(image.witnesses) >= 2
-                 and any(_pointwise_rational_line(model.integral_model(),
-                                                  w.kernel_monic)
+                 and any(_pointwise_rational_line(E, w.kernel_monic)
                          for w in image.witnesses))
     else:
         ledger["image-condition"] = HypothesisEntry(
@@ -369,7 +372,7 @@ def compute_lambda_bound(
         strength = _route_strength(ledger, required)
         routes.append(RouteBound(
             name, None if strength == "blocked" else local_sum + global_part,
-            strength, required, global_part,
+            strength, global_part,
             tuple(f"{h}: refuted" for h in required
                   if ledger[h].status == "refuted")))
 
@@ -393,6 +396,6 @@ def compute_lambda_bound(
     order = {h: i for i, h in enumerate(HYPOTHESIS_IDS)}
     ledger_tuple = tuple(sorted(ledger.values(), key=lambda e: order[e.id]))
     return LambdaBoundReport(
-        model.integral_model(), p, field, tuple(terms), invariants,
+        E, p, field, tuple(terms), invariants,
         ledger_tuple, tuple(routes), route_name, bound, strength,
         tuple(notes))

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .elliptic import WeierstrassModel, trace_of_frobenius
-from .modular import factorize, is_prime, multiplicative_order, valuation
+from .modular import (factorize, is_prime, multiplicative_order,
+                      require_odd_prime, valuation)
 from .padic import DEFAULT_PRECISION, padic_roots
 
 __all__ = [
@@ -48,9 +49,16 @@ __all__ = [
     "DeltaResult",
     "delta_v",
     "SUPPORTED_FIELDS",
+    "require_field",
 ]
 
 SUPPORTED_FIELDS = ("Q", "Q(mu_p)")
+
+
+def require_field(field: str) -> None:
+    """The one check that field is a supported base field; ValueError otherwise."""
+    if field not in SUPPORTED_FIELDS:
+        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +68,6 @@ SUPPORTED_FIELDS = ("Q", "Q(mu_p)")
 
 @dataclass(frozen=True)
 class ReductionData:
-    prime: int
     minimal_model: WeierstrassModel
     kodaira: str
     category: str            # "good" | "multiplicative" | "additive"
@@ -140,20 +147,20 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
         vD = _vl(E.discriminant, ell)
         assert vD is not None
         if vD == 0:
-            return ReductionData(ell, E, "I0", "good", 0, _vl(E.c4, ell), None)
+            return ReductionData(E, "I0", "good", 0, _vl(E.c4, ell), None)
         vc4 = _vl(E.c4, ell)
         if vc4 == 0:
             return ReductionData(
-                ell, E, f"I{vD}", "multiplicative", vD, 0,
+                E, f"I{vD}", "multiplicative", vD, 0,
                 _split_multiplicative(E, ell))
         # additive: put the cusp at the origin
         E = _move_singular_point(E, ell)
         if int(E.a6) % ell**2 != 0:
-            return ReductionData(ell, E, "II", "additive", vD, _vl(E.c4, ell), None)
+            return ReductionData(E, "II", "additive", vD, _vl(E.c4, ell), None)
         if int(E.b8) % ell**3 != 0:
-            return ReductionData(ell, E, "III", "additive", vD, _vl(E.c4, ell), None)
+            return ReductionData(E, "III", "additive", vD, _vl(E.c4, ell), None)
         if int(E.b6) % ell**3 != 0:
-            return ReductionData(ell, E, "IV", "additive", vD, _vl(E.c4, ell), None)
+            return ReductionData(E, "IV", "additive", vD, _vl(E.c4, ell), None)
         E = _normalize_step6(E, ell)
         # cubic T^3 + a_{2,1} T^2 + a_{4,2} T + a_{6,3} over F_ell
         c2 = int(E.a2) // ell
@@ -164,7 +171,7 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
                     if (((x + c2) * x + c4_) * x + c6_) % ell == 0
                     and ((3 * x + 2 * c2) * x + c4_) % ell == 0), None)
         if rep is None:
-            return ReductionData(ell, E, "I0*", "additive", vD, _vl(E.c4, ell), None)
+            return ReductionData(E, "I0*", "additive", vD, _vl(E.c4, ell), None)
         # shift the repeated root to 0
         E = E.change_model(1, ell * rep, 0, 0)
         triple = int(E.a2) // ell % ell == 0
@@ -178,7 +185,7 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
                 a6m = int(E.a6) // ell ** (2 * m + 2)
                 dy = _double_root_mod(1, a3m, -a6m, ell)
                 if dy is None:
-                    return ReductionData(ell, E, f"I{n_odd}*", "additive", vD,
+                    return ReductionData(E, f"I{n_odd}*", "additive", vD,
                                          _vl(E.c4, ell), None)
                 E = E.change_model(1, 0, 0, ell ** (m + 1) * dy)
                 a2m = int(E.a2) // ell
@@ -186,7 +193,7 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
                 a6m = int(E.a6) // ell ** (2 * m + 3)
                 dx = _double_root_mod(a2m, a4m, a6m, ell)
                 if dx is None:
-                    return ReductionData(ell, E, f"I{2 * m}*", "additive", vD,
+                    return ReductionData(E, f"I{2 * m}*", "additive", vD,
                                          _vl(E.c4, ell), None)
                 E = E.change_model(1, ell ** (m + 1) * dx, 0, 0)
                 m += 1
@@ -195,12 +202,12 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
         a64 = int(E.a6) // ell**4
         dy = _double_root_mod(1, a32, -a64, ell)
         if dy is None:
-            return ReductionData(ell, E, "IV*", "additive", vD, _vl(E.c4, ell), None)
+            return ReductionData(E, "IV*", "additive", vD, _vl(E.c4, ell), None)
         E = E.change_model(1, 0, 0, ell**2 * dy)
         if int(E.a4) % ell**4 != 0:
-            return ReductionData(ell, E, "III*", "additive", vD, _vl(E.c4, ell), None)
+            return ReductionData(E, "III*", "additive", vD, _vl(E.c4, ell), None)
         if int(E.a6) % ell**6 != 0:
-            return ReductionData(ell, E, "II*", "additive", vD, _vl(E.c4, ell), None)
+            return ReductionData(E, "II*", "additive", vD, _vl(E.c4, ell), None)
         # nothing stopped us: the model was non-minimal; rescale and restart
         E = E.change_model(ell, 0, 0, 0)
         assert E.is_integral, "rescaled model must stay integral"
@@ -232,16 +239,16 @@ def _tate_shortcut(model: WeierstrassModel, ell: int) -> ReductionData:
         assert new_vD == vD - 12 * k, "short-model rescale broke the valuation"
         vD = new_vD
     if vD == 0:
-        return ReductionData(ell, E, "I0", "good", 0, v4, None)
+        return ReductionData(E, "I0", "good", 0, v4, None)
     if v4 == 0:
-        return ReductionData(ell, E, f"I{vD}", "multiplicative", vD, 0,
+        return ReductionData(E, f"I{vD}", "multiplicative", vD, 0,
                              _split_multiplicative(E, ell))
     # additive; negative v(j) = 3 v(c4) - v(D) marks the I_n* family
     if v4 is not None and 3 * v4 < vD:
-        return ReductionData(ell, E, f"I{vD - 6}*", "additive", vD, v4, None)
+        return ReductionData(E, f"I{vD - 6}*", "additive", vD, v4, None)
     kod = _KODAIRA_BY_VDISC.get(vD)
     assert kod is not None, f"impossible additive v(D) = {vD} at ell = {ell} >= 5"
-    return ReductionData(ell, E, kod, "additive", vD, v4, None)
+    return ReductionData(E, kod, "additive", vD, v4, None)
 
 
 def tate_reduction(model: WeierstrassModel, ell: int) -> ReductionData:
@@ -257,17 +264,10 @@ def tate_reduction(model: WeierstrassModel, ell: int) -> ReductionData:
 # ---------------------------------------------------------------------------
 
 
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-
-
 @dataclass(frozen=True)
 class KPlaceReduction:
     """Common reduction data for the g conjugate places of Q(mu_p) above ell."""
 
-    ell: int
-    p: int
     f: int                       # unramified, so f g = p - 1
     g: int
     base: ReductionData          # over Q_ell; the type and category persist
@@ -282,7 +282,7 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
     splitting exactly when -c6 becomes a square in the residue field
     F_{ell^f}.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if ell == p:
         raise ValueError("use the ramified-place handling for ell = p")
     base = tate_reduction(model, ell)
@@ -296,7 +296,7 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
             # Euler's criterion in F_{ell^f}, on the residue of -c6 in F_ell
             assert split == (pow(-int(base.minimal_model.c6) % ell, (ell**f - 1) // 2, ell) == 1)
         # a torus that splits is still the same Kodaira fiber
-    return KPlaceReduction(ell, p, f, (p - 1) // f, base, split)
+    return KPlaceReduction(f, (p - 1) // f, base, split)
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +320,12 @@ class PlaceRecord:
 
 @dataclass(frozen=True)
 class PlaceSets:
-    field: str
-    p: int
     good_above_p: bool                     # S_p is the single place above p
     bad_places: tuple[PlaceRecord, ...]    # the places of S away from p
 
     @property
     def S0(self) -> tuple[PlaceRecord, ...]:
         return tuple(r for r in self.bad_places if r.in_S0)
-
-
-def _bad_primes(model: WeierstrassModel) -> list[int]:
-    E = model.integral_model()
-    disc = abs(int(E.discriminant))
-    return sorted(factorize(disc))
 
 
 def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> PlaceSets:
@@ -346,12 +338,12 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
     The conjugate places above one ell share one PlaceRecord, in
     increasing ell.
     """
-    _require_odd_prime(p)
-    if field not in SUPPORTED_FIELDS:
-        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
+    require_odd_prime(p)
+    require_field(field)
     records: list[PlaceRecord] = []
     good_above_p = True
-    for ell in _bad_primes(model):
+    # factorize lists the primes increasing
+    for ell in factorize(abs(int(model.integral_model().discriminant))):
         if ell == p:
             good_above_p = tate_reduction(model, p).is_good
             continue
@@ -368,7 +360,7 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
         in_s0 = (not mu_in) or (red.category == "multiplicative" and bool(split))
         records.append(PlaceRecord(ell, f, count, red.category, split,
                                    red.kodaira, in_s0))
-    return PlaceSets(field, p, good_above_p, tuple(records))
+    return PlaceSets(good_above_p, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +377,8 @@ def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1) -> int:
     the layer-n Galois group of index p^min(n, m).  This is the closed
     form alone; compute_lambda_bound reads a user extension's g table.
     """
-    _require_odd_prime(p)
-    if field not in SUPPORTED_FIELDS:
-        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
+    require_odd_prime(p)
+    require_field(field)
     if ell == p:
         return 1
     if field == "Q":
@@ -407,7 +398,8 @@ def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1) -> int:
 def finite_level_place_count(ell: int, p: int, n: int, field: str = "Q",
                              residue_degree: int = 1) -> int:
     """Places above v at the n-th layer: p^n / ord(Frob_v); oracle-facing."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
+    require_field(field)
     if n < 0:
         raise ValueError(f"layer n must be >= 0, got {n}")
     if ell == p:
@@ -473,9 +465,8 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q") -> DeltaResult:
     padic.DEPTH_BUDGET, so the residue classes it visits, and with them
     the result, are those of any higher precision.
     """
-    _require_odd_prime(p)
-    if field not in SUPPORTED_FIELDS:
-        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
+    require_odd_prime(p)
+    require_field(field)
     E = model.integral_model()
     red = tate_reduction(E, p)
     if not red.is_good:

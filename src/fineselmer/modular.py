@@ -20,6 +20,7 @@ import math
 __all__ = [
     "multiplicative_order",
     "is_prime",
+    "require_odd_prime",
     "primes_below",
     "valuation",
     "euler_phi",
@@ -184,6 +185,12 @@ def is_prime(n: int) -> bool:
                              "Miller-Rabin is exact only below 3.3 * 10^24")
         return True
     return False
+
+
+def require_odd_prime(p: int) -> None:
+    """The one check that p is an odd prime; ValueError otherwise."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
 
 
 def primes_below(bound: int) -> list[int]:

@@ -15,9 +15,12 @@ Python function called while the package runs
 
 all in this process. It then prints, as a Markdown list, each function
 defined under src/ that none of them called, with its line count and the
-reason it is kept, from REASONS below. The list is information, not a
-gate: a function that shows up without a reason is a candidate for
-deletion, or for a reason here. pytest does not collect this file.
+reason it is kept, from REASONS below. A second list names each dataclass
+field under src/ that no attribute read (`x.name`, found with ast) in
+src/, tests/, demos/ or bench/ names: a field that is stored and never
+read. Both lists are information, not a gate: a function that shows up
+without a reason is a candidate for deletion, or for a reason here, and
+so is an unread field. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -90,6 +93,26 @@ def defined_functions() -> dict[tuple[str, int], tuple[str, int]]:
 
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return found
+
+
+def unread_dataclass_fields() -> list[str]:
+    """"module.Class.field" for each dataclass field under src/fineselmer
+    whose name no attribute read in src/, tests/, demos/ or bench/ names."""
+    read = set()
+    for folder in ("src", "tests", "demos", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                unread += [f"{path.stem}.{node.name}.{item.target.id}"
+                           for item in node.body if isinstance(item, ast.AnnAssign)
+                           and item.target.id not in read]
+    return unread
 
 
 def load(path: Path, name: str):
@@ -177,6 +200,13 @@ def main() -> int:
         print()
         print("Reasons kept for functions that are now reached or gone: "
               + ", ".join(f"`{name}`" for name in stale))
+    unread = unread_dataclass_fields()
+    print()
+    print(f"src/ dataclass fields that no attribute read names: {len(unread)}")
+    if unread:
+        print()
+        for name in unread:
+            print(f"- `{name}`")
     return 0
 
 

@@ -150,6 +150,13 @@ def test_run_huge_p_exits_three_at_once():
         "error: p is capped at 13 by the division-polynomial ladder"]
 
 
+@pytest.mark.parametrize("p", ["1", "4", "9"])
+def test_run_with_p_not_an_odd_prime_names_it(capsys, p):
+    code, out, err = run_cli(capsys, "run", "--curve", CURVE, "--p", p)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: p must be an odd prime"]
+
+
 def test_run_with_an_unfactorable_discriminant_exits_three():
     # up to sign the discriminant is 11 times a 119-bit composite with no
     # factor the Pollard-Brent budget finds; trial division did not return

@@ -89,7 +89,10 @@ def test_change_model_refuses_a_float():
 
 
 def assert_attributes(model, expected):
-    for name in WeierstrassModel.__slots__:
+    # the one private slot holds the division-polynomial ladder
+    public = [name for name in WeierstrassModel.__slots__ if not name.startswith("_")]
+    assert public == list(expected)
+    for name in public:
         value = getattr(model, name)
         assert type(value) is Fraction and value == expected[name], name
     assert type(model.j_invariant) is Fraction
@@ -258,6 +261,32 @@ def test_ladder_never_multiplies_qpolys(monkeypatch):
     monkeypatch.setattr(QPoly, "__mul__", boxed)
     assert model.division_polynomial(13) == expected_psi
     assert model.x_multiple_fraction(13) == expected_map
+
+
+def test_a_model_builds_its_ladder_once(monkeypatch):
+    built = []
+    build = WeierstrassModel._division_ladder
+
+    def counting(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(WeierstrassModel, "_division_ladder", counting)
+    model = WeierstrassModel(*X11A1)
+    psi5 = model.division_polynomial(5)
+    # later reads, of any kind and in any order, come off the same ladder
+    assert model.x_multiple_fraction(2) == oracles.x_multiple_fraction_qpoly(model, 2)
+    assert model.division_polynomial(13) == oracles.division_polynomial_qpoly(model, 13)
+    assert model.x_multiple_fraction(12) == oracles.x_multiple_fraction_qpoly(model, 12)
+    assert model.division_polynomial(5) == psi5
+    assert len(built) == 1 and built[0] is model
+    # the ladder is kept with the object: an equal model builds its own
+    twin = WeierstrassModel(*X11A1)
+    assert twin == model and hash(twin) == hash(model)
+    assert twin.division_polynomial(5) == psi5
+    assert len(built) == 2 and built[1] is twin
+    with pytest.raises(AttributeError, match="immutable"):
+        model._ladder = None
 
 
 def test_x_multiple_fraction_rejects_a_non_integral_model():

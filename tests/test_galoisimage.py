@@ -15,8 +15,8 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fineselmer import factorization, galoisimage
-from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
+from fineselmer import factorization, galoisimage, modular
+from fineselmer.elliptic import LADDER_MAX, WeierstrassModel, trace_of_frobenius
 from fineselmer.factorization import factor_int_poly, good_reduction
 from fineselmer.finitefield import FqPoly
 from fineselmer.galoisimage import (
@@ -30,7 +30,7 @@ from fineselmer.galoisimage import (
     surjectivity_certificate,
 )
 from fineselmer.lambdabound import compute_lambda_bound
-from fineselmer.modular import primes_below
+from fineselmer.modular import is_prime, primes_below
 from fineselmer.polynomial import QPoly
 from oracles import closed_under_multiples_by_inverse, find_stable_subgroups_by_full_factoring
 from test_elliptic import isogeny_13_curve
@@ -501,14 +501,23 @@ def test_certificate_matches_the_hunt_off_cm(a):
 # --- composite and out-of-range p are refused, not given a verdict ---
 
 
-@pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
-def test_p_must_be_an_odd_prime(p):
-    with pytest.raises(ValueError, match="odd prime"):
-        find_stable_subgroups(E37A1, p)
-    with pytest.raises(ValueError, match="odd prime"):
-        classify_image(E37A1, p)
-    with pytest.raises(ValueError, match="odd prime"):
-        surjectivity_certificate(E37A1, p)
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15, 17])
+def test_p_must_be_an_odd_prime(p, monkeypatch):
+    # above the ladder's cap the search names the cap, and tests no
+    # primality: is_prime on a huge p would not return.  The surjectivity
+    # hunt has no cap
+    tested = []
+    monkeypatch.setattr(modular, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    message = ("p is capped at 13 by the division-polynomial ladder" if p > LADDER_MAX
+               else "p must be an odd prime")
+    for search in (find_stable_subgroups, classify_image):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            search(E37A1, p)
+    if p > LADDER_MAX:
+        assert tested == []
+    if not is_prime(p):
+        with pytest.raises(ValueError, match="^p must be an odd prime$"):
+            surjectivity_certificate(E37A1, p)
 
 
 # --- one search counts each trace of the input curve once ---

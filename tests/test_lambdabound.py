@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from fineselmer import cli, lambdabound
+from fineselmer import cli, lambdabound, localdata
 from fineselmer.elliptic import WeierstrassModel
 from fineselmer.lambdabound import (
     ASSUMPTION_TOKENS,
@@ -95,6 +95,33 @@ def test_g_v_is_read_once_per_record(monkeypatch):
     monkeypatch.setattr(lambdabound, "g_v", counting)
     compute_lambda_bound(E26B1, 7, "Q(mu_p)")
     assert calls == [(2, 7, "Q(mu_p)", 3), (13, 7, "Q(mu_p)", 2)]
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(mu_p)"])
+@pytest.mark.parametrize("u", [1, 2], ids=["11a1", "11a1-rescaled"])
+def test_one_job_builds_one_ladder_on_one_integral_model(monkeypatch, u, field):
+    # delta_v's psi_p, the stable-line search's psi_p and every closure
+    # test read one ladder, kept by the one integral model of the job,
+    # and the discriminant of that model is factored once.  A fresh model
+    # each run: a module-level one keeps the ladder another test built
+    model = WeierstrassModel(0, -1, 1, -10, -20).change_model(u, 0, 0, 0)
+    assert model.is_integral == (u == 1)
+    built, factored = [], []
+    build, factorize = WeierstrassModel._division_ladder, localdata.factorize
+
+    def counting_build(self):
+        built.append(self)
+        return build(self)
+
+    def counting_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(WeierstrassModel, "_division_ladder", counting_build)
+    monkeypatch.setattr(localdata, "factorize", counting_factorize)
+    report = compute_lambda_bound(model, 5, field)
+    assert len(built) == 1 and built[0] is report.model
+    assert factored == [abs(int(report.model.discriminant))]
 
 
 def test_sum_of_terms_always_recomposes_the_bound():

@@ -9,6 +9,7 @@ count at each finite level.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fineselmer import localdata
+from fineselmer.cyclotomic import is_regular, kinf_ramification
 from fineselmer.elliptic import WeierstrassModel, trace_of_frobenius
+from fineselmer.galoisimage import classify_image
 from fineselmer.lambdabound import compute_lambda_bound
 from fineselmer.localdata import (
     _tate_shortcut,
@@ -93,9 +96,10 @@ def test_p_must_be_an_odd_prime(p):
              lambda: reduction_over_K(E11A1, 11, p),
              lambda: g_v(11, p),
              lambda: finite_level_place_count(11, p, 2),
-             lambda: delta_v(E11A1, p))
+             lambda: delta_v(E11A1, p),
+             lambda: is_regular(p))
     for call in calls:
-        with pytest.raises(ValueError, match="p must be an odd prime"):
+        with pytest.raises(ValueError, match="^p must be an odd prime$"):
             call()
 
 
@@ -306,6 +310,24 @@ def test_finite_level_place_count_rejects_a_negative_layer(n):
     for ell, field in ((101, "Q"), (5, "Q"), (11, "Q(mu_p)")):
         with pytest.raises(ValueError, match="layer n must be >= 0"):
             finite_level_place_count(ell, 5, n, field)
+
+
+@pytest.mark.parametrize("field", ["R", "Q(mu_5)", "q", ""])
+def test_field_must_be_one_of_the_two(field):
+    # finite_level_place_count once read any field but "Q" as Q(mu_p),
+    # and classify_image and kinf_ramification had messages of their own
+    message = re.escape("field must be one of ('Q', 'Q(mu_p)')")
+    calls = (lambda: compute_place_sets(E11A1, 5, field),
+             lambda: g_v(11, 5, field),
+             lambda: finite_level_place_count(11, 5, 2, field),
+             lambda: finite_level_place_count(5, 5, 2, field),
+             lambda: delta_v(E11A1, 5, field),
+             lambda: classify_image(E11A1, 5, field),
+             lambda: kinf_ramification(5, field),
+             lambda: compute_lambda_bound(E11A1, 5, field))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_g_law_matches_orbit_count_sample():
