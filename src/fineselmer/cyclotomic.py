@@ -51,7 +51,8 @@ def bernoulli_table(n: int) -> list[Fraction]:
         bm = -acc / (m + 1)
         check = bm + sum(Fraction(1, q) for q in primes_below(m + 2)
                          if m % (q - 1) == 0)
-        assert check.denominator == 1, f"von Staudt-Clausen failed at B_{m}"
+        if check.denominator != 1:
+            raise AssertionError(f"von Staudt-Clausen failed at B_{m}")
         _exact_cache.append(bm)
     return _exact_cache[: n + 1]
 

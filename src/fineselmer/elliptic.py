@@ -18,7 +18,8 @@ f/g bisection ladder so the y-variable is eliminated once and for all;
 odd n gives a univariate polynomial of degree (n^2-1)/2 with leading
 coefficient n whose roots are the x-coordinates of the nonzero
 n-torsion.  The model is integral, so the ladder (and the x-multiple
-maps built on it) runs on integer lists and returns QPolys at the end.
+maps built on it) runs on integer lists; division_polynomial and
+x_multiple_fraction return QPolys, and x_multiple_coeffs the lists.
 Each model object has one ladder: built on first use, kept with the
 object in one slot, and extended as larger n are asked for, so every
 division polynomial and x-multiple map of one model reads the same
@@ -106,6 +107,10 @@ class WeierstrassModel:
     def __setattr__(self, name, value):
         raise AttributeError("WeierstrassModel is immutable")
 
+    def __reduce__(self):
+        # rebuilt and re-checked by the constructor; the ladder is not carried
+        return type(self), self.a_invariants
+
     @property
     def a_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -176,12 +181,18 @@ class WeierstrassModel:
             raise ValueError("division polynomials expect an integral model")
         poly = QPoly(_ladder_psi(self._psi_ladder(), n))
         expected_deg = (n * n - 1) // 2
-        assert poly.degree == expected_deg and poly.leading == n, (
-            "division polynomial shape check failed")
+        if poly.degree != expected_deg or poly.leading != n:
+            raise AssertionError("division polynomial shape check failed")
         return poly
 
     def x_multiple_fraction(self, k: int) -> tuple[QPoly, QPoly]:
-        """x([k]P) = num(x)/den(x) as an x-only rational map, 2 <= k <= LADDER_MAX.
+        """x_multiple_coeffs(k) as QPolys."""
+        num, den = self.x_multiple_coeffs(k)
+        return QPoly(num), QPoly(den)
+
+    def x_multiple_coeffs(self, k: int) -> tuple[list[int], list[int]]:
+        """The integer coefficient lists (num, den) of x([k]P) = num(x)/den(x),
+        2 <= k <= LADDER_MAX; deg num = k^2 > deg den.
 
         Uses psi_{k-1} psi_{k+1} / psi_k^2 = x - x([k]P); the y-carrying
         factor psi_2 appears squared throughout, so everything collapses
@@ -200,7 +211,7 @@ class WeierstrassModel:
             cross = _mul(ladder[1], cross)
         else:
             den = _mul(ladder[1], den)
-        return QPoly(_sub([0] + den, cross)), QPoly(den)
+        return _sub([0] + den, cross), den
 
     def _psi_ladder(self):
         """The model's ladder: built by _division_ladder on first use, then kept."""
@@ -334,7 +345,8 @@ def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
             for _ in range(ell):
                 a -= chi[f]
                 f, d1, d2 = (f + d1) % ell, (d1 + d2) % ell, (d2 + 24) % ell
-        assert a * a <= 4 * ell, "Hasse bound violated; counting bug"
+        if a * a > 4 * ell:
+            raise AssertionError("Hasse bound violated; counting bug")
         traces.append(a)
     return traces
 

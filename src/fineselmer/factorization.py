@@ -35,10 +35,11 @@ unsplit and is never lifted.
 It lifts the monic factors of lc^(-1) f of degree <= k (lc the leading
 coefficient) past 2 |lc| times a Landau-Mignotte bound for divisors of
 degree <= k, with quadratic Hensel steps, each of which at most
-doubles the exponent of l. Their cofactor stays implicit: at each step
-the remainder of lc^(-1) f by the product A of the lifts is the error
-the corrections use, so a step costs O(deg f deg A), not O(deg f^2).
-The lift stops at the first power of l above the bound, the power a
+doubles the exponent of l. Their cofactor and their product stay
+implicit: each lift h is corrected from lc^(-1) f rem h alone, so a
+step costs O(deg f deg h) for each h, and a linear h = x - r takes
+Newton's iteration on its root, one Horner evaluation of f and one of
+f' a step (von zur Gathen & Gerhard, 9.4). The lift stops at the first power of l above the bound, the power a
 linear lift would reach. It recombines the lifts in subsets of degree
 <= k, with the leading coefficient in place (Alg. 15.19 there): for a
 subset S of the lifted factors h_i that belongs to a divisor F,
@@ -294,17 +295,22 @@ def _hensel_lift_factors(f: list[int], l: int, hbars: list[list[int]], target: i
     their cofactor in lc^(-1) f is never lifted. Quadratic Hensel steps
     (von zur Gathen & Gerhard, Modern Computer Algebra, 15.4-15.5): the
     exponent runs 1, ..., ceil(K/2), K. At a step from m to M (M | m^2),
-    with A the product of the lifts, lc^(-1) f rem A is m e mod M, and
-    each h_i gains m (e t_i rem h_i), t_i = (lc^(-1) f / h_i)^(-1) mod
-    h_i. As f = h_i G_i gives f' = h_i' G_i mod h_i, t_i = h_i' u_i with
+    lc^(-1) f rem h_i is m e_i mod M; it is (lc^(-1) f rem A) rem h_i
+    for A the product of the lifts, which is never formed. h_i gains
+    m (e_i t_i rem h_i), t_i = (lc^(-1) f / h_i)^(-1) mod h_i. As
+    f = h_i G_i gives f' = h_i' G_i mod h_i, t_i = h_i' u_i with
     u_i = (lc^(-1) f' rem h_i)^(-1), and u_i takes one Newton step a
-    lift step. So a step costs O(deg f deg A). Monic lifts of a coprime
+    lift step. A linear h_i = x - r takes the degree-1 case, Newton's
+    iteration (9.4 there): r <- r - f(r) u and u <- u (2 - u f'(r)),
+    u = f'(r)^(-1), with no lc^(-1) f. Monic lifts of a coprime
     factorization are unique, so l^K and the lifts are those a linear
     lift of every factor, one digit per step, would reach.
     """
+    derivative = _derivative(f)
     inv = pow(f[-1], -1, l)
-    derivative = [c * inv % l for c in _derivative(f)]
-    us = [_vec_inverse_mod(derivative, h, l) for h in hbars]
+    monic_derivative = [c * inv % l for c in derivative]
+    us = [pow(_horner_mod(derivative, -h[0], l), -1, l) if len(h) == 2
+          else _vec_inverse_mod(monic_derivative, h, l) for h in hbars]
 
     top, power = 1, l
     while power <= target:
@@ -319,25 +325,38 @@ def _hensel_lift_factors(f: list[int], l: int, hbars: list[list[int]], target: i
         # every correction is m times a residue mod q = M / m <= m
         m, modulus = l**k, l**k_next
         q = modulus // m
-        inv = pow(f[-1], -1, modulus)
-        monic = [c * inv % modulus for c in f]
-        prod = [1]
-        for h in lifted:
-            prod = [c % modulus for c in _mul(prod, h)]
-        e = [c // m for c in _vec_rem(monic, prod, modulus)]
-        for h, u in zip(lifted, us):
+        last = k_next == top
+        if any(len(h) > 2 for h in lifted):
+            inv = pow(f[-1], -1, modulus)
+            monic = [c * inv % modulus for c in f]
+            monic_derivative = _derivative(monic)
+        for i, h in enumerate(lifted):
+            u = us[i]
+            if len(h) == 2:
+                # Newton's iteration on the root r of h = x - r, u = f'(r)^(-1)
+                r = (-h[0] - _horner_mod(f, -h[0], modulus) * u) % modulus
+                h[0] = -r % modulus
+                if not last:
+                    us[i] = u * (2 - u * _horner_mod(derivative, r, modulus)) % modulus
+                continue
+            e = [c // m for c in _vec_rem(monic, h, modulus)]
             hq = [c % q for c in h]
             t = _vec_mulmod(_derivative(hq), u, hq, q)
-            for i, d in enumerate(_vec_mulmod(e, t, hq, q)):
-                h[i] = (h[i] + m * d) % modulus
-        if k_next == top:
-            break
-        # u_i <- u_i (2 - u_i w_i), w_i = lc^(-1) f' rem h_i: exact mod m^2
-        derivative = _derivative(monic)
-        for i, h in enumerate(lifted):
-            w = _vec_mulmod(us[i], _vec_rem(derivative, h, modulus), h, modulus)
-            us[i] = _vec_mulmod(us[i], _sub([2], w), h, modulus)
+            for j, d in enumerate(_vec_mulmod(e, t, hq, q)):
+                h[j] = (h[j] + m * d) % modulus
+            if not last:
+                # u_i <- u_i (2 - u_i w_i), w_i = lc^(-1) f' rem h_i: exact mod m^2
+                w = _vec_mulmod(u, _vec_rem(monic_derivative, h, modulus), h, modulus)
+                us[i] = _vec_mulmod(u, _sub([2], w), h, modulus)
     return l**top, lifted
+
+
+def _horner_mod(a: list[int], x: int, mod: int) -> int:
+    """a(x) mod `mod`, reduced at every step."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % mod
+    return acc
 
 
 def _symmetric(c: int, mod: int) -> int:

@@ -154,6 +154,9 @@ class FiniteField:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteField is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.char,)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteField) and other.char == self.char
 
@@ -200,6 +203,9 @@ class FqElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("FqElem is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.field, self.value)
 
     def _coerce(self, other):
         """The residue of an element of the same field, or of an int."""
@@ -300,6 +306,9 @@ class FqPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("FqPoly is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.field, tuple(c.value for c in self.coeffs))
 
     @property
     def degree(self) -> int:

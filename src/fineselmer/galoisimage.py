@@ -35,17 +35,20 @@ p-division polynomial of degree at most (p-1)/2, the only ones a kernel
 polynomial can hold: factor_int_poly, capped at that degree, lifts and
 recombines nothing else.  Every product of them of degree (p-1)/2 is
 tested for closure of its root set under the multiplication-by-g maps,
-g running over generators of (Z/p)^x up to sign.  Closure under those maps pins the root set as
-the x-coordinates of a single line in E[p], which is what makes the
-witness a certificate rather than a heuristic.  psi_p of a nonsingular
-curve is squarefree, which is what factor_int_poly asks of its input,
-and so is every candidate kernel.  That lets the closure test clear the
-denominator of x([g]P) by homogenising, with no inverse modulo the
-kernel (see _closed_under_multiples).  Each witness carries
-the isogenous quotient curve computed from the kernel polynomial and a
-trail of Frobenius traces checked against the original curve.  One
-search counts each of the original curve's traces once, in one sweep,
-however many candidates close, and keeps nothing after it returns.
+g running over generators of (Z/p)^x up to sign.  Closure under those
+maps pins the root set as the x-coordinates of a single line in E[p],
+which is what makes the witness a certificate rather than a heuristic.
+psi_p of a nonsingular curve is squarefree, which is what
+factor_int_poly asks of its input, and so is every candidate kernel, a
+product of primitive integer factors and so primitive (Gauss).  That
+lets the closure test clear the denominator of x([g]P) by homogenising,
+with no inverse modulo the kernel, and run on ints: y = lc x, lc the
+kernel's leading coefficient, makes the kernel monic in Z[y] (see
+_closed_under_multiples).  Each witness carries the isogenous quotient
+curve computed from the kernel polynomial and a trail of Frobenius
+traces checked against the original curve.  One search counts each of
+the original curve's traces once, in one sweep, however many candidates
+close, and keeps nothing after it returns.
 
 Before any factoring over Q, psi_p is reduced modulo its first good
 prime l: one not dividing the leading coefficient, with psi_p mod l
@@ -70,7 +73,7 @@ from .elliptic import (LADDER_MAX, WeierstrassModel, frobenius_traces,
 from .factorization import NoGoodPrime, factor_int_poly, good_reduction
 from .localdata import require_field
 from .modular import primes_below, require_odd_prime
-from .polynomial import QPoly
+from .polynomial import QPoly, _add, _mul
 
 __all__ = [
     "StableSubgroupWitness",
@@ -126,33 +129,54 @@ def _closed_under_multiples(model: WeierstrassModel, h: QPoly,
                             gens: tuple[int, ...]) -> bool:
     """Is the root set of h stable under x([g]P) for every generator g?
 
-    h is monic and squarefree, a divisor of psi_p, and N/D = x([g]P) is
-    the x-multiple map, with D = psi_g^2 and N = x D - psi_(g-1) psi_(g+1)
-    as polynomials in x. The test is the homogenised Horner sum
-    H = sum_i c_i N^i D^(d-i) mod h, where h = sum_i c_i x^i has degree
-    d, and it accepts exactly when H = 0 mod h; no inverse is needed.
+    h is squarefree, a divisor of psi_p, and N/D = x([g]P) is the
+    x-multiple map, with D = psi_g^2 and N = x D - psi_(g-1) psi_(g+1)
+    integer polynomials, e = deg N > deg D. The test runs on ints
+    through y = lc x, for sum_i c_i x^i the primitive form of h, of
+    degree d and leading coefficient lc: H(y) = lc^(d-1) h(y/lc) is
+    monic in Z[y], and N~(y) = lc^e N(y/lc), D~(y) = lc^e D(y/lc) are
+    integral. x -> y/lc maps Q[x]/(h) onto Q[y]/(H), and x([g]P) on the
+    roots r of h to y -> lc N~(y)/D~(y) on the roots s = lc r of H. The
+    test is the homogenised Horner sum S = sum_i H_i (lc N~)^i D~^(d-i)
+    rem H = lc^(d-1) sum_i c_i N~^i D~^(d-i) rem H, computed as the
+    latter, and it accepts exactly when S = 0; no inverse is needed.
 
     N and D are coprime. At a common root r, psi_g(r) = 0 and one of
     psi_(g-1)(r), psi_(g+1)(r) is 0, so a point P with x(P) = r has
     [g]P = O and [g-1]P = O or [g+1]P = O, hence P = O, which has no
-    finite x-coordinate. So at each root r of h, H(r) = D(r)^d h(N(r)/D(r))
-    when D(r) != 0, and H(r) = N(r)^d != 0 when D(r) = 0. As h is
-    squarefree, H = 0 mod h says that every root r of h has D(r) != 0
-    and x([g]P) a root of h again. A root with D(r) = 0 is killed by [g],
+    finite x-coordinate. So lc N~ and D~ are coprime too. At a root s
+    of H, S(s) = D~(s)^d H(lc N~(s)/D~(s)) = lc^(d-1) D~(s)^d h(N(r)/D(r))
+    when D~(s) != 0, and S(s) = (lc N~(s))^d != 0 when D~(s) = 0. As H
+    is squarefree, S = 0 says that every root r of h has D(r) != 0 and
+    x([g]P) a root of h again. A root with D(r) = 0 is killed by [g],
     which no point of exact order p is, and it is rejected.
     """
-    d = h.degree
+    c = h.primitive().int_coeffs()
+    d, lc = len(c) - 1, c[-1]
+    H = [ci * lc ** (d - 1 - i) for i, ci in enumerate(c[:-1])] + [1]
     for g in gens:
-        num, den = model.x_multiple_fraction(g)
-        num, den = num % h, den % h
-        # acc = sum_{j >= i} c_j N^(j-i) D^(d-j), built from i = d down
-        acc, den_power = QPoly.one(), QPoly.one()
-        for c in reversed(h.coeffs[:-1]):
-            den_power = den_power * den % h
-            acc = (acc * num + den_power * c) % h
-        if not acc.is_zero:
+        num, den = model.x_multiple_coeffs(g)
+        e = len(num) - 1
+        num, den = (_rem_monic([a * lc ** (e - i) for i, a in enumerate(t)], H)
+                    for t in (num, den))
+        # acc = sum_{j >= i} c_j N~^(j-i) D~^(d-j), built from i = d down
+        acc, den_power = [lc], [1]
+        for ci in reversed(c[:-1]):
+            den_power = _rem_monic(_mul(den_power, den), H)
+            acc = _rem_monic(_add(_mul(acc, num), [ci * a for a in den_power]), H)
+        if any(acc):
             return False
     return True
+
+
+def _rem_monic(a: list[int], m: list[int]) -> list[int]:
+    """a rem m in Z[x] for a monic m, as deg m coefficients."""
+    dm = len(m) - 1
+    a = a + [0] * (dm - len(a))
+    for i in range(len(a) - 1, dm - 1, -1):
+        for j in range(dm):
+            a[i - dm + j] -= a[i] * m[j]
+    return a[:dm]
 
 
 def _velu_quotient(model: WeierstrassModel, h: QPoly) -> WeierstrassModel:
@@ -219,26 +243,30 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
         return ()
     # only a factor of degree <= d can divide a kernel polynomial
     _, factors = factor_int_poly(psi, max_degree=d, reduction=reduction)
-    irreducibles = [f for f, _ in factors]
+    irreducibles = [f.int_coeffs() for f, _ in factors]
     gens = _halfgroup_generators(p)
     witnesses: list[StableSubgroupWitness] = []
     E_traces: dict[int, int] = {}
     idx = range(len(irreducibles))
     for size in range(1, len(irreducibles) + 1):
         for subset in combinations(idx, size):
-            if sum(irreducibles[i].degree for i in subset) != d:
+            if sum(len(irreducibles[i]) - 1 for i in subset) != d:
                 continue
-            h = QPoly.one()
+            # a product of primitive factors is primitive (Gauss)
+            kernel = [1]
             for i in subset:
-                h = h * irreducibles[i].monic()
-            if not _closed_under_multiples(E, h, gens):
+                kernel = _mul(kernel, irreducibles[i])
+            primitive = QPoly(kernel)
+            if not _closed_under_multiples(E, primitive, gens):
                 continue
+            h = primitive.monic()
             quotient = _velu_quotient(E, h).integral_model()
             traces = _matching_trace_primes(E, quotient, p, E_traces)
-            assert traces is not None, (
-                "certified kernel produced a quotient with mismatched traces")
+            if traces is None:
+                raise AssertionError(
+                    "certified kernel produced a quotient with mismatched traces")
             witnesses.append(StableSubgroupWitness(
-                p, h, h.primitive(), quotient, gens, traces))
+                p, h, primitive, quotient, gens, traces))
     witnesses.sort(key=lambda w: tuple(w.kernel_monic.coeffs))
     return tuple(witnesses)
 

@@ -40,7 +40,7 @@ from .elliptic import LADDER_MAX, WeierstrassModel
 from .factorization import factor_int_poly
 from .galoisimage import classify_image
 from .localdata import compute_place_sets, delta_v, g_v, require_field
-from .modular import require_odd_prime, valuation
+from .modular import MR_EXACT_LIMIT, is_prime, require_odd_prime, valuation
 
 __all__ = [
     "HYPOTHESIS_IDS",
@@ -187,10 +187,12 @@ def compute_lambda_bound(
 
     g_table, when given, is a user Z_p-extension: rows {residue_char,
     residue_degree (1 if absent), g}. It is read once, before any place:
-    a row with g < 1 or a second row for one (residue_char,
-    residue_degree) raises ValueError, whatever the curve. A place of S0
-    takes g from its row, and one without a row raises ValueError; a
-    place outside S0 takes its row's g, or else the closed form g_v.
+    a row whose residue_char is not a prime below MR_EXACT_LIMIT, whose
+    residue_degree or g is below 1, or that repeats a (residue_char,
+    residue_degree) raises ValueError naming the row, whatever the
+    curve. A place of S0 takes g from its row, and one without a row
+    raises ValueError; a place outside S0 takes its row's g, or else
+    the closed form g_v.
     """
     # the cap comes first: is_prime on a huge p would not return
     if p > LADDER_MAX:
@@ -208,6 +210,16 @@ def compute_lambda_bound(
     table: dict[tuple[int, int], int] = {}
     for i, row in enumerate(g_table or ()):
         key = (row["residue_char"], row.get("residue_degree", 1))
+        # no place lies above a prime too large to prove prime: refuse it
+        # before is_prime, which would take seconds on it
+        if key[0] >= MR_EXACT_LIMIT:
+            raise ValueError(f"g table row {i}: residue_char has {key[0].bit_length()} "
+                             "bits; a prime is proven only below 3.3 * 10^24")
+        if not is_prime(key[0]):
+            raise ValueError(f"g table row {i}: residue_char must be a prime, got {key[0]}")
+        if key[1] < 1:
+            raise ValueError(f"g table row {i}: residue_degree must be a positive "
+                             f"integer, got {key[1]}")
         if int(row["g"]) < 1:
             raise ValueError(f"g table row {i}: g must be a positive integer, "
                              f"got {row['g']}")

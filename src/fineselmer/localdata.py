@@ -97,7 +97,8 @@ def _split_multiplicative(model: WeierstrassModel, ell: int) -> bool:
     # is split iff the tangent quadratic T^2 + T + a2' has roots, i.e.
     # a2' is even.  a1' is automatically odd here since v(c4) = 0.
     m = _move_singular_point(model, 2)
-    assert int(m.a1) % 2 == 1, "node with even a1 cannot happen at v(c4)=0"
+    if int(m.a1) % 2 != 1:
+        raise AssertionError("node with even a1 cannot happen at v(c4)=0")
     return int(m.a2) % 2 == 0
 
 
@@ -145,7 +146,8 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
     E = model.integral_model()
     while True:
         vD = _vl(E.discriminant, ell)
-        assert vD is not None
+        if vD is None:
+            raise AssertionError("a nonsingular model has a finite v(D)")
         if vD == 0:
             return ReductionData(E, "I0", "good", 0, _vl(E.c4, ell), None)
         vc4 = _vl(E.c4, ell)
@@ -180,7 +182,8 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
             m = 1
             while True:
                 n_odd = 2 * m - 1
-                assert n_odd <= vD - 6 + 1, "I_n* chain exceeded v(D); bug"
+                if n_odd > vD - 6 + 1:
+                    raise AssertionError("I_n* chain exceeded v(D); bug")
                 a3m = int(E.a3) // ell ** (m + 1)
                 a6m = int(E.a6) // ell ** (2 * m + 2)
                 dy = _double_root_mod(1, a3m, -a6m, ell)
@@ -210,7 +213,8 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
             return ReductionData(E, "II*", "additive", vD, _vl(E.c4, ell), None)
         # nothing stopped us: the model was non-minimal; rescale and restart
         E = E.change_model(ell, 0, 0, 0)
-        assert E.is_integral, "rescaled model must stay integral"
+        if not E.is_integral:
+            raise AssertionError("rescaled model must stay integral")
 
 
 _KODAIRA_BY_VDISC = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}
@@ -236,7 +240,8 @@ def _tate_shortcut(model: WeierstrassModel, ell: int) -> ReductionData:
         E = WeierstrassModel(0, 0, 0, -27 * c4s, -54 * c6s)
         v4 = _vl(E.c4, ell)
         new_vD = _vl(E.discriminant, ell)
-        assert new_vD == vD - 12 * k, "short-model rescale broke the valuation"
+        if new_vD != vD - 12 * k:
+            raise AssertionError("short-model rescale broke the valuation")
         vD = new_vD
     if vD == 0:
         return ReductionData(E, "I0", "good", 0, v4, None)
@@ -247,7 +252,8 @@ def _tate_shortcut(model: WeierstrassModel, ell: int) -> ReductionData:
     if v4 is not None and 3 * v4 < vD:
         return ReductionData(E, f"I{vD - 6}*", "additive", vD, v4, None)
     kod = _KODAIRA_BY_VDISC.get(vD)
-    assert kod is not None, f"impossible additive v(D) = {vD} at ell = {ell} >= 5"
+    if kod is None:
+        raise AssertionError(f"impossible additive v(D) = {vD} at ell = {ell} >= 5")
     return ReductionData(E, kod, "additive", vD, v4, None)
 
 
@@ -294,7 +300,8 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
         split = f % 2 == 0
         if ell != 2:
             # Euler's criterion in F_{ell^f}, on the residue of -c6 in F_ell
-            assert split == (pow(-int(base.minimal_model.c6) % ell, (ell**f - 1) // 2, ell) == 1)
+            if split != (pow(-int(base.minimal_model.c6) % ell, (ell**f - 1) // 2, ell) == 1):
+                raise AssertionError("the split test and Euler's criterion disagree")
         # a torus that splits is still the same Kodaira fiber
     return KPlaceReduction(f, (p - 1) // f, base, split)
 
@@ -444,7 +451,8 @@ def _torsion_x_has_rational_y(model: WeierstrassModel, x0: int, p: int) -> bool:
     """
     b2, b4, b6 = (int(v) for v in (model.b2, model.b4, model.b6))
     F = (((4 * x0 + b2) * x0 + 2 * b4) * x0 + b6) % p
-    assert F != 0, "a p-torsion x-coordinate reduced onto the 2-torsion"
+    if F == 0:
+        raise AssertionError("a p-torsion x-coordinate reduced onto the 2-torsion")
     return pow(F, (p - 1) // 2, p) == 1
 
 

@@ -59,6 +59,9 @@ class PadicNumber:
     def __setattr__(self, name, value):
         raise AttributeError("PadicNumber is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.p, self.val, self.unit, self.absprec)
+
     @classmethod
     def from_int(cls, n: int, p: int, absprec: int) -> "PadicNumber":
         n %= p**absprec

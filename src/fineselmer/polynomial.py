@@ -117,6 +117,9 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

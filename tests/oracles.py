@@ -33,19 +33,23 @@ The package factors over Q only squarefree polynomials, through one
 good prime. `yun_squarefree` is Yun's decomposition over Q that it used
 to fall back on, kept so the tests can build a reference factorization
 of any input. The package's closure test clears the denominator of
-x([g]P) by homogenising; `closed_under_multiples_by_inverse` is the test
-it replaced, which inverted the denominator modulo the kernel with the
-rational extended Euclid `xgcd`. The package's stable-line search
+x([g]P) by homogenising, and runs on ints through y = lc x, lc the
+leading coefficient of the primitive kernel;
+`closed_under_multiples_by_inverse` is the test it replaced, which
+inverted the denominator modulo the kernel with the rational extended
+Euclid `xgcd` on QPoly, and it stays the reference. The package's stable-line search
 factors psi_p only up to the degree (p-1)/2 a kernel can have;
 `find_stable_subgroups_by_full_factoring` is the search it replaced,
 which factored psi_p in full and then filtered.
 
 The package lifts only the factors mod l of degree at most its cap,
-quadratically, and leaves their cofactor implicit. `hensel_lift_linear`,
-one l-adic digit a step, and `hensel_lift_multifactor`, quadratic, are
-the lifts it replaced, which lift every factor, the lumped cofactor
-among them; the tests check that all three reach the same modulus and
-the same small factors.
+quadratically, and leaves their cofactor and their product implicit:
+each factor is corrected from the remainder of f by itself alone, and a
+linear one by Newton's iteration on its root. `hensel_lift_linear`, one
+l-adic digit a step, and `hensel_lift_multifactor`, quadratic, are the
+lifts it replaced, which lift every factor, the lumped cofactor among
+them; the tests check that all three reach the same modulus and the
+same small factors.
 
 The package builds division polynomials and the x-multiple maps on
 integer coefficient lists. The f/g ladder on QPoly below is the code it

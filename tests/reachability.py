@@ -63,7 +63,11 @@ REASONS = {
     "polynomial.QPoly.squarefree_part": "padic_roots' fallback for a polynomial with a repeated root",
     "polynomial.QPoly.derivative": "squarefree_part, padic_roots' fallback, runs on it",
     "polynomial.QPoly.__floordiv__": "squarefree_part, padic_roots' fallback, runs on it",
+    "polynomial.QPoly.__add__": "a ring operator the tests and the oracles build with; the stable-line search multiplies kernels on int lists",
+    "polynomial.QPoly.__mul__": "a ring operator the tests and the oracles build with; the stable-line search multiplies kernels on int lists",
     "polynomial.QPoly.__pow__": "a ring operator the tests build inputs with",
+    "polynomial.QPoly.__reduce__": "pickle and copy of an immutable polynomial, which the tests use",
+    "polynomial.QPoly.one": "a constructor the tests build inputs with",
     "polynomial.QPoly.__sub__": "a ring operator the tests build inputs with",
     "polynomial.QPoly.constant": "a constructor the tests build inputs with",
     "polynomial.QPoly.x": "a constructor the tests build inputs with",

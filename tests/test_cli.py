@@ -793,13 +793,30 @@ def test_bad_g_table_file_is_one_error_line(capsys, tmp_path, name):
 
 @pytest.mark.parametrize("curve", ["0,-1,1,-10,-20", "1,0,1,4,-6"], ids=["11a1", "14a1"])
 def test_g_table_row_below_one_is_refused_whatever_the_curve(capsys, tmp_path, curve):
-    # 11a1 has no place above 2, so no place reads the first row
+    # 11a1 has no place above 2, so no place reads the first row; nor can
+    # any place match a row whose residue_char is no provable prime, or
+    # whose residue_degree is below 1. Each is one exit-3 line naming it
     table = tmp_path / "table.json"
-    write_g_table(table, "g zero")
-    code, out, err = run_cli(capsys, "run", "--curve", curve, "--p", "5",
-                             "--g-table", str(table))
-    assert (code, out) == (3, "")
-    assert err == "error: g table row 0: g must be a positive integer, got 0\n"
+    for row, message in (
+            ('{"residue_char": 2, "g": 0}', "g must be a positive integer, got 0"),
+            ('{"residue_char": 4, "g": 1}', "residue_char must be a prime, got 4"),
+            ('{"residue_char": -37, "g": 1}', "residue_char must be a prime, got -37"),
+            ('{"residue_char": 2, "residue_degree": 0, "g": 1}',
+             "residue_degree must be a positive integer, got 0"),
+            ('{"residue_char": 2, "residue_degree": -1, "g": 1}',
+             "residue_degree must be a positive integer, got -1"),
+            ('{"residue_char": %d, "g": 1}' % (2**127 - 1),
+             "residue_char has 127 bits; a prime is proven only below 3.3 * 10^24")):
+        table.write_text(f'[{row}, {{"residue_char": 11, "g": 1}}]')
+        code, out, err = run_cli(capsys, "run", "--curve", curve, "--p", "5",
+                                 "--g-table", str(table))
+        assert (code, out) == (3, "")
+        assert err == f"error: g table row 0: {message}\n"
+        code, out, err = run_cli(capsys, "batch", str(batch_around(tmp_path, {
+            "curve": [int(a) for a in curve.split(",")], "p": 5,
+            "g_table": json.loads(table.read_text())})))
+        assert code == 3
+        assert_one_line_error(out, err, f"g table row 0: {message}")
 
 
 def batch_around(tmp_path: Path, job) -> Path:

@@ -575,6 +575,13 @@ def lifts_of_every_residue(coeffs, l, target):
 
 @settings(max_examples=60, deadline=None)
 @given(integer_factor_lists(max_parts=4), st.integers(1, 6), st.integers(0, 300))
+# (2x + 1)(x - 1)(x + 3): l = 7 and lc = 2, not +-1 mod 7, and every
+# residue is linear, so each lifts by Newton's iteration alone
+@example([[1, 2], [-1, 1], [3, 1]], 3, 40)
+# (x + 1)(x + 2)(x^2 + 1)(x^3 + x + 1) mod 7 under cap 2: residue degrees
+# [1, 1, 2], as in 11a1's psi_5 mod 3, so the Newton branch and the
+# general one lift side by side
+@example([[1, 1], [2, 1], [1, 0, 1], [1, 1, 0, 1]], 2, 40)
 def test_quadratic_lift_matches_linear_lift(parts, cap, digits):
     # monic lifts of a coprime factorization are unique: lifting only the
     # residues of degree <= cap must stop at the power of l the lifts of

@@ -10,6 +10,7 @@ three Frobenius rules from scratch.
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -555,10 +556,13 @@ def test_one_search_counts_each_trace_of_the_curve_once(monkeypatch):
 def closure_cases(draw):
     """(E, g, h): a small integral curve, g in {2, 3}, a monic squarefree h.
 
-    h is a product of random monic polynomials of degree 1 to 3. Half
-    the time it also takes an irreducible factor of the denominator D of
-    x([g]P), so that h and D share a root: for g = 2 that is a factor of
-    the 2-division polynomial, the x of a 2-torsion point when linear.
+    h is a product of random monic polynomials of degree 1 to 3, each
+    the monic form of an integer one whose leading coefficient is 1, 2
+    or 3, so that the primitive form of h, which the closure test scales
+    by, need not be monic (3x + 1 gives x + 1/3). Half the time h also
+    takes an irreducible factor of the denominator D of x([g]P), so that
+    h and D share a root: for g = 2 that is a factor of the 2-division
+    polynomial, the x of a 2-torsion point when linear.
     """
     try:
         E = WeierstrassModel(*draw(st.tuples(*[st.integers(-6, 6)] * 5)))
@@ -566,9 +570,10 @@ def closure_cases(draw):
         assume(False)
     g = draw(st.sampled_from([2, 3]))
     h = QPoly.one()
-    for coeffs in draw(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=3),
-                                min_size=1, max_size=3)):
-        h = h * QPoly(coeffs + [1])
+    for coeffs, lead in draw(st.lists(
+            st.tuples(st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+                      st.sampled_from([1, 2, 3])), min_size=1, max_size=3)):
+        h = h * QPoly(coeffs + [lead]).monic()
     if draw(st.booleans()):
         _, den = E.x_multiple_fraction(g)
         _, factors = factor_int_poly(den.squarefree_part())
@@ -582,6 +587,12 @@ def closure_cases(draw):
 # y^2 = x^3 - x: x = 0 is a rational 2-torsion x, a root of D for g = 2
 @example((WeierstrassModel(0, 0, 0, -1, 0), 2, QPoly([0, 1])))
 @example((WeierstrassModel(0, 0, 0, -1, 0), 2, QPoly([0, -1, 0, 1])))
+# h = x + 1/3, whose primitive form 3x + 1 is not monic
+@example((WeierstrassModel(0, 0, 0, -1, 0), 2, QPoly([Fraction(1, 3), 1])))
+@example((WeierstrassModel(0, -1, 1, -10, -20), 3, QPoly([Fraction(1, 3), 1])))
+# the kernel of 11a2's 5-isogeny, closed under [2], with primitive form
+# 5x^2 + 505x + 12751
+@example((WeierstrassModel(0, -1, 1, -7820, -263580), 2, QPoly([Fraction(12751, 5), 101, 1])))
 def test_closure_test_matches_the_inverse_test(case):
     E, g, h = case
     assert (_closed_under_multiples(E, h, (g,))

@@ -7,6 +7,7 @@ additivity bound = global part + sum of place contributions.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -209,10 +210,22 @@ def test_g_table_is_exclusive_and_strict():
                          ids=["11a2", "14a1"])
 def test_g_table_row_below_one_is_refused_whatever_the_curve(model):
     # 11a2 has no place above 2, so g_v never reads the first row; the
-    # table is refused all the same
-    table = [{"residue_char": 2, "g": 0}, {"residue_char": 11, "g": 1}]
-    with pytest.raises(ValueError, match="^g table row 0: g must be a positive integer, got 0$"):
-        compute_lambda_bound(model, 5, "Q", g_table=table)
+    # table is refused all the same. So is a row that can match no place:
+    # a residue_char that is no prime, or too large to prove prime (2^127 - 1
+    # is one), and a residue_degree below 1
+    for row, message in (
+            ({"residue_char": 2, "g": 0}, "g must be a positive integer, got 0"),
+            ({"residue_char": 4, "g": 1}, "residue_char must be a prime, got 4"),
+            ({"residue_char": -37, "g": 1}, "residue_char must be a prime, got -37"),
+            ({"residue_char": 2, "residue_degree": 0, "g": 1},
+             "residue_degree must be a positive integer, got 0"),
+            ({"residue_char": 2, "residue_degree": -1, "g": 1},
+             "residue_degree must be a positive integer, got -1"),
+            ({"residue_char": 2**127 - 1, "g": 1},
+             "residue_char has 127 bits; a prime is proven only below 3.3 * 10^24")):
+        table = [row, {"residue_char": 11, "g": 1}]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'g table row 0: {message}')}$"):
+            compute_lambda_bound(model, 5, "Q", g_table=table)
 
 
 @pytest.mark.parametrize("model", [E11A2, WeierstrassModel(1, 0, 1, 4, -6)],
