@@ -18,8 +18,7 @@ from fineselmer import (
 
 def show(title, model, p):
     c = classify_image(model, p)
-    ai = tuple(int(a) for a in model.a_invariants)
-    print(f"{title}: {ai} at p={p}")
+    print(f"{title}: {model.a_invariants} at p={p}")
     print(f"  status {c.status}, image condition {c.image_condition}")
     for w in c.witnesses:
         kernel = ", ".join(str(c0) for c0 in w.kernel_monic.coeffs)

@@ -19,7 +19,7 @@ from fineselmer.cli import JobSpec, render_text
 E = WeierstrassModel(0, -1, 1, -7820, -263580)
 p = 5
 
-print("curve:", tuple(int(a) for a in E.a_invariants), " j =", E.j_invariant)
+print("curve:", E.a_invariants, " j =", E.j_invariant)
 print("discriminant:", E.discriminant)
 print()
 

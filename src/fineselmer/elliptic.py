@@ -4,11 +4,11 @@ A model is the quintuple [a1, a2, a3, a4, a6] with rational entries and
 nonzero discriminant.  The b- and c-invariants are computed once at
 construction and double-checked against the identities
 4*b8 = b2*b6 - b4^2 and 1728*Delta = c4^3 - c6^2, so a silent formula
-slip cannot survive the constructor.  An integral model computes and
-checks them on plain ints, and a coordinate change of an integral model
-by integral r, s, t computes the new a-invariants on ints too, dividing
-by powers of u only when u != 1; one formula body serves both paths, and
-every attribute is stored as a Fraction either way.  Entries are ints,
+slip cannot survive the constructor.  An integral model stores its
+twelve attributes (a-, b-, c-invariants, discriminant) as ints, and any
+other model all twelve as Fractions; one formula body serves both, and
+a change of model divides by u^k through Fraction, never as int / int.
+The j-invariant is a Fraction either way.  Entries are ints,
 Fractions or strings such as '1/2'; a float is refused with TypeError.
 
 The group law is written against duck-typed field elements (anything
@@ -51,13 +51,18 @@ COUNT_LIMIT = 10**6
 LADDER_MAX = 13  # the division-polynomial ladder's top n, and so the cap on p
 
 
-def _exact(v) -> Fraction:
-    """v as a Fraction. A float is refused: its binary value is not the
-    rational its digits spell, so 0.1 would enter as 3602879701896397/2^55."""
-    if isinstance(v, float):
-        raise TypeError(f"{v!r} is a float; pass an int, a Fraction or a "
-                        "string such as '1/2'")
-    return v if type(v) is Fraction else Fraction(v)
+def _exact(values) -> tuple:
+    """values as ints if every one is integral, else all as Fractions.
+    A float is refused: its binary value is not the rational its digits
+    spell, so 0.1 would enter as 3602879701896397/2^55."""
+    for v in values:
+        if isinstance(v, float):
+            raise TypeError(f"{v!r} is a float; pass an int, a Fraction or a "
+                            "string such as '1/2'")
+    exact = tuple(v if type(v) in (int, Fraction) else Fraction(v) for v in values)
+    if all(v.denominator == 1 for v in exact):
+        return tuple(v.numerator for v in exact)
+    return tuple(map(Fraction, exact))
 
 
 def _invariants(a1, a2, a3, a4, a6):
@@ -94,11 +99,8 @@ class WeierstrassModel:
                  "c4", "c6", "discriminant", "_ladder")
 
     def __init__(self, a1, a2, a3, a4, a6):
-        a = tuple(_exact(v) for v in (a1, a2, a3, a4, a6))
-        if all(v.denominator == 1 for v in a):
-            invariants = tuple(Fraction(v) for v in _invariants(*(v.numerator for v in a)))
-        else:
-            invariants = _invariants(*a)
+        a = _exact((a1, a2, a3, a4, a6))
+        invariants = _invariants(*a)
         if invariants[-1] == 0:
             raise ValueError("singular model: discriminant is zero")
         for name, val in zip(self.__slots__, a + invariants + (None,)):
@@ -112,16 +114,16 @@ class WeierstrassModel:
         return type(self), self.a_invariants
 
     @property
-    def a_invariants(self) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+    def a_invariants(self) -> tuple[int, int, int, int, int] | tuple[Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @property
     def j_invariant(self) -> Fraction:
-        return self.c4**3 / self.discriminant
+        return Fraction(self.c4**3, self.discriminant)
 
     @property
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.a_invariants)
+        return type(self.a1) is int
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeierstrassModel) and other.a_invariants == self.a_invariants
@@ -140,16 +142,12 @@ class WeierstrassModel:
 
         Scales the discriminant by u^-12 and c4 by u^-4.
         """
-        u, r, s, t = (_exact(v) for v in (u, r, s, t))
+        u, r, s, t = _exact((u, r, s, t))
         if u == 0:
             raise ValueError("u must be nonzero")
-        shift = self.a_invariants + (r, s, t)
-        if all(v.denominator == 1 for v in shift):
-            moved = _shifted(*(v.numerator for v in shift))
-        else:
-            moved = _shifted(*shift)
+        moved = _shifted(*self.a_invariants, r, s, t)
         if u != 1:
-            moved = (v / u**k for v, k in zip(moved, (1, 2, 3, 4, 6)))
+            moved = (Fraction(v, u**k) for v, k in zip(moved, (1, 2, 3, 4, 6)))
         return WeierstrassModel(*moved)
 
     def integral_model(self) -> "WeierstrassModel":
@@ -165,7 +163,7 @@ class WeierstrassModel:
         """a-invariants mapped into the field; model must be integral."""
         if not self.is_integral:
             raise ValueError("reduce an integral model")
-        return tuple(field.element(int(v)) for v in self.a_invariants)
+        return tuple(field.element(v) for v in self.a_invariants)
 
     # -- division polynomials -------------------------------------------------
 
@@ -223,7 +221,7 @@ class WeierstrassModel:
         """(table, F, F^2) on int lists, F = 4x^3 + b2 x^2 + 2 b4 x + b6 =
         psi_2^2. The table maps odd k to psi_k and even k to psi_k / psi_2;
         it starts at 1 <= k <= 4, and _ladder_psi adds the rest as asked."""
-        b2, b4, b6, b8 = (int(v) for v in (self.b2, self.b4, self.b6, self.b8))
+        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         F = [b6, 2 * b4, b2, 4]
         table = {1: [1], 2: [1], 3: [b8, 3 * b6, 3 * b4, b2, 3],
                  4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6,
@@ -312,9 +310,8 @@ def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
     of good reduction.
 
     The model must be integral with no ell dividing the discriminant;
-    such a model is automatically minimal at each ell.  b2, b4, b6 and
-    the discriminant are read as ints once.  For odd ell the count runs
-    on plain ints: completing the square in y gives
+    such a model is automatically minimal at each ell.  For odd ell the
+    count runs on plain ints: completing the square in y gives
     a_ell = -sum_x chi(F(x)), F(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, chi the
     quadratic character mod ell read off a table of squares.  F steps
     from x to x + 1 by finite differences mod ell; the third is 24.
@@ -322,7 +319,7 @@ def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
     """
     if not model.is_integral:
         raise ValueError("pass an integral model")
-    b2, b4, b6, disc = (int(v) for v in (model.b2, model.b4, model.b6, model.discriminant))
+    b2, b4, b6, disc = model.b2, model.b4, model.b6, model.discriminant
     traces = []
     for ell in ells:
         if ell > COUNT_LIMIT or not is_prime(ell):
@@ -330,7 +327,7 @@ def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
         if disc % ell == 0:
             raise ValueError(f"{ell} divides the discriminant; minimize and check reduction first")
         if ell == 2:
-            a1, a2, a3, a4, a6 = (int(v) for v in model.a_invariants)
+            a1, a2, a3, a4, a6 = model.a_invariants
             affine = sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
                          for x in (0, 1) for y in (0, 1))
             a = 2 - affine

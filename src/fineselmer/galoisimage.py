@@ -122,7 +122,7 @@ class StableSubgroupWitness:
     def __repr__(self) -> str:
         return (f"StableSubgroupWitness(p={self.p}, "
                 f"kernel={self.kernel_primitive!r}, "
-                f"quotient={tuple(int(a) for a in self.quotient.a_invariants)})")
+                f"quotient={self.quotient.a_invariants})")
 
 
 def _closed_under_multiples(model: WeierstrassModel, h: QPoly,
@@ -204,8 +204,8 @@ def _matching_trace_primes(a: WeierstrassModel, b: WeierstrassModel,
     counted in one sweep and stored, so a caller that matches a against
     several quotients passes one dict and counts each of a's traces
     once. b is swept once."""
-    da = abs(int(a.discriminant))
-    db = abs(int(b.discriminant))
+    da = abs(a.discriminant)
+    db = abs(b.discriminant)
     good = [ell for ell in primes_below(TRACE_CHECK_BOUND + 1)
             if ell != p and da % ell and db % ell]
     missing = [ell for ell in good if ell not in a_traces]
@@ -332,7 +332,7 @@ def surjectivity_certificate(model: WeierstrassModel, p: int
     if p == 3 or model.j_invariant in CM_J_INVARIANTS:
         return None
     E = model.integral_model()
-    disc = abs(int(E.discriminant))
+    disc = abs(E.discriminant)
     nonsplit = split = order_w = None
     for ell in primes_below(CERTIFICATE_BOUND + 1):
         if ell == p or disc % ell == 0:

@@ -32,7 +32,6 @@ unless assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import isqrt
 
 from .cyclotomic import is_regular, kinf_ramification
@@ -132,29 +131,27 @@ class LambdaBoundReport:
     notes: tuple[str, ...]
 
 
-def _rational_is_square(x: Fraction) -> bool:
-    if x < 0:
-        return False
-    n, d = x.numerator, x.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
-
 def _pointwise_rational_line(model: WeierstrassModel, kernel) -> bool:
     """Does the kernel consist of rational points (beyond the origin)?
 
     True iff the kernel polynomial splits into rational linear factors,
-    as many as its degree, and each root supports a rational y, i.e. the
-    quadratic in y has a square discriminant.
+    as many as its degree, and each root x0 supports a rational y, i.e.
+    the quadratic in y has a square discriminant
+    F(x0) = 4 x0^3 + b2 x0^2 + 2 b4 x0 + b6.  The model is integral, so
+    for a primitive factor c1 x + c0 and x0 = -c0/c1 the number
+    N = c1^4 F(x0) = c1 (-4 c0^3 + b2 c0^2 c1 - 2 b4 c0 c1^2 + b6 c1^3)
+    is an integer.  As c1^4 is a nonzero square, F(x0) is a square in Q
+    iff N is; and a rational square root of an integer is a root of the
+    monic t^2 - N, so it is an integer.  math.isqrt decides on ints.
     """
-    prim = kernel.primitive()
-    _, factors = factor_int_poly(prim, max_degree=1)
-    if len(factors) != prim.degree:
+    _, factors = factor_int_poly(kernel, max_degree=1)
+    if len(factors) != kernel.degree:
         return False
     for f, _ in factors:
-        x0 = -f.coeff(0) / f.coeff(1)
-        disc = ((model.a1 * x0 + model.a3) ** 2
-                + 4 * (x0 ** 3 + model.a2 * x0 * x0 + model.a4 * x0 + model.a6))
-        if not _rational_is_square(Fraction(disc)):
+        c0, c1 = f.int_coeffs()
+        n = c1 * (((-4 * c0 + model.b2 * c1) * c0 - 2 * model.b4 * c1 * c1) * c0
+                  + model.b6 * c1**3)
+        if n < 0 or isqrt(n) ** 2 != n:
             return False
     return True
 
@@ -187,7 +184,8 @@ def compute_lambda_bound(
 
     g_table, when given, is a user Z_p-extension: rows {residue_char,
     residue_degree (1 if absent), g}. It is read once, before any place:
-    a row whose residue_char is not a prime below MR_EXACT_LIMIT, whose
+    a row with a value that is not an int (a bool included), whose
+    residue_char is not a prime below MR_EXACT_LIMIT, whose
     residue_degree or g is below 1, or that repeats a (residue_char,
     residue_degree) raises ValueError naming the row, whatever the
     curve. A place of S0 takes g from its row, and one without a row
@@ -203,13 +201,19 @@ def compute_lambda_bound(
         if token not in ASSUMPTION_TOKENS:
             raise ValueError(f"unknown assumption {token!r}; "
                              f"expected one of {sorted(ASSUMPTION_TOKENS)}")
-    if (dim_y is not None and dim_y < 0) or (dim_z is not None and dim_z < 0):
-        raise ValueError("global dimensions cannot be negative")
+    for name, dim in (("dim_y", dim_y), ("dim_z", dim_z)):
+        if dim is not None and type(dim) is not int:  # a bool too
+            raise ValueError(f"{name} must be an integer, got {dim!r}")
+        if dim is not None and dim < 0:
+            raise ValueError("global dimensions cannot be negative")
     # every row, not only those of the curve's places, so that a table is
     # accepted or refused whatever the curve
     table: dict[tuple[int, int], int] = {}
     for i, row in enumerate(g_table or ()):
         key = (row["residue_char"], row.get("residue_degree", 1))
+        for name, value in zip(("residue_char", "residue_degree", "g"), (*key, row["g"])):
+            if type(value) is not int:
+                raise ValueError(f"g table row {i}: {name} must be an integer, got {value!r}")
         # no place lies above a prime too large to prove prime: refuse it
         # before is_prime, which would take seconds on it
         if key[0] >= MR_EXACT_LIMIT:
@@ -220,13 +224,13 @@ def compute_lambda_bound(
         if key[1] < 1:
             raise ValueError(f"g table row {i}: residue_degree must be a positive "
                              f"integer, got {key[1]}")
-        if int(row["g"]) < 1:
+        if row["g"] < 1:
             raise ValueError(f"g table row {i}: g must be a positive integer, "
                              f"got {row['g']}")
         if key in table:
             raise ValueError(f"g table row {i}: a second row for "
                              f"residue_char={key[0]}, f={key[1]}")
-        table[key] = int(row["g"])
+        table[key] = row["g"]
 
     E = model.integral_model()
     notes: list[str] = []
@@ -319,7 +323,7 @@ def compute_lambda_bound(
             image.image_condition,
             f"{image.status}: " + "; ".join(image.notes))
         guard = (len(image.witnesses) >= 2
-                 and any(_pointwise_rational_line(E, w.kernel_monic)
+                 and any(_pointwise_rational_line(E, w.kernel_primitive)
                          for w in image.witnesses))
     else:
         ledger["image-condition"] = HypothesisEntry(

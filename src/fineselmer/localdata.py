@@ -28,8 +28,6 @@ decisive in both directions, so no search runs there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-
 from .elliptic import WeierstrassModel, trace_of_frobenius
 from .modular import (factorize, is_prime, multiplicative_order,
                       require_odd_prime, valuation)
@@ -80,26 +78,23 @@ class ReductionData:
         return self.category == "good"
 
 
-def _vl(x: Fraction | int, ell: int) -> int | None:
+def _vl(n: int, ell: int) -> int | None:
     """Valuation at ell; None for 0 (infinite)."""
-    n = int(x)
-    if n == 0:
-        return None
-    return valuation(n, ell)
+    return None if n == 0 else valuation(n, ell)
 
 
 def _split_multiplicative(model: WeierstrassModel, ell: int) -> bool:
     """Split test for a multiplicative (v(c4)=0, v(D)>0) integral model."""
     if ell != 2:
         # Euler's criterion; c6^2 = c4^3 (mod ell) makes -c6 a unit
-        return pow(-int(model.c6) % ell, (ell - 1) // 2, ell) == 1
+        return pow(-model.c6 % ell, (ell - 1) // 2, ell) == 1
     # ell = 2: translate the singular point to the origin, then the node
     # is split iff the tangent quadratic T^2 + T + a2' has roots, i.e.
     # a2' is even.  a1' is automatically odd here since v(c4) = 0.
     m = _move_singular_point(model, 2)
-    if int(m.a1) % 2 != 1:
+    if m.a1 % 2 != 1:
         raise AssertionError("node with even a1 cannot happen at v(c4)=0")
-    return int(m.a2) % 2 == 0
+    return m.a2 % 2 == 0
 
 
 def _move_singular_point(model: WeierstrassModel, ell: int) -> WeierstrassModel:
@@ -107,7 +102,7 @@ def _move_singular_point(model: WeierstrassModel, ell: int) -> WeierstrassModel:
     for r in range(ell):
         for t in range(ell):
             m = model.change_model(1, r, 0, t)
-            if all(int(v) % ell == 0 for v in (m.a3, m.a4, m.a6)):
+            if all(v % ell == 0 for v in (m.a3, m.a4, m.a6)):
                 return m
     raise AssertionError("singular point not found; model is not singular mod ell")
 
@@ -116,12 +111,12 @@ def _normalize_step6(model: WeierstrassModel, ell: int) -> WeierstrassModel:
     """Reach v(a1), v(a2) >= 1, v(a3), v(a4) >= 2, v(a6) >= 3 by an (s, t) move."""
     for s in range(ell):
         cand1 = model.change_model(1, 0, s, 0)
-        if int(cand1.a1) % ell or int(cand1.a2) % ell:
+        if cand1.a1 % ell or cand1.a2 % ell:
             continue
         for t in range(ell * ell):
             m = cand1.change_model(1, 0, 0, t)
-            if (int(m.a3) % ell**2 == 0 and int(m.a4) % ell**2 == 0
-                    and int(m.a6) % ell**3 == 0):
+            if (m.a3 % ell**2 == 0 and m.a4 % ell**2 == 0
+                    and m.a6 % ell**3 == 0):
                 return m
     raise AssertionError("step-6 normalization failed; upstream step is buggy")
 
@@ -157,17 +152,17 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
                 _split_multiplicative(E, ell))
         # additive: put the cusp at the origin
         E = _move_singular_point(E, ell)
-        if int(E.a6) % ell**2 != 0:
+        if E.a6 % ell**2 != 0:
             return ReductionData(E, "II", "additive", vD, _vl(E.c4, ell), None)
-        if int(E.b8) % ell**3 != 0:
+        if E.b8 % ell**3 != 0:
             return ReductionData(E, "III", "additive", vD, _vl(E.c4, ell), None)
-        if int(E.b6) % ell**3 != 0:
+        if E.b6 % ell**3 != 0:
             return ReductionData(E, "IV", "additive", vD, _vl(E.c4, ell), None)
         E = _normalize_step6(E, ell)
         # cubic T^3 + a_{2,1} T^2 + a_{4,2} T + a_{6,3} over F_ell
-        c2 = int(E.a2) // ell
-        c4_ = int(E.a4) // ell**2
-        c6_ = int(E.a6) // ell**3
+        c2 = E.a2 // ell
+        c4_ = E.a4 // ell**2
+        c6_ = E.a6 // ell**3
         # classify the root pattern by hunting for a repeated rational root
         rep = next((x for x in range(ell)
                     if (((x + c2) * x + c4_) * x + c6_) % ell == 0
@@ -176,7 +171,7 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
             return ReductionData(E, "I0*", "additive", vD, _vl(E.c4, ell), None)
         # shift the repeated root to 0
         E = E.change_model(1, ell * rep, 0, 0)
-        triple = int(E.a2) // ell % ell == 0
+        triple = E.a2 // ell % ell == 0
         if not triple:
             # I_n* chain: alternate quadratics in Y and X
             m = 1
@@ -184,16 +179,16 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
                 n_odd = 2 * m - 1
                 if n_odd > vD - 6 + 1:
                     raise AssertionError("I_n* chain exceeded v(D); bug")
-                a3m = int(E.a3) // ell ** (m + 1)
-                a6m = int(E.a6) // ell ** (2 * m + 2)
+                a3m = E.a3 // ell ** (m + 1)
+                a6m = E.a6 // ell ** (2 * m + 2)
                 dy = _double_root_mod(1, a3m, -a6m, ell)
                 if dy is None:
                     return ReductionData(E, f"I{n_odd}*", "additive", vD,
                                          _vl(E.c4, ell), None)
                 E = E.change_model(1, 0, 0, ell ** (m + 1) * dy)
-                a2m = int(E.a2) // ell
-                a4m = int(E.a4) // ell ** (m + 2)
-                a6m = int(E.a6) // ell ** (2 * m + 3)
+                a2m = E.a2 // ell
+                a4m = E.a4 // ell ** (m + 2)
+                a6m = E.a6 // ell ** (2 * m + 3)
                 dx = _double_root_mod(a2m, a4m, a6m, ell)
                 if dx is None:
                     return ReductionData(E, f"I{2 * m}*", "additive", vD,
@@ -201,15 +196,15 @@ def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
                 E = E.change_model(1, ell ** (m + 1) * dx, 0, 0)
                 m += 1
         # triple root at the origin: v(a2) >= 2, v(a4) >= 3, v(a6) >= 4
-        a32 = int(E.a3) // ell**2
-        a64 = int(E.a6) // ell**4
+        a32 = E.a3 // ell**2
+        a64 = E.a6 // ell**4
         dy = _double_root_mod(1, a32, -a64, ell)
         if dy is None:
             return ReductionData(E, "IV*", "additive", vD, _vl(E.c4, ell), None)
         E = E.change_model(1, 0, 0, ell**2 * dy)
-        if int(E.a4) % ell**4 != 0:
+        if E.a4 % ell**4 != 0:
             return ReductionData(E, "III*", "additive", vD, _vl(E.c4, ell), None)
-        if int(E.a6) % ell**6 != 0:
+        if E.a6 % ell**6 != 0:
             return ReductionData(E, "II*", "additive", vD, _vl(E.c4, ell), None)
         # nothing stopped us: the model was non-minimal; rescale and restart
         E = E.change_model(ell, 0, 0, 0)
@@ -235,8 +230,8 @@ def _tate_shortcut(model: WeierstrassModel, ell: int) -> ReductionData:
     if k:
         # u-rescaling the original a_i by ell^k can leave Z (think a1 = 1),
         # so pass to the ell-isomorphic short model of the scaled invariants
-        c4s = int(E.c4) // ell ** (4 * k)
-        c6s = int(E.c6) // ell ** (6 * k)
+        c4s = E.c4 // ell ** (4 * k)
+        c6s = E.c6 // ell ** (6 * k)
         E = WeierstrassModel(0, 0, 0, -27 * c4s, -54 * c6s)
         v4 = _vl(E.c4, ell)
         new_vD = _vl(E.discriminant, ell)
@@ -300,7 +295,7 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
         split = f % 2 == 0
         if ell != 2:
             # Euler's criterion in F_{ell^f}, on the residue of -c6 in F_ell
-            if split != (pow(-int(base.minimal_model.c6) % ell, (ell**f - 1) // 2, ell) == 1):
+            if split != (pow(-base.minimal_model.c6 % ell, (ell**f - 1) // 2, ell) == 1):
                 raise AssertionError("the split test and Euler's criterion disagree")
         # a torus that splits is still the same Kodaira fiber
     return KPlaceReduction(f, (p - 1) // f, base, split)
@@ -350,7 +345,7 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
     records: list[PlaceRecord] = []
     good_above_p = True
     # factorize lists the primes increasing
-    for ell in factorize(abs(int(model.integral_model().discriminant))):
+    for ell in factorize(abs(model.integral_model().discriminant)):
         if ell == p:
             good_above_p = tate_reduction(model, p).is_good
             continue
@@ -449,7 +444,7 @@ def _torsion_x_has_rational_y(model: WeierstrassModel, x0: int, p: int) -> bool:
     and F(x0) = (2y~ + a1 x0 + a3)^2 != 0 (mod p).  A p-adic unit is a
     square exactly when its residue is: one Legendre symbol decides.
     """
-    b2, b4, b6 = (int(v) for v in (model.b2, model.b4, model.b6))
+    b2, b4, b6 = model.b2, model.b4, model.b6
     F = (((4 * x0 + b2) * x0 + 2 * b4) * x0 + b6) % p
     if F == 0:
         raise AssertionError("a p-torsion x-coordinate reduced onto the 2-torsion")

@@ -188,8 +188,9 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(p: int) -> None:
-    """The one check that p is an odd prime; ValueError otherwise."""
-    if p == 2 or not is_prime(p):
+    """The one check that p is an odd prime; ValueError otherwise, also
+    for a p that is not an int (a bool, 5.0 or Fraction(5))."""
+    if type(p) is not int or p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
 
 

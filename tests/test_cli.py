@@ -99,6 +99,15 @@ def test_run_token_is_optional(capsys):
     assert (code_with, out_with) == (code_without, out_without)
 
 
+def test_text_format_matches_golden_bytes(capsys):
+    # over Q(mu_7) the text table lists 2 and 13 once per place
+    _, out, _ = run_cli(
+        capsys, "run", "--curve", "1,-1,1,-3,3", "--label", "26b1", "--p", "7",
+        "--field", "Q(mu_p)", "--format", "text",
+    )
+    assert out == (GOLDEN / "run_26b1_Qmu7.txt").read_text()
+
+
 def test_text_format_goes_to_stdout(capsys):
     code, out, err = run_cli(
         capsys, "run", "--curve", CURVE, "--p", "5", "--format", "text",

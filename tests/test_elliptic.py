@@ -21,6 +21,8 @@ from fineselmer.elliptic import (
     trace_of_frobenius,
 )
 from fineselmer.finitefield import FiniteField, FqPoly
+from fineselmer.galoisimage import _velu_quotient, find_stable_subgroups
+from fineselmer.localdata import tate_reduction
 from fineselmer.modular import primes_below
 from fineselmer.polynomial import QPoly, _horner
 import oracles
@@ -88,14 +90,24 @@ def test_change_model_refuses_a_float():
     assert model.change_model("1/2", 0, 0, 0) == model.change_model(Fraction(1, 2), 0, 0, 0)
 
 
-def assert_attributes(model, expected):
-    # the one private slot holds the division-polynomial ladder
-    public = [name for name in WeierstrassModel.__slots__ if not name.startswith("_")]
-    assert public == list(expected)
-    for name in public:
-        value = getattr(model, name)
-        assert type(value) is Fraction and value == expected[name], name
+# the one private slot holds the division-polynomial ladder
+PUBLIC = [name for name in WeierstrassModel.__slots__ if not name.startswith("_")]
+
+
+def assert_one_type(model):
+    """All 12 attributes are ints (an integral model) or all are Fractions
+    (any other), never a float and never a mix; j is a Fraction."""
+    kind = int if all(Fraction(v).denominator == 1 for v in model.a_invariants) else Fraction
+    assert model.is_integral == (kind is int)
+    assert [type(getattr(model, name)) for name in PUBLIC] == [kind] * 12, model
     assert type(model.j_invariant) is Fraction
+
+
+def assert_attributes(model, expected):
+    assert PUBLIC == list(expected)
+    assert_one_type(model)
+    for name in PUBLIC:
+        assert getattr(model, name) == expected[name], name
     assert model.j_invariant == expected["c4"] ** 3 / expected["discriminant"]
 
 
@@ -127,6 +139,41 @@ def test_int_path_matches_fraction_path(a, u, rst):
     moved = model.change_model(u, *rst)
     assert_attributes(moved, oracles.invariants_fraction(
         *oracles.change_model_fraction(model, u, *rst)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ints_or_fractions(5, st.integers(-6, 6)),
+    st.one_of(st.sampled_from([-1, 2, 3]),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)),
+    ints_or_fractions(3, st.integers(-4, 4)),
+    st.sampled_from([2, 3, 5, 7]),
+)
+@example(a=(0, -1, 1, -10, -20), u=-1, rst=(0, 0, 0), ell=2)
+@example(a=(Fraction(1, 2), 0, 0, -1, 0), u=2, rst=(1, 0, 0), ell=3)
+def test_no_float_reaches_a_model_and_each_model_has_one_type(a, u, rst, ell):
+    # an int u divides by u^k through Fraction, never as int / int
+    model = nonsingular(*a)
+    assume(model is not None)
+    from_fractions = WeierstrassModel(*map(Fraction, a))
+    assert from_fractions == model and hash(from_fractions) == hash(model)
+    moved = model.change_model(u, *rst)
+    integral = moved.integral_model()
+    minimal = tate_reduction(moved, ell).minimal_model
+    for m in (model, from_fractions, moved, integral, minimal):
+        assert_one_type(m)
+
+
+def test_corpus_velu_quotients_have_one_type(bench_corpus):
+    quotients = 0
+    for label, p in sorted({(job.label, job.p) for job in bench_corpus.ISOGENY_LINES}):
+        E = WeierstrassModel(*bench_corpus.CURVES[label][0])
+        for w in find_stable_subgroups(E, p):
+            assert_one_type(_velu_quotient(E, w.kernel_monic))
+            assert_one_type(w.quotient)
+            assert w.quotient.is_integral, (label, p)
+            quotients += 1
+    assert quotients >= 7
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,10 +8,11 @@ additivity bound = global part + sum of place contributions.
 
 import hashlib
 import re
+from fractions import Fraction
 
 import pytest
 
-from fineselmer import cli, lambdabound, localdata
+from fineselmer import cli, elliptic, galoisimage, lambdabound, localdata
 from fineselmer.elliptic import WeierstrassModel
 from fineselmer.lambdabound import (
     ASSUMPTION_TOKENS,
@@ -98,17 +99,14 @@ def test_g_v_is_read_once_per_record(monkeypatch):
     assert calls == [(2, 7, "Q(mu_p)", 3), (13, 7, "Q(mu_p)", 2)]
 
 
-@pytest.mark.parametrize("field", ["Q", "Q(mu_p)"])
-@pytest.mark.parametrize("u", [1, 2], ids=["11a1", "11a1-rescaled"])
-def test_one_job_builds_one_ladder_on_one_integral_model(monkeypatch, u, field):
-    # delta_v's psi_p, the stable-line search's psi_p and every closure
-    # test read one ladder, kept by the one integral model of the job,
-    # and the discriminant of that model is factored once.  A fresh model
-    # each run: a module-level one keeps the ladder another test built
-    model = WeierstrassModel(0, -1, 1, -10, -20).change_model(u, 0, 0, 0)
-    assert model.is_integral == (u == 1)
-    built, factored = [], []
+def run_counting_job_work(monkeypatch, model, p, field):
+    """compute_lambda_bound(model, p, field), and what it built and counted:
+    the models whose ladder was built, the integers factored for the
+    places, and the (model, ell) pairs of each Tate reduction and each
+    trace count. trace_of_frobenius counts through frobenius_traces."""
+    built, factored, reduced, counted = [], [], [], []
     build, factorize = WeierstrassModel._division_ladder, localdata.factorize
+    reduce, traces = localdata.tate_reduction, elliptic.frobenius_traces
 
     def counting_build(self):
         built.append(self)
@@ -118,11 +116,52 @@ def test_one_job_builds_one_ladder_on_one_integral_model(monkeypatch, u, field):
         factored.append(n)
         return factorize(n)
 
+    def counting_reduce(E, ell):
+        reduced.append((E, ell))
+        return reduce(E, ell)
+
+    def counting_traces(E, ells):
+        ells = list(ells)
+        counted.extend((E, ell) for ell in ells)
+        return traces(E, ells)
+
     monkeypatch.setattr(WeierstrassModel, "_division_ladder", counting_build)
     monkeypatch.setattr(localdata, "factorize", counting_factorize)
-    report = compute_lambda_bound(model, 5, field)
+    monkeypatch.setattr(localdata, "tate_reduction", counting_reduce)
+    monkeypatch.setattr(elliptic, "frobenius_traces", counting_traces)
+    monkeypatch.setattr(galoisimage, "frobenius_traces", counting_traces)
+    report = compute_lambda_bound(model, p, field)
+    monkeypatch.undo()
+    return report, built, factored, reduced, counted
+
+
+def assert_each_datum_once(report, built, factored, reduced, counted):
+    # delta_v's psi_p, the stable-line search's psi_p and every closure
+    # test read one ladder, kept by the one integral model of the job;
+    # the discriminant of that model is factored once, and each ell is
+    # reduced once and has its trace counted once per model
     assert len(built) == 1 and built[0] is report.model
-    assert factored == [abs(int(report.model.discriminant))]
+    assert factored == [abs(report.model.discriminant)]
+    assert reduced and len(set(reduced)) == len(reduced)
+    assert counted and len(set(counted)) == len(counted)
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(mu_p)"])
+@pytest.mark.parametrize("u", [1, 2], ids=["11a1", "11a1-rescaled"])
+def test_one_job_builds_one_ladder_on_one_integral_model(monkeypatch, u, field):
+    # a fresh model each run: a module-level one keeps the ladder another
+    # test built
+    model = WeierstrassModel(0, -1, 1, -10, -20).change_model(u, 0, 0, 0)
+    assert model.is_integral == (u == 1)
+    assert_each_datum_once(*run_counting_job_work(monkeypatch, model, 5, field))
+
+
+def test_each_isogeny_lines_job_reduces_and_counts_each_ell_once(monkeypatch, bench_corpus):
+    for job in bench_corpus.ISOGENY_LINES:
+        model = WeierstrassModel(*job.curve)
+        work = run_counting_job_work(monkeypatch, model, job.p, job.field)
+        assert work[0].bound == job.bound, job
+        assert_each_datum_once(*work)
 
 
 def test_sum_of_terms_always_recomposes_the_bound():
@@ -222,7 +261,14 @@ def test_g_table_row_below_one_is_refused_whatever_the_curve(model):
             ({"residue_char": 2, "residue_degree": -1, "g": 1},
              "residue_degree must be a positive integer, got -1"),
             ({"residue_char": 2**127 - 1, "g": 1},
-             "residue_char has 127 bits; a prime is proven only below 3.3 * 10^24")):
+             "residue_char has 127 bits; a prime is proven only below 3.3 * 10^24"),
+            # a value that is not an int: none is truncated or parsed
+            ({"residue_char": 11, "g": 2.5}, "g must be an integer, got 2.5"),
+            ({"residue_char": 11, "g": True}, "g must be an integer, got True"),
+            ({"residue_char": 11, "g": "7"}, "g must be an integer, got '7'"),
+            ({"residue_char": 11.0, "g": 1}, "residue_char must be an integer, got 11.0"),
+            ({"residue_char": 2, "residue_degree": 1.5, "g": 1},
+             "residue_degree must be an integer, got 1.5")):
         table = [row, {"residue_char": 11, "g": 1}]
         with pytest.raises(ValueError, match=f"^{re.escape(f'g table row 0: {message}')}$"):
             compute_lambda_bound(model, 5, "Q", g_table=table)
@@ -241,8 +287,6 @@ def test_g_table_with_two_rows_for_one_place_is_refused(model, gs):
 
 
 def test_report_model_is_integralized():
-    from fractions import Fraction
-
     scaled = E11A2.change_model(Fraction(1, 3), 0, 0, 0)
     r = compute_lambda_bound(scaled, 5, "Q")
     assert r.model.is_integral
@@ -269,6 +313,16 @@ def test_input_validation():
             compute_lambda_bound(E11A2, bad_p, "Q")
     with pytest.raises(ValueError):
         compute_lambda_bound(E11A2, 5, "Q", dim_y=-1)
+    # a p or a dimension that is not an int is refused, not truncated or
+    # carried into the bound as a float
+    for bad_p in (5.0, Fraction(5)):
+        with pytest.raises(ValueError, match="^p must be an odd prime$"):
+            compute_lambda_bound(E11A1, bad_p, "Q")
+    for dims, message in (({"dim_y": 1.5}, "dim_y must be an integer, got 1.5"),
+                          ({"dim_y": True}, "dim_y must be an integer, got True"),
+                          ({"dim_y": 0, "dim_z": 1.0}, "dim_z must be an integer, got 1.0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_lambda_bound(E11A1, 5, "Q", **dims)
     with pytest.raises(ValueError):
         compute_lambda_bound(E11A2, 5, "Q", assume=("nonsense",))
     with pytest.raises(ValueError):
