@@ -87,7 +87,7 @@ def is_regular(p: int) -> bool:
     in p).  Small primes with an empty index range (3, 5, 7) are
     regular by convention and by the empty check alike.
     """
-    if p > MAX_REGULARITY_PRIME:
+    if type(p) is int and p > MAX_REGULARITY_PRIME:
         raise ValueError(f"regularity test capped at {MAX_REGULARITY_PRIME}")
     require_odd_prime(p)
     if p in (3, 5, 7):

@@ -17,9 +17,8 @@ points and reductions mod ell.  Division polynomials use the standard
 f/g bisection ladder so the y-variable is eliminated once and for all;
 odd n gives a univariate polynomial of degree (n^2-1)/2 with leading
 coefficient n whose roots are the x-coordinates of the nonzero
-n-torsion.  The model is integral, so the ladder (and the x-multiple
-maps built on it) runs on integer lists; division_polynomial and
-x_multiple_fraction return QPolys, and x_multiple_coeffs the lists.
+n-torsion.  On an integral model the ladder and the x-multiple maps run
+on integer lists, and division_polynomial boxes psi_n as a QPoly.
 Each model object has one ladder: built on first use, kept with the
 object in one slot, and extended as larger n are asked for, so every
 division polynomial and x-multiple map of one model reads the same
@@ -33,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .finitefield import FiniteField, FqElem
-from .modular import is_prime
+from .modular import is_prime, require_odd_prime
 from .polynomial import QPoly, _mul, _sub
 
 __all__ = [
@@ -45,10 +44,19 @@ __all__ = [
     "frobenius_traces",
     "COUNT_LIMIT",
     "LADDER_MAX",
+    "require_ladder_prime",
 ]
 
 COUNT_LIMIT = 10**6
 LADDER_MAX = 13  # the division-polynomial ladder's top n, and so the cap on p
+
+
+def require_ladder_prime(p: int) -> None:
+    """The one check that p is an odd prime the ladder reaches; ValueError
+    otherwise.  The cap comes first: is_prime on a huge p would not return."""
+    if type(p) is int and p > LADDER_MAX:
+        raise ValueError(f"p is capped at {LADDER_MAX} by the division-polynomial ladder")
+    require_odd_prime(p)
 
 
 def _exact(values) -> tuple:
@@ -182,11 +190,6 @@ class WeierstrassModel:
         if poly.degree != expected_deg or poly.leading != n:
             raise AssertionError("division polynomial shape check failed")
         return poly
-
-    def x_multiple_fraction(self, k: int) -> tuple[QPoly, QPoly]:
-        """x_multiple_coeffs(k) as QPolys."""
-        num, den = self.x_multiple_coeffs(k)
-        return QPoly(num), QPoly(den)
 
     def x_multiple_coeffs(self, k: int) -> tuple[list[int], list[int]]:
         """The integer coefficient lists (num, den) of x([k]P) = num(x)/den(x),

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .elliptic import (LADDER_MAX, WeierstrassModel, frobenius_traces,
+from .elliptic import (WeierstrassModel, frobenius_traces, require_ladder_prime,
                        trace_of_frobenius)
 from .factorization import NoGoodPrime, factor_int_poly, good_reduction
 from .localdata import require_field
@@ -227,10 +227,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     When the division polynomial mod its good prime has no factor degrees
     summing to (p-1)/2, there is no candidate and nothing is factored.
     """
-    # the cap comes first: is_prime on a huge p would not return
-    if p > LADDER_MAX:
-        raise ValueError(f"p is capped at {LADDER_MAX} by the division-polynomial ladder")
-    require_odd_prime(p)
+    require_ladder_prime(p)
     E = model.integral_model()
     psi = E.division_polynomial(p)
     d = (p - 1) // 2

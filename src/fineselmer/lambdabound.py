@@ -31,15 +31,16 @@ unless assumed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from math import isqrt
 
 from .cyclotomic import is_regular, kinf_ramification
-from .elliptic import LADDER_MAX, WeierstrassModel
+from .elliptic import WeierstrassModel, require_ladder_prime
 from .factorization import factor_int_poly
 from .galoisimage import classify_image
 from .localdata import compute_place_sets, delta_v, g_v, require_field
-from .modular import MR_EXACT_LIMIT, is_prime, require_odd_prime, valuation
+from .modular import MR_EXACT_LIMIT, is_prime, valuation
 
 __all__ = [
     "HYPOTHESIS_IDS",
@@ -179,28 +180,28 @@ def compute_lambda_bound(
     """Run the whole pipeline for one curve, prime, and base field.
 
     The inputs are checked once, before any arithmetic: the cap on p, p,
-    the field, the assumptions, the dimensions, the table rows. Then one
-    integral model serves every layer and the report, with one ladder.
+    the field, the assumptions (ASSUMPTION_TOKENS keys, never one bare
+    string), the dimensions, the table rows. Then one integral model
+    serves every layer and the report, with one ladder.
 
-    g_table, when given, is a user Z_p-extension: rows {residue_char,
-    residue_degree (1 if absent), g}. It is read once, before any place:
-    a row with a value that is not an int (a bool included), whose
-    residue_char is not a prime below MR_EXACT_LIMIT, whose
-    residue_degree or g is below 1, or that repeats a (residue_char,
-    residue_degree) raises ValueError naming the row, whatever the
-    curve. A place of S0 takes g from its row, and one without a row
-    raises ValueError; a place outside S0 takes its row's g, or else
-    the closed form g_v.
+    g_table, when given, is a user Z_p-extension: mappings {residue_char,
+    residue_degree (1 if absent), g}, with no other key. It is read once,
+    before any place: a row that is no such mapping, has a value that is
+    not an int (a bool included), a residue_char that is not a prime
+    below MR_EXACT_LIMIT, a residue_degree or g below 1, or repeats a
+    (residue_char, residue_degree) raises ValueError naming the row,
+    whatever the curve. A place of S0 takes g from its row, and one
+    without a row raises ValueError; a place outside S0 takes its row's
+    g, or else the closed form g_v.
     """
-    # the cap comes first: is_prime on a huge p would not return
-    if p > LADDER_MAX:
-        raise ValueError(f"p is capped at {LADDER_MAX} by the division-polynomial ladder")
-    require_odd_prime(p)
+    require_ladder_prime(p)
     require_field(field)
+    if isinstance(assume, str):
+        raise ValueError(f"assume must be a collection of tokens, not the string {assume!r}")
     for token in assume:
         if token not in ASSUMPTION_TOKENS:
-            raise ValueError(f"unknown assumption {token!r}; "
-                             f"expected one of {sorted(ASSUMPTION_TOKENS)}")
+            raise ValueError(f"unknown assumption {token!r}; known: "
+                             + ", ".join(sorted(ASSUMPTION_TOKENS)))
     for name, dim in (("dim_y", dim_y), ("dim_z", dim_z)):
         if dim is not None and type(dim) is not int:  # a bool too
             raise ValueError(f"{name} must be an integer, got {dim!r}")
@@ -210,6 +211,10 @@ def compute_lambda_bound(
     # accepted or refused whatever the curve
     table: dict[tuple[int, int], int] = {}
     for i, row in enumerate(g_table or ()):
+        if not isinstance(row, Mapping) or not {"residue_char", "g"} <= row.keys():
+            raise ValueError(f"g table row {i}: needs residue_char and g, got {row!r}")
+        if extra := row.keys() - {"residue_char", "residue_degree", "g"}:
+            raise ValueError(f"g table row {i}: unknown keys {sorted(extra, key=repr)}")
         key = (row["residue_char"], row.get("residue_degree", 1))
         for name, value in zip(("residue_char", "residue_degree", "g"), (*key, row["g"])):
             if type(value) is not int:

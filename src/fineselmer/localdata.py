@@ -54,9 +54,10 @@ SUPPORTED_FIELDS = ("Q", "Q(mu_p)")
 
 
 def require_field(field: str) -> None:
-    """The one check that field is a supported base field; ValueError otherwise."""
+    """The one check that field is a supported base field; ValueError
+    otherwise, naming the value.  The CLI prints this message as it is."""
     if field not in SUPPORTED_FIELDS:
-        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}")
+        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}, got {field!r}")
 
 
 # ---------------------------------------------------------------------------

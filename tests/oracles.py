@@ -964,7 +964,7 @@ def closed_under_multiples_by_inverse(model: WeierstrassModel, h: QPoly,
     mod h; a D sharing a root with h has no inverse and is rejected.
     """
     for g in gens:
-        num, den = model.x_multiple_fraction(g)
+        num, den = map(QPoly, model.x_multiple_coeffs(g))
         common, dinv, _ = xgcd(den % h, h)
         if common.degree != 0:
             return False

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fineselmer
-from fineselmer import cli, factorization
+from fineselmer import cli, factorization, lambdabound
 from fineselmer.cli import CliError, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -862,6 +862,58 @@ def test_g_table_with_two_rows_for_one_place_is_refused(capsys, tmp_path, curve,
     assert_one_line_error(out, err, message)
 
 
+# --- run and batch refuse a bad input with the library's one message ---
+
+
+def run_argv_of(job: dict) -> list[str]:
+    """The run-mode argv of a job whose values are strings or lists of them."""
+    argv = ["run"]
+    for key, value in job.items():
+        for v in value if isinstance(value, list) else [value]:
+            argv += [f"--{key}", str(v)]
+    return argv
+
+
+SINGLE_FAULTS = {
+    "field": ({"field": "R"}, "field must be one of ('Q', 'Q(mu_p)'), got 'R'"),
+    "assumption": ({"assume": ["x"]},
+                   "unknown assumption 'x'; known: A-K-zero, Y-torsion-mu-zero, "
+                   "image-order-coprime, unique-total-ramification"),
+    "p 4": ({"p": "4"}, "p must be an odd prime"),
+    "p 17": ({"p": "17"}, "p is capped at 13 by the division-polynomial ladder"),
+    "p x": ({"p": "x"}, "p must be an integer, got 'x'"),
+    "singular": ({"curve": "0,0,0,0,0"}, "singular model: discriminant is zero"),
+    "four a-invariants": ({"curve": "0,0,1,-1"}, "curve needs exactly 5 a-invariants, got 4"),
+}
+
+
+@pytest.mark.parametrize("fault", list(SINGLE_FAULTS))
+def test_run_and_batch_refuse_a_single_fault_with_one_message(capsys, tmp_path, fault):
+    change, message = SINGLE_FAULTS[fault]
+    job = {"curve": "0,0,1,-1,0", "p": "5", **change}
+    code, out, err = run_cli(capsys, "batch", str(batch_around(tmp_path, job)))
+    assert code == 3
+    assert_one_line_error(out, err, message)
+    code, out, err = run_cli(capsys, *run_argv_of(job))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("job, message", [
+    ({"curve": "0,0,0,0,0", "p": 5, "field": "R"}, "singular model: discriminant is zero"),
+    ({"curve": "0,0,1,-1,0", "p": 4, "assume": ["x"]}, "p must be an odd prime"),
+    ({"curve": "0,0,1,-1,0", "p": 17, "field": "R"},
+     "p is capped at 13 by the division-polynomial ladder"),
+], ids=["model before field", "p before assumptions", "cap before field"])
+def test_a_job_with_several_faults_names_the_first(capsys, tmp_path, job, message):
+    # the order is model, cap on p, p, field, assumptions, dimensions, rows,
+    # in run mode and in batch alike
+    code, out, err = run_cli(capsys, "batch", str(batch_around(tmp_path, job)))
+    assert code == 3
+    assert_one_line_error(out, err, message)
+    code, out, err = run_cli(capsys, *run_argv_of(job))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_g_table_alone_names_a_user_extension(capsys, tmp_path):
     table = tmp_path / "table.json"
     table.write_text('[{"residue_char": 11, "g": 7}]')
@@ -923,7 +975,7 @@ def test_no_good_prime_for_psi_exits_three_after_one_scan(capsys, monkeypatch,
     assert_one_line_error(out, err, message)
 GOOD_OPTION = st.one_of(
     st.tuples(st.just("--field"), st.sampled_from(["Q", "Q(mu_p)"])),
-    st.tuples(st.just("--assume"), st.sampled_from(sorted(cli.ASSUMPTION_TOKENS))),
+    st.tuples(st.just("--assume"), st.sampled_from(sorted(lambdabound.ASSUMPTION_TOKENS))),
     st.tuples(st.sampled_from(["--dim-y", "--dim-z"]), st.integers(0, 3).map(str)),
     st.tuples(st.just("--format"), st.sampled_from(["json", "text", "both"])),
     st.tuples(st.just("--label"), WORDS.filter(lambda w: not w.startswith("-"))))

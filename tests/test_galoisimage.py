@@ -575,8 +575,8 @@ def closure_cases(draw):
                       st.sampled_from([1, 2, 3])), min_size=1, max_size=3)):
         h = h * QPoly(coeffs + [lead]).monic()
     if draw(st.booleans()):
-        _, den = E.x_multiple_fraction(g)
-        _, factors = factor_int_poly(den.squarefree_part())
+        _, den = E.x_multiple_coeffs(g)
+        _, factors = factor_int_poly(QPoly(den).squarefree_part())
         h = h * draw(st.sampled_from([f for f, _ in factors])).monic()
     assume(h.gcd(h.derivative()).degree == 0)
     return E, g, h

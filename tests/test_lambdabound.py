@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from fineselmer import cli, elliptic, galoisimage, lambdabound, localdata
+from fineselmer.cyclotomic import is_regular
 from fineselmer.elliptic import WeierstrassModel
 from fineselmer.lambdabound import (
     ASSUMPTION_TOKENS,
@@ -327,6 +328,38 @@ def test_input_validation():
         compute_lambda_bound(E11A2, 5, "Q", assume=("nonsense",))
     with pytest.raises(ValueError):
         compute_lambda_bound(E11A2, 5, "Q[i]")
+
+
+@pytest.mark.parametrize("p", ["5", None, 5.0, True], ids=repr)
+def test_a_p_that_is_not_an_int_is_refused_at_every_entry(p):
+    # the cap is tested on an int only, so "5" and None never reach a
+    # comparison with it
+    for call in (lambda: compute_lambda_bound(E11A1, p),
+                 lambda: galoisimage.find_stable_subgroups(E11A1, p),
+                 lambda: galoisimage.classify_image(E11A1, p),
+                 lambda: is_regular(p)):
+        with pytest.raises(ValueError, match="^p must be an odd prime$"):
+            call()
+
+
+def test_a_bare_string_assume_is_refused():
+    # a str is a sequence of one-letter tokens, and would be refused as 'i'
+    message = "assume must be a collection of tokens, not the string 'image-order-coprime'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_lambda_bound(E11A1, 5, assume="image-order-coprime")
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"g": 3}, "needs residue_char and g, got {'g': 3}"),
+    ({"residue_char": 11}, "needs residue_char and g, got {'residue_char': 11}"),
+    (5, "needs residue_char and g, got 5"),
+    ({"residue_char": 11, "residue_degre": 1, "g": 7}, "unknown keys ['residue_degre']"),
+], ids=["no residue_char", "no g", "not a mapping", "misspelt key"])
+def test_g_table_row_of_the_wrong_shape_is_refused(row, message):
+    # the CLI refuses each of these rows while parsing; the library does too
+    table = [{"residue_char": 11, "g": 7}, row]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'g table row 1: {message}')}$"):
+        compute_lambda_bound(E11A1, 5, g_table=table)
 
 
 def test_routes_are_both_reported():

@@ -316,7 +316,7 @@ def test_finite_level_place_count_rejects_a_negative_layer(n):
 def test_field_must_be_one_of_the_two(field):
     # finite_level_place_count once read any field but "Q" as Q(mu_p),
     # and classify_image and kinf_ramification had messages of their own
-    message = re.escape("field must be one of ('Q', 'Q(mu_p)')")
+    message = re.escape(f"field must be one of ('Q', 'Q(mu_p)'), got {field!r}")
     calls = (lambda: compute_place_sets(E11A1, 5, field),
              lambda: g_v(11, 5, field),
              lambda: finite_level_place_count(11, 5, 2, field),
