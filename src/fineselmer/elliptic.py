@@ -18,7 +18,7 @@ f/g bisection ladder so the y-variable is eliminated once and for all;
 odd n gives a univariate polynomial of degree (n^2-1)/2 with leading
 coefficient n whose roots are the x-coordinates of the nonzero
 n-torsion.  On an integral model the ladder and the x-multiple maps run
-on integer lists, and division_polynomial boxes psi_n as a QPoly.
+on integer lists, and division_polynomial returns psi_n as a QPoly of ints.
 Each model object has one ladder: built on first use, kept with the
 object in one slot, and extended as larger n are asked for, so every
 division polynomial and x-multiple map of one model reads the same
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .finitefield import FiniteField, FqElem
-from .modular import is_prime, require_odd_prime
+from .modular import is_prime, primes_below, require_odd_prime
 from .polynomial import QPoly, _mul, _sub
 
 __all__ = [
@@ -49,6 +49,9 @@ __all__ = [
 
 COUNT_LIMIT = 10**6
 LADDER_MAX = 13  # the division-polynomial ladder's top n, and so the cap on p
+# a stable-line witness's trace trail runs over the good primes up to
+# here; like galoisimage.CERTIFICATE_BOUND it is fixed, far below COUNT_LIMIT
+TRACE_CHECK_BOUND = 100
 
 
 def require_ladder_prime(p: int) -> None:
@@ -308,6 +311,21 @@ def scalar_mul(ainvs, n: int, P: Point) -> Point:
     return acc
 
 
+def _character_table(ell: int) -> tuple[int, ...]:
+    """chi(0), ..., chi(ell - 1), chi the quadratic character mod an odd prime ell."""
+    chi = [-1] * ell
+    chi[0] = 0
+    for i in range(1, ell // 2 + 1):
+        chi[i * i % ell] = 1
+    return tuple(chi)
+
+
+# every trace trail and the start of every surjectivity hunt sweep these
+# primes, so their tables are built once, here
+_CHARACTER_TABLES = {ell: _character_table(ell)
+                     for ell in primes_below(TRACE_CHECK_BOUND + 1) if ell > 2}
+
+
 def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
     """[a_ell for ell in ells], a_ell = ell + 1 - #E(F_ell), for primes ell
     of good reduction.
@@ -316,7 +334,8 @@ def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
     such a model is automatically minimal at each ell.  For odd ell the
     count runs on plain ints: completing the square in y gives
     a_ell = -sum_x chi(F(x)), F(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, chi the
-    quadratic character mod ell read off a table of squares.  F steps
+    quadratic character mod ell read off a table of squares, built at
+    import for ell <= TRACE_CHECK_BOUND and per sweep above it.  F steps
     from x to x + 1 by finite differences mod ell; the third is 24.
     For ell = 2 the four affine pairs (x, y) are checked directly.
     """
@@ -335,10 +354,7 @@ def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
                          for x in (0, 1) for y in (0, 1))
             a = 2 - affine
         else:
-            chi = [-1] * ell
-            chi[0] = 0
-            for i in range(1, ell // 2 + 1):
-                chi[i * i % ell] = 1
+            chi = _CHARACTER_TABLES.get(ell) or _character_table(ell)
             # F(0) and its first and second differences at 0
             f, d1, d2 = b6 % ell, (4 + b2 + 2 * b4) % ell, (24 + 2 * b2) % ell
             a = 0

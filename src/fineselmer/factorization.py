@@ -366,12 +366,13 @@ def _symmetric(c: int, mod: int) -> int:
 
 def factor_int_poly(f: QPoly, max_degree: int | None = None,
                     reduction: GoodReduction | None = None
-                    ) -> tuple[Fraction, list[tuple[QPoly, int]]]:
+                    ) -> tuple[int | Fraction, list[tuple[QPoly, int]]]:
     """The irreducible factors over Q of degree <= max_degree of a nonzero
     squarefree f with rational coefficients; all of them when None.
 
     Returns (content, [(primitive integer irreducible with positive leading
-    coefficient, 1)]) sorted by (degree, coefficients). f == content *
+    coefficient, 1)]) sorted by (degree, coefficients), the content an
+    int when f is integral and a Fraction otherwise. f == content *
     prod(factor) * rest, with rest a primitive integer polynomial with
     positive leading coefficient and no factor of degree <= max_degree;
     rest is 1 when max_degree is None, and the identity is asserted
@@ -386,7 +387,7 @@ def factor_int_poly(f: QPoly, max_degree: int | None = None,
     if max_degree is not None and max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     content = f.content() if f.leading > 0 else -f.content()
-    prim = [int(c / content) for c in f.coeffs]
+    prim = [c // content for c in f.coeffs]
     k = len(prim) - 1 if max_degree is None else min(max_degree, len(prim) - 1)
     if reduction is None:
         reduction = (_good_reduction(prim, SQUAREFREE_TRIES)

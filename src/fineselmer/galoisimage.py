@@ -44,11 +44,12 @@ product of primitive integer factors and so primitive (Gauss).  That
 lets the closure test clear the denominator of x([g]P) by homogenising,
 with no inverse modulo the kernel, and run on ints: y = lc x, lc the
 kernel's leading coefficient, makes the kernel monic in Z[y] (see
-_closed_under_multiples).  Each witness carries the isogenous quotient
-curve computed from the kernel polynomial and a trail of Frobenius
-traces checked against the original curve.  One search counts each of
-the original curve's traces once, in one sweep, however many candidates
-close, and keeps nothing after it returns.
+_closed_under_multiples).  Each witness carries the integral model of
+the isogenous quotient, which Velu's formulas give on ints from the top
+coefficients of the primitive kernel (see _velu_quotient), and a trail
+of Frobenius traces checked against the original curve.  One search
+counts each of the original curve's traces once, in one sweep, however
+many candidates close, and keeps nothing after it returns.
 
 Before any factoring over Q, psi_p is reduced modulo its first good
 prime l: one not dividing the leading coefficient, with psi_p mod l
@@ -67,9 +68,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
-from .elliptic import (WeierstrassModel, frobenius_traces, require_ladder_prime,
-                       trace_of_frobenius)
+from .elliptic import (TRACE_CHECK_BOUND, WeierstrassModel, frobenius_traces,
+                       require_ladder_prime, trace_of_frobenius)
 from .factorization import NoGoodPrime, factor_int_poly, good_reduction
 from .localdata import require_field
 from .modular import primes_below, require_odd_prime
@@ -84,9 +86,6 @@ __all__ = [
     "classify_image",
 ]
 
-# a witness's trace trail runs over the good primes up to here; like
-# CERTIFICATE_BOUND it is fixed, far below elliptic.COUNT_LIMIT
-TRACE_CHECK_BOUND = 100
 # each trace is an O(ell) quadratic-character sum on plain ints, so the
 # whole hunt below this bound costs tens of milliseconds per curve; a
 # genuinely surjective representation yields all three witnesses long
@@ -179,19 +178,32 @@ def _rem_monic(a: list[int], m: list[int]) -> list[int]:
     return a[:dm]
 
 
-def _velu_quotient(model: WeierstrassModel, h: QPoly) -> WeierstrassModel:
-    """Quotient by the subgroup with monic kernel polynomial h (odd order)."""
-    d = h.degree
-    s1 = -h.coeff(d - 1)
-    s2 = h.coeff(d - 2) if d >= 2 else Fraction(0)
-    s3 = -h.coeff(d - 3) if d >= 3 else Fraction(0)
+def _velu_quotient(model: WeierstrassModel, kernel: list[int]) -> WeierstrassModel:
+    """The integral model of the quotient of the integral model by the
+    subgroup of odd order whose primitive kernel polynomial has the
+    coefficients c_0, ..., c_d in `kernel`.
+
+    Velu's a4' = a4 - 5t and a6' = a6 - b2 t - 7w read t = 6 s_2 + b2 s_1
+    + d b4 and w = 10 s_3 + 2 b2 s_2 + 3 b4 s_1 + d b6, s_k the k-th power
+    sum of the roots. lc^k s_k is an integer (lc = c_d > 0), so lc^2 t,
+    lc^3 w, N4 = lc^2 a4' and N6 = lc^3 a6' are too; integral_model()'s
+    scale m is the lcm of lc^2 / gcd(lc^2, N4) and lc^3 / gcd(lc^3, N6),
+    and the divisions by lc^2 and lc^3 below are exact.
+    """
+    d, lc = len(kernel) - 1, kernel[-1]
+    c1, c2, c3 = (kernel[d - i] if i <= d else 0 for i in (1, 2, 3))
     b2, b4, b6 = model.b2, model.b4, model.b6
-    p2 = s1 * s1 - 2 * s2
-    p3 = s1 ** 3 - 3 * s1 * s2 + 3 * s3
-    t = 6 * p2 + b2 * s1 + d * b4
-    w = 10 * p3 + 2 * b2 * p2 + 3 * b4 * s1 + d * b6
-    return WeierstrassModel(model.a1, model.a2, model.a3,
-                            model.a4 - 5 * t, model.a6 - b2 * t - 7 * w)
+    lc2, lc3 = lc * lc, lc * lc * lc
+    s2 = c1 * c1 - 2 * c2 * lc                          # lc^2 s_2; lc s_1 = -c1
+    s3 = 3 * c1 * c2 * lc - c1 * c1 * c1 - 3 * c3 * lc2  # lc^3 s_3
+    t = 6 * s2 - b2 * c1 * lc + d * b4 * lc2                          # lc^2 t
+    w = 10 * s3 + 2 * b2 * lc * s2 - 3 * b4 * c1 * lc2 + d * b6 * lc3  # lc^3 w
+    n4 = lc2 * model.a4 - 5 * t
+    n6 = lc3 * model.a6 - lc * b2 * t - 7 * w
+    m = lcm(lc2 // gcd(lc2, n4), lc3 // gcd(lc3, n6))
+    m2 = m * m
+    return WeierstrassModel(model.a1 * m, model.a2 * m2, model.a3 * m2 * m,
+                            n4 * m2 * m2 // lc2, n6 * m2 * m2 * m2 // lc3)
 
 
 def _matching_trace_primes(a: WeierstrassModel, b: WeierstrassModel,
@@ -256,14 +268,13 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
             primitive = QPoly(kernel)
             if not _closed_under_multiples(E, primitive, gens):
                 continue
-            h = primitive.monic()
-            quotient = _velu_quotient(E, h).integral_model()
+            quotient = _velu_quotient(E, kernel)
             traces = _matching_trace_primes(E, quotient, p, E_traces)
             if traces is None:
                 raise AssertionError(
                     "certified kernel produced a quotient with mismatched traces")
             witnesses.append(StableSubgroupWitness(
-                p, h, primitive, quotient, gens, traces))
+                p, primitive.monic(), primitive, quotient, gens, traces))
     witnesses.sort(key=lambda w: tuple(w.kernel_monic.coeffs))
     return tuple(witnesses)
 

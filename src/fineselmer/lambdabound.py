@@ -31,7 +31,7 @@ unless assumed.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from math import isqrt
 
@@ -184,11 +184,12 @@ def compute_lambda_bound(
     string), the dimensions, the table rows. Then one integral model
     serves every layer and the report, with one ladder.
 
-    g_table, when given, is a user Z_p-extension: mappings {residue_char,
-    residue_degree (1 if absent), g}, with no other key. It is read once,
-    before any place: a row that is no such mapping, has a value that is
-    not an int (a bool included), a residue_char that is not a prime
-    below MR_EXACT_LIMIT, a residue_degree or g below 1, or repeats a
+    g_table, when given, is a user Z_p-extension: a collection, never one
+    bare mapping or string, of mappings {residue_char, residue_degree (1
+    if absent), g}, with no other key. It is read once, before any
+    place: a row that is no such mapping, has a value that is not an int
+    (a bool included), a residue_char that is not a prime below
+    MR_EXACT_LIMIT, a residue_degree or g below 1, or repeats a
     (residue_char, residue_degree) raises ValueError naming the row,
     whatever the curve. A place of S0 takes g from its row, and one
     without a row raises ValueError; a place outside S0 takes its row's
@@ -199,7 +200,7 @@ def compute_lambda_bound(
     if isinstance(assume, str):
         raise ValueError(f"assume must be a collection of tokens, not the string {assume!r}")
     for token in assume:
-        if token not in ASSUMPTION_TOKENS:
+        if not isinstance(token, str) or token not in ASSUMPTION_TOKENS:
             raise ValueError(f"unknown assumption {token!r}; known: "
                              + ", ".join(sorted(ASSUMPTION_TOKENS)))
     for name, dim in (("dim_y", dim_y), ("dim_z", dim_z)):
@@ -207,6 +208,10 @@ def compute_lambda_bound(
             raise ValueError(f"{name} must be an integer, got {dim!r}")
         if dim is not None and dim < 0:
             raise ValueError("global dimensions cannot be negative")
+    # one bare mapping or string would be read as the rows of its keys or letters
+    if g_table is not None and (isinstance(g_table, (str, Mapping))
+                                or not isinstance(g_table, Iterable)):
+        raise ValueError(f"g table must be a collection of rows, got {g_table!r}")
     # every row, not only those of the curve's places, so that a table is
     # accepted or refused whatever the curve
     table: dict[tuple[int, int], int] = {}

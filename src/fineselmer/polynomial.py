@@ -4,11 +4,14 @@ The kernels `_mul`, `_add`, `_sub`, `_horner`, `_derivative` and
 `_compose_linear` take coefficient lists, lowest degree first, over any
 ring whose elements mix with the int 0. The package passes plain ints
 (the division polynomial ladder, the p-adic root search, the Hensel
-lift, and residues mod l for the `_vec_*` helpers of finitefield) and
-Fractions (QPoly); no F_l elements go through them. None of them
-reduces; a caller working mod m reduces the result. QPoly is a
-polynomial over Q with division, the gcd and the squarefree part on
-top; the squarefree part is the p-adic root search's fallback.
+lift, residues mod l for the `_vec_*` helpers of finitefield, and
+integral QPolys) and the Fractions of other QPolys; no F_l elements go
+through them. None of them reduces; a caller working mod m reduces the
+result. QPoly is a polynomial over Q with division, the gcd and the
+squarefree part on top; the squarefree part is the p-adic root search's
+fallback. Like a WeierstrassModel, an integral QPoly stores ints and any
+other all Fractions: its content and primitive part run on math.gcd and
+//, and division stores ints again when the result is integral.
 Degrees stay at most (13^2 - 1)/2 = 84, so everything is dense.
 
 The zero polynomial has degree -1, a sentinel chosen so that
@@ -88,12 +91,20 @@ def _compose_linear(a: Sequence, u, v) -> list:
     return out
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"polynomial coefficients must be int or Fraction, got {type(x).__name__}")
+def _one_type(coeffs: Iterable) -> tuple:
+    """coeffs without trailing zeros, all ints if every one is integral and
+    else all Fractions; anything else, a float included, is refused."""
+    cs = list(coeffs)
+    if not all(type(c) is int for c in cs):
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("polynomial coefficients must be int or Fraction, "
+                                f"got {type(c).__name__}")
+        integral = all(c.denominator == 1 for c in cs)
+        cs = [int(c) if integral else Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
 class QPoly:
@@ -101,18 +112,16 @@ class QPoly:
 
     coeffs[i] is the coefficient of x^i; trailing zeros are stripped at
     construction so the representation is canonical and equality is
-    coefficientwise.
+    coefficientwise. The coefficients are all ints when every one is
+    integral and all Fractions otherwise.
     """
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...] | tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _one_type(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -149,22 +158,22 @@ class QPoly:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> int | Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coeff(self, i: int) -> int | Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return not self.coeffs or type(self.coeffs[0]) is int
 
     def int_coeffs(self) -> list[int]:
         if not self.is_integral:
             raise ValueError(f"polynomial is not integral: {self}")
-        return [int(c) for c in self.coeffs]
+        return list(self.coeffs)
 
     # -- ring operations -------------------------------------------------
 
@@ -207,12 +216,12 @@ class QPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return QPoly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         lead = other.leading
         for i in range(dq, -1, -1):
             c = rem[i + other.degree]
             if c:
-                q = c / lead
+                q = c if lead == 1 else Fraction(c, lead)
                 quot[i] = q
                 for j, oc in enumerate(other.coeffs):
                     rem[i + j] -= q * oc
@@ -235,18 +244,15 @@ class QPoly:
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
         lead = self.leading
-        return self if lead == 1 else QPoly([c / lead for c in self.coeffs])
+        return self if lead == 1 else QPoly([Fraction(c, lead) for c in self.coeffs])
 
-    def content(self) -> Fraction:
-        """Positive rational c with self = c * primitive integer polynomial."""
-        if self.is_zero:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+    def content(self) -> int | Fraction:
+        """Positive rational c with self = c * primitive integer polynomial;
+        an int for an integral self (0 for the zero polynomial)."""
+        if self.is_integral:
+            return math.gcd(*self.coeffs)
+        return Fraction(math.gcd(*(c.numerator for c in self.coeffs)),
+                        math.lcm(*(c.denominator for c in self.coeffs)))
 
     def primitive(self) -> "QPoly":
         """Integer polynomial with content 1 and positive leading coefficient."""
@@ -255,7 +261,7 @@ class QPoly:
         c = self.content()
         if self.leading < 0:
             c = -c
-        return QPoly([x / c for x in self.coeffs])
+        return self if c == 1 else QPoly([x // c for x in self.coeffs])
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """Monic gcd in Q[x] (Euclid); gcd(0, 0) = 0."""

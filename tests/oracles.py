@@ -7,7 +7,10 @@ character and the trace to F_l) is the code it replaced, kept as an
 oracle: it checks the package's F_l at f = 1, the split test of
 reduction_over_K over the residue field F_{l^f}, and torsion over
 extension fields. `count_points` counts E(F_q) on it, the slow path
-against which the trace sweep frobenius_traces is checked.
+against which the trace sweep frobenius_traces is checked. The sweep
+reads the quadratic character of each prime up to TRACE_CHECK_BOUND
+from a table built at import; `frobenius_traces_per_sweep` is the sweep
+it replaced, which built each table again on every sweep.
 
 The package runs all polynomial arithmetic mod a prime l on plain
 coefficient lists, the `_vec_*` helpers of finitefield, and its own
@@ -27,7 +30,9 @@ Euclid that the Hensel lift's Bezout cofactors used to run on, and the
 boxed `gcd` with `derivative` is the squarefree test good_reduction
 used to run. The package no longer reaches `compose_linear` either; the
 rational oracles use it, and `divides` is the exact divisibility test
-QPoly used to carry.
+QPoly used to carry. QPoly stores an integral polynomial's coefficients
+as ints; `fraction_divmod` and `fraction_content` are its division and
+content as they ran when every coefficient was a Fraction.
 
 The package factors over Q only squarefree polynomials, through one
 good prime. `yun_squarefree` is Yun's decomposition over Q that it used
@@ -37,7 +42,11 @@ x([g]P) by homogenising, and runs on ints through y = lc x, lc the
 leading coefficient of the primitive kernel;
 `closed_under_multiples_by_inverse` is the test it replaced, which
 inverted the denominator modulo the kernel with the rational extended
-Euclid `xgcd` on QPoly, and it stays the reference. The package's stable-line search
+Euclid `xgcd` on QPoly, and it stays the reference. The package's Velu
+quotient reads the primitive kernel on ints and returns the integral
+model; `velu_quotient_fraction` is the Fraction path it replaced, the
+power sums of the monic kernel, whose integral_model() it must equal.
+The package's stable-line search
 factors psi_p only up to the degree (p-1)/2 a kernel can have;
 `find_stable_subgroups_by_full_factoring` is the search it replaced,
 which factored psi_p in full and then filtered.
@@ -75,6 +84,7 @@ the square test it runs, once the method PadicNumber.is_square.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -571,6 +581,26 @@ def count_points(model: WeierstrassModel, field: FiniteField) -> int:
     return total
 
 
+def frobenius_traces_per_sweep(model: WeierstrassModel, ells) -> list[int]:
+    """elliptic.frobenius_traces at odd primes of good reduction, as it ran
+    before the character tables of the small primes were built at import:
+    each sweep builds each ell's table of squares again."""
+    b2, b4, b6 = model.b2, model.b4, model.b6
+    traces = []
+    for ell in ells:
+        chi = [-1] * ell
+        chi[0] = 0
+        for i in range(1, ell // 2 + 1):
+            chi[i * i % ell] = 1
+        f, d1, d2 = b6 % ell, (4 + b2 + 2 * b4) % ell, (24 + 2 * b2) % ell
+        a = 0
+        for _ in range(ell):
+            a -= chi[f]
+            f, d1, d2 = (f + d1) % ell, (d1 + d2) % ell, (d2 + 24) % ell
+        traces.append(a)
+    return traces
+
+
 # ---------------------------------------------------------------------------
 # powering mod a polynomial over F_l, on coefficient lists
 # ---------------------------------------------------------------------------
@@ -898,6 +928,33 @@ def hensel_lift_multifactor(f: list[int], l: int, hbars: list[list[int]],
 # ---------------------------------------------------------------------------
 
 
+def fraction_divmod(a: list[Fraction], b: list[Fraction]
+                    ) -> tuple[list[Fraction], list[Fraction]]:
+    """QPoly.divmod as it ran on Fractions alone, a quotient c / lead at
+    every step, on coefficient lists with b nonzero and trimmed."""
+    rem = list(a)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return [], rem
+    quot = [Fraction(0)] * (dq + 1)
+    for i in range(dq, -1, -1):
+        q = rem[i + len(b) - 1] / b[-1]
+        quot[i] = q
+        for j, bc in enumerate(b):
+            rem[i + j] -= q * bc
+    return quot, rem
+
+
+def fraction_content(a: list[Fraction]) -> Fraction:
+    """QPoly.content as it ran on Fractions: the gcd of the numerators over
+    the lcm of the denominators, built one coefficient at a time."""
+    num, den = 0, 1
+    for c in a:
+        num = math.gcd(num, c.numerator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return Fraction(num, den)
+
+
 def divides(d: QPoly, f: QPoly) -> bool:
     """True iff d divides f exactly in Q[x]."""
     if d.is_zero:
@@ -952,7 +1009,7 @@ def xgcd(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly, QPoly]:
         v0, v1 = v1, v0 - q * v1
     if r0.is_zero:
         return r0, u0, v0
-    scale = QPoly.constant(1 / r0.leading)
+    scale = QPoly.constant(Fraction(1, r0.leading))
     return r0.monic(), u0 * scale, v0 * scale
 
 
@@ -1003,13 +1060,30 @@ def find_stable_subgroups_by_full_factoring(
                 h = h * irreducibles[i].monic()
             if not _closed_under_multiples(E, h, gens):
                 continue
-            quotient = _velu_quotient(E, h).integral_model()
+            quotient = _velu_quotient(E, h.primitive().int_coeffs())
             traces = _matching_trace_primes(E, quotient, p, E_traces)
             assert traces is not None
             witnesses.append(StableSubgroupWitness(
                 p, h, h.primitive(), quotient, gens, traces))
     witnesses.sort(key=lambda w: tuple(w.kernel_monic.coeffs))
     return tuple(witnesses)
+
+
+def velu_quotient_fraction(model: WeierstrassModel, h: QPoly) -> WeierstrassModel:
+    """galoisimage._velu_quotient as it ran on Fractions: the quotient by
+    the subgroup of odd order with monic kernel polynomial h, from the
+    power sums of h's roots, as a model that is in general not integral."""
+    d = h.degree
+    s1 = -h.coeff(d - 1)
+    s2 = h.coeff(d - 2) if d >= 2 else Fraction(0)
+    s3 = -h.coeff(d - 3) if d >= 3 else Fraction(0)
+    b2, b4, b6 = model.b2, model.b4, model.b6
+    p2 = s1 * s1 - 2 * s2
+    p3 = s1 ** 3 - 3 * s1 * s2 + 3 * s3
+    t = 6 * p2 + b2 * s1 + d * b4
+    w = 10 * p3 + 2 * b2 * p2 + 3 * b4 * s1 + d * b6
+    return WeierstrassModel(model.a1, model.a2, model.a3,
+                            model.a4 - 5 * t, model.a6 - b2 * t - 7 * w)
 
 
 # ---------------------------------------------------------------------------

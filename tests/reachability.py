@@ -59,6 +59,7 @@ REASONS = {
     "polynomial.QPoly.__hash__": "the value protocol of an immutable polynomial, which the tests use",
     "polynomial.QPoly.__setattr__": "the value protocol of an immutable polynomial, which the tests use",
     "polynomial.QPoly.__repr__": "a readable polynomial when a test fails",
+    "polynomial.QPoly.coeff": "__repr__ and the tests read it; Velu reads the primitive kernel's int list",
     "polynomial.QPoly.gcd": "padic_roots' fallback for a polynomial with a repeated root",
     "polynomial.QPoly.squarefree_part": "padic_roots' fallback for a polynomial with a repeated root",
     "polynomial.QPoly.derivative": "squarefree_part, padic_roots' fallback, runs on it",

@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fineselmer import elliptic
 from fineselmer.elliptic import (
+    TRACE_CHECK_BOUND,
     WeierstrassModel,
     point_add,
     point_neg,
@@ -169,11 +171,47 @@ def test_corpus_velu_quotients_have_one_type(bench_corpus):
     for label, p in sorted({(job.label, job.p) for job in bench_corpus.ISOGENY_LINES}):
         E = WeierstrassModel(*bench_corpus.CURVES[label][0])
         for w in find_stable_subgroups(E, p):
-            assert_one_type(_velu_quotient(E, w.kernel_monic))
+            assert_one_type(_velu_quotient(E, w.kernel_primitive.int_coeffs()))
             assert_one_type(w.quotient)
             assert w.quotient.is_integral, (label, p)
             quotients += 1
     assert quotients >= 7
+
+
+def test_velu_on_ints_matches_the_fraction_path_on_every_corpus_witness(bench_corpus):
+    witnesses = 0
+    for label, (ainvs, _) in sorted(bench_corpus.CURVES.items()):
+        E = WeierstrassModel(*ainvs)
+        for p in (3, 5, 7):
+            for w in find_stable_subgroups(E, p):
+                kernel = w.kernel_primitive.int_coeffs()
+                expected = oracles.velu_quotient_fraction(E, w.kernel_monic).integral_model()
+                assert _velu_quotient(E, kernel) == expected == w.quotient, (label, p)
+                witnesses += 1
+    assert witnesses >= 11
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(-50, 50)] * 5),
+       st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+       st.integers(1, 40))
+@example((0, -1, 1, -10, -20), [-29, 5], 5)
+def test_velu_on_ints_matches_the_fraction_path(ainvs, low, lc):
+    # Velu's formulas are polynomial in the kernel's top coefficients, so
+    # the two paths must agree on any primitive kernel, a true one or not;
+    # where the Fraction quotient is singular the int one is too
+    E = nonsingular(*ainvs)
+    assume(E is not None)
+    kernel = QPoly(low + [lc]).primitive().int_coeffs()
+    try:
+        expected = oracles.velu_quotient_fraction(E, QPoly(kernel).monic()).integral_model()
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            _velu_quotient(E, kernel)
+        return
+    got = _velu_quotient(E, kernel)
+    assert_one_type(got)
+    assert got == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -584,6 +622,27 @@ def test_trace_sweep_matches_boxed_count_below_200(ainvs):
     ells = good_primes(model, 200)
     assume({3, 5, 7} <= set(ells))
     assert frobenius_traces(model, ells) == [slow_trace(model, ell) for ell in ells]
+
+
+def test_character_tables_cover_the_odd_primes_up_to_the_trace_check_bound():
+    tables = elliptic._CHARACTER_TABLES
+    assert sorted(tables) == primes_below(TRACE_CHECK_BOUND + 1)[1:]
+    for ell, chi in tables.items():
+        # Euler's criterion: x^((ell-1)/2) is 0, 1 or ell - 1 = -1 mod ell
+        euler = [pow(x, (ell - 1) // 2, ell) for x in range(ell)]
+        assert chi == tuple(e if e < 2 else -1 for e in euler)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-10**5, 10**5)] * 5))
+@example((0, -1, 1, -10, -20))
+def test_table_trace_sweep_matches_per_sweep_tables(ainvs):
+    # every odd good prime up to the bound reads its table built at import,
+    # and the primes just above it build theirs in the sweep, as before
+    model = nonsingular(*ainvs)
+    assume(model is not None)
+    ells = [ell for ell in good_primes(model, TRACE_CHECK_BOUND + 30) if ell > 2]
+    assert frobenius_traces(model, ells) == oracles.frobenius_traces_per_sweep(model, ells)
 
 
 def test_trace_sweep_of_no_prime_is_empty_and_checks_each_prime():

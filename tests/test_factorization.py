@@ -651,7 +651,7 @@ def factor_by_yun(f: QPoly):
     """factor_int_poly as it ran before squarefree input was its contract:
     Yun's decomposition over Q, then each part on its own."""
     content = f.content() if f.leading > 0 else -f.content()
-    prim = f * (1 / content)
+    prim = f * Fraction(1, content)
     factors = []
     for part, mult in yun_squarefree(prim):
         if part.coeff(0) == 0:
@@ -858,7 +858,7 @@ def assert_caps_match_full(f: QPoly, caps) -> None:
     for k in caps:
         capped = factor_int_poly(f, max_degree=k)
         assert capped == (content, [(g, m) for g, m in factors if g.degree <= k]), k
-        rest = f * (1 / content)
+        rest = f * Fraction(1, content)
         for g, _ in capped[1]:
             rest = rest // g
         assert rest.is_integral and rest.content() == 1 and rest.leading > 0

@@ -57,6 +57,26 @@ def reverify_witness(model: WeierstrassModel, w) -> None:
         assert trace_of_frobenius(E, ell) == trace_of_frobenius(quot, ell)
 
 
+def test_the_stable_line_search_stores_ints(bench_corpus):
+    # psi_p, each factor of it and each witness's primitive kernel are
+    # integral, so each holds ints and no coefficient is a Fraction
+    def all_ints(f: QPoly) -> bool:
+        return bool(f.coeffs) and all(type(c) is int for c in f.coeffs)
+
+    kernels = 0
+    for label, p in sorted({(job.label, job.p) for job in bench_corpus.ISOGENY_LINES}):
+        E = WeierstrassModel(*bench_corpus.CURVES[label][0]).integral_model()
+        psi = E.division_polynomial(p)
+        assert all_ints(psi) and all_ints(psi.primitive()), (label, p)
+        content, factors = factor_int_poly(psi, max_degree=(p - 1) // 2)
+        assert type(content) is int
+        assert factors and all(all_ints(f) for f, _ in factors), (label, p)
+        for w in find_stable_subgroups(E, p):
+            assert all_ints(w.kernel_primitive), (label, p)
+            kernels += 1
+    assert kernels >= 9
+
+
 def reverify_certificate(model: WeierstrassModel, p: int, cert) -> None:
     E = model.integral_model()
     disc = abs(int(E.discriminant))

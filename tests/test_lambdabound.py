@@ -328,6 +328,12 @@ def test_input_validation():
         compute_lambda_bound(E11A2, 5, "Q", assume=("nonsense",))
     with pytest.raises(ValueError):
         compute_lambda_bound(E11A2, 5, "Q[i]")
+    # a g table is a collection of rows: one bare row, a string or a number
+    # is refused by name, not read as the rows of its keys or letters
+    for table in ({"residue_char": 11, "g": 7}, "11", 5):
+        message = f"g table must be a collection of rows, got {table!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_lambda_bound(E11A1, 5, g_table=table)
 
 
 @pytest.mark.parametrize("p", ["5", None, 5.0, True], ids=repr)
@@ -347,6 +353,14 @@ def test_a_bare_string_assume_is_refused():
     message = "assume must be a collection of tokens, not the string 'image-order-coprime'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         compute_lambda_bound(E11A1, 5, assume="image-order-coprime")
+
+
+@pytest.mark.parametrize("token", [["x"], ("image-order-coprime",), 5, None], ids=repr)
+def test_an_assume_token_that_is_not_a_str_is_refused(token):
+    # the CLI turns every token into a str; the library names any other
+    message = f"unknown assumption {token!r}; known: " + ", ".join(sorted(ASSUMPTION_TOKENS))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_lambda_bound(E11A1, 5, assume=[token])
 
 
 @pytest.mark.parametrize("row, message", [

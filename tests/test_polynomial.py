@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fineselmer.polynomial import (QPoly, _add, _compose_linear, _derivative, _horner,
                                    _mul, _sub)
-from oracles import compose_linear, divides, yun_squarefree
+from oracles import (compose_linear, divides, fraction_content, fraction_divmod,
+                     yun_squarefree)
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 polys = st.lists(fracs, min_size=0, max_size=7).map(QPoly)
@@ -123,6 +124,78 @@ def test_divide_by_zero_raises():
 def test_int_coeffs_rejects_fractions():
     with pytest.raises(ValueError):
         QPoly([Fraction(1, 2)]).int_coeffs()
+
+
+# --- one type: ints when integral, else Fractions ---
+
+def assert_one_type(f: QPoly) -> None:
+    types = {type(c) for c in f.coeffs}
+    if all(c.denominator == 1 for c in f.coeffs):
+        assert types <= {int}, f.coeffs
+        assert f.is_integral
+    else:
+        assert types == {Fraction}, f.coeffs
+        assert not f.is_integral
+
+
+def trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def agrees(f: QPoly, a) -> bool:
+    """f holds the values of the Fraction list a, in its one type."""
+    assert_one_type(f)
+    return list(f.coeffs) == trimmed(a)
+
+
+int_polys = st.lists(st.integers(-30, 30), max_size=7).map(QPoly)
+mixed_polys = st.one_of(int_polys, polys)
+
+
+@pytest.mark.parametrize("coeffs, stored", [
+    ([1, Fraction(4, 2), True], [1, 2, 1]),
+    ([Fraction(1, 2), 3], [Fraction(1, 2), Fraction(3)]),
+    ([Fraction(6, 3), 0, Fraction(0)], [2]),
+], ids=["integral", "one fraction", "trailing zeros"])
+def test_coefficients_have_one_type(coeffs, stored):
+    f = QPoly(coeffs)
+    assert list(f.coeffs) == stored
+    assert [type(c) for c in f.coeffs] == [type(c) for c in stored]
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None, complex(1)], ids=repr)
+def test_coefficients_refuse_all_but_int_and_fraction(bad):
+    with pytest.raises(TypeError, match="must be int or Fraction"):
+        QPoly([1, bad])
+
+
+@given(mixed_polys, mixed_polys)
+def test_int_storage_matches_fraction_arithmetic(f, g):
+    """+, -, *, divmod, monic, content and primitive give the values the
+    same operations give on the coefficients as Fractions, stored in one type."""
+    a, b = [Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs]
+    assert_one_type(f)
+    assert_one_type(g)
+    assert agrees(f + g, _add(a, b))
+    assert agrees(f - g, _sub(a, b))
+    assert agrees(f * g, _mul(a, b))
+    assert agrees(f * Fraction(1, 3), [c / 3 for c in a])
+    if b:
+        q, r = f.divmod(g)
+        fq, fr = fraction_divmod(a, b)
+        assert agrees(q, fq) and agrees(r, fr)
+        assert agrees(g.monic(), [c / b[-1] for c in b])
+        content = fraction_content(b)
+        assert g.content() == content
+        assert type(g.content()) is (int if g.is_integral else Fraction)
+        unit = content if b[-1] > 0 else -content
+        assert agrees(g.primitive(), [c / unit for c in b])
+        assert g.primitive().is_integral
+    else:
+        assert g.content() == 0 and g.primitive() == g
 
 
 # --- the coefficient-list kernels ---
