@@ -58,9 +58,18 @@ is a rational divisor of psi_p of degree d = (p-1)/2, and it reduces to
 distinct irreducibles mod l of degree at most d whose degrees sum to d.
 So when d is no subset sum of the degrees a distinct-degree split mod l
 finds up to d, no stable line exists and the search ends with no
-witness; that is exactly what the full search would have found.  Most
-curves at p = 11 and 13 end there.  Otherwise the same reduction goes
-on into the factorization capped at d.
+witness; that is exactly what the full search would have found.  When
+the degrees leave room, a Frobenius screen comes next: a stable line is
+an eigenline of every Frobenius, so one good ell != p whose a_ell^2 -
+4 ell is a nonsquare mod p rules every line out (see
+find_stable_subgroups).  Most curves at p = 11 and 13 with no line end
+at one of the two, and only a curve the screen cannot rule out goes on
+into the factorization capped at d.
+
+One job counts each of the curve's traces once.  classify_image owns
+a table of them for the job: the screen fills it for the good primes up
+to TRACE_CHECK_BOUND in one sweep, the trace match of each witness reads
+it, and the surjectivity hunt reads it before counting a prime itself.
 """
 
 from __future__ import annotations
@@ -206,23 +215,29 @@ def _velu_quotient(model: WeierstrassModel, kernel: list[int]) -> WeierstrassMod
                             n4 * m2 * m2 // lc2, n6 * m2 * m2 * m2 // lc3)
 
 
+def _sweep_good_primes(E: WeierstrassModel, p: int, traces: dict[int, int]) -> list[int]:
+    """The primes ell <= TRACE_CHECK_BOUND, ell != p, not dividing the
+    discriminant of the integral model E.  traces maps ell to E's trace;
+    those of these primes it lacks are counted in one sweep and stored,
+    so every caller that passes one table counts each of E's traces once."""
+    disc = abs(E.discriminant)
+    good = [ell for ell in primes_below(TRACE_CHECK_BOUND + 1) if ell != p and disc % ell]
+    missing = [ell for ell in good if ell not in traces]
+    if missing:
+        traces.update(zip(missing, frobenius_traces(E, missing)))
+    return good
+
+
 def _matching_trace_primes(a: WeierstrassModel, b: WeierstrassModel,
                            p: int, a_traces: dict[int, int]
                            ) -> tuple[int, ...] | None:
     """Primes ell <= TRACE_CHECK_BOUND of visibly good reduction for both
     models where the Frobenius traces agree; None on any disagreement.
 
-    a_traces maps ell to a's trace; the traces missing from it are
-    counted in one sweep and stored, so a caller that matches a against
-    several quotients passes one dict and counts each of a's traces
-    once. b is swept once."""
-    da = abs(a.discriminant)
+    a_traces is a's table of traces, read and filled by
+    _sweep_good_primes; b is swept once."""
     db = abs(b.discriminant)
-    good = [ell for ell in primes_below(TRACE_CHECK_BOUND + 1)
-            if ell != p and da % ell and db % ell]
-    missing = [ell for ell in good if ell not in a_traces]
-    if missing:
-        a_traces.update(zip(missing, frobenius_traces(a, missing)))
+    good = [ell for ell in _sweep_good_primes(a, p, a_traces) if db % ell]
     if frobenius_traces(b, good) != [a_traces[ell] for ell in good]:
         return None
     return tuple(good)
@@ -236,11 +251,37 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     irreducible factors of the p-division polynomial, of which only those
     of degree <= (p-1)/2 are computed; each must pass the
     multiplication-closure test before the quotient is even attempted.
-    When the division polynomial mod its good prime has no factor degrees
-    summing to (p-1)/2, there is no candidate and nothing is factored.
+    Nothing is factored when there can be no candidate: when the
+    division polynomial mod its good prime has no factor degrees summing
+    to (p-1)/2, or when the Frobenius screen rules every line out.
+
+    The screen.  Let ell != p be a prime not dividing the discriminant
+    of the integral model, so E has good reduction at ell and E[p] is
+    unramified there.  Frob_ell acts on E[p] with characteristic
+    polynomial x^2 - a_ell x + ell mod p.  A Galois-stable line is an
+    eigenline of every element of the image, so of Frob_ell, and its
+    eigenvalue is a root of that polynomial in F_p.  When a_ell^2 - 4 ell
+    is a nonzero nonsquare mod p there is no such root, and no stable
+    line exists (Serre, Invent. Math. 15, 1972, section 2; it is witness
+    (i) of surjectivity_certificate).  The search returns no witness,
+    exactly what the full search would have found.  The screen sweeps
+    every good ell <= TRACE_CHECK_BOUND, the primes of each witness's
+    trace trail, so the traces it counts are the ones the trace match
+    reads when a line does close.
+
+    The screen comes after the partial distinct-degree split, not
+    before psi_p is built: every search that the degrees mod l already
+    end runs as before, and the sweep is paid only where it can save a
+    Hensel lift and a recombination.
     """
     require_ladder_prime(p)
-    E = model.integral_model()
+    return _find_stable_subgroups(model.integral_model(), p, {})
+
+
+def _find_stable_subgroups(E: WeierstrassModel, p: int, traces: dict[int, int]
+                           ) -> tuple[StableSubgroupWitness, ...]:
+    """find_stable_subgroups on the integral model E, with E's table of
+    traces, which it reads and fills."""
     psi = E.division_polynomial(p)
     d = (p - 1) // 2
     # psi is squarefree for a nonsingular curve, so some prime is good
@@ -250,12 +291,16 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
         raise NoGoodPrime(f"the {p}-division polynomial")
     if not reduction.admits_divisor_of_degree(d):
         return ()
+    # one sweep, with no early stop: the trace match reads the same table
+    for ell in _sweep_good_primes(E, p, traces):
+        frob_disc = (traces[ell] ** 2 - 4 * ell) % p
+        if frob_disc and pow(frob_disc, (p - 1) // 2, p) == p - 1:
+            return ()
     # only a factor of degree <= d can divide a kernel polynomial
     _, factors = factor_int_poly(psi, max_degree=d, reduction=reduction)
     irreducibles = [f.int_coeffs() for f, _ in factors]
     gens = _halfgroup_generators(p)
     witnesses: list[StableSubgroupWitness] = []
-    E_traces: dict[int, int] = {}
     idx = range(len(irreducibles))
     for size in range(1, len(irreducibles) + 1):
         for subset in combinations(idx, size):
@@ -269,12 +314,12 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
             if not _closed_under_multiples(E, primitive, gens):
                 continue
             quotient = _velu_quotient(E, kernel)
-            traces = _matching_trace_primes(E, quotient, p, E_traces)
-            if traces is None:
+            trail = _matching_trace_primes(E, quotient, p, traces)
+            if trail is None:
                 raise AssertionError(
                     "certified kernel produced a quotient with mismatched traces")
             witnesses.append(StableSubgroupWitness(
-                p, primitive.monic(), primitive, quotient, gens, traces))
+                p, primitive.monic(), primitive, quotient, gens, trail))
     witnesses.sort(key=lambda w: tuple(w.kernel_monic.coeffs))
     return tuple(witnesses)
 
@@ -337,15 +382,24 @@ def surjectivity_certificate(model: WeierstrassModel, p: int
     both appear, below any bound.
     """
     require_odd_prime(p)
-    if p == 3 or model.j_invariant in CM_J_INVARIANTS:
+    return _surjectivity_certificate(model.integral_model(), p, {})
+
+
+def _surjectivity_certificate(E: WeierstrassModel, p: int, traces: dict[int, int]
+                              ) -> SurjectivityCertificate | None:
+    """surjectivity_certificate on the integral model E.  Each a_ell
+    that E's table of traces holds is read from it; the others are
+    counted here."""
+    if p == 3 or E.j_invariant in CM_J_INVARIANTS:
         return None
-    E = model.integral_model()
     disc = abs(E.discriminant)
     nonsplit = split = order_w = None
     for ell in primes_below(CERTIFICATE_BOUND + 1):
         if ell == p or disc % ell == 0:
             continue
-        a = trace_of_frobenius(E, ell)
+        a = traces.get(ell)
+        if a is None:
+            a = trace_of_frobenius(E, ell)
         am = a % p
         if am != 0:
             d = (a * a - 4 * ell) % p
@@ -395,7 +449,12 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q"
     failure have determinant one.
     """
     require_field(field)
-    witnesses = find_stable_subgroups(model, p)
+    require_ladder_prime(p)
+    E = model.integral_model()
+    # the job's one table of E's traces: the Frobenius screen and the
+    # trace match fill it, and the hunt reads it before counting
+    traces: dict[int, int] = {}
+    witnesses = _find_stable_subgroups(E, p, traces)
     n = len(witnesses)
     if n >= 2:
         return ImageClassification(
@@ -409,7 +468,7 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q"
             witnesses, None,
             ("a single stable line forces a unipotent element: the image "
              "is solvable of order divisible by p, over Q and over Q(mu_p)",))
-    cert = surjectivity_certificate(model, p)
+    cert = _surjectivity_certificate(E, p, traces)
     if cert is not None:
         note = ("mod-p representation certified surjective; GL_2(F_p) is "
                 f"nonsolvable for p = {p} >= 5")

@@ -179,10 +179,12 @@ def compute_lambda_bound(
 ) -> LambdaBoundReport:
     """Run the whole pipeline for one curve, prime, and base field.
 
-    The inputs are checked once, before any arithmetic: the cap on p, p,
-    the field, the assumptions (ASSUMPTION_TOKENS keys, never one bare
-    string), the dimensions, the table rows. Then one integral model
-    serves every layer and the report, with one ladder.
+    The inputs are checked once, before any arithmetic: the model (a
+    WeierstrassModel), the cap on p, p, the field, the assumptions (a
+    collection of ASSUMPTION_TOKENS keys, never one bare string), the
+    dimensions, the table rows; each refusal is a ValueError that names
+    the value. Then one integral model serves every layer and the report,
+    with one ladder.
 
     g_table, when given, is a user Z_p-extension: a collection, never one
     bare mapping or string, of mappings {residue_char, residue_degree (1
@@ -195,10 +197,14 @@ def compute_lambda_bound(
     without a row raises ValueError; a place outside S0 takes its row's
     g, or else the closed form g_v.
     """
+    if not isinstance(model, WeierstrassModel):
+        raise ValueError(f"model must be a WeierstrassModel, got {model!r}")
     require_ladder_prime(p)
     require_field(field)
     if isinstance(assume, str):
         raise ValueError(f"assume must be a collection of tokens, not the string {assume!r}")
+    if not isinstance(assume, Iterable):
+        raise ValueError(f"assume must be a collection of tokens, got {assume!r}")
     for token in assume:
         if not isinstance(token, str) or token not in ASSUMPTION_TOKENS:
             raise ValueError(f"unknown assumption {token!r}; known: "

@@ -960,7 +960,9 @@ def test_recombination_never_takes_the_lumped_cofactor(monkeypatch):
     pytest.param((1, -1, 1, -3, 3), 7, [1, 1, 1, 3, 6, 6, 6], 4, id="26b1-7"),
 ])
 def test_the_lift_gets_only_the_small_factors(monkeypatch, curve, p, degrees, handed):
-    from fineselmer import galoisimage
+    # factor_int_poly is called as the stable-line search calls it; the
+    # search itself no longer lifts on 32a2 at 7, whose Frobenius screen
+    # rules every line out first
     from fineselmer.elliptic import WeierstrassModel
 
     E = WeierstrassModel(*curve)
@@ -975,8 +977,9 @@ def test_the_lift_gets_only_the_small_factors(monkeypatch, curve, p, degrees, ha
         handed_degrees.append([len(h) - 1 for h in hbars])
         return lift(f, l, hbars, target)
 
-    expected = galoisimage.find_stable_subgroups(E, p)
+    d = (p - 1) // 2
+    expected = factor_int_poly(psi, max_degree=d, reduction=good_reduction(psi))
     monkeypatch.setattr(factorization, "_hensel_lift_factors", counting)
-    assert galoisimage.find_stable_subgroups(E, p) == expected
+    assert factor_int_poly(psi, max_degree=d, reduction=reduction) == expected
     # one lift, of the residues of degree <= (p - 1) / 2 and no cofactor
     assert handed_degrees == [degrees[:handed]]

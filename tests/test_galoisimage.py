@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fineselmer import factorization, galoisimage, modular
-from fineselmer.elliptic import LADDER_MAX, WeierstrassModel, trace_of_frobenius
+from fineselmer.elliptic import (LADDER_MAX, TRACE_CHECK_BOUND, WeierstrassModel,
+                               frobenius_traces, scalar_mul, trace_of_frobenius)
 from fineselmer.factorization import factor_int_poly, good_reduction
 from fineselmer.finitefield import FqPoly
 from fineselmer.galoisimage import (
@@ -567,6 +568,60 @@ def test_one_search_counts_each_trace_of_the_curve_once(monkeypatch):
     assert sorted(sweeps.values()) == [1, 1, 1]
     own = {ell: n for (a, ell), n in counted.items() if a == E11A1.a_invariants}
     assert own == dict.fromkeys(primes, 1)
+
+
+# --- rational torsion forces a line, and the Frobenius screen keeps it ---
+
+
+def tate_normal_form(b, c) -> tuple:
+    """E(b, c): y^2 + (1 - c) x y - b y = x^3 - b x^2, with (0, 0) on it."""
+    return (1 - c, -b, -b, 0, 0)
+
+
+# (p, a-invariants of a curve with a rational point P of order p, P)
+TORSION_FAMILIES = {
+    "order 5": lambda t, _: (5, tate_normal_form(t, t), (0, 0)),
+    "order 7": lambda t, _: (7, tate_normal_form(t**3 - t**2, t**2 - t), (0, 0)),
+    "order 3": lambda u, v: (3, (0, u * u, 0, 2 * u * v, v * v), (0, v)),
+}
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(TORSION_FAMILIES)), small_rationals, small_rationals)
+@example("order 5", Fraction(1), Fraction(0))    # 11a3
+@example("order 7", Fraction(2), Fraction(0))
+@example("order 3", Fraction(1), Fraction(1))
+def test_rational_torsion_forces_a_line_the_screen_keeps(family, s, t):
+    """A rational point of order p spans a Galois-stable line of E[p].
+
+    The families are Kubert's (Kubert 1976, Proc. LMS (3) 33, Table 3;
+    Husemoeller, Elliptic Curves, ch. 4): the Tate normal form E(t, t)
+    has (0, 0) of order 5, E(t^3 - t^2, t^2 - t) has (0, 0) of order 7,
+    and y^2 = x^3 + (ux + v)^2 has (0, v) of order 3; each point is
+    checked by the group law first. So find_stable_subgroups must find
+    at least one line, and every good ell <= TRACE_CHECK_BOUND must have
+    a Frobenius eigenvalue mod p: no a_ell^2 - 4 ell may be a nonsquare
+    mod p, or the screen would have ruled out the line that is there.
+    t (u and v at p = 3) runs over small rationals, so the integral
+    model has small height. 100 drawn examples and 3 pinned ones take
+    about 0.6 s of the tier-1 run's 55 s on a 2-core VM, about 1 %.
+    """
+    p, ainvs, point = TORSION_FAMILIES[family](s, t)
+    try:
+        E = WeierstrassModel(*ainvs)
+    except ValueError:
+        assume(False)
+    P = tuple(map(Fraction, point))
+    assert all(scalar_mul(E.a_invariants, k, P) is not None for k in range(1, p))
+    assert scalar_mul(E.a_invariants, p, P) is None
+    assert find_stable_subgroups(E, p)
+    Ez = E.integral_model()
+    disc = abs(Ez.discriminant)
+    good = [ell for ell in primes_below(TRACE_CHECK_BOUND + 1) if ell != p and disc % ell]
+    for ell, a in zip(good, frobenius_traces(Ez, good)):
+        d = (a * a - 4 * ell) % p
+        assert d == 0 or pow(d, (p - 1) // 2, p) == 1, (family, s, t, ell)
 
 
 # --- the homogenised closure test against the inverse-based one it replaces ---

@@ -165,6 +165,20 @@ def test_each_isogeny_lines_job_reduces_and_counts_each_ell_once(monkeypatch, be
         assert_each_datum_once(*work)
 
 
+@pytest.mark.parametrize("corpus", ["SURJECTIVE_P11", "INCONCLUSIVE_CM", "BATCH_GENERIC"])
+def test_each_corpus_job_reduces_and_counts_each_ell_once(monkeypatch, bench_corpus, corpus):
+    # the Frobenius screen, the trace match and the surjectivity hunt read
+    # one table of the job's traces: 79a1, 83a1 and 89a1 at 5 are screened
+    # and then hunted, and would count two traces twice without it
+    jobs = [job for job in getattr(bench_corpus, corpus) if job.strength != "blocked"]
+    assert jobs
+    for job in jobs:
+        model = WeierstrassModel(*job.curve)
+        work = run_counting_job_work(monkeypatch, model, job.p, job.field)
+        assert work[0].bound == job.bound, job
+        assert_each_datum_once(*work)
+
+
 def test_sum_of_terms_always_recomposes_the_bound():
     for model, p in ((E11A2, 5), (E11A1, 5), (E49A1, 3), (E121B1, 5)):
         for field in ("Q", "Q(mu_p)"):
@@ -334,6 +348,15 @@ def test_input_validation():
         message = f"g table must be a collection of rows, got {table!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             compute_lambda_bound(E11A1, 5, g_table=table)
+    # so is an assume that is no collection, and a model that is not one
+    for assume in (5, None):
+        message = f"assume must be a collection of tokens, got {assume!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_lambda_bound(E11A1, 5, assume=assume)
+    for model in ("11a1", None, (0, -1, 1, -10, -20)):
+        message = f"model must be a WeierstrassModel, got {model!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_lambda_bound(model, 5)
 
 
 @pytest.mark.parametrize("p", ["5", None, 5.0, True], ids=repr)
@@ -423,9 +446,12 @@ def test_37a1_at_11_never_factors_over_Q(monkeypatch):
 
 
 # The degrees of psi_p mod 3 leave room for a stable line on these curves,
-# so each run factors psi_p over Q in full. That took 25 to 55 s a run on
-# a 2-core VM when the recombination made psi_p monic first; the verdicts
-# and the sha256 of each compact report were pinned from that code.
+# and each run once factored psi_p over Q in full. That took 25 to 55 s a
+# run on a 2-core VM when the recombination made psi_p monic first; the
+# verdicts and the sha256 of each compact report were pinned from that
+# code. Now some good ell <= TRACE_CHECK_BOUND has a_ell^2 - 4 ell a
+# nonsquare mod p, so the Frobenius screen rules every line out and
+# nothing is factored over Q, as on 37a1 at 11 above.
 @pytest.mark.parametrize("curve, p, bound, image, digest", [
     pytest.param((0, 1, 1, 0, 0), 11, 2, "certified",
                  "d074f8b2b362568d2ed4f20b348a516125df1c38bcbd0e848fcc55c8771cd120", id="43a1-11"),
@@ -447,13 +473,43 @@ def test_former_factoring_cliff(monkeypatch, curve, p, bound, image, digest):
 
     monkeypatch.setattr(galoisimage, "factor_int_poly", counted)
     r = compute_lambda_bound(WeierstrassModel(*curve), p, "Q")
-    assert degrees == [(p * p - 1) // 2]
+    assert degrees == []
     assert r.bound == bound
     assert r.strength == "conditional" and r.route == "local-only"
     assert ledger_map(r)["image-condition"] == image
     job = cli.job_from_dict({"curve": list(curve), "p": p, "field": "Q"}, "pinned")
     text = cli.render_json(r, job, compact=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# (label, p): the seven searches that used to Hensel lift and recombine
+# for 23 to 51 ms to find no line, as psi_p mod 3 leaves room for one
+FORMER_CLIFFS = [("20a1", 11), ("43a1", 11), ("14a1", 11),
+                 ("32a2", 13), ("49a1", 13), ("37a1", 13), ("53a1", 13)]
+
+
+def test_no_line_is_ruled_out_before_any_factoring(monkeypatch, bench_corpus):
+    from fineselmer import factorization
+    from fineselmer.factorization import good_reduction
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored or lifted over Q")
+
+    for module in (factorization, galoisimage, lambdabound):
+        monkeypatch.setattr(module, "factor_int_poly", refuse)
+    monkeypatch.setattr(factorization, "_hensel_lift_factors", refuse)
+    for label, p in FORMER_CLIFFS:
+        model = WeierstrassModel(*bench_corpus.CURVES[label][0])
+        # the degrees mod l leave room: the Frobenius screen decides
+        assert good_reduction(model.division_polynomial(p)).admits_divisor_of_degree((p - 1) // 2)
+        r = compute_lambda_bound(model, p)
+        assert ledger_map(r)["image-condition"] in ("certified", "inconclusive"), label
+    # and so do the CM jobs at 7 of the benchmark
+    cm_jobs = [job for job in bench_corpus.INCONCLUSIVE_CM if job.p == 7]
+    assert len(cm_jobs) == 4
+    for job in cm_jobs:
+        r = compute_lambda_bound(WeierstrassModel(*job.curve), job.p, job.field)
+        assert (r.bound, r.strength) == (job.bound, job.strength), job
 
 
 # --- the pointwise guard asks only for the linear factors of a kernel ---
