@@ -59,21 +59,25 @@ distinct irreducibles mod l of degree at most d whose degrees sum to d.
 So when d is no subset sum of the degrees a distinct-degree split mod l
 finds up to d, no stable line exists and the search ends with no
 witness; that is exactly what the full search would have found.  When
-the degrees leave room, a Frobenius screen comes next: a stable line is
-an eigenline of every Frobenius, so one good ell != p whose a_ell^2 -
-4 ell is a nonsquare mod p rules every line out (see
+the degrees leave room and p >= 5, a Frobenius screen comes next: a
+stable line is an eigenline of every Frobenius, so one good ell != p
+whose a_ell^2 - 4 ell is a nonsquare mod p rules every line out (see
 find_stable_subgroups).  Most curves at p = 11 and 13 with no line end
 at one of the two, and only a curve the screen cannot rule out goes on
 into the factorization capped at d.
 
-One job counts each of the curve's traces once.  classify_image owns
-a table of them for the job: the screen fills it for the good primes up
-to TRACE_CHECK_BOUND in one sweep, the trace match of each witness reads
-it, and the surjectivity hunt reads it before counting a prime itself.
+One job counts each of the curve's traces once.  classify_image opens
+a table of them for the job, which find_stable_subgroups and
+surjectivity_certificate find through _JOB_TRACES while the job runs:
+the screen fills it for the good primes up to TRACE_CHECK_BOUND in one
+sweep, the trace match of each witness reads it, and the surjectivity
+hunt reads it before counting a prime itself.  Called on their own, the
+two start a table of their own.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -107,6 +111,20 @@ CERTIFICATE_BOUND = 1_000
 CM_J_INVARIANTS = frozenset(Fraction(j) for j in (
     0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
     16581375, -884736000, -147197952000, -262537412640768000))
+
+# the running job's model and the table of traces of its integral model,
+# ell -> a_ell; classify_image sets it for the length of one job
+_JOB_TRACES: ContextVar[tuple[WeierstrassModel, dict[int, int]] | None] = \
+    ContextVar("_JOB_TRACES", default=None)
+
+
+def _trace_table(model: WeierstrassModel) -> dict[int, int]:
+    """The table of traces of model's integral model: the running job's
+    when classify_image runs one on model, else a new one for this call."""
+    job = _JOB_TRACES.get()
+    if job is not None and job[0] == model:
+        return job[1]
+    return {}
 
 
 def _halfgroup_generators(p: int) -> tuple[int, ...]:
@@ -272,16 +290,13 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     The screen comes after the partial distinct-degree split, not
     before psi_p is built: every search that the degrees mod l already
     end runs as before, and the sweep is paid only where it can save a
-    Hensel lift and a recombination.
+    Hensel lift and a recombination.  It runs for p >= 5 only.  At
+    p = 3, d = 1 and what it would save is a root search capped at
+    degree 1, which costs less than the sweep.
     """
     require_ladder_prime(p)
-    return _find_stable_subgroups(model.integral_model(), p, {})
-
-
-def _find_stable_subgroups(E: WeierstrassModel, p: int, traces: dict[int, int]
-                           ) -> tuple[StableSubgroupWitness, ...]:
-    """find_stable_subgroups on the integral model E, with E's table of
-    traces, which it reads and fills."""
+    E = model.integral_model()
+    traces = _trace_table(model)
     psi = E.division_polynomial(p)
     d = (p - 1) // 2
     # psi is squarefree for a nonsingular curve, so some prime is good
@@ -292,10 +307,11 @@ def _find_stable_subgroups(E: WeierstrassModel, p: int, traces: dict[int, int]
     if not reduction.admits_divisor_of_degree(d):
         return ()
     # one sweep, with no early stop: the trace match reads the same table
-    for ell in _sweep_good_primes(E, p, traces):
-        frob_disc = (traces[ell] ** 2 - 4 * ell) % p
-        if frob_disc and pow(frob_disc, (p - 1) // 2, p) == p - 1:
-            return ()
+    if d > 1:
+        for ell in _sweep_good_primes(E, p, traces):
+            frob_disc = (traces[ell] ** 2 - 4 * ell) % p
+            if frob_disc and pow(frob_disc, (p - 1) // 2, p) == p - 1:
+                return ()
     # only a factor of degree <= d can divide a kernel polynomial
     _, factors = factor_int_poly(psi, max_degree=d, reduction=reduction)
     irreducibles = [f.int_coeffs() for f, _ in factors]
@@ -382,16 +398,11 @@ def surjectivity_certificate(model: WeierstrassModel, p: int
     both appear, below any bound.
     """
     require_odd_prime(p)
-    return _surjectivity_certificate(model.integral_model(), p, {})
-
-
-def _surjectivity_certificate(E: WeierstrassModel, p: int, traces: dict[int, int]
-                              ) -> SurjectivityCertificate | None:
-    """surjectivity_certificate on the integral model E.  Each a_ell
-    that E's table of traces holds is read from it; the others are
-    counted here."""
-    if p == 3 or E.j_invariant in CM_J_INVARIANTS:
+    if p == 3 or model.j_invariant in CM_J_INVARIANTS:
         return None
+    E = model.integral_model()
+    # each a_ell the job's table holds is read from it, the rest counted
+    traces = _trace_table(model)
     disc = abs(E.discriminant)
     nonsplit = split = order_w = None
     for ell in primes_below(CERTIFICATE_BOUND + 1):
@@ -449,12 +460,15 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q"
     failure have determinant one.
     """
     require_field(field)
-    require_ladder_prime(p)
-    E = model.integral_model()
     # the job's one table of E's traces: the Frobenius screen and the
     # trace match fill it, and the hunt reads it before counting
-    traces: dict[int, int] = {}
-    witnesses = _find_stable_subgroups(E, p, traces)
+    job = _JOB_TRACES.set((model, {}))
+    try:
+        witnesses = find_stable_subgroups(model, p)
+        # the hunt runs only when no line is stable
+        cert = None if witnesses else surjectivity_certificate(model, p)
+    finally:
+        _JOB_TRACES.reset(job)
     n = len(witnesses)
     if n >= 2:
         return ImageClassification(
@@ -468,7 +482,6 @@ def classify_image(model: WeierstrassModel, p: int, field: str = "Q"
             witnesses, None,
             ("a single stable line forces a unipotent element: the image "
              "is solvable of order divisible by p, over Q and over Q(mu_p)",))
-    cert = _surjectivity_certificate(E, p, traces)
     if cert is not None:
         note = ("mod-p representation certified surjective; GL_2(F_p) is "
                 f"nonsolvable for p = {p} >= 5")

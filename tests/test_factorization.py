@@ -953,16 +953,17 @@ def test_recombination_never_takes_the_lumped_cofactor(monkeypatch):
     assert seen and max(seen) == 3
 
 
-@pytest.mark.parametrize("curve, p, degrees, handed", [
-    # 32a2 at 7: [3, 3, 6, 6, 6] mod 3; the three sextics are never lifted
-    pytest.param((0, 0, 0, -1, 0), 7, [3, 3, 6, 6, 6], 2, id="32a2-7"),
-    # 26b1 at 7: [1, 1, 1, 3, 6, 6, 6] mod 3
-    pytest.param((1, -1, 1, -3, 3), 7, [1, 1, 1, 3, 6, 6, 6], 4, id="26b1-7"),
+@pytest.mark.parametrize("curve, p, degrees, handed, search", [
+    # 32a2 at 7: [3, 3, 6, 6, 6] mod 3; the three sextics are never lifted.
+    # The stable-line search's Frobenius screen rules every line out before
+    # it factors, so psi_7 is factored here as the search would factor it
+    pytest.param((0, 0, 0, -1, 0), 7, [3, 3, 6, 6, 6], 2, False, id="32a2-7"),
+    # 26b1 at 7: [1, 1, 1, 3, 6, 6, 6] mod 3; it has a rational line, so
+    # the search itself lifts, with the cap it passes to factor_int_poly
+    pytest.param((1, -1, 1, -3, 3), 7, [1, 1, 1, 3, 6, 6, 6], 4, True, id="26b1-7"),
 ])
-def test_the_lift_gets_only_the_small_factors(monkeypatch, curve, p, degrees, handed):
-    # factor_int_poly is called as the stable-line search calls it; the
-    # search itself no longer lifts on 32a2 at 7, whose Frobenius screen
-    # rules every line out first
+def test_the_lift_gets_only_the_small_factors(monkeypatch, curve, p, degrees, handed, search):
+    from fineselmer import galoisimage
     from fineselmer.elliptic import WeierstrassModel
 
     E = WeierstrassModel(*curve)
@@ -977,9 +978,13 @@ def test_the_lift_gets_only_the_small_factors(monkeypatch, curve, p, degrees, ha
         handed_degrees.append([len(h) - 1 for h in hbars])
         return lift(f, l, hbars, target)
 
-    d = (p - 1) // 2
-    expected = factor_int_poly(psi, max_degree=d, reduction=good_reduction(psi))
+    def run():
+        if search:
+            return galoisimage.find_stable_subgroups(E, p)
+        return factor_int_poly(psi, max_degree=(p - 1) // 2, reduction=good_reduction(psi))
+
+    expected = run()
     monkeypatch.setattr(factorization, "_hensel_lift_factors", counting)
-    assert factor_int_poly(psi, max_degree=d, reduction=reduction) == expected
+    assert run() == expected
     # one lift, of the residues of degree <= (p - 1) / 2 and no cofactor
     assert handed_degrees == [degrees[:handed]]

@@ -570,6 +570,21 @@ def test_one_search_counts_each_trace_of_the_curve_once(monkeypatch):
     assert own == dict.fromkeys(primes, 1)
 
 
+def test_classify_image_runs_the_public_search_and_hunt_on_the_job_table(monkeypatch):
+    # bench/tracing.py times both layers by wrapping these two names, so
+    # the job's table of traces reaches them without a parameter
+    calls = []
+    for name in ("find_stable_subgroups", "surjectivity_certificate"):
+        def recording(model, p, _name=name, _call=getattr(galoisimage, name)):
+            calls.append((_name, galoisimage._JOB_TRACES.get() is not None))
+            return _call(model, p)
+        monkeypatch.setattr(galoisimage, name, recording)
+    assert classify_image(E37A1, 7).status == "SurjectiveCertified"
+    assert calls == [("find_stable_subgroups", True), ("surjectivity_certificate", True)]
+    # the table ends with the job
+    assert galoisimage._JOB_TRACES.get() is None
+
+
 # --- rational torsion forces a line, and the Frobenius screen keeps it ---
 
 
@@ -603,6 +618,8 @@ def test_rational_torsion_forces_a_line_the_screen_keeps(family, s, t):
     at least one line, and every good ell <= TRACE_CHECK_BOUND must have
     a Frobenius eigenvalue mod p: no a_ell^2 - 4 ell may be a nonsquare
     mod p, or the screen would have ruled out the line that is there.
+    The search screens at p >= 5 only, so at p = 3 the check is of the
+    fact alone.
     t (u and v at p = 3) runs over small rationals, so the integral
     model has small height. 100 drawn examples and 3 pinned ones take
     about 0.6 s of the tier-1 run's 55 s on a 2-core VM, about 1 %.
