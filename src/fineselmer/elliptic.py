@@ -23,6 +23,12 @@ Each model object has one ladder: built on first use, kept with the
 object in one slot, and extended as larger n are asked for, so every
 division polynomial and x-multiple map of one model reads the same
 ladder.  Nothing is kept at module level; a new model builds its own.
+
+frobenius_traces counts each good 5 <= ell <= TRACE_CHECK_BOUND on the
+short model y^2 = x^3 - 27 c4 x - 54 c6 in one byte lane per x, which
+holds a sum below 2 ell without a carry while 2 TRACE_CHECK_BOUND <= 255
+(checked at import); ell = 3 and ell above the bound keep a per-x loop,
+and ell = 2 checks its four affine points.
 """
 
 from __future__ import annotations
@@ -322,8 +328,25 @@ def _character_table(ell: int) -> tuple[int, ...]:
 
 # every trace trail and the start of every surjectivity hunt sweep these
 # primes, so their tables are built once, here
-_CHARACTER_TABLES = {ell: _character_table(ell)
-                     for ell in primes_below(TRACE_CHECK_BOUND + 1) if ell > 2}
+TRACE_PRIMES = tuple(primes_below(TRACE_CHECK_BOUND + 1))
+_CHARACTER_TABLES = {ell: _character_table(ell) for ell in TRACE_PRIMES if ell > 2}
+
+# a lane of x^3 + A x holds a sum below 2 ell, which must fit in its byte
+if 2 * TRACE_CHECK_BOUND > 255:
+    raise ValueError(f"TRACE_CHECK_BOUND = {TRACE_CHECK_BOUND}: a lane sum below "
+                     "2 ell must fit in one byte")
+
+
+def _lane_table(ell: int) -> tuple[int, bytes, bytes]:
+    """(x^3 mod ell for x = 0 ... ell - 1 as one int of ell little-endian
+    byte lanes, bytes(range(ell)), and chi(i mod ell) mod 3 for i = 0 ...
+    ell + 255: 0 at 0, 1 at a nonzero square, 2 at a nonsquare)."""
+    classes = bytes(c % 3 for c in _CHARACTER_TABLES[ell])
+    return (int.from_bytes(bytes(x * x * x % ell for x in range(ell)), "little"),
+            bytes(range(ell)), (classes * (256 // ell + 2))[:ell + 256])
+
+
+_LANE_TABLES = {ell: _lane_table(ell) for ell in TRACE_PRIMES if ell >= 5}
 
 
 def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
@@ -331,24 +354,57 @@ def frobenius_traces(model: WeierstrassModel, ells: Iterable[int]) -> list[int]:
     of good reduction.
 
     The model must be integral with no ell dividing the discriminant;
-    such a model is automatically minimal at each ell.  For odd ell the
-    count runs on plain ints: completing the square in y gives
-    a_ell = -sum_x chi(F(x)), F(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, chi the
-    quadratic character mod ell read off a table of squares, built at
-    import for ell <= TRACE_CHECK_BOUND and per sweep above it.  F steps
-    from x to x + 1 by finite differences mod ell; the third is 24.
-    For ell = 2 the four affine pairs (x, y) are checked directly.
+    such a model is automatically minimal at each ell.  Each ell takes
+    one of three paths.
+
+    5 <= ell <= TRACE_CHECK_BOUND: the short model.  Over Z[1/6],
+    (x, y) -> (36x + 3 b2, 108(2y + a1 x + a3)) maps E isomorphically
+    onto y^2 = x^3 + A x + B with A = -27 c4, B = -54 c6 (Silverman, AEC
+    III.1); ell does not divide 6, so the map reduces to an isomorphism
+    over F_ell and a_ell = -sum_x chi(x^3 + A x + B), chi the quadratic
+    character mod ell.  The sum runs in byte lanes, one per x in F_ell,
+    from _LANE_TABLES: the lanes of x^3 mod ell plus those of a x mod
+    ell, a = A mod ell, which for a != 0 is (bytes(range(ell)) * a)[::a],
+    lane x holding the byte at x a, that is x a mod ell (for a = 0 no
+    lanes are added).  Each lane sum is below 2 ell <=
+    2 TRACE_CHECK_BOUND <= 255, so no lane carries into the next (the
+    bound is checked at import).  translate by the class table shifted
+    by b = B mod ell maps lane v to the class of chi(v + b), and a_ell
+    is the count of nonsquares less the count of squares.  The table's
+    keys are primes, so ell in it needs no primality test.
+
+    ell = 3, and odd ell above TRACE_CHECK_BOUND: completing the square
+    in y gives a_ell = -sum_x chi(F(x)), F(x) = 4x^3 + b2 x^2 + 2 b4 x +
+    b6, chi read off a table of squares, built at import for ell = 3 and
+    per sweep above the bound.  F steps from x to x + 1 by finite
+    differences mod ell; the third is 24.
+
+    ell = 2: the four affine pairs (x, y) are checked directly.
+
+    ell must be an int (a bool, a float or a Fraction is refused with
+    ValueError, as a composite is), and every a_ell is checked against
+    the Hasse bound.
     """
     if not model.is_integral:
         raise ValueError("pass an integral model")
     b2, b4, b6, disc = model.b2, model.b4, model.b6, model.discriminant
+    A, B = -27 * model.c4, -54 * model.c6
     traces = []
     for ell in ells:
-        if ell > COUNT_LIMIT or not is_prime(ell):
+        if type(ell) is not int or (ell not in _LANE_TABLES
+                                    and (ell > COUNT_LIMIT or not is_prime(ell))):
             raise ValueError(f"ell must be a prime <= {COUNT_LIMIT}, got {ell}")
         if disc % ell == 0:
             raise ValueError(f"{ell} divides the discriminant; minimize and check reduction first")
-        if ell == 2:
+        lanes = _LANE_TABLES.get(ell)
+        if lanes is not None:
+            cubes, xs, classes = lanes
+            slope, shift = A % ell, B % ell
+            if slope:
+                cubes += int.from_bytes((xs * slope)[::slope], "little")
+            counted = cubes.to_bytes(ell, "little").translate(classes[shift:shift + 256])
+            a = counted.count(2) - counted.count(1)
+        elif ell == 2:
             a1, a2, a3, a4, a6 = model.a_invariants
             affine = sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % 2 == 0
                          for x in (0, 1) for y in (0, 1))

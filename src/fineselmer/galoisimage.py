@@ -83,7 +83,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .elliptic import (TRACE_CHECK_BOUND, WeierstrassModel, frobenius_traces,
+from .elliptic import (TRACE_PRIMES, WeierstrassModel, frobenius_traces,
                        require_ladder_prime, trace_of_frobenius)
 from .factorization import NoGoodPrime, factor_int_poly, good_reduction
 from .localdata import require_field
@@ -105,6 +105,7 @@ __all__ = [
 # before it.  A curve with CM never runs the hunt: it could scan every
 # prime up to here and still fail
 CERTIFICATE_BOUND = 1_000
+_CERTIFICATE_PRIMES = tuple(primes_below(CERTIFICATE_BOUND + 1))
 
 # the j-invariants of the 13 imaginary quadratic orders of class number
 # one, which are exactly the j-invariants of the curves over Q with CM
@@ -239,7 +240,7 @@ def _sweep_good_primes(E: WeierstrassModel, p: int, traces: dict[int, int]) -> l
     those of these primes it lacks are counted in one sweep and stored,
     so every caller that passes one table counts each of E's traces once."""
     disc = abs(E.discriminant)
-    good = [ell for ell in primes_below(TRACE_CHECK_BOUND + 1) if ell != p and disc % ell]
+    good = [ell for ell in TRACE_PRIMES if ell != p and disc % ell]
     missing = [ell for ell in good if ell not in traces]
     if missing:
         traces.update(zip(missing, frobenius_traces(E, missing)))
@@ -292,7 +293,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     end runs as before, and the sweep is paid only where it can save a
     Hensel lift and a recombination.  It runs for p >= 5 only.  At
     p = 3, d = 1 and what it would save is a root search capped at
-    degree 1, which costs less than the sweep.
+    degree 1, which costs about as much as the sweep.
     """
     require_ladder_prime(p)
     E = model.integral_model()
@@ -405,7 +406,7 @@ def surjectivity_certificate(model: WeierstrassModel, p: int
     traces = _trace_table(model)
     disc = abs(E.discriminant)
     nonsplit = split = order_w = None
-    for ell in primes_below(CERTIFICATE_BOUND + 1):
+    for ell in _CERTIFICATE_PRIMES:
         if ell == p or disc % ell == 0:
             continue
         a = traces.get(ell)

@@ -8,9 +8,10 @@ oracle: it checks the package's F_l at f = 1, the split test of
 reduction_over_K over the residue field F_{l^f}, and torsion over
 extension fields. `count_points` counts E(F_q) on it, the slow path
 against which the trace sweep frobenius_traces is checked. The sweep
-reads the quadratic character of each prime up to TRACE_CHECK_BOUND
-from a table built at import; `frobenius_traces_per_sweep` is the sweep
-it replaced, which built each table again on every sweep.
+counts each good 5 <= ell <= TRACE_CHECK_BOUND in byte lanes on the
+short model, from tables built at import; `frobenius_traces_per_sweep`
+is the per-x finite-difference loop it replaced, which also built each
+character table again on every sweep.
 
 The package runs all polynomial arithmetic mod a prime l on plain
 coefficient lists, the `_vec_*` helpers of finitefield, and its own
@@ -583,8 +584,10 @@ def count_points(model: WeierstrassModel, field: FiniteField) -> int:
 
 def frobenius_traces_per_sweep(model: WeierstrassModel, ells) -> list[int]:
     """elliptic.frobenius_traces at odd primes of good reduction, as it ran
-    before the character tables of the small primes were built at import:
-    each sweep builds each ell's table of squares again."""
+    before the character tables of the small primes were built at import
+    and before the byte lanes: each sweep builds each ell's table of
+    squares again and steps 4x^3 + b2 x^2 + 2 b4 x + b6 through every x
+    by finite differences."""
     b2, b4, b6 = model.b2, model.b4, model.b6
     traces = []
     for ell in ells:

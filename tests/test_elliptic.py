@@ -7,6 +7,7 @@ finite fields, and traces of Frobenius sit inside the Hasse window.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -645,6 +646,36 @@ def test_table_trace_sweep_matches_per_sweep_tables(ainvs):
     assert frobenius_traces(model, ells) == oracles.frobenius_traces_per_sweep(model, ells)
 
 
+def test_lane_tables_fit_a_byte_and_cover_the_primes_from_5_to_97():
+    # a lane holds x^3 + A x mod ell, a sum below 2 ell <= 2 TRACE_CHECK_BOUND
+    assert 2 * TRACE_CHECK_BOUND <= 255
+    assert sorted(elliptic._LANE_TABLES) == primes_below(98)[2:]
+    assert elliptic.TRACE_PRIMES == tuple(primes_below(TRACE_CHECK_BOUND + 1))
+
+
+@pytest.mark.parametrize("ainvs", [(0, 0, 1, 0, -7), (0, 0, 0, 0, 1), (0, 0, 0, -1, 0)],
+                         ids=["27a1", "36a1", "32a2"])
+def test_lane_kernel_matches_finite_differences_where_A_or_B_vanishes(ainvs):
+    # j = 0 (27a1, 36a1) has c4 = 0, so A = -27 c4 is 0 mod every ell and
+    # no A x lanes are added; j = 1728 (32a2) has c6 = 0, so B = -54 c6 is
+    # 0 and the class table is read unshifted
+    model = WeierstrassModel(*ainvs)
+    assert model.c4 == 0 or model.c6 == 0
+    ells = [ell for ell in good_primes(model, TRACE_CHECK_BOUND + 1) if ell >= 5]
+    assert frobenius_traces(model, ells) == oracles.frobenius_traces_per_sweep(model, ells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-10**30, 10**30)] * 5))
+def test_lane_kernel_matches_finite_differences_on_large_curves(ainvs):
+    # every good 5 <= ell <= 97 runs in byte lanes on the short model; the
+    # oracle steps 4x^3 + b2 x^2 + 2 b4 x + b6 by finite differences
+    model = nonsingular(*ainvs)
+    assume(model is not None)
+    ells = [ell for ell in good_primes(model, TRACE_CHECK_BOUND + 1) if ell >= 5]
+    assert frobenius_traces(model, ells) == oracles.frobenius_traces_per_sweep(model, ells)
+
+
 def test_trace_sweep_of_no_prime_is_empty_and_checks_each_prime():
     model = WeierstrassModel(*X11A1)
     assert frobenius_traces(model, []) == []
@@ -663,3 +694,11 @@ def test_trace_kernel_input_contract():
         trace_of_frobenius(model, 9)  # not a prime
     with pytest.raises(ValueError):
         trace_of_frobenius(WeierstrassModel(0, 0, 0, Fraction(1, 2), 1), 3)
+    # an ell that is not an int is refused before any table lookup, where
+    # 5.0 would find 5's tables, since the two hash equal
+    for ell in (2.0, Fraction(2), 3.0, 5.0, Fraction(5), 101.0, True):
+        message = re.escape(f"ell must be a prime <= 1000000, got {ell}")
+        with pytest.raises(ValueError, match=message):
+            trace_of_frobenius(model, ell)
+        with pytest.raises(ValueError, match=message):
+            frobenius_traces(model, [3, ell])
