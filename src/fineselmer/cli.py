@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elliptic import LADDER_MAX, WeierstrassModel
 from .lambdabound import LambdaBoundReport, LocalTerm, compute_lambda_bound
@@ -45,8 +45,7 @@ class CliError(Exception):
     """Bad input; rendered as a diagnostic and exit code 3."""
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     a_invariants: tuple[int, int, int, int, int]
     p: int
     field: str = "Q"

@@ -11,9 +11,9 @@ is well defined.  The tests tie the two routes together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .localdata import require_field
 from .modular import primes_below, require_odd_prime
@@ -100,8 +100,7 @@ def irregular_primes_below(bound: int) -> list[int]:
     return [p for p in primes_below(bound) if p > 2 and not is_regular(p)]
 
 
-@dataclass(frozen=True)
-class RamificationStatement:
+class RamificationStatement(NamedTuple):
     field: str
     p: int
     detail: str

@@ -78,10 +78,10 @@ two start a table of their own.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .elliptic import (TRACE_PRIMES, WeierstrassModel, frobenius_traces,
                        require_ladder_prime, trace_of_frobenius)
@@ -137,8 +137,7 @@ def _halfgroup_generators(p: int) -> tuple[int, ...]:
     return () if p == 3 else (2,)
 
 
-@dataclass(frozen=True)
-class StableSubgroupWitness:
+class StableSubgroupWitness(NamedTuple):
     p: int
     kernel_monic: QPoly
     kernel_primitive: QPoly
@@ -346,8 +345,7 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurjectivityCertificate:
+class SurjectivityCertificate(NamedTuple):
     p: int
     nonsplit_witness: int      # ell with irreducible Frobenius char poly
     split_witness: int         # ell with distinct rational eigenvalues
@@ -436,8 +434,7 @@ def surjectivity_certificate(model: WeierstrassModel, p: int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ImageClassification:
+class ImageClassification(NamedTuple):
     p: int
     field: str
     status: str                       # TwoStableSubgroups | OneStableSubgroup |

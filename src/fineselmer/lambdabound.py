@@ -32,14 +32,14 @@ unless assumed.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
 from math import isqrt
+from typing import NamedTuple
 
 from .cyclotomic import is_regular, kinf_ramification
 from .elliptic import WeierstrassModel, require_ladder_prime
 from .factorization import factor_int_poly
 from .galoisimage import classify_image
-from .localdata import compute_place_sets, delta_v, g_v, require_field
+from .localdata import _shown, compute_place_sets, delta_v, g_v, require_field
 from .modular import MR_EXACT_LIMIT, is_prime, valuation
 
 __all__ = [
@@ -79,22 +79,19 @@ _GLOBAL_DIMS_REQUIRED = (
 )
 
 
-@dataclass(frozen=True)
-class HypothesisEntry:
+class HypothesisEntry(NamedTuple):
     id: str
     status: str        # certified | asserted | inconclusive | refuted
     detail: str
 
 
-@dataclass(frozen=True)
-class GlobalInvariants:
+class GlobalInvariants(NamedTuple):
     dim_y: int = 0
     dim_z: int = 0
     provenance: str = "asserted-zero"   # | "user-supplied"
 
 
-@dataclass(frozen=True)
-class LocalTerm:
+class LocalTerm(NamedTuple):
     label: str
     residue_char: int
     residue_degree: int
@@ -108,8 +105,7 @@ class LocalTerm:
     contribution: int
 
 
-@dataclass(frozen=True)
-class RouteBound:
+class RouteBound(NamedTuple):
     route: str                   # "local-only" | "with-global-dims"
     bound: int | None
     strength: str                # unconditional | conditional | blocked
@@ -117,8 +113,7 @@ class RouteBound:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LambdaBoundReport:
+class LambdaBoundReport(NamedTuple):
     model: WeierstrassModel
     p: int
     field: str
@@ -182,8 +177,9 @@ def compute_lambda_bound(
     The inputs are checked once, before any arithmetic: the model (a
     WeierstrassModel), the cap on p, p, the field, the assumptions (a
     collection of ASSUMPTION_TOKENS keys, never one bare string), the
-    dimensions, the table rows; each refusal is a ValueError that names
-    the value. Then one integral model serves every layer and the report,
+    dimensions (None or ints in [0, 2^64)), the table rows; each refusal
+    is a ValueError that names the argument, and its value where Python
+    can print it. Then one integral model serves every layer and the report,
     with one ladder.
 
     g_table, when given, is a user Z_p-extension: a collection, never one
@@ -191,61 +187,64 @@ def compute_lambda_bound(
     if absent), g}, with no other key. It is read once, before any
     place: a row that is no such mapping, has a value that is not an int
     (a bool included), a residue_char that is not a prime below
-    MR_EXACT_LIMIT, a residue_degree or g below 1, or repeats a
+    MR_EXACT_LIMIT, a residue_degree or g below 1, a g of 2^64 or
+    more, or repeats a
     (residue_char, residue_degree) raises ValueError naming the row,
     whatever the curve. A place of S0 takes g from its row, and one
     without a row raises ValueError; a place outside S0 takes its row's
     g, or else the closed form g_v.
     """
     if not isinstance(model, WeierstrassModel):
-        raise ValueError(f"model must be a WeierstrassModel, got {model!r}")
+        raise ValueError(f"model must be a WeierstrassModel, got {_shown(model)}")
     require_ladder_prime(p)
     require_field(field)
     if isinstance(assume, str):
         raise ValueError(f"assume must be a collection of tokens, not the string {assume!r}")
     if not isinstance(assume, Iterable):
-        raise ValueError(f"assume must be a collection of tokens, got {assume!r}")
+        raise ValueError(f"assume must be a collection of tokens, got {_shown(assume)}")
     for token in assume:
         if not isinstance(token, str) or token not in ASSUMPTION_TOKENS:
-            raise ValueError(f"unknown assumption {token!r}; known: "
+            raise ValueError(f"unknown assumption {_shown(token)}; known: "
                              + ", ".join(sorted(ASSUMPTION_TOKENS)))
     for name, dim in (("dim_y", dim_y), ("dim_z", dim_z)):
         if dim is not None and type(dim) is not int:  # a bool too
-            raise ValueError(f"{name} must be an integer, got {dim!r}")
-        if dim is not None and dim < 0:
-            raise ValueError("global dimensions cannot be negative")
+            raise ValueError(f"{name} must be an integer, got {_shown(dim)}")
+        if dim is not None and not 0 <= dim < 2**64:  # the report prints 2 dim_y + dim_z
+            raise ValueError(f"{name} must be at least 0 and below 2^64, got {_shown(dim)}")
     # one bare mapping or string would be read as the rows of its keys or letters
     if g_table is not None and (isinstance(g_table, (str, Mapping))
                                 or not isinstance(g_table, Iterable)):
-        raise ValueError(f"g table must be a collection of rows, got {g_table!r}")
+        raise ValueError(f"g table must be a collection of rows, got {_shown(g_table)}")
     # every row, not only those of the curve's places, so that a table is
     # accepted or refused whatever the curve
     table: dict[tuple[int, int], int] = {}
     for i, row in enumerate(g_table or ()):
         if not isinstance(row, Mapping) or not {"residue_char", "g"} <= row.keys():
-            raise ValueError(f"g table row {i}: needs residue_char and g, got {row!r}")
+            raise ValueError(f"g table row {i}: needs residue_char and g, got {_shown(row)}")
         if extra := row.keys() - {"residue_char", "residue_degree", "g"}:
-            raise ValueError(f"g table row {i}: unknown keys {sorted(extra, key=repr)}")
+            raise ValueError(f"g table row {i}: unknown keys [{', '.join(sorted(map(_shown, extra)))}]")
         key = (row["residue_char"], row.get("residue_degree", 1))
         for name, value in zip(("residue_char", "residue_degree", "g"), (*key, row["g"])):
             if type(value) is not int:
-                raise ValueError(f"g table row {i}: {name} must be an integer, got {value!r}")
+                raise ValueError(f"g table row {i}: {name} must be an integer, got {_shown(value)}")
         # no place lies above a prime too large to prove prime: refuse it
         # before is_prime, which would take seconds on it
         if key[0] >= MR_EXACT_LIMIT:
             raise ValueError(f"g table row {i}: residue_char has {key[0].bit_length()} "
                              "bits; a prime is proven only below 3.3 * 10^24")
         if not is_prime(key[0]):
-            raise ValueError(f"g table row {i}: residue_char must be a prime, got {key[0]}")
+            raise ValueError(f"g table row {i}: residue_char must be a prime, got {_shown(key[0])}")
         if key[1] < 1:
             raise ValueError(f"g table row {i}: residue_degree must be a positive "
-                             f"integer, got {key[1]}")
+                             f"integer, got {_shown(key[1])}")
         if row["g"] < 1:
             raise ValueError(f"g table row {i}: g must be a positive integer, "
-                             f"got {row['g']}")
+                             f"got {_shown(row['g'])}")
+        if row["g"] >= 2**64:  # the report prints 2 g in decimal
+            raise ValueError(f"g table row {i}: g must be below 2^64, got {_shown(row['g'])}")
         if key in table:
             raise ValueError(f"g table row {i}: a second row for "
-                             f"residue_char={key[0]}, f={key[1]}")
+                             f"residue_char={key[0]}, f={_shown(key[1])}")
         table[key] = row["g"]
 
     E = model.integral_model()
@@ -387,8 +386,8 @@ def compute_lambda_bound(
         hid = ASSUMPTION_TOKENS[token]
         entry = ledger[hid]
         if entry.status == "inconclusive":
-            ledger[hid] = replace(
-                entry, status="asserted",
+            ledger[hid] = entry._replace(
+                status="asserted",
                 detail=entry.detail + f"; assumed via {token!r}")
         elif entry.status == "refuted":
             notes.append(f"assumption {token!r} ignored: the run refuted it")

@@ -27,7 +27,7 @@ decisive in both directions, so no search runs there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 from .elliptic import WeierstrassModel, trace_of_frobenius
 from .modular import (factorize, is_prime, multiplicative_order,
                       require_odd_prime, valuation)
@@ -57,7 +57,16 @@ def require_field(field: str) -> None:
     """The one check that field is a supported base field; ValueError
     otherwise, naming the value.  The CLI prints this message as it is."""
     if field not in SUPPORTED_FIELDS:
-        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}, got {field!r}")
+        raise ValueError(f"field must be one of {SUPPORTED_FIELDS}, got {_shown(field)}")
+
+
+def _shown(value) -> str:
+    """repr(value) for a refusal message; an int past Python's limit on
+    decimal digits, or a container that holds one, is named by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +74,7 @@ def require_field(field: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     minimal_model: WeierstrassModel
     kodaira: str
     category: str            # "good" | "multiplicative" | "additive"
@@ -266,8 +274,7 @@ def tate_reduction(model: WeierstrassModel, ell: int) -> ReductionData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KPlaceReduction:
+class KPlaceReduction(NamedTuple):
     """Common reduction data for the g conjugate places of Q(mu_p) above ell."""
 
     f: int                       # unramified, so f g = p - 1
@@ -307,8 +314,7 @@ def reduction_over_K(model: WeierstrassModel, ell: int, p: int) -> KPlaceReducti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaceRecord:
+class PlaceRecord(NamedTuple):
     """The count conjugate places above one bad prime ell != p, which share
     every local datum: 1 place over Q, g = (p-1)/f over Q(mu_p)."""
 
@@ -321,8 +327,7 @@ class PlaceRecord:
     in_S0: bool
 
 
-@dataclass(frozen=True)
-class PlaceSets:
+class PlaceSets(NamedTuple):
     good_above_p: bool                     # S_p is the single place above p
     bad_places: tuple[PlaceRecord, ...]    # the places of S away from p
 
@@ -426,12 +431,11 @@ def finite_level_place_count(ell: int, p: int, n: int, field: str = "Q",
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaResult:
+class DeltaResult(NamedTuple):
     value: int                       # 0 or 2
     provenance: str                  # "computed-exact" | "conservative"
     method: str
-    notes: tuple[str, ...] = dc_field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def _torsion_x_has_rational_y(model: WeierstrassModel, x0: int, p: int) -> bool:

@@ -17,7 +17,7 @@ marker, never a silent omission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factorization import SQUAREFREE_TRIES, good_reduction
 from .modular import valuation
@@ -85,6 +85,9 @@ class PadicNumber:
             == (self.p, self.val, self.unit, self.absprec)
         )
 
+    def __hash__(self) -> int:
+        return hash((self.p, self.val, self.unit, self.absprec))
+
     def __repr__(self) -> str:
         if self.unit == 0:
             return f"O({self.p}^{self.absprec})"
@@ -115,8 +118,7 @@ def _newton_lift(coeffs: list[int], r0: int, p: int, absprec: int) -> int:
     raise AssertionError("Newton iteration failed to converge; this is a bug")
 
 
-@dataclass(frozen=True)
-class PadicRoots:
+class PadicRoots(NamedTuple):
     """Result of a Z_p-root search.
 
     certified: every entry is a genuine root to its precision (Newton

@@ -38,7 +38,8 @@ def bench_corpus():
     path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("bench_corpus", path)
     module = importlib.util.module_from_spec(spec)
-    # its dataclass looks its own module up by name
+    # its Job is a dataclass, and @dataclass reads the class's module from
+    # sys.modules by name; the package's records are NamedTuples and do not
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module

@@ -15,12 +15,13 @@ Python function called while the package runs
 
 all in this process. It then prints, as a Markdown list, each function
 defined under src/ that none of them called, with its line count and the
-reason it is kept, from REASONS below. A second list names each dataclass
-field under src/ that no attribute read (`x.name`, found with ast) in
-src/, tests/, demos/ or bench/ names: a field that is stored and never
-read. Both lists are information, not a gate: a function that shows up
-without a reason is a candidate for deletion, or for a reason here, and
-so is an unread field. pytest does not collect this file.
+reason it is kept, from REASONS below. A second list names each field of
+a value record (a NamedTuple class) under src/ that no attribute read
+(`x.name`, found with ast) in src/, tests/, demos/ or bench/ names: a
+field that is stored and never read. Both lists are information, not a
+gate: a function that shows up without a reason is a candidate for
+deletion, or for a reason here, and so is an unread field. pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -100,8 +101,17 @@ def defined_functions() -> dict[tuple[str, int], tuple[str, int]]:
     return found
 
 
-def unread_dataclass_fields() -> list[str]:
-    """"module.Class.field" for each dataclass field under src/fineselmer
+def record_classes() -> list[tuple[str, ast.ClassDef]]:
+    """(module, class) for each value record under src/fineselmer: each
+    class with a NamedTuple base."""
+    return [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(b) in ("NamedTuple", "typing.NamedTuple") for b in node.bases)]
+
+
+def unread_record_fields() -> list[str]:
+    """"module.Class.field" for each record field under src/fineselmer
     whose name no attribute read in src/, tests/, demos/ or bench/ names."""
     read = set()
     for folder in ("src", "tests", "demos", "bench"):
@@ -109,15 +119,9 @@ def unread_dataclass_fields() -> list[str]:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
-    unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
-                unread += [f"{path.stem}.{node.name}.{item.target.id}"
-                           for item in node.body if isinstance(item, ast.AnnAssign)
-                           and item.target.id not in read]
-    return unread
+    return [f"{module}.{node.name}.{item.target.id}"
+            for module, node in record_classes() for item in node.body
+            if isinstance(item, ast.AnnAssign) and item.target.id not in read]
 
 
 def load(path: Path, name: str):
@@ -205,9 +209,9 @@ def main() -> int:
         print()
         print("Reasons kept for functions that are now reached or gone: "
               + ", ".join(f"`{name}`" for name in stale))
-    unread = unread_dataclass_fields()
+    unread = unread_record_fields()
     print()
-    print(f"src/ dataclass fields that no attribute read names: {len(unread)}")
+    print(f"src/ record fields that no attribute read names: {len(unread)}")
     if unread:
         print()
         for name in unread:

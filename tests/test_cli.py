@@ -244,6 +244,8 @@ def test_qmu5_field_itemizes_split_places(capsys):
         ("run", "--curve", CURVE, "--p", "5", "--precision", "257"),
         ("run", "--curve", CURVE, "--p", "5", "--precision", "1000000000"),
         ("run", "--curve", CURVE, "--p", "5", "--precision", "32"),  # no such flag
+        # 4 300 digits parse, but 2 dim_y would have too many to print
+        ("run", "--curve", CURVE, "--p", "5", "--dim-y", "9" * 4300),
     ],
 )
 def test_bad_inputs_exit_three(capsys, argv):
@@ -449,6 +451,16 @@ def test_cli_import_leaves_the_process_pool_out():
          "import sys, fineselmer.cli; print('concurrent.futures' in sys.modules)"],
         env=src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the value records are NamedTuples, so no process start pays for the
+    # dataclasses module or for inspect, which it imports
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, fineselmer.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=src_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # --- batch streaming and failure containment ---
@@ -815,7 +827,10 @@ def test_g_table_row_below_one_is_refused_whatever_the_curve(capsys, tmp_path, c
             ('{"residue_char": 2, "residue_degree": -1, "g": 1}',
              "residue_degree must be a positive integer, got -1"),
             ('{"residue_char": %d, "g": 1}' % (2**127 - 1),
-             "residue_char has 127 bits; a prime is proven only below 3.3 * 10^24")):
+             "residue_char has 127 bits; a prime is proven only below 3.3 * 10^24"),
+            # 4 300 digits parse, but the contribution 2 g would not print
+            ('{"residue_char": 2, "g": %s}' % ("9" * 4300),
+             f"g must be below 2^64, got {'9' * 4300}")):
         table.write_text(f'[{row}, {{"residue_char": 11, "g": 1}}]')
         code, out, err = run_cli(capsys, "run", "--curve", curve, "--p", "5",
                                  "--g-table", str(table))

@@ -7,10 +7,12 @@ additivity bound = global part + sum of place contributions.
 """
 
 import hashlib
+import json
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fineselmer import cli, elliptic, galoisimage, lambdabound, localdata
 from fineselmer.cyclotomic import is_regular
@@ -397,6 +399,77 @@ def test_g_table_row_of_the_wrong_shape_is_refused(row, message):
     table = [{"residue_char": 11, "g": 7}, row]
     with pytest.raises(ValueError, match=f"^{re.escape(f'g table row 1: {message}')}$"):
         compute_lambda_bound(E11A1, 5, g_table=table)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((10**4300, 5), {}, "model must be a WeierstrassModel, got <int too long to print>"),
+    ((E11A1, 5, [10**4300]), {},
+     "field must be one of ('Q', 'Q(mu_p)'), got <list too long to print>"),
+    ((E11A1, 5), {"assume": [10**4300]}, "unknown assumption <int too long to print>; known: "),
+    ((E11A1, 5), {"dim_y": 10**4300},
+     "dim_y must be at least 0 and below 2^64, got <int too long to print>"),
+    ((E11A1, 5), {"dim_z": -1}, "dim_z must be at least 0 and below 2^64, got -1"),
+    ((E11A1, 5), {"g_table": [{"residue_char": 11, "g": 2**64}]},
+     f"g table row 0: g must be below 2^64, got {2**64}"),
+    ((E11A1, 5), {"g_table": [{"residue_char": 11, "g": 1, 10**4300: 0}]},
+     "g table row 0: unknown keys [<int too long to print>]"),
+], ids=["model", "field", "assume", "dim_y", "negative dim_z", "g", "row key"])
+def test_a_refusal_names_the_argument_whatever_its_value(args, kwargs, message):
+    # an int past Python's 4300-digit limit cannot be printed, so it is named
+    # by its type; a value the report could not print is refused
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        compute_lambda_bound(*args, **kwargs)
+
+
+# --- the library's input contract, fuzzed like the CLI ---
+
+# what a Python caller may pass in place of any argument: each type, an
+# int past Python's 4300-digit limit on printing (built, as hypothesis
+# could not print it either), the valid tokens and keys, and nests of them
+HUGE = st.builds(pow, st.just(10), st.sampled_from([30, 4300]))
+HOSTILE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.fractions(), st.integers(),
+              st.integers(min_value=2**64), HUGE, st.text(max_size=6), st.binary(max_size=6),
+              st.sampled_from(sorted(ASSUMPTION_TOKENS) + ["Q", "Q(mu_p)"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.tuples(inner),
+        st.dictionaries(st.sampled_from(["residue_char", "residue_degree", "g"])
+                        | st.text(max_size=3) | HUGE, inner, max_size=3),
+        st.frozensets(st.none() | st.integers() | st.text(max_size=3), max_size=3)),
+    max_leaves=6)
+
+# a small job at p <= 7, and the start of each message that names an argument
+VALID_ARGUMENTS = {
+    "model": st.sampled_from([E11A1, E37A1, E26B1]),
+    "p": st.sampled_from([3, 5, 7]),
+    "field": st.sampled_from(localdata.SUPPORTED_FIELDS),
+    "assume": st.lists(st.sampled_from(sorted(ASSUMPTION_TOKENS)), max_size=2),
+    "dim_y": st.none() | st.integers(0, 3),
+    "dim_z": st.none() | st.integers(0, 3),
+    "g_table": st.none(),
+}
+NAMED_BY = {"model": ("model ",), "p": ("p ",), "field": ("field ",),
+            "assume": ("assume ", "unknown assumption "), "dim_y": ("dim_y ",),
+            "dim_z": ("dim_z ",), "g_table": ("g table ", "no table entry ")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries(VALID_ARGUMENTS), st.sampled_from([None, *VALID_ARGUMENTS]),
+       HOSTILE)
+def test_library_input_gives_a_report_or_a_value_error_naming_it(args, hostile, value):
+    # one argument at a time takes a hostile value (none, in one draw of
+    # eight); every outcome is a report whose JSON renders, or a
+    # ValueError whose message names that argument
+    if hostile:
+        args[hostile] = value
+    model, p, field = (args.pop(name) for name in ("model", "p", "field"))
+    try:
+        report = compute_lambda_bound(model, p, field, **args)
+    except ValueError as e:
+        assert hostile and str(e).startswith(NAMED_BY[hostile]), str(e)[:200]
+        return
+    job = cli.JobSpec(report.model.a_invariants, report.p, report.field)
+    json.loads(cli.render_json(report, job))
 
 
 def test_routes_are_both_reported():
