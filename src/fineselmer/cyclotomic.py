@@ -88,7 +88,7 @@ def is_regular(p: int) -> bool:
     regular by convention and by the empty check alike.
     """
     if type(p) is int and p > MAX_REGULARITY_PRIME:
-        raise ValueError(f"regularity test capped at {MAX_REGULARITY_PRIME}")
+        raise ValueError(f"p is capped at {MAX_REGULARITY_PRIME} by the regularity test")
     require_odd_prime(p)
     if p in (3, 5, 7):
         return True

@@ -37,20 +37,19 @@ coefficient) past 2 |lc| times a Landau-Mignotte bound for divisors of
 degree <= k, with quadratic Hensel steps, each of which at most
 doubles the exponent of l. Their cofactor and their product stay
 implicit: each lift h is corrected from lc^(-1) f rem h alone, so a
-step costs O(deg f deg h) for each h, and a linear h = x - r takes
-Newton's iteration on its root, one Horner evaluation of f and one of
-f' a step (von zur Gathen & Gerhard, 9.4). The lift stops at the first power of l above the bound, the power a
-linear lift would reach. It recombines the lifts in subsets of degree
-<= k, with the leading coefficient in place (Alg. 15.19 there): for a
-subset S of the lifted factors h_i that belongs to a divisor F,
-lc * prod(h_S) read with symmetric representatives is
-(lc / lc(F)) * F. Before that product is formed, the constant-term
-test (Abbott, Shoup & Zimmermann, ISSAC 2000) asks that
-lc * prod h_i(0) divide lc * f(0); it is exact, and it rejects almost
-every false subset with one product of integers. Each survivor is
-trial-divided exactly in Z[x]; every product, in the lift and in the
-recombination, is polynomial._mul reduced mod a power of l. The
-returned factors times the leftover the cap leaves out are checked
+step costs O(deg f deg h) for each h; a linear h = x - r is
+polynomial._newton_lift on its root (9.4 there). The lift stops at the
+first power of l above the bound, the power a linear lift would reach.
+It recombines the lifts in subsets of degree <= k, with the leading
+coefficient in place (Alg. 15.19 there): for a subset S of the lifted
+factors h_i that belongs to a divisor F, lc * prod(h_S) read with
+symmetric representatives is (lc / lc(F)) * F. Before that product is
+formed, the constant-term test (Abbott, Shoup & Zimmermann, ISSAC 2000)
+asks that lc * prod h_i(0) divide lc * f(0); it is exact, and it
+rejects almost every false subset with one product of integers. Each
+survivor is trial-divided exactly in Z[x]; every product, in the lift
+and in the recombination, is polynomial._mul reduced mod a power of l.
+The returned factors times the leftover the cap leaves out are checked
 exactly against the primitive part of the input before returning; a
 mismatch is a bug, not a condition the caller handles.
 
@@ -58,7 +57,8 @@ QPolys appear only at the boundary. factor_int_poly reads the
 primitive part of its input into an integer coefficient list once,
 splits off x by slicing, and builds QPolys only for the factors it
 returns; the good-prime search, the lift, the recombination and the
-check in between all run on integer coefficient lists.
+check in between run on integer coefficient lists, with polynomial's
+Z[x] kernels.
 
 The same reduction answers a cheaper question first. Every divisor of f
 over Q reduces mod a good l to a product of distinct irreducibles of
@@ -80,7 +80,8 @@ from itertools import combinations, islice
 from .finitefield import (_vec_frobenius, _vec_gcd, _vec_inverse_mod,
                           _vec_mulmod, _vec_powmod, _vec_quo, _vec_rem)
 from .modular import is_prime, primes_below
-from .polynomial import QPoly, _derivative, _mul, _sub, _trim
+from .polynomial import (QPoly, _derivative, _exact_quotient, _mul, _newton_lift,
+                         _primitive, _sub, _symmetric, _trim)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -117,53 +118,6 @@ class NoGoodPrime(ValueError):
 # ---------------------------------------------------------------------------
 # factorization mod l, on coefficient lists
 # ---------------------------------------------------------------------------
-
-
-class _DistinctDegree:
-    """Distinct-degree split of a monic squarefree f mod l, run on demand.
-
-    f is a coefficient list mod the prime l, lowest degree first.
-    `through(k)` returns [(product of the irreducibles of degree j, j)]
-    for every j <= k that occurs, in increasing j, each product a monic
-    coefficient list. It keeps its place, so a later call with a larger
-    k only takes the steps still missing. The last entry may have a
-    degree above k: once the unsplit rest has degree below 2(j + 1) it
-    is itself irreducible. `rest` is the monic product of the
-    irreducibles not split off yet; after `through(k)` each has degree
-    above k.
-
-    Step i takes x^(l^i) mod rest as the l-th power of x^(l^(i-1)) by
-    `_vec_frobenius`: for l <= 7 the substitution a(x)^l = a(x^l) and
-    one reduction, about (l - 1) n^2 operations with n = deg rest, and
-    for larger l the fallback `_vec_powmod`, about
-    2 (bit_length(l) + popcount(l) - 2) n^2.
-    """
-
-    def __init__(self, f: list[int], l: int):
-        self.l = l
-        self._parts: list[tuple[list[int], int]] = []
-        self.rest = f
-        self._frob = [0, 1]  # x^(l^searched) mod rest
-        self._searched = 0
-
-    def through(self, k: int) -> list[tuple[list[int], int]]:
-        l = self.l
-        while self._searched < k and len(self.rest) > 1:
-            if len(self.rest) - 1 < 2 * (self._searched + 1):
-                self._parts.append((self.rest, len(self.rest) - 1))
-                self.rest = [1]
-                break
-            self._searched += 1
-            self._frob = _vec_frobenius(self._frob, self.rest, l)
-            g = _vec_gcd(self.rest, [c % l for c in _sub(self._frob, [0, 1])], l)
-            if len(g) > 1:
-                inv = pow(g[-1], -1, l)
-                g = [c * inv % l for c in g]
-                self._parts.append((g, self._searched))
-                self.rest = _vec_quo(self.rest, g, l)
-                if len(self.rest) > 1:
-                    self._frob = _vec_rem(self._frob, self.rest, l)
-        return self._parts
 
 
 def _equal_degree_ints(f: list[int], d: int, l: int, rng: random.Random) -> list[list[int]]:
@@ -212,7 +166,7 @@ def _landau_mignotte(g: list[int], max_degree: int) -> int:
 
 
 class GoodReduction:
-    """An integer polynomial f modulo a good prime l.
+    """An integer polynomial f modulo a good prime l, split on demand.
 
     Good means that l does not divide the leading coefficient and that
     f mod l is squarefree of the same degree. That proves f squarefree
@@ -220,12 +174,44 @@ class GoodReduction:
     of distinct monic irreducibles of f mod l. The distinct-degree split
     mod l runs only as far as a question needs it, and a later question
     takes up where the last one stopped.
+
+    `through(k)` returns [(product of the irreducibles of degree j, j)]
+    for every j <= k that occurs, in increasing j, each product a monic
+    coefficient list mod l. The last entry may have a degree above k:
+    once the unsplit rest has degree below 2(j + 1) it is itself
+    irreducible. `rest` is the monic product of the irreducibles not
+    split off yet; after `through(k)` each has degree above k.
+
+    Step i takes x^(l^i) mod rest as the l-th power of x^(l^(i-1)) by
+    `_vec_frobenius`, at the cost the module docstring gives.
     """
 
     def __init__(self, l: int, residue: list[int]):
         self.l = l
         inv = pow(residue[-1], -1, l)
-        self._split = _DistinctDegree([c * inv % l for c in residue], l)
+        self.rest = [c * inv % l for c in residue]
+        self._parts: list[tuple[list[int], int]] = []
+        self._frob = [0, 1]  # x^(l^searched) mod rest
+        self._searched = 0
+
+    def through(self, k: int) -> list[tuple[list[int], int]]:
+        l = self.l
+        while self._searched < k and len(self.rest) > 1:
+            if len(self.rest) - 1 < 2 * (self._searched + 1):
+                self._parts.append((self.rest, len(self.rest) - 1))
+                self.rest = [1]
+                break
+            self._searched += 1
+            self._frob = _vec_frobenius(self._frob, self.rest, l)
+            g = _vec_gcd(self.rest, [c % l for c in _sub(self._frob, [0, 1])], l)
+            if len(g) > 1:
+                inv = pow(g[-1], -1, l)
+                g = [c * inv % l for c in g]
+                self._parts.append((g, self._searched))
+                self.rest = _vec_quo(self.rest, g, l)
+                if len(self.rest) > 1:
+                    self._frob = _vec_rem(self._frob, self.rest, l)
+        return self._parts
 
     def admits_divisor_of_degree(self, d: int) -> bool:
         """Can f have a divisor of degree d over Q? False is a proof.
@@ -235,7 +221,7 @@ class GoodReduction:
         the degrees the split finds up to d.
         """
         reach = 1  # bit s set: some subset of the factors has degree s
-        for part, k in self._split.through(d):
+        for part, k in self.through(d):
             if k <= d:
                 for _ in range((len(part) - 1) // k):
                     reach |= reach << k
@@ -252,24 +238,19 @@ class GoodReduction:
         their cofactor: what _hensel_lift_factors lifts.
         """
         rng = random.Random(DEFAULT_SEED)
-        small = [h for part, j in self._split.through(k) if j <= k
+        small = [h for part, j in self.through(k) if j <= k
                  for h in _equal_degree_ints(part, j, self.l, rng)]
         return sorted(small, key=lambda h: (len(h), h))
 
 
-def good_reduction(f: QPoly, tries: int | None = None) -> GoodReduction | None:
+def good_reduction(coeffs: list[int], tries: int | None = None) -> GoodReduction | None:
     """f modulo its first good prime, or None when there is none.
 
-    f has integer coefficients. The candidates are the odd primes below
-    GOOD_PRIME_BOUND that do not divide the leading coefficient; `tries`
-    caps how many of them are tested (all when None). The test is the
-    gcd of f mod l with its derivative.
+    coeffs is the integer coefficient list of f. The candidates are the
+    odd primes below GOOD_PRIME_BOUND that do not divide the leading
+    coefficient; `tries` caps how many of them are tested (all when
+    None). The test is the gcd of f mod l with its derivative.
     """
-    return _good_reduction(f.int_coeffs(), tries)
-
-
-def _good_reduction(coeffs: list[int], tries: int | None) -> GoodReduction | None:
-    """good_reduction on the integer coefficient list of f."""
     lead = abs(coeffs[-1])
     if tries is None:
         # the scan may run through the whole range: sieve it once
@@ -292,76 +273,54 @@ def _hensel_lift_factors(f: list[int], l: int, hbars: list[list[int]], target: i
     degree, with leading coefficient lc, and hbars are distinct monic
     irreducible factors of f mod l. Returns (l^K, the monic lifts of
     hbars mod l^K), with K the least exponent for which l^K > target;
-    their cofactor in lc^(-1) f is never lifted. Quadratic Hensel steps
-    (von zur Gathen & Gerhard, Modern Computer Algebra, 15.4-15.5): the
-    exponent runs 1, ..., ceil(K/2), K. At a step from m to M (M | m^2),
+    their cofactor in lc^(-1) f is never lifted. Monic lifts of a
+    coprime factorization are unique, so a linear h_i = x - r lifts to
+    x minus the one root of f over r, which polynomial._newton_lift
+    finds mod l^K. The others take quadratic Hensel steps (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 15.4-15.5): the exponent
+    runs 1, ..., ceil(K/2), K. At a step from m to M (M | m^2),
     lc^(-1) f rem h_i is m e_i mod M; it is (lc^(-1) f rem A) rem h_i
     for A the product of the lifts, which is never formed. h_i gains
     m (e_i t_i rem h_i), t_i = (lc^(-1) f / h_i)^(-1) mod h_i. As
     f = h_i G_i gives f' = h_i' G_i mod h_i, t_i = h_i' u_i with
     u_i = (lc^(-1) f' rem h_i)^(-1), and u_i takes one Newton step a
-    lift step. A linear h_i = x - r takes the degree-1 case, Newton's
-    iteration (9.4 there): r <- r - f(r) u and u <- u (2 - u f'(r)),
-    u = f'(r)^(-1), with no lc^(-1) f. Monic lifts of a coprime
-    factorization are unique, so l^K and the lifts are those a linear
-    lift of every factor, one digit per step, would reach.
+    lift step.
     """
-    derivative = _derivative(f)
-    inv = pow(f[-1], -1, l)
-    monic_derivative = [c * inv % l for c in derivative]
-    us = [pow(_horner_mod(derivative, -h[0], l), -1, l) if len(h) == 2
-          else _vec_inverse_mod(monic_derivative, h, l) for h in hbars]
-
     top, power = 1, l
     while power <= target:
         top, power = top + 1, power * l
+    lifted = [[-_newton_lift(f, -h[0], l, top) % power, 1] if len(h) == 2 else list(h)
+              for h in hbars]
+    wide = [h for h in lifted if len(h) > 2]
+    if not wide:
+        return power, lifted
+    inv = pow(f[-1], -1, l)
+    monic_derivative = [c * inv % l for c in _derivative(f)]
+    us = [_vec_inverse_mod(monic_derivative, h, l) for h in wide]
     exponents = [top]
     while exponents[-1] > 1:
         exponents.append((exponents[-1] + 1) // 2)
     exponents.reverse()
 
-    lifted = [list(h) for h in hbars]
     for k, k_next in zip(exponents, exponents[1:]):
         # every correction is m times a residue mod q = M / m <= m
         m, modulus = l**k, l**k_next
         q = modulus // m
-        last = k_next == top
-        if any(len(h) > 2 for h in lifted):
-            inv = pow(f[-1], -1, modulus)
-            monic = [c * inv % modulus for c in f]
-            monic_derivative = _derivative(monic)
-        for i, h in enumerate(lifted):
+        inv = pow(f[-1], -1, modulus)
+        monic = [c * inv % modulus for c in f]
+        monic_derivative = _derivative(monic)
+        for i, h in enumerate(wide):
             u = us[i]
-            if len(h) == 2:
-                # Newton's iteration on the root r of h = x - r, u = f'(r)^(-1)
-                r = (-h[0] - _horner_mod(f, -h[0], modulus) * u) % modulus
-                h[0] = -r % modulus
-                if not last:
-                    us[i] = u * (2 - u * _horner_mod(derivative, r, modulus)) % modulus
-                continue
             e = [c // m for c in _vec_rem(monic, h, modulus)]
             hq = [c % q for c in h]
             t = _vec_mulmod(_derivative(hq), u, hq, q)
             for j, d in enumerate(_vec_mulmod(e, t, hq, q)):
                 h[j] = (h[j] + m * d) % modulus
-            if not last:
+            if k_next < top:
                 # u_i <- u_i (2 - u_i w_i), w_i = lc^(-1) f' rem h_i: exact mod m^2
                 w = _vec_mulmod(u, _vec_rem(monic_derivative, h, modulus), h, modulus)
                 us[i] = _vec_mulmod(u, _sub([2], w), h, modulus)
-    return l**top, lifted
-
-
-def _horner_mod(a: list[int], x: int, mod: int) -> int:
-    """a(x) mod `mod`, reduced at every step."""
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % mod
-    return acc
-
-
-def _symmetric(c: int, mod: int) -> int:
-    c %= mod
-    return c - mod if c > mod // 2 else c
+    return power, lifted
 
 
 def factor_int_poly(f: QPoly, max_degree: int | None = None,
@@ -390,8 +349,7 @@ def factor_int_poly(f: QPoly, max_degree: int | None = None,
     prim = [c // content for c in f.coeffs]
     k = len(prim) - 1 if max_degree is None else min(max_degree, len(prim) - 1)
     if reduction is None:
-        reduction = (_good_reduction(prim, SQUAREFREE_TRIES)
-                     or _good_reduction(prim, None))
+        reduction = good_reduction(prim, SQUAREFREE_TRIES) or good_reduction(prim)
     if reduction is None:
         raise NoGoodPrime(f"a polynomial of degree {len(prim) - 1}")
     parts: list[list[int]] = []
@@ -501,33 +459,3 @@ def _try_subsets(current, lifted, remaining, size, modulus, max_degree):
         if quotient is not None:
             return set(subset), candidate, quotient
     return None
-
-
-def _primitive(a: list[int]) -> list[int]:
-    """a divided by its content, with a positive leading coefficient."""
-    content = math.gcd(*a)
-    if a[-1] < 0:
-        content = -content
-    return [c // content for c in a]
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b when b divides a, else None; b is primitive with b(0) != 0.
-
-    b primitive makes divisibility in Z[x] and in Q[x] the same thing
-    (Gauss), so the first inexact integer division is a proof.
-    """
-    m = len(b) - 1
-    if a[0] % b[0]:
-        return None
-    rem = list(a)
-    quotient = [0] * (len(a) - m)
-    for k in range(len(quotient) - 1, -1, -1):
-        q, r = divmod(rem[k + m], b[-1])
-        if r:
-            return None
-        quotient[k] = q
-        if q:
-            for j in range(m):
-                rem[k + j] -= q * b[j]
-    return quotient if not any(rem[:m]) else None

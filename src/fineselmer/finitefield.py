@@ -3,7 +3,8 @@
 The pipeline needs prime fields only: reduction types and split tests
 at the bad primes, traces a_l, and psi_p modulo one good prime l.
 All polynomial arithmetic mod l runs on the `_vec_*` helpers below,
-plain coefficient lists of ints; there is no second layer of it.
+plain coefficient lists of ints; there is no second layer of it. They
+build on the Z[x] kernels of polynomial and reduce what those return.
 `FiniteField(l)` is a plain value compared by its characteristic and
 an element `FqElem` holds one int in [0, l); WeierstrassModel.reduction
 hands them out. `FqPoly`, a polynomial of elements, is only a boundary:
@@ -20,7 +21,7 @@ value.
 from __future__ import annotations
 
 from .modular import is_prime
-from .polynomial import _horner, _mul, _sub, _trim
+from .polynomial import _horner_mod, _mul, _sub, _trim
 
 __all__ = ["FiniteField", "FqElem", "FqPoly"]
 
@@ -330,7 +331,7 @@ class FqPoly:
             return []
         found: list[FqElem] = []
         for a in range(l):
-            if not _horner(linear_part, a) % l:
+            if not _horner_mod(linear_part, a, l):
                 found.append(FqElem(self.field, a))
                 if len(found) == len(linear_part) - 1:
                     break

@@ -59,7 +59,7 @@ distinct irreducibles mod l of degree at most d whose degrees sum to d.
 So when d is no subset sum of the degrees a distinct-degree split mod l
 finds up to d, no stable line exists and the search ends with no
 witness; that is exactly what the full search would have found.  When
-the degrees leave room and p >= 5, a Frobenius screen comes next: a
+the degrees leave room, a Frobenius screen comes next: a
 stable line is an eigenline of every Frobenius, so one good ell != p
 whose a_ell^2 - 4 ell is a nonsquare mod p rules every line out (see
 find_stable_subgroups).  Most curves at p = 11 and 13 with no line end
@@ -86,9 +86,9 @@ from typing import NamedTuple
 from .elliptic import (TRACE_PRIMES, WeierstrassModel, frobenius_traces,
                        require_ladder_prime, trace_of_frobenius)
 from .factorization import NoGoodPrime, factor_int_poly, good_reduction
-from .localdata import require_field
+from .localdata import require_field, require_model
 from .modular import primes_below, require_odd_prime
-from .polynomial import QPoly, _add, _mul
+from .polynomial import QPoly, _add, _mul, _rem_monic
 
 __all__ = [
     "StableSubgroupWitness",
@@ -151,21 +151,22 @@ class StableSubgroupWitness(NamedTuple):
                 f"quotient={self.quotient.a_invariants})")
 
 
-def _closed_under_multiples(model: WeierstrassModel, h: QPoly,
+def _closed_under_multiples(model: WeierstrassModel, c: list[int],
                             gens: tuple[int, ...]) -> bool:
     """Is the root set of h stable under x([g]P) for every generator g?
 
-    h is squarefree, a divisor of psi_p, and N/D = x([g]P) is the
-    x-multiple map, with D = psi_g^2 and N = x D - psi_(g-1) psi_(g+1)
-    integer polynomials, e = deg N > deg D. The test runs on ints
-    through y = lc x, for sum_i c_i x^i the primitive form of h, of
-    degree d and leading coefficient lc: H(y) = lc^(d-1) h(y/lc) is
+    h = sum_i c_i x^i is given by its primitive integer coefficient list c,
+    of degree d and leading coefficient lc > 0. It is squarefree, a divisor
+    of psi_p, and N/D = x([g]P) is the x-multiple map, with D = psi_g^2 and
+    N = x D - psi_(g-1) psi_(g+1) integer polynomials, e = deg N > deg D.
+    The test runs on ints through y = lc x: H(y) = lc^(d-1) h(y/lc) is
     monic in Z[y], and N~(y) = lc^e N(y/lc), D~(y) = lc^e D(y/lc) are
     integral. x -> y/lc maps Q[x]/(h) onto Q[y]/(H), and x([g]P) on the
     roots r of h to y -> lc N~(y)/D~(y) on the roots s = lc r of H. The
-    test is the homogenised Horner sum S = sum_i H_i (lc N~)^i D~^(d-i)
-    rem H = lc^(d-1) sum_i c_i N~^i D~^(d-i) rem H, computed as the
-    latter, and it accepts exactly when S = 0; no inverse is needed.
+    test is the homogenised Horner sum
+    S = sum_i H_i (lc N~)^i D~^(d-i) rem H = lc^(d-1) sum_i c_i N~^i D~^(d-i) rem H,
+    computed as the latter, and it accepts exactly when S = 0; no inverse
+    is needed.
 
     N and D are coprime. At a common root r, psi_g(r) = 0 and one of
     psi_(g-1)(r), psi_(g+1)(r) is 0, so a point P with x(P) = r has
@@ -177,7 +178,6 @@ def _closed_under_multiples(model: WeierstrassModel, h: QPoly,
     x([g]P) a root of h again. A root with D(r) = 0 is killed by [g],
     which no point of exact order p is, and it is rejected.
     """
-    c = h.primitive().int_coeffs()
     d, lc = len(c) - 1, c[-1]
     H = [ci * lc ** (d - 1 - i) for i, ci in enumerate(c[:-1])] + [1]
     for g in gens:
@@ -193,16 +193,6 @@ def _closed_under_multiples(model: WeierstrassModel, h: QPoly,
         if any(acc):
             return False
     return True
-
-
-def _rem_monic(a: list[int], m: list[int]) -> list[int]:
-    """a rem m in Z[x] for a monic m, as deg m coefficients."""
-    dm = len(m) - 1
-    a = a + [0] * (dm - len(a))
-    for i in range(len(a) - 1, dm - 1, -1):
-        for j in range(dm):
-            a[i - dm + j] -= a[i] * m[j]
-    return a[:dm]
 
 
 def _velu_quotient(model: WeierstrassModel, kernel: list[int]) -> WeierstrassModel:
@@ -290,10 +280,9 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     The screen comes after the partial distinct-degree split, not
     before psi_p is built: every search that the degrees mod l already
     end runs as before, and the sweep is paid only where it can save a
-    Hensel lift and a recombination.  It runs for p >= 5 only.  At
-    p = 3, d = 1 and what it would save is a root search capped at
-    degree 1, which costs about as much as the sweep.
+    Hensel lift and a recombination.
     """
+    require_model(model)
     require_ladder_prime(p)
     E = model.integral_model()
     traces = _trace_table(model)
@@ -301,17 +290,16 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
     d = (p - 1) // 2
     # psi is squarefree for a nonsingular curve, so some prime is good
     # for it, but none below the scan's bound need be
-    reduction = good_reduction(psi)
+    reduction = good_reduction(psi.int_coeffs())
     if reduction is None:
         raise NoGoodPrime(f"the {p}-division polynomial")
     if not reduction.admits_divisor_of_degree(d):
         return ()
     # one sweep, with no early stop: the trace match reads the same table
-    if d > 1:
-        for ell in _sweep_good_primes(E, p, traces):
-            frob_disc = (traces[ell] ** 2 - 4 * ell) % p
-            if frob_disc and pow(frob_disc, (p - 1) // 2, p) == p - 1:
-                return ()
+    for ell in _sweep_good_primes(E, p, traces):
+        frob_disc = (traces[ell] ** 2 - 4 * ell) % p
+        if frob_disc and pow(frob_disc, (p - 1) // 2, p) == p - 1:
+            return ()
     # only a factor of degree <= d can divide a kernel polynomial
     _, factors = factor_int_poly(psi, max_degree=d, reduction=reduction)
     irreducibles = [f.int_coeffs() for f, _ in factors]
@@ -326,14 +314,14 @@ def find_stable_subgroups(model: WeierstrassModel, p: int
             kernel = [1]
             for i in subset:
                 kernel = _mul(kernel, irreducibles[i])
-            primitive = QPoly(kernel)
-            if not _closed_under_multiples(E, primitive, gens):
+            if not _closed_under_multiples(E, kernel, gens):
                 continue
             quotient = _velu_quotient(E, kernel)
             trail = _matching_trace_primes(E, quotient, p, traces)
             if trail is None:
                 raise AssertionError(
                     "certified kernel produced a quotient with mismatched traces")
+            primitive = QPoly(kernel)
             witnesses.append(StableSubgroupWitness(
                 p, primitive.monic(), primitive, quotient, gens, trail))
     witnesses.sort(key=lambda w: tuple(w.kernel_monic.coeffs))

@@ -39,8 +39,9 @@ from .cyclotomic import is_regular, kinf_ramification
 from .elliptic import WeierstrassModel, require_ladder_prime
 from .factorization import factor_int_poly
 from .galoisimage import classify_image
-from .localdata import _shown, compute_place_sets, delta_v, g_v, require_field
-from .modular import MR_EXACT_LIMIT, is_prime, valuation
+from .localdata import (_shown, compute_place_sets, delta_v, g_v, require_field,
+                        require_model)
+from .modular import _require_provable, is_prime, valuation
 
 __all__ = [
     "HYPOTHESIS_IDS",
@@ -194,8 +195,7 @@ def compute_lambda_bound(
     without a row raises ValueError; a place outside S0 takes its row's
     g, or else the closed form g_v.
     """
-    if not isinstance(model, WeierstrassModel):
-        raise ValueError(f"model must be a WeierstrassModel, got {_shown(model)}")
+    require_model(model)
     require_ladder_prime(p)
     require_field(field)
     if isinstance(assume, str):
@@ -227,11 +227,8 @@ def compute_lambda_bound(
         for name, value in zip(("residue_char", "residue_degree", "g"), (*key, row["g"])):
             if type(value) is not int:
                 raise ValueError(f"g table row {i}: {name} must be an integer, got {_shown(value)}")
-        # no place lies above a prime too large to prove prime: refuse it
-        # before is_prime, which would take seconds on it
-        if key[0] >= MR_EXACT_LIMIT:
-            raise ValueError(f"g table row {i}: residue_char has {key[0].bit_length()} "
-                             "bits; a prime is proven only below 3.3 * 10^24")
+        # no place lies above a prime too large to prove prime
+        _require_provable(key[0], f"g table row {i}: residue_char")
         if not is_prime(key[0]):
             raise ValueError(f"g table row {i}: residue_char must be a prime, got {_shown(key[0])}")
         if key[1] < 1:

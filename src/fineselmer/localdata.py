@@ -28,8 +28,8 @@ decisive in both directions, so no search runs there.
 from __future__ import annotations
 
 from typing import NamedTuple
-from .elliptic import WeierstrassModel, trace_of_frobenius
-from .modular import (factorize, is_prime, multiplicative_order,
+from .elliptic import WeierstrassModel, require_ladder_prime, trace_of_frobenius
+from .modular import (_require_provable, factorize, is_prime, multiplicative_order,
                       require_odd_prime, valuation)
 from .padic import DEFAULT_PRECISION, padic_roots
 
@@ -48,6 +48,7 @@ __all__ = [
     "delta_v",
     "SUPPORTED_FIELDS",
     "require_field",
+    "require_model",
 ]
 
 SUPPORTED_FIELDS = ("Q", "Q(mu_p)")
@@ -58,6 +59,20 @@ def require_field(field: str) -> None:
     otherwise, naming the value.  The CLI prints this message as it is."""
     if field not in SUPPORTED_FIELDS:
         raise ValueError(f"field must be one of {SUPPORTED_FIELDS}, got {_shown(field)}")
+
+
+def require_model(model) -> None:
+    """The one check that model is a WeierstrassModel, naming the value."""
+    if not isinstance(model, WeierstrassModel):
+        raise ValueError(f"model must be a WeierstrassModel, got {_shown(model)}")
+
+
+def _require_prime_ell(ell) -> None:
+    """ValueError naming ell unless it is an int that is_prime proves
+    prime: a float or a bool, and an ell past MR_EXACT_LIMIT, are refused."""
+    _require_provable(ell, "ell")
+    if type(ell) is not int or not is_prime(ell):
+        raise ValueError(f"ell must be prime, got {_shown(ell)}")
 
 
 def _shown(value) -> str:
@@ -145,8 +160,8 @@ def _double_root_mod(a: int, b: int, c: int, ell: int) -> int | None:
 
 def tate_reduction_full(model: WeierstrassModel, ell: int) -> ReductionData:
     """The complete minimization loop; valid for every prime ell."""
-    if not is_prime(ell):
-        raise ValueError("ell must be prime")
+    require_model(model)
+    _require_prime_ell(ell)
     E = model.integral_model()
     while True:
         vD = _vl(E.discriminant, ell)
@@ -263,9 +278,10 @@ def _tate_shortcut(model: WeierstrassModel, ell: int) -> ReductionData:
 
 def tate_reduction(model: WeierstrassModel, ell: int) -> ReductionData:
     """Reduction data at ell on the ell-minimal model."""
-    if ell >= 5 and is_prime(ell):
+    require_model(model)
+    _require_prime_ell(ell)
+    if ell >= 5:
         return _tate_shortcut(model, ell)
-    # refuses an ell that is not prime
     return tate_reduction_full(model, ell)
 
 
@@ -346,6 +362,7 @@ def compute_place_sets(model: WeierstrassModel, p: int, field: str = "Q") -> Pla
     The conjugate places above one ell share one PlaceRecord, in
     increasing ell.
     """
+    require_model(model)
     require_odd_prime(p)
     require_field(field)
     records: list[PlaceRecord] = []
@@ -387,6 +404,7 @@ def g_v(ell: int, p: int, field: str = "Q", residue_degree: int = 1) -> int:
     """
     require_odd_prime(p)
     require_field(field)
+    _require_prime_ell(ell)
     if ell == p:
         return 1
     if field == "Q":
@@ -473,7 +491,10 @@ def delta_v(model: WeierstrassModel, p: int, field: str = "Q") -> DeltaResult:
     padic.DEPTH_BUDGET, so the residue classes it visits, and with them
     the result, are those of any higher precision.
     """
+    require_model(model)
     require_odd_prime(p)
+    # a_p is counted, and psi_p read off the ladder
+    require_ladder_prime(p)
     require_field(field)
     E = model.integral_model()
     red = tate_reduction(E, p)

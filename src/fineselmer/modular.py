@@ -187,9 +187,17 @@ def is_prime(n: int) -> bool:
     return False
 
 
+def _require_provable(n, name: str) -> None:
+    """ValueError naming `name` for an int n past MR_EXACT_LIMIT, before
+    is_prime, which cannot prove it prime and would take seconds on it."""
+    if type(n) is int and n >= MR_EXACT_LIMIT:
+        raise ValueError(f"{name} has {n.bit_length()} bits; a prime is proven only below 3.3 * 10^24")
+
+
 def require_odd_prime(p: int) -> None:
-    """The one check that p is an odd prime; ValueError otherwise, also
-    for a p that is not an int (a bool, 5.0 or Fraction(5))."""
+    """The one check that p is an odd prime; ValueError otherwise, also for
+    a p past MR_EXACT_LIMIT or not an int (a bool, 5.0 or Fraction(5))."""
+    _require_provable(p, "p")
     if type(p) is not int or p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
 

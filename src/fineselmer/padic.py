@@ -9,10 +9,11 @@ field operations live with the test oracles.
 
 padic_roots finds every root in Z_p by scanning the residues mod p,
 Newton-lifting those with a unit derivative, and recursing on
-f(r0 + p x)/p^e for the rest, to the fixed depth DEPTH_BUDGET; the lift
-and the shifts run on integer coefficient lists with the kernels of
-polynomial. Exhausting the budget produces an explicit inconclusive
-marker, never a silent omission.
+f(r0 + p x)/p^e for the rest, to the fixed depth DEPTH_BUDGET; the
+scan, the lift and the shifts are polynomial's `_horner_mod`,
+`_newton_lift` and `_compose_linear` on integer coefficient lists.
+Exhausting the budget produces an explicit inconclusive marker, never
+a silent omission.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .factorization import SQUAREFREE_TRIES, good_reduction
 from .modular import valuation
-from .polynomial import QPoly, _compose_linear, _derivative, _horner
+from .polynomial import QPoly, _compose_linear, _derivative, _horner_mod, _newton_lift
 
 __all__ = [
     "PadicNumber",
@@ -95,27 +96,8 @@ class PadicNumber:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting and root search
+# Root search
 # ---------------------------------------------------------------------------
-
-
-def _newton_lift(coeffs: list[int], r0: int, p: int, absprec: int) -> int:
-    """The root of f in Z_p congruent to r0 mod p, reduced mod p^absprec.
-
-    f is given by its integer coefficient list and must satisfy
-    f(r0) = 0 (mod p) with f'(r0) a p-adic unit, so the root exists and
-    is unique (Hensel). Newton's step doubles the digits of f(r) = 0 each
-    time, so absprec.bit_length() + 1 steps always suffice.
-    """
-    dcoeffs = _derivative(coeffs)
-    m = p**absprec
-    r = r0 % m
-    for _ in range(absprec.bit_length() + 1):
-        fr = _horner(coeffs, r) % m
-        if fr == 0:
-            return r
-        r = (r - fr * pow(_horner(dcoeffs, r), -1, m)) % m
-    raise AssertionError("Newton iteration failed to converge; this is a bug")
 
 
 class PadicRoots(NamedTuple):
@@ -161,12 +143,11 @@ def padic_roots(
         raise ValueError("zero polynomial has every element as root")
     if absprec < 1:
         raise ValueError("absprec must be positive")
-    work = f.primitive()
-    if good_reduction(work, SQUAREFREE_TRIES) is None:
-        work = f.squarefree_part().primitive()
-    if work.degree == 0:
+    coeffs = f.primitive().int_coeffs()
+    if good_reduction(coeffs, SQUAREFREE_TRIES) is None:
+        coeffs = f.squarefree_part().primitive().int_coeffs()
+    if len(coeffs) == 1:
         return PadicRoots((), ())
-    coeffs = work.int_coeffs()
 
     certified: list[PadicNumber] = []
     inconclusive: list[str] = []
@@ -175,10 +156,9 @@ def padic_roots(
         # roots of cs correspond to base + p^scale * x for roots x of cs
         dcs = _derivative(cs)
         for rbar in range(p):
-            fr = _horner(cs, rbar)
-            if fr % p != 0:
+            if _horner_mod(cs, rbar, p):
                 continue
-            dfr = _horner(dcs, rbar)
+            dfr = _horner_mod(dcs, rbar, p)
             target = absprec - scale
             if target <= 0:
                 # the class is flat to working precision but no root is
@@ -187,7 +167,7 @@ def padic_roots(
                     f"residue {base + rbar * p**scale} mod {p}^{scale + 1}: precision exhausted"
                 )
                 continue
-            if dfr % p != 0:
+            if dfr:
                 # unit derivative: classical Hensel, and the lifted root is
                 # the only one in this residue class
                 root = _newton_lift(cs, rbar, p, target)

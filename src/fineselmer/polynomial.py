@@ -1,18 +1,23 @@
-"""Dense univariate polynomials: coefficient-list kernels and QPoly.
+"""Dense univariate polynomials: the package's one Z[x] layer, and QPoly.
 
-The kernels `_mul`, `_add`, `_sub`, `_horner`, `_derivative` and
-`_compose_linear` take coefficient lists, lowest degree first, over any
-ring whose elements mix with the int 0. The package passes plain ints
-(the division polynomial ladder, the p-adic root search, the Hensel
-lift, residues mod l for the `_vec_*` helpers of finitefield, and
-integral QPolys) and the Fractions of other QPolys; no F_l elements go
-through them. None of them reduces; a caller working mod m reduces the
-result. QPoly is a polynomial over Q with division, the gcd and the
-squarefree part on top; the squarefree part is the p-adic root search's
-fallback. Like a WeierstrassModel, an integral QPoly stores ints and any
-other all Fractions: its content and primitive part run on math.gcd and
-//, and division stores ints again when the result is integral.
-Degrees stay at most (13^2 - 1)/2 = 84, so everything is dense.
+The kernels take coefficient lists, lowest degree first. `_mul`, `_add`,
+`_sub`, `_derivative` and `_compose_linear` run over any ring whose
+elements mix with the int 0, and none of them reduces: the package
+passes ints (the division polynomial ladder, the p-adic root search, the
+Hensel lift, the closure test, residues mod l for finitefield's `_vec_*`
+helpers) and the Fractions of non-integral QPolys. The rest take ints:
+`_horner_mod`, `_symmetric` (a residue in (-m/2, m/2]), `_primitive`,
+`_exact_quotient`, `_rem_monic` (the remainder by a monic) and
+`_newton_lift`, the one lift of a simple root to Z_p, which the p-adic
+root search and the Hensel lift of factorization share; Newton's
+iteration is Hensel lifting of a degree-1 factor (von zur Gathen &
+Gerhard, Modern Computer Algebra, 9.4 and 15.4). QPoly is a polynomial
+over Q with division, the gcd and the squarefree part on top; the
+squarefree part is the p-adic root search's fallback. Like a
+WeierstrassModel, an integral QPoly stores ints and any other all
+Fractions: its content and primitive part run on math.gcd and //, and
+division stores ints again when the result is integral. Degrees stay
+at most (13^2 - 1)/2 = 84, so everything is dense.
 
 The zero polynomial has degree -1, a sentinel chosen so that
 deg(f*g) = deg f + deg g never has to special-case zero in callers that
@@ -64,13 +69,11 @@ def _mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _horner(a: Sequence, x):
-    """a(x); the int 0 for a = []."""
-    if not a:
-        return 0
-    acc = a[-1]
-    for c in reversed(a[:-1]):
-        acc = acc * x + c
+def _horner_mod(a: Sequence[int], x: int, mod: int) -> int:
+    """a(x) mod `mod`, reduced at every step."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % mod
     return acc
 
 
@@ -89,6 +92,71 @@ def _compose_linear(a: Sequence, u, v) -> list:
         nxt[0] += c
         out = nxt
     return out
+
+
+def _symmetric(c: int, mod: int) -> int:
+    """The representative of c mod `mod` in (-mod/2, mod/2]."""
+    c %= mod
+    return c - mod if c > mod // 2 else c
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return [c // content for c in a]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when b divides a, else None; b is primitive with b(0) != 0.
+
+    b primitive makes divisibility in Z[x] and in Q[x] the same thing
+    (Gauss), so the first inexact integer division is a proof.
+    """
+    m = len(b) - 1
+    if a[0] % b[0]:
+        return None
+    rem = list(a)
+    quotient = [0] * (len(a) - m)
+    for k in range(len(quotient) - 1, -1, -1):
+        q, r = divmod(rem[k + m], b[-1])
+        if r:
+            return None
+        quotient[k] = q
+        if q:
+            for j in range(m):
+                rem[k + j] -= q * b[j]
+    return quotient if not any(rem[:m]) else None
+
+
+def _rem_monic(a: list[int], m: list[int]) -> list[int]:
+    """a rem m in Z[x] for a monic m, as deg m coefficients."""
+    dm = len(m) - 1
+    a = a + [0] * (dm - len(a))
+    for i in range(len(a) - 1, dm - 1, -1):
+        for j in range(dm):
+            a[i - dm + j] -= a[i] * m[j]
+    return a[:dm]
+
+
+def _newton_lift(coeffs: list[int], r0: int, p: int, absprec: int) -> int:
+    """The root of f in Z_p congruent to r0 mod p, reduced mod p^absprec.
+
+    f is given by its integer coefficient list and must satisfy
+    f(r0) = 0 (mod p) with f'(r0) a p-adic unit, so the root exists and
+    is unique (Hensel). Newton's step doubles the digits of f(r) = 0 each
+    time, so absprec.bit_length() + 1 steps always suffice.
+    """
+    dcoeffs = _derivative(coeffs)
+    m = p**absprec
+    r = r0 % m
+    for _ in range(absprec.bit_length() + 1):
+        fr = _horner_mod(coeffs, r, m)
+        if fr == 0:
+            return r
+        r = (r - fr * pow(_horner_mod(dcoeffs, r, m), -1, m)) % m
+    raise AssertionError("Newton iteration failed to converge; this is a bug")
 
 
 def _one_type(coeffs: Iterable) -> tuple:
@@ -258,10 +326,8 @@ class QPoly:
         """Integer polynomial with content 1 and positive leading coefficient."""
         if self.is_zero:
             return self
-        c = self.content()
-        if self.leading < 0:
-            c = -c
-        return self if c == 1 else QPoly([x // c for x in self.coeffs])
+        scale = 1 if self.is_integral else math.lcm(*(c.denominator for c in self.coeffs))
+        return QPoly(_primitive([int(c * scale) for c in self.coeffs]))
 
     def gcd(self, other: "QPoly") -> "QPoly":
         """Monic gcd in Q[x] (Euclid); gcd(0, 0) = 0."""

@@ -55,11 +55,11 @@ which factored psi_p in full and then filtered.
 The package lifts only the factors mod l of degree at most its cap,
 quadratically, and leaves their cofactor and their product implicit:
 each factor is corrected from the remainder of f by itself alone, and a
-linear one by Newton's iteration on its root. `hensel_lift_linear`, one
-l-adic digit a step, and `hensel_lift_multifactor`, quadratic, are the
-lifts it replaced, which lift every factor, the lumped cofactor among
-them; the tests check that all three reach the same modulus and the
-same small factors.
+linear one is its root by polynomial._newton_lift. `hensel_lift_linear`,
+one l-adic digit a step, and `hensel_lift_multifactor`, quadratic, are
+the lifts it replaced, which lift every factor, the lumped cofactor
+among them; the tests check that all three reach the same modulus and
+the same small factors.
 
 The package builds division polynomials and the x-multiple maps on
 integer coefficient lists. The f/g ladder on QPoly below is the code it
@@ -77,7 +77,8 @@ that its numbers compare equal to the package's roots; the tests of
 p-adic arithmetic, the Eisenstein oracle and the old y-test run on it.
 The package's Newton lift takes only seeds with a unit derivative;
 `hensel_lift` is the general-criterion lift it replaced, with
-`NoLiftError`, and the slow path the tests check it against.
+`NoLiftError`, and the slow path the tests check it against; it reads
+f(r) exactly with `evaluate`, the Horner the package reduces mod m.
 `torsion_x_has_rational_y_padic` is delta_v's y-test on QpNumber, which
 the package replaced by one Legendre symbol mod p; `padic_is_square` is
 the square test it runs, once the method PadicNumber.is_square.
@@ -99,7 +100,7 @@ from fineselmer.galoisimage import (StableSubgroupWitness, _closed_under_multipl
                                     _velu_quotient)
 from fineselmer.modular import is_prime, valuation
 from fineselmer.padic import DEFAULT_PRECISION, PadicNumber
-from fineselmer.polynomial import QPoly, _add, _derivative, _horner, _mul, _trim as _vec_trim
+from fineselmer.polynomial import QPoly, _add, _derivative, _mul, _trim as _vec_trim
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +678,7 @@ def squarefree_decomposition(f: FqPoly) -> list[tuple[FqPoly, int]]:
 class DistinctDegreeBoxed:
     """The distinct-degree split of a monic squarefree f over F_q, on FqPoly.
 
-    Same contract as the package's int-list `_DistinctDegree`: `through(k)`
+    Same contract as the package's int-list `GoodReduction`: `through(k)`
     returns [(product of the irreducibles of degree j, j)] for every
     j <= k that occurs, keeps its place between calls, and may end with
     an irreducible rest of degree above k.
@@ -1061,9 +1062,10 @@ def find_stable_subgroups_by_full_factoring(
             h = QPoly.one()
             for i in subset:
                 h = h * irreducibles[i].monic()
-            if not _closed_under_multiples(E, h, gens):
+            kernel = h.primitive().int_coeffs()
+            if not _closed_under_multiples(E, kernel, gens):
                 continue
-            quotient = _velu_quotient(E, h.primitive().int_coeffs())
+            quotient = _velu_quotient(E, kernel)
             traces = _matching_trace_primes(E, quotient, p, E_traces)
             assert traces is not None
             witnesses.append(StableSubgroupWitness(
@@ -1317,6 +1319,14 @@ class QpNumber(PadicNumber):
         return hash((self.p, self.val, self.unit, self.absprec))
 
 
+def evaluate(a, x):
+    """a(x) exactly, by Horner, for a coefficient list over any ring."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
 class NoLiftError(Exception):
     """The Hensel criterion v(f(r0)) > 2 v(f'(r0)) fails at this seed."""
 
@@ -1333,10 +1343,10 @@ def hensel_lift(f: QPoly, r0: int, p: int, absprec: int = DEFAULT_PRECISION) -> 
         raise ValueError("absprec must be positive")
     coeffs = f.int_coeffs()
     dcoeffs = _derivative(coeffs)
-    fr = _horner(coeffs, r0)
+    fr = evaluate(coeffs, r0)
     if fr == 0:
         return QpNumber.from_int(r0, p, absprec)
-    dfr = _horner(dcoeffs, r0)
+    dfr = evaluate(dcoeffs, r0)
     b = valuation(dfr, p) if dfr else absprec  # dfr = 0 means criterion fails below
     a = valuation(fr, p)
     if dfr == 0 or a <= 2 * b:
@@ -1347,12 +1357,12 @@ def hensel_lift(f: QPoly, r0: int, p: int, absprec: int = DEFAULT_PRECISION) -> 
     big = p ** (absprec + 2 * b + 4)
     r = r0
     for _ in range(absprec.bit_length() + 34):
-        fr = _horner(coeffs, r)
+        fr = evaluate(coeffs, r)
         if fr % p ** (absprec + b) == 0:
             root = r % p**absprec
-            assert _horner(coeffs, root) % p**absprec == 0
+            assert evaluate(coeffs, root) % p**absprec == 0
             return QpNumber.from_int(root, p, absprec)
-        dfr = _horner(dcoeffs, r)
+        dfr = evaluate(dcoeffs, r)
         u = dfr // p**b
         delta = (fr // p**b) * pow(u, -1, big) % big
         r = (r - delta) % big

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fineselmer
-from fineselmer import cli, factorization, lambdabound
+from fineselmer import cli, factorization, galoisimage, lambdabound, padic
 from fineselmer.cli import CliError, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -971,13 +971,15 @@ def test_no_good_prime_for_psi_exits_three_after_one_scan(capsys, monkeypatch,
     # below 5 the only candidate is 3, and psi_5 of each curve is not
     # squarefree mod 3; the golden jobs still have 3 as a good prime
     scans = []
-    good_reduction = factorization._good_reduction
+    good_reduction = factorization.good_reduction
 
-    def counting(coeffs, tries):
+    def counting(coeffs, tries=None):
         scans.append(tries)
         return good_reduction(coeffs, tries)
 
-    monkeypatch.setattr(factorization, "_good_reduction", counting)
+    # every module that scans for a good prime calls it by this name
+    for module in (factorization, galoisimage, padic):
+        monkeypatch.setattr(module, "good_reduction", counting)
     monkeypatch.setattr(factorization, "GOOD_PRIME_BOUND", 5)
     message = "no good reduction prime below 5 for the 5-division polynomial"
     code, out, err = run_cli(capsys, "run", "--curve", ",".join(map(str, curve)),

@@ -25,7 +25,7 @@ from fineselmer.factorization import (
     good_reduction,
 )
 from fineselmer.modular import is_prime, primes_below
-from fineselmer.polynomial import QPoly, _derivative, _mul
+from fineselmer.polynomial import QPoly, _derivative, _mul, _symmetric
 import oracles
 from oracles import (DistinctDegreeBoxed, admits_divisor_of_degree, compose_linear,
                      equal_degree_boxed, factor_fq, is_irreducible_fq, yun_squarefree)
@@ -176,17 +176,17 @@ def test_int_distinct_degree_matches_boxed_split(lf, k1, k2, d):
 
     for k in (k1, k2):
         boxed = [(coefficient_key(part), j) for part, j in DistinctDegreeBoxed(f).through(k)]
-        assert int_parts(factorization._DistinctDegree(coeffs, l), k) == boxed
+        assert int_parts(factorization.GoodReduction(l, coeffs), k) == boxed
     # a split resumed from the smaller bound ends where a fresh one does
     lo, hi = sorted((k1, k2))
-    resumed = factorization._DistinctDegree(coeffs, l)
+    resumed = factorization.GoodReduction(l, coeffs)
     resumed.through(lo)
-    assert int_parts(resumed, hi) == int_parts(factorization._DistinctDegree(coeffs, l), hi)
+    assert int_parts(resumed, hi) == int_parts(factorization.GoodReduction(l, coeffs), hi)
     # the degree question, asked of a fresh reduction and after a split to k1
     reduction = factorization.GoodReduction(l, coeffs)
     expected = admits_divisor_of_degree(DistinctDegreeBoxed(f), d)
     assert reduction.admits_divisor_of_degree(d) == expected
-    reduction._split.through(k1)
+    reduction.through(k1)
     assert reduction.admits_divisor_of_degree(d) == expected
 
 
@@ -204,15 +204,14 @@ def test_psi_split_matches_the_powering_step(label, curve, p, monkeypatch):
     from fineselmer.elliptic import WeierstrassModel
 
     psi = WeierstrassModel(*curve).integral_model().division_polynomial(p).int_coeffs()
-    assert good_reduction(QPoly(psi)).l == 3
+    assert good_reduction(psi).l == 3
     goods = [l for l in (3, 5, 7, 11, 13)
              if psi[-1] % l and len(factorization._vec_gcd(
                  [c % l for c in psi], [c % l for c in _derivative(psi)], l)) == 1]
     assert len(goods) >= 2 and max(goods) > 7, goods
 
     def split(l):
-        inv = pow(psi[-1], -1, l)
-        ddf = factorization._DistinctDegree([c * inv % l for c in psi], l)
+        ddf = factorization.GoodReduction(l, [c % l for c in psi])
         return [(list(part), j) for part, j in ddf.through((p - 1) // 2)], ddf.rest
 
     for l in goods:
@@ -226,7 +225,7 @@ def test_good_reduction_of_psi7_on_27a1_matches_factor_fq():
     from fineselmer.elliptic import WeierstrassModel
 
     psi = WeierstrassModel(0, 0, 1, 0, -7).integral_model().division_polynomial(7)
-    reduction = good_reduction(psi)
+    reduction = good_reduction(psi.int_coeffs())
     assert reduction.l == 5
     irreducibles = reduction.residues(psi.degree)
     assert [len(h) - 1 for h in irreducibles] == [3, 3, 6, 6, 6]
@@ -433,7 +432,7 @@ def try_subsets_monicised(current, lifted, remaining, size, modulus):
         prod = [1]
         for i in subset:
             prod = [c % modulus for c in _mul(prod, lifted[i])]
-        candidate = QPoly([factorization._symmetric(c, modulus) for c in prod])
+        candidate = QPoly([_symmetric(c, modulus) for c in prod])
         if oracles.divides(candidate, current):
             return set(subset), candidate.primitive()
     return None
@@ -502,7 +501,7 @@ def lift_arguments(g: QPoly, cap: int | None = None):
     """(coefficients, l, residues, bound) as _factor_squarefree passes them
     to the Hensel lift under the degree cap (none when None), or None when
     no good prime is found within SQUAREFREE_TRIES."""
-    reduction = good_reduction(g, SQUAREFREE_TRIES)
+    reduction = good_reduction(g.int_coeffs(), SQUAREFREE_TRIES)
     if reduction is None:
         return None
     cap = g.degree if cap is None else min(cap, g.degree)
@@ -531,7 +530,7 @@ def test_constant_term_test_never_rejects_a_true_factor(parts):
             prod = [current[-1]]
             for i in subset:
                 prod = [c % modulus for c in _mul(prod, lifted[i])]
-            candidate = QPoly([factorization._symmetric(c, modulus) for c in prod])
+            candidate = QPoly([_symmetric(c, modulus) for c in prod])
             if oracles.divides(candidate, g):
                 assert factorization._passes_constant_test(
                     current, [lifted[i][0] for i in subset], modulus), subset
@@ -576,11 +575,11 @@ def lifts_of_every_residue(coeffs, l, target):
 @settings(max_examples=60, deadline=None)
 @given(integer_factor_lists(max_parts=4), st.integers(1, 6), st.integers(0, 300))
 # (2x + 1)(x - 1)(x + 3): l = 7 and lc = 2, not +-1 mod 7, and every
-# residue is linear, so each lifts by Newton's iteration alone
+# residue is linear, so each lifts by _newton_lift alone
 @example([[1, 2], [-1, 1], [3, 1]], 3, 40)
 # (x + 1)(x + 2)(x^2 + 1)(x^3 + x + 1) mod 7 under cap 2: residue degrees
-# [1, 1, 2], as in 11a1's psi_5 mod 3, so the Newton branch and the
-# general one lift side by side
+# [1, 1, 2], as in 11a1's psi_5 mod 3, so _newton_lift and the
+# quadratic steps lift side by side
 @example([[1, 1], [2, 1], [1, 0, 1], [1, 1, 0, 1]], 2, 40)
 def test_quadratic_lift_matches_linear_lift(parts, cap, digits):
     # monic lifts of a coprime factorization are unique: lifting only the
@@ -659,7 +658,7 @@ def factor_by_yun(f: QPoly):
             part = part // QPoly.x()
         part = part.primitive()
         if part.degree > 0:
-            reduction = good_reduction(part)
+            reduction = good_reduction(part.int_coeffs())
             factors += [(g, mult) for g in factor_squarefree_monicised(
                 part, reduction.l, reduction.residues(part.degree))]
     factors.sort(key=lambda t: (t[0].degree, tuple(t[0].coeffs)))
@@ -741,24 +740,24 @@ def test_good_reduction_degree_question():
     # mod 3, x^3 - 2 is (x + 1)^3; mod 5 it shares the root 3 with x^2 + 1;
     # mod 7 both stay irreducible (7 = 3 mod 4, and 2 is not a cube mod 7)
     f = qpoly(1, 0, 1) * qpoly(-2, 0, 0, 1)
-    reduction = good_reduction(f)
+    reduction = good_reduction(f.int_coeffs())
     assert reduction.l == 7
     assert [len(h) - 1 for h in reduction.residues(f.degree)] == [2, 3]
     assert [d for d in range(6) if reduction.admits_divisor_of_degree(d)] == [0, 2, 3, 5]
     # the cyclotomic polynomial Phi_7 is irreducible mod 3 (3 has order 6
     # mod 7), so no divisor of degree 1 to 5 can exist over Q
-    reduction = good_reduction(qpoly(*([1] * 7)))
+    reduction = good_reduction([1] * 7)
     assert reduction.l == 3
     assert not any(reduction.admits_divisor_of_degree(d) for d in range(1, 6))
     assert reduction.admits_divisor_of_degree(6)
     # (x - 1)(x - 2) Phi_5 mod 3 has degrees [1, 1, 4] (3 has order 4 mod
     # 5): degree 2 is reachable only through both linear factors
-    reduction = good_reduction(qpoly(-1, 1) * qpoly(-2, 1) * qpoly(*([1] * 5)))
+    reduction = good_reduction((qpoly(-1, 1) * qpoly(-2, 1) * qpoly(*([1] * 5))).int_coeffs())
     assert reduction.l == 3
     assert [d for d in range(7) if reduction.admits_divisor_of_degree(d)] == [0, 1, 2, 4, 5, 6]
     # with every odd prime up to 23 bad, the capped search gives up
-    assert good_reduction(BAD_FIRST_PRIMES, SQUAREFREE_TRIES) is None
-    assert good_reduction(BAD_FIRST_PRIMES).l == 29
+    assert good_reduction(BAD_FIRST_PRIMES.int_coeffs(), SQUAREFREE_TRIES) is None
+    assert good_reduction(BAD_FIRST_PRIMES.int_coeffs()).l == 29
 
 
 # --- the int-list squarefree test against the boxed gcd it replaces ---
@@ -815,15 +814,15 @@ def test_int_squarefree_test_matches_boxed_gcd(lkf, tries):
     if kind in ("square", "frobenius"):
         assert not verdict
     # l is the first candidate, so one try asks exactly the verdict at l
-    assert (good_reduction(qpoly(*f), 1) is not None) == verdict
-    found = good_reduction(qpoly(*f), tries)
+    assert (good_reduction(f, 1) is not None) == verdict
+    found = good_reduction(f, tries)
     assert (found.l if found else None) == first_good_prime_boxed(f, tries)
 
 
 def test_capped_search_tries_the_same_primes_without_the_sieve(monkeypatch):
     # 3 and 7 divide the leading coefficient; mod each of the next eight
     # odd primes 21 x^2 - c is 21 x^2, a square; mod 37 it is squarefree
-    f = qpoly(-5 * 11 * 13 * 17 * 19 * 23 * 29 * 31, 0, 21)
+    f = [-5 * 11 * 13 * 17 * 19 * 23 * 29 * 31, 0, 21]
     gcd = factorization._vec_gcd
     reduced = []
 
@@ -968,7 +967,7 @@ def test_the_lift_gets_only_the_small_factors(monkeypatch, curve, p, degrees, ha
 
     E = WeierstrassModel(*curve)
     psi = E.division_polynomial(p)
-    reduction = good_reduction(psi)
+    reduction = good_reduction(psi.int_coeffs())
     assert reduction.l == 3
     assert [len(h) - 1 for h in reduction.residues(psi.degree)] == degrees
     lift = factorization._hensel_lift_factors
@@ -981,7 +980,8 @@ def test_the_lift_gets_only_the_small_factors(monkeypatch, curve, p, degrees, ha
     def run():
         if search:
             return galoisimage.find_stable_subgroups(E, p)
-        return factor_int_poly(psi, max_degree=(p - 1) // 2, reduction=good_reduction(psi))
+        return factor_int_poly(psi, max_degree=(p - 1) // 2,
+                               reduction=good_reduction(psi.int_coeffs()))
 
     expected = run()
     monkeypatch.setattr(factorization, "_hensel_lift_factors", counting)

@@ -22,6 +22,7 @@ from fineselmer.lambdabound import (
     HYPOTHESIS_IDS,
     compute_lambda_bound,
 )
+from fineselmer.modular import is_prime, multiplicative_order
 
 E11A1 = WeierstrassModel(0, -1, 1, -10, -20)
 E11A2 = WeierstrassModel(0, -1, 1, -7820, -263580)
@@ -472,6 +473,55 @@ def test_library_input_gives_a_report_or_a_value_error_naming_it(args, hostile, 
     json.loads(cli.render_json(report, job))
 
 
+# the public layers below compute_lambda_bound, each with its arguments
+LAYERS = {
+    "compute_place_sets": (localdata.compute_place_sets, ("model", "p", "field")),
+    "delta_v": (localdata.delta_v, ("model", "p", "field")),
+    "classify_image": (galoisimage.classify_image, ("model", "p", "field")),
+    "find_stable_subgroups": (galoisimage.find_stable_subgroups, ("model", "p")),
+    "g_v": (localdata.g_v, ("ell", "p", "field", "residue_degree")),
+    "tate_reduction": (localdata.tate_reduction, ("model", "ell")),
+    "is_regular": (is_regular, ("p",)),
+}
+LAYER_NAMED_BY = {**NAMED_BY, "ell": ("ell ",),
+                  # g_v checks the degree against the place it names
+                  "residue_degree": ("places of Q have residue degree 1",
+                                     "residue degree of a place of Q(mu_p) above "),
+                  # delta_v asks good reduction of the pair
+                  "p": ("p ", "delta_v needs good reduction at ")}
+
+
+def residue_degree_of(ell, p, field) -> int:
+    """The residue degree of a place above ell, which g_v checks, when ell
+    and p are small primes; 1 otherwise, where g_v refuses ell or p first."""
+    if (field == "Q(mu_p)" and type(ell) is int and type(p) is int and 1 < ell < 10**6
+            and 2 < p < 10**6 and ell != p and is_prime(ell) and is_prime(p)):
+        return multiplicative_order(ell % p, p)
+    return 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(LAYERS)), st.fixed_dictionaries(
+    {**{name: VALID_ARGUMENTS[name] for name in ("model", "p", "field")},
+     "ell": st.sampled_from([2, 3, 11, 13, 37])}), st.sampled_from(
+    [None, "model", "p", "field", "ell", "residue_degree"]), HOSTILE)
+def test_each_layer_gives_a_result_or_a_value_error_naming_it(layer, args, hostile, value):
+    # the property above, on every public layer that takes p, the field,
+    # ell or a model: one argument at a time is hostile, and every refusal
+    # is a ValueError whose message names that argument
+    fn, names = LAYERS[layer]
+    args["residue_degree"] = None
+    if hostile in names:
+        args[hostile] = value
+    if hostile != "residue_degree":
+        args["residue_degree"] = residue_degree_of(args["ell"], args["p"], args["field"])
+    try:
+        fn(*(args[name] for name in names))
+    except ValueError as e:
+        assert hostile in names and str(e).startswith(LAYER_NAMED_BY[hostile]), \
+            (layer, hostile, str(e)[:200])
+
+
 def test_routes_are_both_reported():
     r = compute_lambda_bound(E11A1, 5, "Q")
     names = sorted(rt.route for rt in r.routes)
@@ -559,6 +609,9 @@ def test_former_factoring_cliff(monkeypatch, curve, p, bound, image, digest):
 # for 23 to 51 ms to find no line, as psi_p mod 3 leaves room for one
 FORMER_CLIFFS = [("20a1", 11), ("43a1", 11), ("14a1", 11),
                  ("32a2", 13), ("49a1", 13), ("37a1", 13), ("53a1", 13)]
+# (label, 3): searches whose psi_3 mod l has a root, which a root search
+# capped at degree 1 decided before the screen ran at p = 3 too
+SCREENED_AT_3 = [("49a1", 3), ("53a1", 3), ("61a1", 3), ("79a1", 3), ("389a1", 3)]
 
 
 def test_no_line_is_ruled_out_before_any_factoring(monkeypatch, bench_corpus):
@@ -571,10 +624,11 @@ def test_no_line_is_ruled_out_before_any_factoring(monkeypatch, bench_corpus):
     for module in (factorization, galoisimage, lambdabound):
         monkeypatch.setattr(module, "factor_int_poly", refuse)
     monkeypatch.setattr(factorization, "_hensel_lift_factors", refuse)
-    for label, p in FORMER_CLIFFS:
+    for label, p in FORMER_CLIFFS + SCREENED_AT_3:
         model = WeierstrassModel(*bench_corpus.CURVES[label][0])
         # the degrees mod l leave room: the Frobenius screen decides
-        assert good_reduction(model.division_polynomial(p)).admits_divisor_of_degree((p - 1) // 2)
+        psi = model.division_polynomial(p).int_coeffs()
+        assert good_reduction(psi).admits_divisor_of_degree((p - 1) // 2), label
         r = compute_lambda_bound(model, p)
         assert ledger_map(r)["image-condition"] in ("certified", "inconclusive"), label
     # and so do the CM jobs at 7 of the benchmark

@@ -27,11 +27,11 @@ from fineselmer.padic import (
     DEPTH_BUDGET,
     PadicNumber,
     PadicRoots,
-    _newton_lift,
     padic_roots,
 )
-from fineselmer.polynomial import QPoly, _derivative as _deriv, _horner as _eval_int
-from oracles import NoLiftError, QpNumber, compose_linear, hensel_lift, padic_is_square
+from fineselmer.polynomial import QPoly, _derivative as _deriv, _newton_lift
+from oracles import (NoLiftError, QpNumber, compose_linear, evaluate as _eval_int,
+                     hensel_lift, padic_is_square)
 
 
 def qpoly(*coeffs: int) -> QPoly:

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fineselmer.polynomial import (QPoly, _add, _compose_linear, _derivative, _horner,
+from fineselmer.polynomial import (QPoly, _add, _compose_linear, _derivative, _horner_mod,
                                    _mul, _sub)
-from oracles import (compose_linear, divides, fraction_content, fraction_divmod,
+from oracles import (compose_linear, divides, evaluate, fraction_content, fraction_divmod,
                      yun_squarefree)
 
 fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -37,8 +37,8 @@ def test_divmod_defining_property(f, g):
 @given(polys, polys)
 def test_evaluation_is_a_homomorphism(f, g):
     at = Fraction(3, 2)
-    assert _horner((f + g).coeffs, at) == _horner(f.coeffs, at) + _horner(g.coeffs, at)
-    assert _horner((f * g).coeffs, at) == _horner(f.coeffs, at) * _horner(g.coeffs, at)
+    assert evaluate((f + g).coeffs, at) == evaluate(f.coeffs, at) + evaluate(g.coeffs, at)
+    assert evaluate((f * g).coeffs, at) == evaluate(f.coeffs, at) * evaluate(g.coeffs, at)
 
 
 @given(nonzero_polys, nonzero_polys)
@@ -227,9 +227,10 @@ def test_list_product_sum_and_difference(a, b):
     assert QPoly(diff) == QPoly(a) - QPoly(b)
 
 
-@given(int_lists, st.integers(-9, 9))
-def test_list_horner(a, x):
-    assert _horner(a, x) == value(a, x)
+@given(int_lists, st.integers(-9, 9), st.integers(1, 10**6))
+def test_list_horner(a, x, m):
+    assert evaluate(a, x) == value(a, x)
+    assert _horner_mod(a, x, m) == value(a, x) % m
 
 
 @given(nonzero_int_lists, nonzero_int_lists, st.integers(-9, 9), st.integers(1, 5))
