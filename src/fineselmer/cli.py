@@ -5,8 +5,9 @@ Run mode is implicit when the first argument is a flag:
     fineselmer --curve 0,-1,1,-7820,-263580 --p 5 --field Q
 
 Batch mode takes a file of newline-delimited job objects and emits one
-compact JSON report per line, in input order, each as soon as it and
-every line before it are done, with a summary count on stderr.  Exit
+compact JSON report per line, in input order, each as soon as it (with
+--jobs N, its chunk of lines) and every line before it are done, with a
+summary count on stderr.  Exit
 codes: 0 = bound emitted, 2 = blocked (a required hypothesis is refuted),
 3 = input error or a stdout closed before the output was written.  In
 batch mode the worst per-job code is returned, but a bad job, a failing
@@ -27,6 +28,9 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
+from collections.abc import Iterator
+from itertools import islice
 from typing import NamedTuple
 
 from .elliptic import LADDER_MAX, WeierstrassModel
@@ -361,6 +365,77 @@ def _batch_line(item: tuple[int, bytes]) -> tuple[int, int, str]:
         return _line_error(n, f"internal error ({type(e).__name__}: {e})")
 
 
+def _batch_chunk(items: list[tuple[int, bytes]]) -> list[tuple[int, int, str]]:
+    """Worker: one pool task of several lines, so each line does not pay
+    for a round trip to the pool."""
+    return [_batch_line(item) for item in items]
+
+
+def _chunks(work: list, workers: int) -> Iterator[list]:
+    """The pool's tasks: consecutive slices of `work`, in input order.
+
+    Each worker's first task holds one line, so the first report is not
+    held back by a long chunk; each round of `workers` tasks then doubles,
+    up to len(work) // (4 workers) lines, so every worker still gets
+    several tasks and finishes close to the others.
+    """
+    cap = max(1, len(work) // (4 * workers))
+    start, size = 0, 1
+    while start < len(work):
+        end = min(len(work), start + workers * size)
+        for first in range(start, end, size):
+            yield work[first:first + size]
+        start, size = end, min(2 * size, cap)
+
+
+def _run_pool(work: list[tuple[int, bytes]], workers: int,
+              counts: dict[int, int]) -> None:
+    # imported here: it pulls in multiprocessing, pickle and socket, which
+    # no other path needs
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    written = 0
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = _chunks(work, workers)
+            # two tasks a worker in flight: one running and one queued
+            # behind it, so a closed stdout leaves little to finish
+            in_flight = deque(pool.submit(_batch_chunk, chunk)
+                              for chunk in islice(chunks, 2 * workers))
+            try:
+                while in_flight:
+                    for result in in_flight.popleft().result():
+                        _write_line(result, counts)
+                        written += 1
+                    for chunk in islice(chunks, 1):
+                        in_flight.append(pool.submit(_batch_chunk, chunk))
+            except BrokenPipeError:
+                # leaving the with block would otherwise wait for every
+                # queued task
+                pool.shutdown(cancel_futures=True)
+                raise
+    except BrokenProcessPool:
+        pass
+    # if a worker died, the results of every task not yet written died
+    # with it. Each of those lines runs again on its own, so only a line
+    # whose own run kills its worker gets the error line; each death
+    # starts a fresh pool for the lines after it
+    while written < len(work):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            while written < len(work):
+                item = work[written]
+                written += 1
+                try:
+                    result = pool.submit(_batch_line, item).result()
+                except BrokenProcessPool:
+                    _write_line(_line_error(
+                        item[0], "worker process died before this job "
+                                 "finished"), counts)
+                    break
+                _write_line(result, counts)
+
+
 def _write_line(result: tuple[int, int, str], counts: dict[int, int]) -> None:
     _, code, output = result
     # flushed per line, so a reader sees each result as soon as it and
@@ -395,29 +470,9 @@ def run_batch(path: str, jobs: int) -> int:
     counts = {0: 0, 2: 0, 3: 0}
     try:
         if jobs > 1 and len(work) > 1:
-            # imported here: it pulls in multiprocessing, pickle and socket,
-            # which no other path needs
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
             # the pool forks all its workers at the first submit: never
             # more than there are lines
-            with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-                futures = [pool.submit(_batch_line, item) for item in work]
-                try:
-                    for (n, _), future in zip(work, futures):   # input order
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool:
-                            result = _line_error(
-                                n, "worker process died before this job "
-                                   "finished")
-                        _write_line(result, counts)
-                except BrokenPipeError:
-                    # leaving the with block would otherwise wait for every
-                    # queued job
-                    pool.shutdown(cancel_futures=True)
-                    raise
+            _run_pool(work, min(jobs, len(work)), counts)
         else:
             for item in work:
                 _write_line(_batch_line(item), counts)

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import fineselmer
 from fineselmer import cli, factorization, galoisimage, lambdabound, padic
 from fineselmer.cli import CliError, main
+from fineselmer.elliptic import WeierstrassModel
 
 GOLDEN = Path(__file__).parent / "golden"
 CURVE = "0,-1,1,-7820,-263580"
@@ -519,9 +520,11 @@ def test_batch_streams_each_line_before_the_next_job(monkeypatch, tmp_path):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched run_job reaches workers only by fork")
 def test_batch_dead_worker_keeps_finished_lines(capsys, monkeypatch, tmp_path):
-    # lines 1-2 finish; line 3 kills its worker once they have; lines 4-5
-    # are still running or queued when the pool breaks
+    # lines 1-2 finish; line 3 kills its worker once they have, and again
+    # when it runs on its own in a fresh pool; lines 4-5 are still running
+    # or queued when the pool first breaks, and get their reports after
     real_run_job = cli.run_job
+    died = tmp_path / "died"
 
     def run_job(job):
         if job.label == "die":
@@ -530,24 +533,28 @@ def test_batch_dead_worker_keeps_finished_lines(capsys, monkeypatch, tmp_path):
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             time.sleep(0.2)   # let the last result reach the parent
+            died.touch()
             os._exit(1)
-        if job.label == "after":
-            time.sleep(30)    # ended when the broken pool stops its workers
+        if job.label == "after":   # held until line 3 has killed a worker
+            deadline = time.monotonic() + 30
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
         result = real_run_job(job)
         (tmp_path / f"done-{os.getpid()}-{time.monotonic_ns()}").touch()
         return result
 
-    monkeypatch.setattr(cli, "run_job", run_job)
-    f = tmp_path / "jobs.ndjson"
     late = ['{"curve": [0, -1, 1, -7820, -263580], "p": 5, "label": "%s"}' % s
             for s in ("die", "after", "after")]
+    after = [cli._batch_line((n, late[1].encode()))[2] for n in (4, 5)]
+    monkeypatch.setattr(cli, "run_job", run_job)
+    f = tmp_path / "jobs.ndjson"
     f.write_text("\n".join(GOLDEN_JOBS + late) + "\n")
     start = time.monotonic()
     code, out, err = run_cli(capsys, "batch", str(f), "--jobs", "2")
     assert time.monotonic() - start < 20
     assert code == 3
-    assert out.splitlines() == GOLDEN_REPORTS + [worker_died(n) for n in (3, 4, 5)]
-    assert err.strip() == "2 ok / 0 blocked / 3 error"
+    assert out.splitlines() == GOLDEN_REPORTS + [worker_died(3)] + after
+    assert err.strip() == "4 ok / 0 blocked / 1 error"
 
 
 def test_batch_internal_error_is_a_line_error(capsys, monkeypatch, tmp_path):
@@ -681,6 +688,78 @@ def test_batch_pool_has_no_more_workers_than_lines(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match="no pool is started"):
         main(["batch", str(f), "--jobs", "1000000"])
     assert asked == [2]
+
+
+# --- batches larger than the pool's first chunks ---
+
+
+BLOCKED_JOB = '{"curve": [0, -1, 1, -7820, -263580], "p": 11}'
+
+
+def big_batch(tmp_path: Path) -> tuple[Path, list[int]]:
+    """A 252-line batch of golden, blocked, malformed and blank lines, and
+    the line numbers of its 210 jobs: enough lines for multi-line chunks."""
+    cycle = GOLDEN_JOBS + [BLOCKED_JOB, "not json", '{"p": 5}', ""]
+    lines = cycle * 42
+    f = tmp_path / "big.ndjson"
+    f.write_text("\n".join(lines) + "\n")
+    return f, [n for n, line in enumerate(lines, start=1) if line.strip()]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("lines", [0, 1, 2, 7, 40, 210, 1000])
+def test_chunk_plan_keeps_input_order_and_starts_each_worker_on_one_line(lines, workers):
+    chunks = list(cli._chunks(list(range(lines)), workers))
+    assert [n for chunk in chunks for n in chunk] == list(range(lines))
+    assert all(chunks)
+    assert all(len(chunk) == 1 for chunk in chunks[:workers])
+    assert max(map(len, chunks), default=1) <= max(1, lines // (4 * workers))
+
+
+def test_big_batch_gives_the_serial_bytes_at_any_worker_count(capsys, tmp_path):
+    f, numbered = big_batch(tmp_path)
+    code, serial, err = run_cli(capsys, "batch", str(f))
+    assert code == 3 and len(serial.splitlines()) == len(numbered) == 210
+    assert err.strip() == "84 ok / 42 blocked / 84 error"
+    for jobs in ("2", "3"):
+        assert run_cli(capsys, "batch", str(f), "--jobs", jobs) == (3, serial, err)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_job reaches workers only by fork")
+def test_worker_dying_inside_a_chunk_costs_only_its_own_line(capsys, monkeypatch,
+                                                             tmp_path):
+    f, numbered = big_batch(tmp_path)
+    # the middle line of the first chunk of the largest size kills its
+    # worker each time it runs; the lines before it in that chunk have
+    # finished in the same worker, and their results die with it
+    chunks = list(cli._chunks(numbered, 2))
+    chunk = next(c for c in chunks if len(c) == max(map(len, chunks)))
+    assert len(chunk) > 2
+    n = chunk[len(chunk) // 2]
+    lines = f.read_text().splitlines()
+    lines[n - 1] = '{"curve": [0, -1, 1, -7820, -263580], "p": 5, "label": "die"}'
+    f.write_text("\n".join(lines) + "\n")
+    _, serial, _ = run_cli(capsys, "batch", str(f))
+    real_run_job = cli.run_job
+
+    def run_job(job):
+        if job.label == "die":
+            os._exit(1)
+        return real_run_job(job)
+
+    monkeypatch.setattr(cli, "run_job", run_job)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "batch", str(f), "--jobs", "2")
+    assert time.monotonic() - start < 20
+    want = serial.splitlines()
+    want[numbered.index(n)] = worker_died(n)
+    assert code == 3
+    assert out.splitlines() == want
+    blocked = sum('"strength":"blocked"' in line for line in want)
+    errors = sum(line.startswith('{"error":') for line in want)
+    assert err.strip() == (f"{len(want) - blocked - errors} ok / {blocked} blocked "
+                           f"/ {errors} error")
 
 
 # --- fuzzing the batch front end ---
@@ -927,6 +1006,41 @@ def test_a_job_with_several_faults_names_the_first(capsys, tmp_path, job, messag
     assert_one_line_error(out, err, message)
     code, out, err = run_cli(capsys, *run_argv_of(job))
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def _cli_reads(job) -> bool:
+    try:
+        cli.job_from_dict(job, "line 2")
+    except CliError:
+        return False
+    return True
+
+
+# the batch fuzz's jobs that the CLI reads into a JobSpec, so that every
+# check of their values is left to the library
+LIBRARY_JOB = st.one_of(BAD_JOB, VALID).filter(
+    lambda job: isinstance(job, dict) and _cli_reads(job))
+
+
+@settings(max_examples=80, deadline=None)
+@given(LIBRARY_JOB)
+def test_batch_error_line_is_the_library_message(job):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "jobs.ndjson"
+        f.write_text("\n" + json.dumps(job) + "\n")   # the job is line 2
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(["batch", str(f)])
+    spec = cli.job_from_dict(job, "line 2")
+    try:
+        report = lambdabound.compute_lambda_bound(
+            WeierstrassModel(*spec.a_invariants), spec.p, spec.field,
+            dim_y=spec.dim_y, dim_z=spec.dim_z, assume=spec.assume,
+            g_table=spec.g_table)
+    except ValueError as e:
+        assert json.loads(out.getvalue()) == {"error": f"line 2: {e}", "line": 2}
+    else:
+        assert out.getvalue() == cli.render_json(report, spec, compact=True) + "\n"
 
 
 def test_g_table_alone_names_a_user_extension(capsys, tmp_path):
